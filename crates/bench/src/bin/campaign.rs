@@ -7,9 +7,9 @@
 //!
 //! ```text
 //! cargo run --release -p pmlp-bench --bin campaign -- \
-//!     [datasets|all] [full|quick] [seed] [--quick] [--float-accuracy] \
-//!     [--objectives LIST] [--store DIR] [--remote-store URL] [--resume] \
-//!     [--require-warm] [--worker-id ID] [--steal] [--lease-ttl-ms N]
+//!     [datasets|all] [full|quick] [seed] [--quick] [--objectives LIST] \
+//!     [--store DIR] [--remote-store URL] [--resume] [--require-warm] \
+//!     [--worker-id ID] [--steal] [--lease-ttl-ms N]
 //!
 //! cargo run --release -p pmlp-bench --bin campaign -- \
 //!     gc [full|quick] [seed] --store DIR
@@ -17,9 +17,7 @@
 //!
 //! `datasets` is `all` (default) or a comma-separated list of registry names
 //! (e.g. `seeds,balance,vertebral`). `--quick` anywhere on the command line
-//! forces the reduced CI effort. `--float-accuracy` opts out of the default
-//! pure-integer accuracy scoring back to the fake-quantized float model.
-//! `--objectives accuracy,area,energy` selects the objective space the Pareto
+//! forces the reduced CI effort. `--objectives accuracy,area,energy` selects the objective space the Pareto
 //! fronts and per-dataset hypervolumes are computed in (any comma-separated
 //! subset of `accuracy,area,power,delay,energy`; default `accuracy,area`,
 //! byte-identical to the historical two-objective pipeline). The evaluation
@@ -92,11 +90,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         effort,
         seed,
         max_accuracy_loss: 0.05,
-        accuracy_tier: if options.float_accuracy {
-            pmlp_core::AccuracyTier::Float
-        } else {
-            pmlp_core::AccuracyTier::Integer
-        },
         objectives: options.objectives.clone().unwrap_or_default(),
         store_dir: options.store.clone(),
         remote_store: options.remote_store.clone(),

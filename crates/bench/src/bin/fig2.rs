@@ -8,8 +8,7 @@
 //! ```text
 //! cargo run --release -p pmlp-bench --bin fig2 -- \
 //!     [dataset] [full|quick] [seed] [--quick] [--objectives LIST] \
-//!     [--store DIR] [--remote-store URL] [--resume] [--require-warm] \
-//!     [--worker-id ID] [--migration-interval N]
+//!     [--store DIR] [--remote-store URL] [--resume] [--require-warm]
 //! ```
 //!
 //! `--quick` anywhere on the command line forces the reduced CI effort.
@@ -26,15 +25,8 @@
 //! (or replaces the directory with) a shared `pmlp-serve` tier: evaluations
 //! *and the GA checkpoint* replicate to the server, so another machine can
 //! resume the search. `--require-warm` fails the run if any evaluation had
-//! to be computed fresh.
-//!
-//! With `--worker-id ID` (plus a store) the GA runs as one **island** of a
-//! distributed fleet: it checkpoints under a per-worker document name,
-//! publishes its elite front to the store every `--migration-interval N`
-//! generations (default 1) and folds in the fronts other islands published.
-//! Start K processes with distinct ids against the same `--remote-store` to
-//! search cooperatively; a single worker with no peers is bit-identical to
-//! the classic checkpointed run.
+//! to be computed fresh. `--worker-id` is rejected: fleet workers split the
+//! `campaign` battery, while the GA is one population in one process.
 
 use pmlp_bench::{parse_cli, parse_effort, persist_json, render_figure2, render_headline};
 use pmlp_core::experiment::{headline_combined, Figure2Experiment};
@@ -44,6 +36,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let options = parse_cli(&args);
     options.validate()?;
+    if options.worker_id.is_some() {
+        return Err("--worker-id is campaign-only: fig2 runs one NSGA-II population".into());
+    }
     let dataset = options
         .positional
         .first()
@@ -72,34 +67,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     if let Some(backend) = backend {
         engine = engine.with_backend(backend)?;
     }
-    let result = if engine.store().is_some() {
-        // Islands evolve distinct populations, so each fleet worker
-        // checkpoints under its own name.
-        let checkpoint = match &options.worker_id {
-            Some(worker) => format!(
-                "fig2_{}_{}_nsga2.json",
-                dataset.to_string().to_lowercase(),
-                worker
-            ),
-            None => format!("fig2_{}_nsga2.json", dataset.to_string().to_lowercase()),
-        };
+    let result = if let Some(store) = engine.store() {
+        let checkpoint = format!("fig2_{}_nsga2.json", dataset.to_string().to_lowercase());
         // Without --resume, any existing checkpoint is discarded: the
         // search recomputes (against the warm store) instead of replaying.
         if !options.resume {
-            engine
-                .store()
-                .expect("store attached")
-                .remove_doc(&checkpoint)?;
+            store.remove_doc(&checkpoint)?;
         }
-        match &options.worker_id {
-            Some(worker) => experiment.run_distributed(
-                &engine,
-                &checkpoint,
-                worker,
-                options.migration_interval.unwrap_or(1),
-            )?,
-            None => experiment.run_with_checkpoint_doc(&engine, &checkpoint)?,
-        }
+        experiment.run_with_checkpoint_doc(&engine, &checkpoint)?
     } else {
         experiment.run_with(&engine)?
     };

@@ -47,7 +47,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         seed,
         max_accuracy_loss: 0.05,
         objectives: options.objectives.clone().unwrap_or_default(),
-        accuracy_tier: pmlp_core::AccuracyTier::default(),
         store_dir: options.store.clone(),
         remote_store: options.remote_store.clone(),
         remote_timeout_ms: options.remote_timeout_ms,

@@ -39,11 +39,6 @@ pub struct CliOptions<'a> {
     /// `--require-warm`: exit with an error if the run needed any fresh
     /// evaluation — CI's assertion that a store re-run recomputes nothing.
     pub require_warm: bool,
-    /// `--float-accuracy`: score accuracies with the fake-quantized float
-    /// model instead of the default pure-integer inference engine (an
-    /// ablation/debugging opt-out; the two tiers agree on every registry
-    /// dataset by the equivalence test suite).
-    pub float_accuracy: bool,
     /// Objective space from `--objectives LIST` (or `--objectives=LIST`), a
     /// comma-separated subset of `accuracy,area,power,delay,energy`. `None`
     /// keeps the classic `(accuracy, area)` space — and byte-identical
@@ -70,13 +65,9 @@ pub struct CliOptions<'a> {
     /// in-flight requests before abandoning them (default 5s).
     pub drain_timeout_ms: Option<u64>,
     /// Fleet identity from `--worker-id ID` (or `--worker-id=ID`): runs the
-    /// campaign in lease-based work-stealing worker mode, and switches the
-    /// Fig. 2 GA to island mode (per-worker checkpoint, elite migration
-    /// through the store). Requires a persistence tier.
+    /// campaign in lease-based work-stealing worker mode. Requires a
+    /// persistence tier.
     pub worker_id: Option<String>,
-    /// Island migration cadence in generations from `--migration-interval N`
-    /// (default 1 when `--worker-id` is set).
-    pub migration_interval: Option<usize>,
     /// `--steal`: allow this campaign worker to break another worker's
     /// *expired* lease and take over its dataset. Off by default — a
     /// non-stealing worker waits for the peer's completion marker instead.
@@ -117,16 +108,8 @@ impl CliOptions<'_> {
         if self.worker_id.is_some() && !self.has_store() {
             return Err("--worker-id needs --store DIR and/or --remote-store URL".into());
         }
-        if self.worker_id.is_none()
-            && (self.steal || self.migration_interval.is_some() || self.lease_ttl_ms.is_some())
-        {
-            return Err(
-                "--steal/--migration-interval/--lease-ttl-ms only make sense with --worker-id"
-                    .into(),
-            );
-        }
-        if self.migration_interval == Some(0) {
-            return Err("--migration-interval must be positive".into());
+        if self.worker_id.is_none() && (self.steal || self.lease_ttl_ms.is_some()) {
+            return Err("--steal/--lease-ttl-ms only make sense with --worker-id".into());
         }
         if self.lease_ttl_ms == Some(0) {
             return Err("--lease-ttl-ms must be positive".into());
@@ -161,188 +144,119 @@ impl CliOptions<'_> {
     pub fn open_backend(
         &self,
     ) -> Result<Option<Box<dyn pmlp_core::store::StoreBackend>>, pmlp_core::CoreError> {
-        pmlp_core::store::open_backend_durable(
+        pmlp_core::store::open_backend_opts(
             self.store.as_deref(),
             self.remote_store.as_deref(),
-            self.remote_timeout_ms.map(std::time::Duration::from_millis),
-            self.durability.unwrap_or_default(),
+            &pmlp_core::store::BackendOptions {
+                remote_timeout: self.remote_timeout_ms.map(std::time::Duration::from_millis),
+                durability: self.durability.unwrap_or_default(),
+                breaker: None,
+            },
         )
     }
 }
 
 /// Parses the raw CLI arguments (excluding the program name) of the bench
 /// binaries: positionals, the effort override and the persistence flags.
+/// Every value flag takes its value either attached (`--flag=value`) or as
+/// the next argument (`--flag value`).
 pub fn parse_cli(args: &[String]) -> CliOptions<'_> {
     let mut options = CliOptions::default();
-    let mut iter = args.iter();
-    while let Some(arg) = iter.next() {
-        match arg.as_str() {
-            "--quick" | "-q" => options.effort = Some(Effort::Quick),
-            "--full" => options.effort = Some(Effort::Full),
-            "--store" => match iter.next() {
-                // A following flag is a forgotten value, not a directory.
-                Some(dir) if !dir.starts_with('-') => options.store = Some(PathBuf::from(dir)),
-                _ => {
-                    options.parse_error = Some("--store needs a directory argument".into());
-                }
-            },
-            "--remote-store" => match iter.next() {
-                Some(url) if !url.starts_with('-') => options.remote_store = Some(url.clone()),
-                _ => {
-                    options.parse_error = Some("--remote-store needs a URL argument".into());
-                }
-            },
-            "--remote-timeout-ms" => match iter.next().map(|v| v.parse::<u64>()) {
-                Some(Ok(ms)) => options.remote_timeout_ms = Some(ms),
-                _ => {
-                    options.parse_error =
-                        Some("--remote-timeout-ms needs a number of milliseconds".into());
-                }
-            },
-            "--token" => match iter.next() {
-                Some(token) if !token.starts_with('-') => options.token = Some(token.clone()),
-                _ => {
-                    options.parse_error = Some("--token needs a token argument".into());
-                }
-            },
-            "--workers" => match iter.next().map(|v| v.parse::<usize>()) {
-                Some(Ok(n)) => options.workers = Some(n),
-                _ => {
-                    options.parse_error = Some("--workers needs a thread count".into());
-                }
-            },
-            "--durability" => match iter.next().map(|v| v.parse()) {
-                Some(Ok(policy)) => options.durability = Some(policy),
-                Some(Err(err)) => options.parse_error = Some(err),
-                None => {
-                    options.parse_error = Some("--durability needs a policy argument".into());
-                }
-            },
-            "--drain-timeout-ms" => match iter.next().map(|v| v.parse::<u64>()) {
-                Some(Ok(ms)) => options.drain_timeout_ms = Some(ms),
-                _ => {
-                    options.parse_error =
-                        Some("--drain-timeout-ms needs a number of milliseconds".into());
-                }
-            },
-            "--objectives" => match iter.next() {
-                Some(list) if !list.starts_with('-') => {
-                    match pmlp_core::ObjectiveSpace::parse(list) {
-                        Ok(space) => options.objectives = Some(space),
-                        Err(err) => options.parse_error = Some(err.to_string()),
-                    }
-                }
-                _ => {
-                    options.parse_error =
-                        Some("--objectives needs a comma-separated objective list".into());
-                }
-            },
-            "--worker-id" => match iter.next() {
-                Some(id) if !id.starts_with('-') => options.worker_id = Some(id.clone()),
-                _ => {
-                    options.parse_error = Some("--worker-id needs an identifier argument".into());
-                }
-            },
-            "--migration-interval" => match iter.next().map(|v| v.parse::<usize>()) {
-                Some(Ok(n)) => options.migration_interval = Some(n),
-                _ => {
-                    options.parse_error =
-                        Some("--migration-interval needs a generation count".into());
-                }
-            },
-            "--lease-ttl-ms" => match iter.next().map(|v| v.parse::<u64>()) {
-                Some(Ok(ms)) => options.lease_ttl_ms = Some(ms),
-                _ => {
-                    options.parse_error =
-                        Some("--lease-ttl-ms needs a number of milliseconds".into());
-                }
-            },
-            "--steal" => options.steal = true,
-            "--resume" => options.resume = true,
-            "--require-warm" => options.require_warm = true,
-            "--float-accuracy" => options.float_accuracy = true,
-            other => {
-                if let Some(dir) = other.strip_prefix("--store=") {
-                    if dir.is_empty() {
-                        options.parse_error = Some("--store= needs a non-empty directory".into());
-                    } else {
-                        options.store = Some(PathBuf::from(dir));
-                    }
-                } else if let Some(url) = other.strip_prefix("--remote-store=") {
-                    if url.is_empty() {
-                        options.parse_error = Some("--remote-store= needs a non-empty URL".into());
-                    } else {
-                        options.remote_store = Some(url.to_string());
-                    }
-                } else if let Some(ms) = other.strip_prefix("--remote-timeout-ms=") {
-                    match ms.parse::<u64>() {
-                        Ok(ms) => options.remote_timeout_ms = Some(ms),
-                        Err(_) => {
-                            options.parse_error =
-                                Some("--remote-timeout-ms needs a number of milliseconds".into());
-                        }
-                    }
-                } else if let Some(token) = other.strip_prefix("--token=") {
-                    if token.is_empty() {
-                        options.parse_error = Some("--token= needs a non-empty token".into());
-                    } else {
-                        options.token = Some(token.to_string());
-                    }
-                } else if let Some(n) = other.strip_prefix("--workers=") {
-                    match n.parse::<usize>() {
-                        Ok(n) => options.workers = Some(n),
-                        Err(_) => {
-                            options.parse_error = Some("--workers needs a thread count".into());
-                        }
-                    }
-                } else if let Some(list) = other.strip_prefix("--objectives=") {
-                    match pmlp_core::ObjectiveSpace::parse(list) {
-                        Ok(space) => options.objectives = Some(space),
-                        Err(err) => options.parse_error = Some(err.to_string()),
-                    }
-                } else if let Some(policy) = other.strip_prefix("--durability=") {
-                    match policy.parse() {
-                        Ok(policy) => options.durability = Some(policy),
-                        Err(err) => options.parse_error = Some(err),
-                    }
-                } else if let Some(ms) = other.strip_prefix("--drain-timeout-ms=") {
-                    match ms.parse::<u64>() {
-                        Ok(ms) => options.drain_timeout_ms = Some(ms),
-                        Err(_) => {
-                            options.parse_error =
-                                Some("--drain-timeout-ms needs a number of milliseconds".into());
-                        }
-                    }
-                } else if let Some(id) = other.strip_prefix("--worker-id=") {
-                    if id.is_empty() {
-                        options.parse_error =
-                            Some("--worker-id= needs a non-empty identifier".into());
-                    } else {
-                        options.worker_id = Some(id.to_string());
-                    }
-                } else if let Some(n) = other.strip_prefix("--migration-interval=") {
-                    match n.parse::<usize>() {
-                        Ok(n) => options.migration_interval = Some(n),
-                        Err(_) => {
-                            options.parse_error =
-                                Some("--migration-interval needs a generation count".into());
-                        }
-                    }
-                } else if let Some(ms) = other.strip_prefix("--lease-ttl-ms=") {
-                    match ms.parse::<u64>() {
-                        Ok(ms) => options.lease_ttl_ms = Some(ms),
-                        Err(_) => {
-                            options.parse_error =
-                                Some("--lease-ttl-ms needs a number of milliseconds".into());
-                        }
-                    }
-                } else {
-                    options.positional.push(other);
-                }
-            }
+    let mut rest = args.iter();
+    while let Some(arg) = rest.next() {
+        if let Err(error) = parse_arg(&mut options, arg, &mut rest) {
+            options.parse_error = Some(error);
         }
     }
     options
+}
+
+/// Applies one command-line argument to `options`, taking the value of a
+/// `--flag value` pair from `rest`.
+fn parse_arg<'a>(
+    options: &mut CliOptions<'a>,
+    arg: &'a str,
+    rest: &mut std::slice::Iter<'a, String>,
+) -> Result<(), String> {
+    let (flag, inline) = match arg.split_once('=') {
+        Some((flag, value)) if flag.starts_with("--") => (flag, Some(value)),
+        _ => (arg, None),
+    };
+    let mut value = FlagValue { flag, inline, rest };
+    match (flag, inline) {
+        ("--quick" | "-q", None) => options.effort = Some(Effort::Quick),
+        ("--full", None) => options.effort = Some(Effort::Full),
+        ("--resume", None) => options.resume = true,
+        ("--require-warm", None) => options.require_warm = true,
+        ("--steal", None) => options.steal = true,
+        ("--store", _) => options.store = Some(PathBuf::from(value.text("a", "directory")?)),
+        ("--remote-store", _) => options.remote_store = Some(value.text("a", "URL")?.into()),
+        ("--token", _) => options.token = Some(value.text("a", "token")?.into()),
+        ("--worker-id", _) => options.worker_id = Some(value.text("an", "identifier")?.into()),
+        ("--remote-timeout-ms", _) => {
+            options.remote_timeout_ms = Some(value.number("a number of milliseconds")?);
+        }
+        ("--drain-timeout-ms", _) => {
+            options.drain_timeout_ms = Some(value.number("a number of milliseconds")?);
+        }
+        ("--lease-ttl-ms", _) => {
+            options.lease_ttl_ms = Some(value.number("a number of milliseconds")?);
+        }
+        ("--workers", _) => options.workers = Some(value.number("a thread count")?),
+        ("--durability", _) => {
+            let policy = value.raw().ok_or("--durability needs a policy argument")?;
+            options.durability = Some(policy.parse()?);
+        }
+        ("--objectives", _) => {
+            let list = value
+                .arg()
+                .ok_or("--objectives needs a comma-separated objective list")?;
+            let space = pmlp_core::ObjectiveSpace::parse(list).map_err(|e| e.to_string())?;
+            options.objectives = Some(space);
+        }
+        _ => options.positional.push(arg),
+    }
+    Ok(())
+}
+
+/// The value of one value flag: attached (`--flag=value`) or the next
+/// argument (`--flag value`), which is consumed even when it is rejected.
+struct FlagValue<'a, 'r> {
+    flag: &'a str,
+    inline: Option<&'a str>,
+    rest: &'r mut std::slice::Iter<'a, String>,
+}
+
+impl<'a> FlagValue<'a, '_> {
+    /// The value as given; `None` when it is missing.
+    fn raw(&mut self) -> Option<&'a str> {
+        self.inline.or_else(|| self.rest.next().map(String::as_str))
+    }
+
+    /// Like [`FlagValue::raw`], but a next argument that looks like another
+    /// flag is a forgotten value, not the value.
+    fn arg(&mut self) -> Option<&'a str> {
+        let attached = self.inline.is_some();
+        self.raw()
+            .filter(|value| attached || !value.starts_with('-'))
+    }
+
+    /// A non-empty [`FlagValue::arg`]; the error names the `noun` the flag
+    /// needs.
+    fn text(&mut self, article: &str, noun: &str) -> Result<&'a str, String> {
+        match self.arg() {
+            Some(value) if !value.is_empty() => Ok(value),
+            _ if self.inline.is_some() => Err(format!("{}= needs a non-empty {noun}", self.flag)),
+            _ => Err(format!("{} needs {article} {noun} argument", self.flag)),
+        }
+    }
+
+    /// The value parsed as a number; the error names `what` the flag needs.
+    fn number<T: std::str::FromStr>(&mut self, what: &str) -> Result<T, String> {
+        self.raw()
+            .and_then(|value| value.parse().ok())
+            .ok_or_else(|| format!("{} needs {what}", self.flag))
+    }
 }
 
 /// Splits raw CLI arguments (excluding the program name) into positional
@@ -471,22 +385,6 @@ mod tests {
 
         let args: Vec<String> = ["--resume"].iter().map(|s| s.to_string()).collect();
         assert!(parse_cli(&args).validate().is_err(), "resume needs a store");
-    }
-
-    #[test]
-    fn float_accuracy_flag_is_parsed() {
-        let args: Vec<String> = ["all", "--float-accuracy"]
-            .iter()
-            .map(|s| s.to_string())
-            .collect();
-        let options = parse_cli(&args);
-        assert!(options.float_accuracy);
-        assert_eq!(options.positional, vec!["all"]);
-        assert!(options.validate().is_ok());
-        assert!(
-            !parse_cli(&[]).float_accuracy,
-            "defaults to integer scoring"
-        );
     }
 
     #[test]
@@ -681,8 +579,6 @@ mod tests {
             "--worker-id",
             "w1",
             "--steal",
-            "--migration-interval",
-            "3",
             "--lease-ttl-ms",
             "5000",
         ]
@@ -692,7 +588,6 @@ mod tests {
         let options = parse_cli(&args);
         assert_eq!(options.worker_id.as_deref(), Some("w1"));
         assert!(options.steal);
-        assert_eq!(options.migration_interval, Some(3));
         assert_eq!(options.lease_ttl_ms, Some(5000));
         assert!(options.validate().is_ok());
         let worker = options.worker_options().expect("worker mode");
@@ -700,18 +595,12 @@ mod tests {
         assert!(worker.steal);
         assert_eq!(worker.lease_ttl_ms, 5000);
 
-        let args: Vec<String> = [
-            "--store=target/s",
-            "--worker-id=w2",
-            "--migration-interval=1",
-            "--lease-ttl-ms=100",
-        ]
-        .iter()
-        .map(|s| s.to_string())
-        .collect();
+        let args: Vec<String> = ["--store=target/s", "--worker-id=w2", "--lease-ttl-ms=100"]
+            .iter()
+            .map(|s| s.to_string())
+            .collect();
         let options = parse_cli(&args);
         assert_eq!(options.worker_id.as_deref(), Some("w2"));
-        assert_eq!(options.migration_interval, Some(1));
         assert_eq!(options.lease_ttl_ms, Some(100));
         assert!(!options.steal, "stealing is opt-in");
         assert!(options.validate().is_ok());
@@ -731,7 +620,6 @@ mod tests {
         // Dependent flags without --worker-id are rejected.
         for bad in [
             vec!["--store", "target/s", "--steal"],
-            vec!["--store", "target/s", "--migration-interval", "2"],
             vec!["--store", "target/s", "--lease-ttl-ms", "100"],
         ] {
             let args: Vec<String> = bad.iter().map(|s| s.to_string()).collect();
@@ -746,17 +634,8 @@ mod tests {
             vec!["--worker-id"],
             vec!["--worker-id", "--steal"],
             vec!["--worker-id="],
-            vec!["--migration-interval", "soon"],
-            vec!["--migration-interval="],
             vec!["--lease-ttl-ms", "soon"],
-            vec![
-                "--store",
-                "target/s",
-                "--worker-id",
-                "w",
-                "--migration-interval",
-                "0",
-            ],
+            vec!["--lease-ttl-ms="],
             vec![
                 "--store",
                 "target/s",
@@ -813,5 +692,42 @@ mod tests {
 
         let args: Vec<String> = ["--store="].iter().map(|s| s.to_string()).collect();
         assert!(parse_cli(&args).validate().is_err());
+
+        // A missing, empty or flag-looking value is reported in the form the
+        // flag was given.
+        for (args, error) in [
+            (vec!["--store"], "--store needs a directory argument"),
+            (
+                vec!["--store", "--resume"],
+                "--store needs a directory argument",
+            ),
+            (vec!["--store="], "--store= needs a non-empty directory"),
+            (
+                vec!["--remote-store="],
+                "--remote-store= needs a non-empty URL",
+            ),
+            (vec!["--token", "-x"], "--token needs a token argument"),
+            (
+                vec!["--worker-id"],
+                "--worker-id needs an identifier argument",
+            ),
+            (
+                vec!["--worker-id="],
+                "--worker-id= needs a non-empty identifier",
+            ),
+            (vec!["--workers="], "--workers needs a thread count"),
+            (
+                vec!["--lease-ttl-ms", "--steal"],
+                "--lease-ttl-ms needs a number of milliseconds",
+            ),
+            (vec!["--durability"], "--durability needs a policy argument"),
+            (
+                vec!["--objectives", "--resume"],
+                "--objectives needs a comma-separated objective list",
+            ),
+        ] {
+            let args: Vec<String> = args.iter().map(|s| s.to_string()).collect();
+            assert_eq!(parse_cli(&args).validate().unwrap_err(), error, "{args:?}");
+        }
     }
 }

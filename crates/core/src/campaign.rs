@@ -48,7 +48,7 @@
 use crate::engine::EvalEngine;
 use crate::error::CoreError;
 use crate::experiment::{headline_summary, Effort, Figure1Experiment};
-use crate::objective::{AccuracyTier, DesignMetrics, ObjectiveSpace};
+use crate::objective::{DesignMetrics, ObjectiveSpace};
 use crate::pareto::hypervolume;
 use crate::report::{FigureSeries, HeadlineRow, TechniqueSummary};
 use crate::store::StoreBackend;
@@ -83,13 +83,6 @@ pub struct CampaignConfig {
     /// 3-objective run never replays a 2-objective report (the evaluation
     /// store itself is shared freely — full metrics are always persisted).
     pub objectives: ObjectiveSpace,
-    /// Which arithmetic scores every accuracy of the run — baselines and
-    /// candidates alike. Defaults to [`AccuracyTier::Integer`] (bit-identical
-    /// to gate-level simulation of the bespoke circuit);
-    /// [`AccuracyTier::Float`] restores the fake-quantized float model for
-    /// ablations. The tier is part of each baseline's fingerprint, so stores
-    /// and completion markers written under the other tier never resume.
-    pub accuracy_tier: AccuracyTier,
     /// Directory of the persistent evaluation store. When set, every
     /// dataset's engine warm-starts from (and appends to) the store's record
     /// logs, and a completion marker is committed per finished dataset so an
@@ -194,7 +187,6 @@ impl Default for CampaignConfig {
             seed: 42,
             max_accuracy_loss: 0.05,
             objectives: ObjectiveSpace::classic(),
-            accuracy_tier: AccuracyTier::default(),
             store_dir: None,
             remote_store: None,
             remote_timeout_ms: None,
@@ -512,17 +504,13 @@ impl Campaign {
         dataset: UciDataset,
         backend: Option<&Arc<dyn StoreBackend>>,
     ) -> Result<EvalEngine, CoreError> {
-        let baseline_config = crate::baseline::BaselineConfig {
-            accuracy_tier: self.config.accuracy_tier,
-            ..self.config.effort.baseline_config()
-        };
         // The baseline characterization itself is cached in the store (keyed
         // by the exact budget): resumed runs and fleet workers that steal a
         // dataset skip the training + reference-synthesis cost entirely.
         let engine = EvalEngine::train_cached(
             dataset,
             self.config.seed,
-            &baseline_config,
+            &self.config.effort.baseline_config(),
             backend.map(|b| &**b as &dyn StoreBackend),
         )?
         .with_fine_tune_epochs(self.config.effort.fine_tune_epochs());
@@ -634,12 +622,9 @@ impl Campaign {
     /// Identity of the campaign settings a completion marker must match to be
     /// resumable: effort, seed, accuracy-loss threshold and objective space
     /// (the dataset list is deliberately excluded so subset campaigns share
-    /// markers). The classic objective space is fingerprinted exactly as the
-    /// pre-configurable campaign was (no `objectives` entry), so markers
-    /// written before objectives existed keep resuming classic campaigns,
-    /// while any other space gets its own marker namespace.
+    /// markers). Every objective space gets its own marker namespace.
     fn marker_fingerprint(&self) -> u64 {
-        let mut entries = vec![
+        let rendered = Value::Object(vec![
             ("effort".into(), self.config.effort.serialize_value()),
             (
                 "seed".into(),
@@ -649,14 +634,12 @@ impl Campaign {
                 "max_accuracy_loss".into(),
                 self.config.max_accuracy_loss.serialize_value(),
             ),
-        ];
-        if !self.config.objectives.is_classic() {
-            entries.push((
+            (
                 "objectives".into(),
                 Value::String(self.config.objectives.to_string()),
-            ));
-        }
-        let rendered = Value::Object(entries).render_compact();
+            ),
+        ])
+        .render_compact();
         let mut fp = crate::store::FingerprintHasher::new();
         fp.mix_bytes(rendered.as_bytes());
         fp.finish()
@@ -1165,7 +1148,6 @@ mod tests {
             seed: 5,
             max_accuracy_loss: 0.05,
             objectives: ObjectiveSpace::classic(),
-            accuracy_tier: AccuracyTier::default(),
             store_dir: Some(dir.to_path_buf()),
             remote_store: None,
             remote_timeout_ms: None,

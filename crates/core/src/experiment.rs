@@ -11,15 +11,14 @@
 use crate::baseline::BaselineConfig;
 use crate::engine::EvalEngine;
 use crate::error::CoreError;
-use crate::nsga2::{IslandOptions, Nsga2, Nsga2Config, SearchResult};
+use crate::nsga2::{Nsga2, Nsga2Config, SearchResult};
 use crate::objective::{DesignPoint, ObjectiveSpace};
 use crate::pareto::{area_gain_at_accuracy_loss, pareto_front_in};
 use crate::report::{FigureSeries, HeadlineRow};
-use crate::store::StoreBackend;
+use crate::store::{EvalStore, StoreBackend};
 use crate::sweep::{sweep_all, SweepRanges, Technique};
 use pmlp_data::UciDataset;
 use serde::{Deserialize, Serialize};
-use std::path::Path;
 
 /// Effort level of an experiment run: `Full` reproduces the paper's ranges,
 /// `Quick` shrinks everything for smoke tests and CI.
@@ -269,18 +268,6 @@ pub struct Figure2Result {
     pub search: SearchResult,
 }
 
-/// Where a Fig. 2 GA checkpoint lives: a file path, a store document, or a
-/// store document plus island-model migration through the same store.
-enum CheckpointSpec<'a> {
-    File(&'a Path),
-    Doc(&'a str),
-    Island {
-        doc: &'a str,
-        worker_id: &'a str,
-        migration_interval: usize,
-    },
-}
-
 /// Driver for Fig. 2.
 #[derive(Debug, Clone)]
 pub struct Figure2Experiment {
@@ -292,7 +279,7 @@ pub struct Figure2Experiment {
     pub seed: u64,
     /// Objective space the GA selects in and the fronts are computed in.
     /// Defaults to the classic `(accuracy, area)` space (bit-identical to the
-    /// fixed two-objective pipeline, GA checkpoints included).
+    /// fixed two-objective pipeline).
     pub objectives: ObjectiveSpace,
 }
 
@@ -370,95 +357,36 @@ impl Figure2Experiment {
         self.run_impl(engine, None)
     }
 
-    /// Same as [`Figure2Experiment::run_with`], with the GA checkpointed to
-    /// `checkpoint` after every generation
-    /// ([`Nsga2::run_resumable`](crate::nsga2::Nsga2::run_resumable)): an
-    /// interrupted run re-invoked with the same arguments resumes the search
-    /// instead of restarting it, and a finished checkpoint replays without
-    /// evaluations. Pair with
-    /// [`EvalEngine::with_store`](crate::engine::EvalEngine::with_store) so
-    /// the standalone sweeps are persistent too.
-    ///
-    /// # Errors
-    ///
-    /// Propagates evaluation, synthesis, search and checkpoint-write errors.
-    pub fn run_with_checkpoint(
-        &self,
-        engine: &EvalEngine,
-        checkpoint: &Path,
-    ) -> Result<Figure2Result, CoreError> {
-        self.run_impl(engine, Some(CheckpointSpec::File(checkpoint)))
-    }
-
-    /// Same as [`Figure2Experiment::run_with_checkpoint`], but the GA
-    /// checkpoint lives as the named document `doc_name` in the engine's
-    /// attached store backend (see
-    /// [`EvalEngine::with_backend`](crate::engine::EvalEngine::with_backend)) —
-    /// against a tiered or remote backend the checkpoint replicates to the
-    /// `pmlp-serve` server, so another worker can resume the search.
+    /// Same as [`Figure2Experiment::run_with`], with the GA checkpointed
+    /// after every evaluation batch as the named document `doc_name` in the
+    /// engine's attached store backend (see
+    /// [`EvalEngine::with_backend`](crate::engine::EvalEngine::with_backend)
+    /// and [`Nsga2::run_resumable_store`]): an interrupted run re-invoked with
+    /// the same arguments resumes the search instead of restarting it, and a
+    /// finished checkpoint replays without evaluations. Against a tiered or
+    /// remote backend the checkpoint replicates to the `pmlp-serve` server,
+    /// so another worker can resume the search.
     ///
     /// # Errors
     ///
     /// Returns [`CoreError::InvalidConfig`] when the engine has no store
-    /// attached; otherwise see [`Figure2Experiment::run_with_checkpoint`].
+    /// attached; otherwise propagates evaluation, synthesis, search and
+    /// checkpoint-write errors.
     pub fn run_with_checkpoint_doc(
         &self,
         engine: &EvalEngine,
         doc_name: &str,
     ) -> Result<Figure2Result, CoreError> {
-        if engine.store().is_none() {
-            return Err(CoreError::InvalidConfig {
-                context: "run_with_checkpoint_doc needs an engine with an attached store".into(),
-            });
-        }
-        self.run_impl(engine, Some(CheckpointSpec::Doc(doc_name)))
-    }
-
-    /// Runs the GA as one **island** of a distributed fleet: the search
-    /// checkpoints to the store document `checkpoint_doc` exactly like
-    /// [`Figure2Experiment::run_with_checkpoint_doc`], and additionally
-    /// publishes its elite front / imports foreign elites through the same
-    /// store every `migration_interval` generations
-    /// ([`Nsga2::run_island`](crate::nsga2::Nsga2::run_island)).
-    ///
-    /// Each worker of a fleet needs a unique `worker_id` **and its own
-    /// checkpoint document** (islands evolve distinct populations); share the
-    /// store backend between them so migrants flow. A single worker run with
-    /// no foreign islands in the store is bit-identical to
-    /// [`Figure2Experiment::run_with_checkpoint_doc`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::InvalidConfig`] when the engine has no store
-    /// attached, the worker id is not a safe document-name component, or
-    /// `migration_interval` is zero; otherwise see
-    /// [`Figure2Experiment::run_with_checkpoint`].
-    pub fn run_distributed(
-        &self,
-        engine: &EvalEngine,
-        checkpoint_doc: &str,
-        worker_id: &str,
-        migration_interval: usize,
-    ) -> Result<Figure2Result, CoreError> {
-        if engine.store().is_none() {
-            return Err(CoreError::InvalidConfig {
-                context: "run_distributed needs an engine with an attached store".into(),
-            });
-        }
-        self.run_impl(
-            engine,
-            Some(CheckpointSpec::Island {
-                doc: checkpoint_doc,
-                worker_id,
-                migration_interval,
-            }),
-        )
+        let store = engine.store().ok_or_else(|| CoreError::InvalidConfig {
+            context: "run_with_checkpoint_doc needs an engine with an attached store".into(),
+        })?;
+        self.run_impl(engine, Some((store, doc_name)))
     }
 
     fn run_impl(
         &self,
         engine: &EvalEngine,
-        checkpoint: Option<CheckpointSpec<'_>>,
+        checkpoint: Option<(&EvalStore, &str)>,
     ) -> Result<Figure2Result, CoreError> {
         let sweeps = sweep_all(engine, &self.effort.sweep_ranges())?;
         let standalone: Vec<FigureSeries> = sweeps
@@ -479,26 +407,8 @@ impl Figure2Experiment {
             // The checkpoint identity is tagged with the baseline fingerprint
             // so a checkpoint written against one baseline (or cost model) is
             // never replayed against a retrained/changed one.
-            Some(CheckpointSpec::File(path)) => {
-                searcher.run_resumable_tagged(engine, path, engine.fingerprint())?
-            }
-            Some(CheckpointSpec::Doc(name)) => {
-                let store = engine.store().expect("checked by run_with_checkpoint_doc");
+            Some((store, name)) => {
                 searcher.run_resumable_store(engine, store, name, engine.fingerprint())?
-            }
-            Some(CheckpointSpec::Island {
-                doc,
-                worker_id,
-                migration_interval,
-            }) => {
-                let store = engine.store().expect("checked by run_distributed");
-                let island = IslandOptions {
-                    store,
-                    worker_id,
-                    migration_interval,
-                    fingerprint: engine.fingerprint(),
-                };
-                searcher.run_island(engine, &island, doc, engine.fingerprint())?
             }
             None => searcher.run(engine)?,
         };

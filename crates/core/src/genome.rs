@@ -147,17 +147,6 @@ impl Genome {
         config
     }
 
-    /// Inverse of [`Genome::to_config`]: reconstructs the genome a
-    /// minimization config encodes — how imported island migrants re-enter a
-    /// population as first-class individuals.
-    pub fn from_config(config: &MinimizationConfig) -> Self {
-        Genome {
-            weight_bits: config.weight_bits,
-            sparsity: config.sparsity,
-            clusters: config.clusters_per_input,
-        }
-    }
-
     /// Stable key for deduplication within a GA population.
     pub fn key(&self) -> (u8, u32, usize) {
         (

@@ -63,7 +63,7 @@ pub use campaign::{
 pub use engine::{EngineStats, EvalEngine, EvalKey, EvalProgress, Evaluator, FinalizedDesign};
 pub use error::CoreError;
 pub use genome::Genome;
-pub use nsga2::{island_doc_prefix, IslandOptions, Nsga2, Nsga2Config};
+pub use nsga2::{Nsga2, Nsga2Config};
 pub use objective::{
     evaluate_config, AccuracyTier, DesignMetrics, DesignPoint, EvaluationContext, ObjectiveKind,
     ObjectiveSpace, SynthesisTier,

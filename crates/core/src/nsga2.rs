@@ -9,33 +9,17 @@
 //! [`EvalEngine`](crate::engine::EvalEngine) — so repeated genomes cost one
 //! evaluation per engine lifetime and populations are evaluated in parallel.
 //!
-//! Long searches are resumable: [`Nsga2::run_resumable`] commits a checkpoint
-//! (population genomes, RNG state, per-generation history and every scored
-//! point) with an atomic tmp+rename write — **after every evaluation batch**,
-//! not just per generation: once a generation's offspring are bred, the
-//! post-variation RNG state and the pending offspring are checkpointed, and
-//! once their evaluation batch lands the scored points are checkpointed too,
-//! so a process killed anywhere inside a generation resumes mid-generation
-//! and still reproduces the uninterrupted [`SearchResult`] bit for bit.
-//!
-//! Checkpoints can live on a file path or inside any
-//! [`StoreBackend`](crate::store::StoreBackend) document namespace
-//! ([`Nsga2::run_resumable_store`]) — including a remote `pmlp-serve`
-//! instance, so a second machine can pick up an interrupted search.
-//!
-//! ## Island-model fleets
-//!
-//! [`Nsga2::run_island`] turns one searcher into an **island** of a
-//! distributed fleet: every [`IslandOptions::migration_interval`]
-//! generations the worker publishes its current elite front as a store
-//! document (`island_<fingerprint>_<worker>_gen<NNN>.json`) and imports the
-//! fronts other workers have published against the same baseline. Migrants
-//! arrive as fully-measured [`DesignPoint`]s, are deduplicated against
-//! everything this island has already scored (so nothing is ever evaluated
-//! twice across the fleet) and are folded into environmental selection in a
-//! deterministic sorted order. A fleet of one behaves **bit-identically** to
-//! the classic single-process search: with no foreign documents to import,
-//! migration consumes no randomness and adds nothing to the selection pool.
+//! Long searches are resumable: [`Nsga2::run_resumable_store`] commits a
+//! checkpoint (population genomes, RNG state, per-generation history and
+//! every scored point) as a named document in any
+//! [`StoreBackend`](crate::store::StoreBackend) — **after every evaluation
+//! batch**, not just per generation: once a generation's offspring are bred,
+//! the post-variation RNG state and the pending offspring are checkpointed,
+//! and once their evaluation batch lands the scored points are checkpointed
+//! too, so a process killed anywhere inside a generation resumes
+//! mid-generation and still reproduces the uninterrupted [`SearchResult`] bit
+//! for bit. Against a remote `pmlp-serve` backend the checkpoint replicates
+//! to the server, so a second machine can pick up an interrupted search.
 
 use crate::engine::Evaluator;
 use crate::error::CoreError;
@@ -44,7 +28,7 @@ use crate::objective::{DesignPoint, ObjectiveSpace};
 use crate::pareto::{
     crowding_distances_in, descending_nan_last, non_dominated_ranks_in, pareto_front_in,
 };
-use crate::store::{safe_component, write_atomic, EvalStore};
+use crate::store::EvalStore;
 use pmlp_minimize::MinimizationConfig;
 use rand::rngs::StdRng;
 use rand::Rng;
@@ -52,7 +36,6 @@ use rand::SeedableRng;
 use serde::json::{self, Value};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
-use std::path::Path;
 
 /// Hyper-parameters of the NSGA-II search.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -71,11 +54,11 @@ pub struct Nsga2Config {
     pub space: GenomeSpace,
     /// Objective axes selection operates over (ranks, crowding, the final
     /// front). Defaults to the classic `(accuracy, area)` space, which
-    /// reproduces the fixed two-objective search bit for bit — including its
-    /// checkpoint fingerprints, so pre-existing classic checkpoints keep
-    /// resuming. Objective choice never changes which candidates are
-    /// *measured* or how (the evaluator stores full metrics either way) —
-    /// only which projection selection compares.
+    /// reproduces the fixed two-objective search bit for bit. The space is
+    /// part of the checkpoint identity, so a checkpoint only resumes a
+    /// search over the same space. Objective choice never changes which
+    /// candidates are *measured* or how (the evaluator stores full metrics
+    /// either way) — only which projection selection compares.
     pub objectives: ObjectiveSpace,
 }
 
@@ -151,37 +134,6 @@ pub struct SearchResult {
     pub history: Vec<GenerationStats>,
 }
 
-/// How one worker participates in an island-model fleet: where it publishes
-/// its elite fronts, under what identity, and how often.
-#[derive(Debug)]
-pub struct IslandOptions<'a> {
-    /// The shared store island documents are published to and imported from —
-    /// against a [tiered](crate::store::TieredStore) backend this is the same
-    /// `pmlp-serve` coordination plane the evaluation cache rides, breaker,
-    /// journal and all.
-    pub store: &'a EvalStore,
-    /// This worker's fleet identity: a safe document-name component, unique
-    /// per worker (two workers sharing an id would overwrite each other's
-    /// fronts and import their own migrants).
-    pub worker_id: &'a str,
-    /// Publish the elite front and import foreign ones every this many
-    /// generations (>= 1; `1` migrates every generation).
-    pub migration_interval: usize,
-    /// Baseline fingerprint the island documents are sealed with — pass
-    /// [`EvalEngine::fingerprint`](crate::engine::EvalEngine::fingerprint) so
-    /// fronts measured against one baseline are never imported by a search
-    /// over a retrained one, and so the store GC's live-fingerprint set
-    /// applies to island documents directly.
-    pub fingerprint: u64,
-}
-
-/// The shared document-name prefix of every island front published against
-/// `fingerprint` — what workers list to discover each other, and what the
-/// store GC matches to reap fronts of dead baselines.
-pub fn island_doc_prefix(fingerprint: u64) -> String {
-    format!("island_{fingerprint:016x}_")
-}
-
 /// The hardware-aware NSGA-II searcher.
 #[derive(Debug, Clone)]
 pub struct Nsga2 {
@@ -211,77 +163,43 @@ impl Nsga2 {
     /// Returns [`CoreError`] when the configuration is invalid or an
     /// evaluation fails.
     pub fn run<E: Evaluator + ?Sized>(&self, evaluator: &E) -> Result<SearchResult, CoreError> {
-        self.config.validate()?;
-        let mut state = self.init_state(evaluator, BTreeMap::new())?;
-        while state.history.len() < self.config.generations {
-            self.advance(&mut state, evaluator, &[], &mut |_| Ok(()))?;
-        }
-        Ok(state.into_result(&self.config.objectives))
+        self.search(evaluator, None)
     }
 
     /// Runs the search with checkpointing after **every evaluation batch**:
     /// the full search state (population genomes, RNG progress, history,
     /// every scored point, plus any pending mid-generation offspring) is
-    /// committed to `checkpoint` with an atomic tmp+rename write — once when
+    /// committed as the document `doc_name` of `store`'s backend — once when
     /// a generation's offspring are bred (so the consumed RNG state is safe),
     /// once when their evaluation batch lands, and once when environmental
-    /// selection finishes the generation.
+    /// selection finishes the generation. Against a
+    /// [tiered](crate::store::TieredStore) or remote backend the checkpoint
+    /// replicates to the `pmlp-serve` server, so a *different machine*
+    /// pointed at the same server resumes the search.
     ///
-    /// When `checkpoint` already holds a state written by the **same**
-    /// configuration, the search resumes from it — mid-generation if that is
-    /// where the previous process died: a checkpoint with pending offspring
-    /// skips the variation step (its randomness is already spent) and
-    /// re-evaluates only what the persistent evaluation store cannot answer.
-    /// The resumed run produces exactly the [`SearchResult`] the
+    /// When the document already holds a state written by the **same**
+    /// configuration and `tag`, the search resumes from it — mid-generation
+    /// if that is where the previous process died: a checkpoint with pending
+    /// offspring skips the variation step (its randomness is already spent)
+    /// and re-evaluates only what the persistent evaluation store cannot
+    /// answer. The resumed run produces exactly the [`SearchResult`] the
     /// uninterrupted run would have produced, because the checkpoint carries
-    /// the RNG state. A checkpoint from a different configuration (or a
-    /// corrupt/incompatible file) is ignored and overwritten. A checkpoint
-    /// of a *finished* run short-circuits: the result is rebuilt from the
-    /// recorded points without a single evaluation.
+    /// the RNG state. A checkpoint from a different configuration or tag (or
+    /// a corrupt/incompatible document) is ignored and overwritten. A
+    /// checkpoint of a *finished* run short-circuits: the result is rebuilt
+    /// from the recorded points without a single evaluation.
     ///
-    /// Pair this with [`EvalEngine::with_store`](crate::engine::EvalEngine::with_store)
-    /// and the resumed generations' evaluations are cache hits too.
+    /// `tag` binds the checkpoint to state of the evaluator itself — pass
+    /// [`EvalEngine::fingerprint`](crate::engine::EvalEngine::fingerprint) so
+    /// a checkpoint written against one baseline is never replayed against a
+    /// retrained one (the experiment drivers do exactly this). Pair this with
+    /// [`EvalEngine::with_store`](crate::engine::EvalEngine::with_store) and
+    /// the resumed generations' evaluations are cache hits too.
     ///
     /// # Errors
     ///
     /// Returns [`CoreError`] when the configuration is invalid, an evaluation
     /// fails, or a checkpoint cannot be written ([`CoreError::Store`]).
-    pub fn run_resumable<E: Evaluator + ?Sized>(
-        &self,
-        evaluator: &E,
-        checkpoint: &Path,
-    ) -> Result<SearchResult, CoreError> {
-        self.run_resumable_tagged(evaluator, checkpoint, 0)
-    }
-
-    /// [`Nsga2::run_resumable`] with an extra `tag` mixed into the checkpoint
-    /// identity. Use it when the evaluator itself has state the checkpoint
-    /// must be bound to — e.g. pass
-    /// [`EvalEngine::fingerprint`](crate::engine::EvalEngine::fingerprint) so
-    /// a checkpoint written against one baseline is never replayed against a
-    /// retrained one (the experiment drivers do exactly this).
-    ///
-    /// # Errors
-    ///
-    /// See [`Nsga2::run_resumable`].
-    pub fn run_resumable_tagged<E: Evaluator + ?Sized>(
-        &self,
-        evaluator: &E,
-        checkpoint: &Path,
-        tag: u64,
-    ) -> Result<SearchResult, CoreError> {
-        self.run_resumable_impl(evaluator, &CheckpointTarget::File(checkpoint), tag, None)
-    }
-
-    /// [`Nsga2::run_resumable_tagged`] with the checkpoint stored as a named
-    /// document in an [`EvalStore`]'s backend instead of a file path: against
-    /// a [tiered](crate::store::TieredStore) or remote backend the checkpoint
-    /// replicates to the `pmlp-serve` server, so a *different machine*
-    /// pointed at the same server resumes the search.
-    ///
-    /// # Errors
-    ///
-    /// See [`Nsga2::run_resumable`].
     pub fn run_resumable_store<E: Evaluator + ?Sized>(
         &self,
         evaluator: &E,
@@ -289,206 +207,41 @@ impl Nsga2 {
         doc_name: &str,
         tag: u64,
     ) -> Result<SearchResult, CoreError> {
-        self.run_resumable_impl(
+        self.search(
             evaluator,
-            &CheckpointTarget::Doc(store, doc_name),
-            tag,
-            None,
+            Some(&Checkpoint {
+                store,
+                name: doc_name,
+                tag,
+            }),
         )
     }
 
-    /// Runs this searcher as one **island** of a distributed fleet (see the
-    /// [module docs](self) for the migration protocol), checkpointing into
-    /// `checkpoint_doc` on the island's store exactly like
-    /// [`run_resumable_store`](Self::run_resumable_store) — a killed worker
-    /// resumes mid-generation, migrants and all (imported migrants live in
-    /// the checkpointed `seen` set).
-    ///
-    /// With no foreign fronts in the store, the result is bit-identical to
-    /// [`run_resumable_store`](Self::run_resumable_store) — publishing is
-    /// observable to *other* workers but never changes this island's own
-    /// trajectory.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::InvalidConfig`] when the island options are
-    /// degenerate (empty/unsafe worker id, zero migration interval);
-    /// otherwise see [`Nsga2::run_resumable`].
-    pub fn run_island<E: Evaluator + ?Sized>(
+    /// The generation loop behind [`Nsga2::run`] (no checkpoint: nothing is
+    /// read or serialized) and [`Nsga2::run_resumable_store`].
+    fn search<E: Evaluator + ?Sized>(
         &self,
         evaluator: &E,
-        island: &IslandOptions<'_>,
-        checkpoint_doc: &str,
-        tag: u64,
-    ) -> Result<SearchResult, CoreError> {
-        if !safe_component(island.worker_id) {
-            return Err(CoreError::InvalidConfig {
-                context: format!(
-                    "island worker id `{}` is not a safe document-name component",
-                    island.worker_id
-                ),
-            });
-        }
-        if island.migration_interval == 0 {
-            return Err(CoreError::InvalidConfig {
-                context: "island migration_interval must be >= 1".into(),
-            });
-        }
-        self.run_resumable_impl(
-            evaluator,
-            &CheckpointTarget::Doc(island.store, checkpoint_doc),
-            tag,
-            Some(island),
-        )
-    }
-
-    fn run_resumable_impl<E: Evaluator + ?Sized>(
-        &self,
-        evaluator: &E,
-        target: &CheckpointTarget<'_>,
-        tag: u64,
-        island: Option<&IslandOptions<'_>>,
+        checkpoint: Option<&Checkpoint<'_>>,
     ) -> Result<SearchResult, CoreError> {
         self.config.validate()?;
-        // Migrants imported before the first generation they can compete in;
-        // merged into that generation's selection pool.
-        let mut pending_migrants: Vec<DesignPoint> = Vec::new();
-        let mut state = match self.load_checkpoint(target, tag) {
+        let mut state = match checkpoint.and_then(|c| self.load_checkpoint(c)) {
             Some(state) => state,
             None => {
-                // A joining island adopts the fleet's progress *before*
-                // paying for its own initial population: any initial genome
-                // the fleet has already measured is answered from the
-                // imported set instead of the evaluator.
-                let mut seen = BTreeMap::new();
-                if let Some(island) = island {
-                    pending_migrants = self.import_migrants(island, &mut seen)?;
-                }
-                let state = self.init_state(evaluator, seen)?;
-                self.save_checkpoint(target, &state, tag)?;
+                let state = self.init_state(evaluator)?;
+                self.save_checkpoint(checkpoint, &state)?;
                 state
             }
         };
         while state.history.len() < self.config.generations {
-            // Refresh imports at migration boundaries, then fold in whatever
-            // is still waiting for its first selection round. Both sets were
-            // deduplicated against `seen` on arrival, so the merge is
-            // disjoint; the re-sort keeps the fold order deterministic.
-            let mut migrants = match island {
-                Some(island) if state.history.len() % island.migration_interval == 0 => {
-                    self.import_migrants(island, &mut state.seen)?
-                }
-                _ => Vec::new(),
-            };
-            migrants.append(&mut pending_migrants);
-            migrants.sort_by_key(|p| config_key(&p.config));
-            let mut save = |s: &SearchState| self.save_checkpoint(target, s, tag);
-            self.advance(&mut state, evaluator, &migrants, &mut save)?;
-            if let Some(island) = island {
-                let done = state.history.len();
-                if done % island.migration_interval == 0 || done == self.config.generations {
-                    self.publish_front(island, &state)?;
-                }
-            }
+            self.advance(&mut state, evaluator, checkpoint)?;
         }
         Ok(state.into_result(&self.config.objectives))
     }
 
-    /// Lists, reads and filters the fronts other islands have published
-    /// against the same baseline fingerprint: every point this island has not
-    /// already scored is adopted into `state.seen` (so the evaluator is never
-    /// asked to re-measure it) and returned, sorted by dedup key, for the
-    /// caller to fold into environmental selection. Foreign documents that
-    /// fail to read, parse or match the envelope are skipped — migration is
-    /// an accelerant, never a correctness dependency.
-    fn import_migrants(
-        &self,
-        island: &IslandOptions<'_>,
-        seen: &mut BTreeMap<(u8, u32, usize), DesignPoint>,
-    ) -> Result<Vec<DesignPoint>, CoreError> {
-        let prefix = island_doc_prefix(island.fingerprint);
-        let own = format!("{prefix}{}_", island.worker_id);
-        let mut migrants: Vec<DesignPoint> = Vec::new();
-        for name in island.store.list_docs(&prefix)? {
-            if name.starts_with(&own) {
-                continue;
-            }
-            let Some(text) = island.store.get_doc(&name).ok().flatten() else {
-                continue;
-            };
-            let Ok(parsed) = json::parse(&text) else {
-                continue;
-            };
-            let Some(value) = crate::store::check_envelope(
-                &parsed,
-                ISLAND_MAGIC,
-                ISLAND_VERSION,
-                island.fingerprint,
-            ) else {
-                continue;
-            };
-            let Some(front) = value.get("front") else {
-                continue;
-            };
-            let points: Vec<DesignPoint> = match Deserialize::deserialize_value(front) {
-                Ok(points) => points,
-                Err(_) => continue,
-            };
-            migrants.extend(points);
-        }
-        // Deterministic fold: stable key order, first occurrence wins, and
-        // anything this island already knows (own evaluations or earlier
-        // imports) is dropped — the fleet never pays for a design twice.
-        migrants.sort_by_key(|p| config_key(&p.config));
-        migrants.dedup_by_key(|p| config_key(&p.config));
-        migrants.retain(|p| !seen.contains_key(&config_key(&p.config)));
-        for point in &migrants {
-            seen.insert(config_key(&point.config), point.clone());
-        }
-        Ok(migrants)
-    }
-
-    /// Publishes this island's current elite front (the non-dominated set of
-    /// its live population) as a sealed store document named after the
-    /// baseline fingerprint, the worker and the generation. Re-publishing
-    /// after a resume overwrites the same document — idempotent.
-    fn publish_front(
-        &self,
-        island: &IslandOptions<'_>,
-        state: &SearchState,
-    ) -> Result<(), CoreError> {
-        let front = pareto_front_in(&self.config.objectives, &state.evaluated);
-        let name = format!(
-            "{}{}_gen{:03}.json",
-            island_doc_prefix(island.fingerprint),
-            island.worker_id,
-            state.history.len()
-        );
-        let value = crate::store::seal_envelope(
-            ISLAND_MAGIC,
-            ISLAND_VERSION,
-            island.fingerprint,
-            vec![
-                ("worker".into(), Value::String(island.worker_id.to_string())),
-                (
-                    "generation".into(),
-                    Value::Number(state.history.len() as f64),
-                ),
-                ("front".into(), front.serialize_value()),
-            ],
-        );
-        island.store.put_doc(&name, &value.render_pretty())
-    }
-
     /// Seeds and scores the initial population (the state before
-    /// generation 0). `seen` pre-loads the scored set — empty for a classic
-    /// run; an island passes its pre-imported migrants so initial genomes
-    /// the fleet already measured cost nothing.
-    fn init_state<E: Evaluator + ?Sized>(
-        &self,
-        evaluator: &E,
-        seen: BTreeMap<(u8, u32, usize), DesignPoint>,
-    ) -> Result<SearchState, CoreError> {
+    /// generation 0).
+    fn init_state<E: Evaluator + ?Sized>(&self, evaluator: &E) -> Result<SearchState, CoreError> {
         let mut rng = StdRng::seed_from_u64(self.config.seed);
         let space = &self.config.space;
 
@@ -500,7 +253,7 @@ impl Nsga2 {
         }
 
         // Every distinct genome this run has scored, in stable key order.
-        let mut seen = seen;
+        let mut seen = BTreeMap::new();
         let evaluated = self.evaluate_population(evaluator, &population, &mut seen)?;
         Ok(SearchState {
             population,
@@ -513,21 +266,14 @@ impl Nsga2 {
     }
 
     /// Runs one generation: variation, evaluation, environmental selection,
-    /// history bookkeeping. `save` commits the state after each step that
+    /// history bookkeeping. The state is checkpointed after each step that
     /// either consumes randomness or completes an evaluation batch, bounding
     /// the work a crash can lose to one batch.
-    ///
-    /// `migrants` are already-measured foreign design points (island-model
-    /// imports, pre-deduplicated against `state.seen`) folded into the
-    /// selection pool alongside this generation's offspring; an empty slice
-    /// — every non-island caller — leaves the generation bit-identical to
-    /// the classic single-population search, consuming no extra randomness.
     fn advance<E: Evaluator + ?Sized>(
         &self,
         state: &mut SearchState,
         evaluator: &E,
-        migrants: &[DesignPoint],
-        save: &mut dyn FnMut(&SearchState) -> Result<(), CoreError>,
+        checkpoint: Option<&Checkpoint<'_>>,
     ) -> Result<(), CoreError> {
         let generation = state.history.len();
         let space = &self.config.space;
@@ -554,7 +300,7 @@ impl Nsga2 {
                 // before evaluating: a crash inside the evaluation batch
                 // resumes here instead of re-rolling the generation.
                 state.pending = Some(offspring.clone());
-                save(state)?;
+                self.save_checkpoint(checkpoint, state)?;
                 offspring
             }
         };
@@ -562,18 +308,11 @@ impl Nsga2 {
         // Evaluate offspring (cached + parallel) and merge with parents.
         let offspring_points = self.evaluate_population(evaluator, &offspring, &mut state.seen)?;
         // Checkpoint the completed evaluation batch.
-        save(state)?;
+        self.save_checkpoint(checkpoint, state)?;
         let mut combined_genomes = state.population.clone();
         combined_genomes.extend_from_slice(&offspring);
         let mut combined_points = state.evaluated.clone();
         combined_points.extend_from_slice(&offspring_points);
-        // Island migrants compete in environmental selection as first-class
-        // individuals: good foreign elites displace weak locals, bad ones are
-        // truncated away, and either way the population size is preserved.
-        for migrant in migrants {
-            combined_genomes.push(Genome::from_config(&migrant.config));
-            combined_points.push(migrant.clone());
-        }
 
         // Environmental selection: keep the best `population` individuals by
         // (rank, crowding distance). The ordering is NaN-safe — a degenerate
@@ -609,7 +348,7 @@ impl Nsga2 {
         state.pending = None;
         // Per-generation checkpoint: selection and history are in, the
         // pending offspring are consumed.
-        save(state)?;
+        self.save_checkpoint(checkpoint, state)?;
         Ok(())
     }
 
@@ -669,31 +408,13 @@ struct SearchState {
     pending: Option<Vec<Genome>>,
 }
 
-/// Where a checkpoint lives: a plain file path, or a named document in a
-/// store backend (which may replicate it to a `pmlp-serve` server).
-enum CheckpointTarget<'a> {
-    File(&'a Path),
-    Doc(&'a EvalStore, &'a str),
-}
-
-impl CheckpointTarget<'_> {
-    fn read(&self) -> Option<String> {
-        match self {
-            CheckpointTarget::File(path) => std::fs::read_to_string(path).ok(),
-            CheckpointTarget::Doc(store, name) => store.get_doc(name).ok().flatten(),
-        }
-    }
-
-    fn write(&self, contents: &str) -> Result<(), CoreError> {
-        match self {
-            CheckpointTarget::File(path) => {
-                write_atomic(path, contents).map_err(|e| CoreError::Store {
-                    context: format!("write checkpoint {}: {e}", path.display()),
-                })
-            }
-            CheckpointTarget::Doc(store, name) => store.put_doc(name, contents),
-        }
-    }
+/// Where a resumable search commits its state: a named document in a
+/// store's backend (which may replicate it to a `pmlp-serve` server), bound
+/// to the caller's evaluator tag.
+struct Checkpoint<'a> {
+    store: &'a EvalStore,
+    name: &'a str,
+    tag: u64,
 }
 
 impl SearchState {
@@ -708,17 +429,10 @@ impl SearchState {
     }
 }
 
-/// Magic string of NSGA-II checkpoint files.
+/// Magic string of NSGA-II checkpoint documents.
 const CHECKPOINT_MAGIC: &str = "pmlp-nsga2-checkpoint";
 
-/// Magic string of published island-front documents.
-const ISLAND_MAGIC: &str = "pmlp-island-front";
-
-/// Format version of island-front documents; a bump orphans (skips) old
-/// fronts instead of misreading them.
-const ISLAND_VERSION: u32 = 1;
-
-/// Format version of NSGA-II checkpoint files; bumping it orphans (and
+/// Format version of NSGA-II checkpoint documents; bumping it orphans (and
 /// overwrites) old checkpoints instead of misreading them. Version 2 added
 /// the mid-generation `pending` offspring section.
 const CHECKPOINT_VERSION: u32 = 2;
@@ -735,36 +449,26 @@ fn config_key(config: &MinimizationConfig) -> (u8, u32, usize) {
 }
 
 impl Nsga2 {
-    /// Hash of the full configuration (space included) plus the caller's
-    /// evaluator tag: a checkpoint is only resumed by the exact configuration
-    /// (and, when tagged, the exact baseline) that wrote it.
-    ///
-    /// The classic objective space is fingerprinted exactly as the
-    /// pre-configurable searcher rendered its config (the `objectives` entry
-    /// is dropped), so checkpoints written before objectives existed keep
-    /// resuming classic searches; any other space fingerprints distinctly and
-    /// correctly orphans them.
+    /// Hash of the full configuration (space and objectives included) plus
+    /// the caller's evaluator tag: a checkpoint is only resumed by the exact
+    /// configuration (and, when tagged, the exact baseline) that wrote it.
     fn config_fingerprint(&self, tag: u64) -> u64 {
-        let mut config_value = self.config.serialize_value();
-        if self.config.objectives.is_classic() {
-            if let Value::Object(entries) = &mut config_value {
-                entries.retain(|(key, _)| key != "objectives");
-            }
-        }
-        let rendered = config_value.render_compact();
+        let rendered = self.config.serialize_value().render_compact();
         let mut fp = crate::store::FingerprintHasher::new();
         fp.mix_bytes(rendered.as_bytes());
         fp.mix_u64(tag);
         fp.finish()
     }
 
-    /// Commits `state` to `target` atomically.
+    /// Commits `state` to `checkpoint`; a no-op without one.
     fn save_checkpoint(
         &self,
-        target: &CheckpointTarget<'_>,
+        checkpoint: Option<&Checkpoint<'_>>,
         state: &SearchState,
-        tag: u64,
     ) -> Result<(), CoreError> {
+        let Some(checkpoint) = checkpoint else {
+            return Ok(());
+        };
         let rng_words: Vec<Value> = state
             .rng
             .state()
@@ -775,7 +479,7 @@ impl Nsga2 {
         let value = crate::store::seal_envelope(
             CHECKPOINT_MAGIC,
             CHECKPOINT_VERSION,
-            self.config_fingerprint(tag),
+            self.config_fingerprint(checkpoint.tag),
             vec![
                 ("rng".into(), Value::Array(rng_words)),
                 ("population".into(), state.population.serialize_value()),
@@ -791,20 +495,22 @@ impl Nsga2 {
                 ),
             ],
         );
-        target.write(&value.render_pretty())
+        checkpoint
+            .store
+            .put_doc(checkpoint.name, &value.render_pretty())
     }
 
-    /// Loads a checkpoint written by this exact configuration; anything else
-    /// (missing file, corrupt JSON, other config, other version) yields
-    /// `None` so the caller starts fresh.
-    fn load_checkpoint(&self, target: &CheckpointTarget<'_>, tag: u64) -> Option<SearchState> {
-        let text = target.read()?;
+    /// Loads a checkpoint written by this exact configuration and tag;
+    /// anything else (missing document, corrupt JSON, other config, other
+    /// version) yields `None` so the caller starts fresh.
+    fn load_checkpoint(&self, checkpoint: &Checkpoint<'_>) -> Option<SearchState> {
+        let text = checkpoint.store.get_doc(checkpoint.name).ok().flatten()?;
         let parsed = json::parse(&text).ok()?;
         let value = crate::store::check_envelope(
             &parsed,
             CHECKPOINT_MAGIC,
             CHECKPOINT_VERSION,
-            self.config_fingerprint(tag),
+            self.config_fingerprint(checkpoint.tag),
         )?;
         let rng_words: Vec<String> = Deserialize::deserialize_value(value.get("rng")?).ok()?;
         if rng_words.len() != 4 {
@@ -874,18 +580,20 @@ mod tests {
     use super::*;
     use crate::engine::tests::MockEvaluator;
     use crate::engine::EvalEngine;
+    use crate::store::{LocalJsonlBackend, MemoryBackend, StoreBackend};
     use pmlp_data::UciDataset;
-    use std::path::PathBuf;
     use std::sync::atomic::{AtomicUsize, Ordering};
 
-    fn checkpoint_path(tag: &str) -> PathBuf {
-        let path = std::env::temp_dir().join(format!(
-            "pmlp-nsga2-checkpoint-{tag}-{}-{:?}.json",
-            std::process::id(),
-            std::thread::current().id()
-        ));
-        std::fs::remove_file(&path).ok();
-        path
+    /// Name of the checkpoint document every test resumes from.
+    const DOC: &str = "ga_checkpoint.json";
+
+    /// A store over a fresh in-memory backend.
+    fn memory_store() -> EvalStore {
+        store_over(Box::new(MemoryBackend::new()))
+    }
+
+    fn store_over(backend: Box<dyn StoreBackend>) -> EvalStore {
+        EvalStore::with_backend(backend, "ga", 0).unwrap()
     }
 
     fn mock_search(seed: u64, generations: usize) -> Nsga2 {
@@ -917,20 +625,32 @@ mod tests {
         }
     }
 
+    /// An evaluator with zero budget: any evaluation attempt fails.
+    fn dead() -> DyingEvaluator<MockEvaluator> {
+        DyingEvaluator {
+            inner: MockEvaluator,
+            remaining: AtomicUsize::new(0),
+        }
+    }
+
     #[test]
     fn resumable_without_prior_checkpoint_matches_plain_run() {
-        let path = checkpoint_path("fresh");
+        let store = memory_store();
         let searcher = mock_search(3, 4);
         let plain = searcher.run(&MockEvaluator).unwrap();
-        let resumable = searcher.run_resumable(&MockEvaluator, &path).unwrap();
+        let resumable = searcher
+            .run_resumable_store(&MockEvaluator, &store, DOC, 0)
+            .unwrap();
         assert_eq!(resumable, plain);
-        assert!(path.exists(), "checkpoint must be committed");
-        std::fs::remove_file(&path).ok();
+        assert!(
+            store.get_doc(DOC).unwrap().is_some(),
+            "checkpoint must be committed"
+        );
     }
 
     #[test]
     fn interrupted_search_resumes_to_the_identical_result() {
-        let path = checkpoint_path("interrupted");
+        let store = memory_store();
         let searcher = mock_search(7, 5);
         let uninterrupted = searcher.run(&MockEvaluator).unwrap();
 
@@ -940,15 +660,19 @@ mod tests {
             inner: MockEvaluator,
             remaining: AtomicUsize::new(12),
         };
-        let crash = searcher.run_resumable(&dying, &path);
+        let crash = searcher.run_resumable_store(&dying, &store, DOC, 0);
         assert!(crash.is_err(), "the simulated crash must surface");
-        assert!(path.exists(), "a checkpoint must survive the crash");
+        assert!(
+            store.get_doc(DOC).unwrap().is_some(),
+            "a checkpoint must survive the crash"
+        );
 
         // A fresh process resumes from the checkpoint and reproduces the
         // uninterrupted result exactly (RNG state travels with it).
-        let resumed = searcher.run_resumable(&MockEvaluator, &path).unwrap();
+        let resumed = searcher
+            .run_resumable_store(&MockEvaluator, &store, DOC, 0)
+            .unwrap();
         assert_eq!(resumed, uninterrupted);
-        std::fs::remove_file(&path).ok();
     }
 
     /// Counts every evaluation that reaches the inner evaluator.
@@ -966,7 +690,7 @@ mod tests {
 
     #[test]
     fn mid_generation_crash_resumes_bit_identically_without_restarting() {
-        let path = checkpoint_path("mid-generation");
+        let store = memory_store();
         let searcher = mock_search(7, 5);
         let counting_full = CountingEvaluator {
             inner: MockEvaluator,
@@ -981,11 +705,13 @@ mod tests {
             inner: MockEvaluator,
             remaining: AtomicUsize::new(10),
         };
-        assert!(searcher.run_resumable(&dying, &path).is_err());
+        assert!(searcher
+            .run_resumable_store(&dying, &store, DOC, 0)
+            .is_err());
 
         // The surviving checkpoint is a *mid-generation* one: the bred
         // offspring (and the consumed RNG state) are in it.
-        let text = std::fs::read_to_string(&path).unwrap();
+        let text = store.get_doc(DOC).unwrap().unwrap();
         assert!(
             text.contains("\"pending\": ["),
             "checkpoint must carry pending offspring, got: {}",
@@ -999,105 +725,106 @@ mod tests {
             inner: MockEvaluator,
             calls: AtomicUsize::new(0),
         };
-        let resumed = searcher.run_resumable(&counting, &path).unwrap();
+        let resumed = searcher
+            .run_resumable_store(&counting, &store, DOC, 0)
+            .unwrap();
         assert_eq!(resumed, uninterrupted);
         assert!(
             counting.calls.load(Ordering::SeqCst) < full_calls,
             "mid-generation resume must not restart the search ({} vs {full_calls})",
             counting.calls.load(Ordering::SeqCst)
         );
-        std::fs::remove_file(&path).ok();
     }
 
     #[test]
     fn checkpoints_live_in_any_store_backend_document() {
-        use crate::store::{EvalStore, MemoryBackend};
-        let store = EvalStore::with_backend(Box::new(MemoryBackend::new()), "ga", 0).unwrap();
+        let dir = crate::store::tests::temp_dir("nsga2-checkpoint");
         let searcher = mock_search(9, 3);
         let reference = searcher.run(&MockEvaluator).unwrap();
-        let first = searcher
-            .run_resumable_store(&MockEvaluator, &store, "ga_checkpoint.json", 7)
-            .unwrap();
-        assert_eq!(first, reference);
-        assert!(
-            store.get_doc("ga_checkpoint.json").unwrap().is_some(),
-            "checkpoint document must be committed to the backend"
-        );
-        // A finished checkpoint short-circuits through the document path too.
-        let dead = DyingEvaluator {
-            inner: MockEvaluator,
-            remaining: AtomicUsize::new(0),
-        };
-        let replay = searcher
-            .run_resumable_store(&dead, &store, "ga_checkpoint.json", 7)
-            .unwrap();
-        assert_eq!(replay, first);
+        for backend in [
+            Box::new(MemoryBackend::new()) as Box<dyn StoreBackend>,
+            Box::new(LocalJsonlBackend::open(&dir).unwrap()),
+        ] {
+            let store = store_over(backend);
+            let first = searcher
+                .run_resumable_store(&MockEvaluator, &store, DOC, 7)
+                .unwrap();
+            assert_eq!(first, reference);
+            assert!(
+                store.get_doc(DOC).unwrap().is_some(),
+                "checkpoint document must be committed to the backend"
+            );
+            // A finished checkpoint short-circuits on every backend.
+            let replay = searcher
+                .run_resumable_store(&dead(), &store, DOC, 7)
+                .unwrap();
+            assert_eq!(replay, first);
+        }
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn finished_checkpoint_short_circuits_without_evaluations() {
-        let path = checkpoint_path("finished");
+        let store = memory_store();
         let searcher = mock_search(11, 3);
-        let first = searcher.run_resumable(&MockEvaluator, &path).unwrap();
-
-        // An evaluator with zero budget: any evaluation attempt would fail.
-        let dead = DyingEvaluator {
-            inner: MockEvaluator,
-            remaining: AtomicUsize::new(0),
-        };
-        let replay = searcher.run_resumable(&dead, &path).unwrap();
+        let first = searcher
+            .run_resumable_store(&MockEvaluator, &store, DOC, 0)
+            .unwrap();
+        let replay = searcher
+            .run_resumable_store(&dead(), &store, DOC, 0)
+            .unwrap();
         assert_eq!(replay, first);
-        std::fs::remove_file(&path).ok();
     }
 
     #[test]
     fn checkpoint_of_another_config_is_ignored() {
-        let path = checkpoint_path("other-config");
+        let store = memory_store();
         mock_search(1, 3)
-            .run_resumable(&MockEvaluator, &path)
+            .run_resumable_store(&MockEvaluator, &store, DOC, 0)
             .unwrap();
         // Different seed => different fingerprint => fresh start, identical
         // to an uncheckpointed run of the second configuration.
         let other = mock_search(2, 3);
         let expected = other.run(&MockEvaluator).unwrap();
-        let actual = other.run_resumable(&MockEvaluator, &path).unwrap();
+        let actual = other
+            .run_resumable_store(&MockEvaluator, &store, DOC, 0)
+            .unwrap();
         assert_eq!(actual, expected);
-        std::fs::remove_file(&path).ok();
     }
 
     #[test]
     fn checkpoint_tags_isolate_different_evaluator_identities() {
-        let path = checkpoint_path("tagged");
+        let store = memory_store();
         let searcher = mock_search(4, 3);
         let first = searcher
-            .run_resumable_tagged(&MockEvaluator, &path, 0xAAAA)
+            .run_resumable_store(&MockEvaluator, &store, DOC, 0xAAAA)
             .unwrap();
         // A different tag (e.g. a retrained baseline) must ignore the
         // finished checkpoint and run fresh — here against a dead evaluator,
         // so a wrongly-resumed replay would be the only way to "succeed".
-        let dead = DyingEvaluator {
-            inner: MockEvaluator,
-            remaining: AtomicUsize::new(0),
-        };
         assert!(
-            searcher.run_resumable_tagged(&dead, &path, 0xBBBB).is_err(),
+            searcher
+                .run_resumable_store(&dead(), &store, DOC, 0xBBBB)
+                .is_err(),
             "a checkpoint from another tag must not be replayed"
         );
         // The matching tag still short-circuits.
-        let replay = searcher.run_resumable_tagged(&dead, &path, 0xAAAA).unwrap();
+        let replay = searcher
+            .run_resumable_store(&dead(), &store, DOC, 0xAAAA)
+            .unwrap();
         assert_eq!(replay, first);
-        std::fs::remove_file(&path).ok();
     }
 
     #[test]
     fn corrupt_checkpoint_falls_back_to_a_fresh_run() {
-        let path = checkpoint_path("corrupt");
-        std::fs::write(&path, "{not json").unwrap();
+        let store = memory_store();
+        store.put_doc(DOC, "{not json").unwrap();
         let searcher = mock_search(5, 2);
         let expected = searcher.run(&MockEvaluator).unwrap();
-        let actual = searcher.run_resumable(&MockEvaluator, &path).unwrap();
+        let actual = searcher
+            .run_resumable_store(&MockEvaluator, &store, DOC, 0)
+            .unwrap();
         assert_eq!(actual, expected);
-        std::fs::remove_file(&path).ok();
     }
 
     /// A degenerate evaluator: every 3-bit candidate comes back with NaN
@@ -1168,9 +895,11 @@ mod tests {
 
     #[test]
     fn classic_checkpoints_are_not_replayed_by_other_objective_spaces() {
-        let path = checkpoint_path("objective-space");
+        let store = memory_store();
         let classic = mock_search(6, 3);
-        let first = classic.run_resumable(&MockEvaluator, &path).unwrap();
+        let first = classic
+            .run_resumable_store(&MockEvaluator, &store, DOC, 0)
+            .unwrap();
 
         // Same config except for the objective space: the classic checkpoint
         // must be orphaned, not replayed (a dead evaluator catches replays).
@@ -1178,233 +907,15 @@ mod tests {
             objectives: ObjectiveSpace::parse("accuracy,area,energy").unwrap(),
             ..classic.config().clone()
         });
-        let dead = DyingEvaluator {
-            inner: MockEvaluator,
-            remaining: AtomicUsize::new(0),
-        };
         assert!(
-            energy.run_resumable(&dead, &path).is_err(),
+            energy.run_resumable_store(&dead(), &store, DOC, 0).is_err(),
             "a classic checkpoint must not satisfy an energy-objective search"
         );
         // The classic config itself still short-circuits off its checkpoint.
-        let replay = classic.run_resumable(&dead, &path).unwrap();
+        let replay = classic
+            .run_resumable_store(&dead(), &store, DOC, 0)
+            .unwrap();
         assert_eq!(replay, first);
-        std::fs::remove_file(&path).ok();
-    }
-
-    /// Records the dedup key of every configuration that reaches the real
-    /// evaluator — what "this island paid for an evaluation" means.
-    struct TrackingEvaluator {
-        keys: std::sync::Mutex<std::collections::BTreeSet<(u8, u32, usize)>>,
-    }
-
-    impl TrackingEvaluator {
-        fn new() -> Self {
-            TrackingEvaluator {
-                keys: std::sync::Mutex::new(std::collections::BTreeSet::new()),
-            }
-        }
-
-        fn keys(&self) -> std::collections::BTreeSet<(u8, u32, usize)> {
-            self.keys.lock().unwrap().clone()
-        }
-    }
-
-    impl Evaluator for TrackingEvaluator {
-        fn evaluate(&self, config: &MinimizationConfig) -> Result<DesignPoint, CoreError> {
-            self.keys.lock().unwrap().insert(config_key(config));
-            MockEvaluator.evaluate(config)
-        }
-    }
-
-    fn island_store() -> crate::store::EvalStore {
-        use crate::store::{EvalStore, MemoryBackend};
-        EvalStore::with_backend(Box::new(MemoryBackend::new()), "ga", 0).unwrap()
-    }
-
-    #[test]
-    fn island_of_one_is_bit_identical_to_the_classic_search() {
-        let store = island_store();
-        let searcher = mock_search(17, 4);
-        let classic = searcher.run(&MockEvaluator).unwrap();
-        let island = searcher
-            .run_island(
-                &MockEvaluator,
-                &IslandOptions {
-                    store: &store,
-                    worker_id: "w0",
-                    migration_interval: 2,
-                    fingerprint: 0xF00D,
-                },
-                "ga_w0.json",
-                0xF00D,
-            )
-            .unwrap();
-        assert_eq!(
-            island, classic,
-            "a fleet of one must reproduce the single-process search exactly"
-        );
-        // The island still published fronts for future workers: one at each
-        // migration boundary (gen 2) and one at the end (gen 4).
-        let published = store.list_docs(&island_doc_prefix(0xF00D)).unwrap();
-        assert_eq!(
-            published,
-            vec![
-                "island_000000000000f00d_w0_gen002.json".to_string(),
-                "island_000000000000f00d_w0_gen004.json".to_string(),
-            ]
-        );
-    }
-
-    #[test]
-    fn two_islands_share_elites_without_duplicate_evaluations() {
-        let store = island_store();
-        let fingerprint = 0xBEEF;
-
-        // Island A runs to completion, publishing its front every generation.
-        let a_eval = TrackingEvaluator::new();
-        let searcher_a = mock_search(3, 4);
-        let result_a = searcher_a
-            .run_island(
-                &a_eval,
-                &IslandOptions {
-                    store: &store,
-                    worker_id: "wa",
-                    migration_interval: 1,
-                    fingerprint,
-                },
-                "ga_wa.json",
-                fingerprint,
-            )
-            .unwrap();
-
-        // Island B (different seed => different trajectory) joins afterwards
-        // and imports A's published elites at every migration boundary.
-        let b_eval = TrackingEvaluator::new();
-        let searcher_b = mock_search(4, 4);
-        let result_b = searcher_b
-            .run_island(
-                &b_eval,
-                &IslandOptions {
-                    store: &store,
-                    worker_id: "wb",
-                    migration_interval: 1,
-                    fingerprint,
-                },
-                "ga_wb.json",
-                fingerprint,
-            )
-            .unwrap();
-
-        // Zero duplicate evaluations: no configuration A ever published as
-        // an elite was paid for again by B's evaluator — B adopted all of
-        // them (pre-init import) before evaluating anything.
-        let mut published_keys: std::collections::BTreeSet<(u8, u32, usize)> =
-            std::collections::BTreeSet::new();
-        let a_prefix = format!("{}wa_", island_doc_prefix(fingerprint));
-        for name in store.list_docs(&a_prefix).unwrap() {
-            let text = store.get_doc(&name).unwrap().unwrap();
-            let parsed = json::parse(&text).unwrap();
-            let points: Vec<DesignPoint> =
-                Deserialize::deserialize_value(parsed.get("front").unwrap()).unwrap();
-            published_keys.extend(points.iter().map(|p| config_key(&p.config)));
-        }
-        assert!(
-            !published_keys.is_empty(),
-            "island A must have published elite fronts"
-        );
-        let duplicates: Vec<_> = b_eval
-            .keys()
-            .intersection(&published_keys)
-            .copied()
-            .collect();
-        assert!(
-            duplicates.is_empty(),
-            "island B re-evaluated migrated configs: {duplicates:?}"
-        );
-
-        // B actually imported: its scored set contains points it never paid
-        // for itself.
-        let b_all_keys: std::collections::BTreeSet<(u8, u32, usize)> = result_b
-            .all_points
-            .iter()
-            .map(|p| config_key(&p.config))
-            .collect();
-        assert!(
-            b_all_keys.len() > b_eval.keys().len(),
-            "island B's result must include imported migrants"
-        );
-
-        // Convergence: B's final front is non-dominated against A's — the
-        // fleet's combined knowledge is in it.
-        let objectives = ObjectiveSpace::classic();
-        for b in &result_b.pareto_front {
-            for a in &result_a.pareto_front {
-                assert!(
-                    !objectives.dominates(a, b),
-                    "B's front member {b:?} is dominated by A's {a:?}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn island_options_are_validated() {
-        let store = island_store();
-        let searcher = mock_search(1, 2);
-        let bad_worker = IslandOptions {
-            store: &store,
-            worker_id: "../escape",
-            migration_interval: 1,
-            fingerprint: 1,
-        };
-        assert!(searcher
-            .run_island(&MockEvaluator, &bad_worker, "c.json", 1)
-            .is_err());
-        let zero_interval = IslandOptions {
-            store: &store,
-            worker_id: "w0",
-            migration_interval: 0,
-            fingerprint: 1,
-        };
-        assert!(searcher
-            .run_island(&MockEvaluator, &zero_interval, "c.json", 1)
-            .is_err());
-    }
-
-    #[test]
-    fn foreign_fingerprint_fronts_are_never_imported() {
-        let store = island_store();
-        // A front sealed against another baseline fingerprint sits in the
-        // store under the same naming scheme prefix family.
-        let alien = crate::store::seal_envelope(
-            "pmlp-island-front",
-            1,
-            0xDEAD,
-            vec![("front".into(), Value::Array(vec![]))],
-        );
-        store
-            .put_doc(
-                "island_000000000000dead_wx_gen001.json",
-                &alien.render_pretty(),
-            )
-            .unwrap();
-        let searcher = mock_search(8, 3);
-        let classic = searcher.run(&MockEvaluator).unwrap();
-        let island = searcher
-            .run_island(
-                &MockEvaluator,
-                &IslandOptions {
-                    store: &store,
-                    worker_id: "w0",
-                    migration_interval: 1,
-                    fingerprint: 0xFEED,
-                },
-                "ga_w0.json",
-                0xFEED,
-            )
-            .unwrap();
-        assert_eq!(island, classic, "alien-baseline fronts must be invisible");
     }
 
     #[test]

@@ -436,11 +436,6 @@ impl ObjectiveSpace {
         Self::new(objectives)
     }
 
-    /// `true` when this is the classic `(accuracy, area)` space.
-    pub fn is_classic(&self) -> bool {
-        self.objectives == [ObjectiveKind::AccuracyLoss, ObjectiveKind::Area]
-    }
-
     /// Number of objective axes.
     pub fn dim(&self) -> usize {
         self.objectives.len()
@@ -816,7 +811,7 @@ mod tests {
     #[test]
     fn objective_space_parses_and_validates_cli_lists() {
         let classic = ObjectiveSpace::parse("accuracy,area").unwrap();
-        assert!(classic.is_classic());
+        assert_eq!(classic, ObjectiveSpace::classic());
         assert_eq!(classic, ObjectiveSpace::default());
         assert_eq!(classic.to_string(), "accuracy,area");
 
@@ -827,7 +822,7 @@ mod tests {
             ObjectiveKind::EnergyPerInference,
             "energy maps to energy-per-inference"
         );
-        assert!(!three.is_classic());
+        assert_ne!(three, ObjectiveSpace::classic());
 
         assert!(ObjectiveSpace::parse("").is_err());
         assert!(ObjectiveSpace::parse("accuracy,area,area").is_err());

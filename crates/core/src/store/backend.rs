@@ -207,10 +207,10 @@ pub trait StoreBackend: Send + Sync {
     fn remove_doc(&self, name: &str) -> Result<(), CoreError>;
 
     /// Lists the names of every stored document starting with `prefix`,
-    /// sorted lexicographically (`""` lists everything). This is the
-    /// discovery primitive of the distributed-search plane: island elite
-    /// fronts and campaign leases are documents published under structured
-    /// name prefixes, and workers find each other's documents through it.
+    /// sorted lexicographically (`""` lists everything). Coordination
+    /// documents (campaign leases, completion markers, cached baselines) are
+    /// published under structured name prefixes, so this is how a store's
+    /// documents are surveyed.
     ///
     /// The default returns an empty list so purely record-oriented backends
     /// (and external implementations) keep compiling; every backend in this

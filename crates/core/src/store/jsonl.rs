@@ -515,8 +515,7 @@ pub fn list_record_logs(dir: &Path) -> Result<Vec<(String, u64)>, CoreError> {
     Ok(logs)
 }
 
-/// Extracts the envelope fingerprint of a sealed store document (a
-/// `done_*.json` completion marker or an `island_*.json` elite front).
+/// Extracts the envelope fingerprint of a `done_*.json` completion marker.
 fn marker_fingerprint(path: &Path) -> Option<u64> {
     let parsed = serde::json::parse(&fs::read_to_string(path).ok()?).ok()?;
     super::parse_hex(parsed.get("fingerprint")?).ok()
@@ -550,9 +549,6 @@ pub fn now_epoch_ms() -> u64 {
 ///   [`GcPolicy::compact_threshold_bytes`] are compacted unconditionally,
 /// * `done_*.json` completion markers bound to a dead baseline fingerprint
 ///   are deleted too,
-/// * `island_*.json` elite-front documents whose baseline fingerprint is
-///   dead are deleted (no worker can ever import those migrants again);
-///   fronts of live baselines are kept,
 /// * `lease_*.json` work-stealing leases past their embedded wall-clock
 ///   deadline are deleted; unexpired leases are never reaped, whatever
 ///   their fingerprint — a healthy worker may still be holding them.
@@ -597,13 +593,10 @@ pub fn gc_store_dir(
                 report.duplicates_merged += removed;
                 report.corrupt_dropped += corrupt;
             }
-        } else if (file_name.starts_with("done_") || file_name.starts_with("island_"))
-            && file_name.ends_with(".json")
-        {
-            // Completion markers and island elite fronts carry the baseline
-            // fingerprint they were measured against in their envelope; a
-            // dead baseline means the marker can never be resumed (nor the
-            // migrants imported) again.
+        } else if file_name.starts_with("done_") && file_name.ends_with(".json") {
+            // Completion markers carry the baseline fingerprint they were
+            // measured against in their envelope; a dead baseline means the
+            // marker can never be resumed again.
             match marker_fingerprint(&path) {
                 Some(fp) if !live_fingerprints.contains(&fp) => {
                     fs::remove_file(&path).ok();
@@ -879,17 +872,17 @@ mod tests {
         let dir = temp_dir("jsonl-list-docs");
         let backend = LocalJsonlBackend::open(&dir).unwrap();
         backend.append("Seeds", 7, &record(3, 0.8, 40.0)).unwrap();
-        backend.put_doc("island_0007_w1_gen001.json", "{}").unwrap();
-        backend.put_doc("island_0007_w0_gen001.json", "{}").unwrap();
+        backend.put_doc("done_wine_0007.json", "{}").unwrap();
+        backend.put_doc("done_seeds_0007.json", "{}").unwrap();
         backend.put_doc("lease_0007_seeds.json", "{}").unwrap();
         fs::write(dir.join("half-written.tmp"), "x").unwrap();
         fs::write(dir.join("seeds_0000000000000007.jsonl.quarantine"), "x").unwrap();
 
         assert_eq!(
-            backend.list_docs("island_").unwrap(),
+            backend.list_docs("done_").unwrap(),
             vec![
-                "island_0007_w0_gen001.json".to_string(),
-                "island_0007_w1_gen001.json".to_string(),
+                "done_seeds_0007.json".to_string(),
+                "done_wine_0007.json".to_string(),
             ]
         );
         // The unfiltered listing still hides record logs, temporaries and
@@ -897,8 +890,8 @@ mod tests {
         assert_eq!(
             backend.list_docs("").unwrap(),
             vec![
-                "island_0007_w0_gen001.json".to_string(),
-                "island_0007_w1_gen001.json".to_string(),
+                "done_seeds_0007.json".to_string(),
+                "done_wine_0007.json".to_string(),
                 "lease_0007_seeds.json".to_string(),
             ]
         );
@@ -907,12 +900,9 @@ mod tests {
     }
 
     #[test]
-    fn gc_reaps_expired_leases_and_dead_island_fronts_only() {
-        let dir = temp_dir("jsonl-gc-island");
+    fn gc_reaps_expired_leases_only() {
+        let dir = temp_dir("jsonl-gc-lease");
         let backend = LocalJsonlBackend::open(&dir).unwrap();
-        let front = |fp: u64| {
-            super::super::seal_envelope("pmlp-island-front", 1, fp, Vec::new()).render_pretty()
-        };
         let lease = |deadline_ms: u64| {
             super::super::seal_envelope(
                 "pmlp-campaign-lease",
@@ -925,29 +915,16 @@ mod tests {
             )
             .render_pretty()
         };
-        backend
-            .put_doc("island_000000000000000a_w0_gen001.json", &front(0xA))
-            .unwrap();
-        backend
-            .put_doc("island_000000000000000b_w0_gen001.json", &front(0xB))
-            .unwrap();
         let now = now_epoch_ms();
         backend.put_doc("lease_000c_seeds.json", &lease(1)).unwrap();
         backend
             .put_doc("lease_000c_wine.json", &lease(now + 60_000))
             .unwrap();
 
+        // Leases are reaped by deadline alone, whatever the live set.
         let report = gc_store_dir(&dir, &[0xA], &GcPolicy::default()).unwrap();
-        assert_eq!(report.files_dropped, 2);
-        // The live-baseline front and the unexpired lease survive.
-        assert!(backend
-            .get_doc("island_000000000000000a_w0_gen001.json")
-            .unwrap()
-            .is_some());
-        assert!(backend
-            .get_doc("island_000000000000000b_w0_gen001.json")
-            .unwrap()
-            .is_none());
+        assert_eq!(report.files_dropped, 1);
+        // The unexpired lease survives.
         assert!(backend.get_doc("lease_000c_seeds.json").unwrap().is_none());
         assert!(backend.get_doc("lease_000c_wine.json").unwrap().is_some());
         fs::remove_dir_all(&dir).ok();

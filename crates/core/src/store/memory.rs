@@ -217,12 +217,12 @@ mod tests {
     fn list_docs_filters_by_prefix_and_sorts() {
         let backend = MemoryBackend::new();
         assert_eq!(backend.list_docs("").unwrap(), Vec::<String>::new());
-        backend.put_doc("island_b.json", "x").unwrap();
-        backend.put_doc("island_a.json", "x").unwrap();
+        backend.put_doc("done_b.json", "x").unwrap();
+        backend.put_doc("done_a.json", "x").unwrap();
         backend.put_doc("lease_seeds.json", "x").unwrap();
         assert_eq!(
-            backend.list_docs("island_").unwrap(),
-            vec!["island_a.json".to_string(), "island_b.json".to_string()]
+            backend.list_docs("done_").unwrap(),
+            vec!["done_a.json".to_string(), "done_b.json".to_string()]
         );
         assert_eq!(backend.list_docs("").unwrap().len(), 3);
         assert_eq!(backend.list_docs("zzz").unwrap(), Vec::<String>::new());

@@ -35,8 +35,9 @@
 //!
 //! Versioning: a [`STORE_VERSION`] bump makes old files unreadable by design —
 //! they are ignored and rewritten rather than misparsed. The same atomic
-//! commit primitive ([`write_atomic`]) backs NSGA-II checkpoints
-//! ([`crate::nsga2::Nsga2::run_resumable`]) and campaign completion markers.
+//! commit primitive ([`write_atomic`]) backs every local document: NSGA-II
+//! checkpoints ([`crate::nsga2::Nsga2::run_resumable_store`]) and campaign
+//! completion markers.
 //!
 //! # Example
 //!
@@ -356,7 +357,8 @@ fn record_from_line_inner(line: &str) -> Result<EvalRecord, json::Error> {
 /// Remote-only compositions sit behind the same [`TieredStore`] as the
 /// dir+url case (with an in-process memory tier as the cache), so the
 /// circuit breaker and the replay journal protect every remote
-/// configuration uniformly.
+/// configuration uniformly. Every tier runs with its default tuning; see
+/// [`open_backend_opts`] for the knobs.
 ///
 /// # Errors
 ///
@@ -366,71 +368,26 @@ pub fn open_backend(
     local_dir: Option<&Path>,
     remote_url: Option<&str>,
 ) -> Result<Option<Box<dyn StoreBackend>>, CoreError> {
-    open_backend_with(local_dir, remote_url, None)
-}
-
-/// [`open_backend`] with an explicit remote timeout (`--remote-timeout-ms`):
-/// `None` keeps the [`RemoteBackend`] default. The timeout covers connect,
-/// read and write of each remote request — the knob that decides how fast a
-/// dead server degrades a tiered composition.
-///
-/// # Errors
-///
-/// Returns [`CoreError::Store`] when the directory cannot be created or the
-/// URL is malformed.
-pub fn open_backend_with(
-    local_dir: Option<&Path>,
-    remote_url: Option<&str>,
-    remote_timeout: Option<std::time::Duration>,
-) -> Result<Option<Box<dyn StoreBackend>>, CoreError> {
-    open_backend_durable(
-        local_dir,
-        remote_url,
-        remote_timeout,
-        DurabilityPolicy::default(),
-    )
-}
-
-/// [`open_backend_with`] with an explicit [`DurabilityPolicy`]
-/// (`--durability`) for the local JSONL tier; remote and in-memory tiers
-/// ignore it.
-///
-/// # Errors
-///
-/// Returns [`CoreError::Store`] when the directory cannot be created or the
-/// URL is malformed.
-pub fn open_backend_durable(
-    local_dir: Option<&Path>,
-    remote_url: Option<&str>,
-    remote_timeout: Option<std::time::Duration>,
-    durability: DurabilityPolicy,
-) -> Result<Option<Box<dyn StoreBackend>>, CoreError> {
-    open_backend_opts(
-        local_dir,
-        remote_url,
-        &BackendOptions {
-            remote_timeout,
-            durability,
-            breaker: None,
-        },
-    )
+    open_backend_opts(local_dir, remote_url, &BackendOptions::default())
 }
 
 /// Tuning knobs of [`open_backend_opts`] beyond the tier selection itself.
 #[derive(Debug, Clone, Default)]
 pub struct BackendOptions {
-    /// Per-request deadline of the remote tier (`--remote-timeout-ms`);
-    /// `None` keeps the client default.
+    /// Per-request deadline of the remote tier (`--remote-timeout-ms`),
+    /// covering connect, read and write — the knob that decides how fast a
+    /// dead server degrades a tiered composition. `None` keeps the
+    /// [`RemoteBackend`] default.
     pub remote_timeout: Option<std::time::Duration>,
-    /// Durability policy of the local JSONL tier (`--durability`).
+    /// Durability policy of the local JSONL tier (`--durability`); remote
+    /// and in-memory tiers ignore it.
     pub durability: DurabilityPolicy,
     /// Circuit-breaker tuning of a tiered composition; `None` keeps the
     /// [`BreakerConfig`] defaults (trip on the first failure, 1 s cooldown).
     pub breaker: Option<BreakerConfig>,
 }
 
-/// The fully-tunable backend composition every other `open_backend*` helper
-/// delegates to.
+/// [`open_backend`] with explicit [`BackendOptions`].
 ///
 /// # Errors
 ///
@@ -620,17 +577,6 @@ impl EvalStore {
     /// Returns [`CoreError::Store`] when the backend fails.
     pub fn remove_doc(&self, name: &str) -> Result<(), CoreError> {
         self.backend.remove_doc(name)
-    }
-
-    /// Lists the names of stored documents starting with `prefix`, sorted —
-    /// how islands discover each other's published elite fronts and workers
-    /// survey the lease board. An empty prefix lists every document.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::Store`] when the backend fails.
-    pub fn list_docs(&self, prefix: &str) -> Result<Vec<String>, CoreError> {
-        self.backend.list_docs(prefix)
     }
 
     /// Garbage-collects a local store directory: record logs (and completion

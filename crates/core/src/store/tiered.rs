@@ -575,8 +575,8 @@ impl StoreBackend for TieredStore {
     }
 
     fn list_docs(&self, prefix: &str) -> Result<Vec<String>, CoreError> {
-        // Discovery must see *both* tiers: another worker's island fronts and
-        // leases live on the remote tier only, this worker's journaled writes
+        // Discovery must see *both* tiers: another worker's leases and
+        // markers live on the remote tier only, this worker's journaled writes
         // may live on the local tier only. Merge, dedup, sort. A dead remote
         // degrades the listing to local-only — same contract as get_doc.
         let mut names = self.local.list_docs(prefix)?;
@@ -936,9 +936,9 @@ mod tests {
     fn list_docs_merges_both_tiers_and_degrades_to_local() {
         let local = MemoryBackend::new();
         let remote_inner = Arc::new(MemoryBackend::new());
-        local.put_doc("island_a.json", "x").unwrap();
-        remote_inner.put_doc("island_b.json", "x").unwrap();
-        remote_inner.put_doc("island_a.json", "x").unwrap(); // shared
+        local.put_doc("lease_a.json", "x").unwrap();
+        remote_inner.put_doc("lease_b.json", "x").unwrap();
+        remote_inner.put_doc("lease_a.json", "x").unwrap(); // shared
         remote_inner.put_doc("other.json", "x").unwrap();
         let remote = Arc::new(FaultBackend::new(Box::new(Arc::clone(&remote_inner))));
         let tiered = TieredStore::with_breaker(
@@ -950,15 +950,15 @@ mod tests {
             },
         );
         assert_eq!(
-            tiered.list_docs("island_").unwrap(),
-            vec!["island_a.json".to_string(), "island_b.json".to_string()],
+            tiered.list_docs("lease_").unwrap(),
+            vec!["lease_a.json".to_string(), "lease_b.json".to_string()],
             "merged, deduped, sorted, prefix-filtered"
         );
         // A dead remote degrades the listing to the local tier only.
         remote.set_down(true);
         assert_eq!(
-            tiered.list_docs("island_").unwrap(),
-            vec!["island_a.json".to_string()]
+            tiered.list_docs("lease_").unwrap(),
+            vec!["lease_a.json".to_string()]
         );
     }
 

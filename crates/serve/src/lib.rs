@@ -171,8 +171,7 @@ pub struct StatsSnapshot {
     pub doc_puts: u64,
     /// Document deletions.
     pub doc_deletes: u64,
-    /// Document-name listings (`GET /v1/docs?prefix=`) — how often islands
-    /// surveyed each other's fronts or workers surveyed the lease board.
+    /// Document-name listings (`GET /v1/docs?prefix=`).
     pub doc_lists: u64,
     /// Requests rejected with a 4xx status.
     pub bad_requests: u64,

@@ -49,7 +49,6 @@ fn chaos_config(
         seed: SEED,
         max_accuracy_loss: 0.05,
         objectives: Default::default(),
-        accuracy_tier: printed_mlp::core::AccuracyTier::default(),
         store_dir: Some(local.to_path_buf()),
         remote_store: remote,
         remote_timeout_ms: Some(2_000),

@@ -1,14 +1,12 @@
 //! Integration tests of the distributed search plane: a fleet of campaign
 //! workers splitting one battery through lease-based work stealing on a
-//! shared `pmlp-serve` store, a crashed worker's lease expiring and being
-//! stolen by a survivor (the outage staged with the chaos proxy), and the
-//! island-model Fig. 2 GA migrating elites between workers through the same
-//! server.
+//! shared `pmlp-serve` store, and a crashed worker's lease expiring and being
+//! stolen by a survivor (the outage staged with the chaos proxy).
 
 use printed_mlp::core::campaign::{
     Campaign, CampaignConfig, CampaignResult, CampaignRunStats, WorkerOptions,
 };
-use printed_mlp::core::experiment::{Effort, Figure2Experiment};
+use printed_mlp::core::experiment::Effort;
 use printed_mlp::core::store::{now_epoch_ms, RemoteBackend, StoreBackend};
 use printed_mlp::data::UciDataset;
 use printed_mlp::serve::chaos::{ChaosConfig, ChaosProxy};
@@ -40,7 +38,6 @@ fn fleet_config(
         seed: SEED,
         max_accuracy_loss: 0.05,
         objectives: Default::default(),
-        accuracy_tier: printed_mlp::core::AccuracyTier::default(),
         store_dir: Some(local.to_path_buf()),
         remote_store: Some(remote),
         remote_timeout_ms: Some(2_000),
@@ -222,91 +219,4 @@ fn a_dead_workers_expired_lease_is_stolen_by_a_survivor() {
     proxy.stop();
     server.stop();
     std::fs::remove_dir_all(&dir_doomed).ok();
-}
-
-/// Two island GAs migrate elites through a shared server: each island's
-/// final front dominates-or-equals what it could know alone, both islands
-/// published their fronts, and a solo island (no peers in the store) is
-/// bit-identical to the classic checkpointed search.
-#[test]
-fn fig2_islands_migrate_elites_through_a_shared_server() {
-    let experiment = Figure2Experiment::new(UciDataset::Seeds, Effort::Quick, 21);
-
-    // Reference: the classic checkpointed search against its own server.
-    let solo_server = spawn(&ServeConfig::default()).unwrap();
-    let solo_dir = temp_dir("island-solo");
-    let backend = printed_mlp::core::store::open_backend(Some(&solo_dir), Some(&solo_server.url()))
-        .unwrap()
-        .unwrap();
-    let engine = experiment
-        .build_engine_cached(Some(&*backend))
-        .unwrap()
-        .with_backend(backend)
-        .unwrap();
-    let classic = experiment
-        .run_with_checkpoint_doc(&engine, "fig2_seeds_nsga2.json")
-        .unwrap();
-
-    // A solo island — nobody to migrate with — must reproduce it exactly.
-    let solo = experiment
-        .run_distributed(&engine, "fig2_seeds_solo_nsga2.json", "solo", 1)
-        .unwrap();
-    assert_eq!(
-        solo.search.pareto_front, classic.search.pareto_front,
-        "a peerless island must be bit-identical to the classic search"
-    );
-
-    solo_server.stop();
-    std::fs::remove_dir_all(&solo_dir).ok();
-
-    // Fleet: two islands share one server and migrate every generation.
-    let fleet_server = spawn(&ServeConfig::default()).unwrap();
-    let results: Vec<_> = ["north", "south"]
-        .iter()
-        .map(|worker| {
-            let url = fleet_server.url();
-            let dir = temp_dir(&format!("island-{worker}"));
-            let experiment = Figure2Experiment::new(UciDataset::Seeds, Effort::Quick, 21);
-            let worker = worker.to_string();
-            std::thread::spawn(move || {
-                let backend = printed_mlp::core::store::open_backend(Some(&dir), Some(&url))
-                    .unwrap()
-                    .unwrap();
-                let engine = experiment
-                    .build_engine_cached(Some(&*backend))
-                    .unwrap()
-                    .with_backend(backend)
-                    .unwrap();
-                let result = experiment
-                    .run_distributed(
-                        &engine,
-                        &format!("fig2_seeds_{worker}_nsga2.json"),
-                        &worker,
-                        1,
-                    )
-                    .unwrap();
-                std::fs::remove_dir_all(&dir).ok();
-                result
-            })
-        })
-        .collect::<Vec<_>>()
-        .into_iter()
-        .map(|handle| handle.join().unwrap())
-        .collect();
-
-    // Both islands produced non-empty fronts and published them: the server
-    // lists one or more island documents per worker.
-    let remote = RemoteBackend::new(&fleet_server.url()).unwrap();
-    let published = remote.list_docs("island_").unwrap();
-    for worker in ["north", "south"] {
-        assert!(
-            published.iter().any(|doc| doc.contains(worker)),
-            "{worker} never published an elite front: {published:?}"
-        );
-    }
-    for result in &results {
-        assert!(!result.search.pareto_front.is_empty());
-    }
-
-    fleet_server.stop();
 }

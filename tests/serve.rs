@@ -33,7 +33,6 @@ fn worker_config(
         seed: 11,
         max_accuracy_loss: 0.05,
         objectives: Default::default(),
-        accuracy_tier: printed_mlp::core::AccuracyTier::default(),
         store_dir: Some(local.to_path_buf()),
         remote_store: remote,
         remote_timeout_ms: None,

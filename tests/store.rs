@@ -26,7 +26,6 @@ fn store_campaign(datasets: Vec<UciDataset>, store: &Path, resume: bool) -> Camp
         seed: 11,
         max_accuracy_loss: 0.05,
         objectives: Default::default(),
-        accuracy_tier: printed_mlp::core::AccuracyTier::default(),
         store_dir: Some(store.to_path_buf()),
         remote_store: None,
         remote_timeout_ms: None,
@@ -235,7 +234,6 @@ fn gc_prunes_a_real_campaign_store() {
         seed: 12,
         max_accuracy_loss: 0.05,
         objectives: Default::default(),
-        accuracy_tier: printed_mlp::core::AccuracyTier::default(),
         store_dir: Some(store.to_path_buf()),
         remote_store: None,
         remote_timeout_ms: None,
@@ -266,8 +264,9 @@ fn gc_prunes_a_real_campaign_store() {
 }
 
 /// NSGA-II through a real engine: a search interrupted mid-run (simulated by
-/// an evaluator whose budget runs out) resumes from its checkpoint and
-/// reproduces the uninterrupted `SearchResult` exactly.
+/// an evaluator whose budget runs out) resumes from its checkpoint document
+/// in the engine's own store and reproduces the uninterrupted
+/// `SearchResult` exactly.
 #[test]
 fn interrupted_fig2_search_resumes_to_the_identical_result() {
     use printed_mlp::core::engine::EvalEngine;
@@ -303,7 +302,7 @@ fn interrupted_fig2_search_resumes_to_the_identical_result() {
     // Kill the engine one evaluation short of what the search needs: the
     // crash is guaranteed, and it lands as deep into the run as possible.
     let budget = reference.search.all_points.len() - 1;
-    let checkpoint = store.join("fig2_seeds_nsga2.json");
+    let checkpoint = "fig2_seeds_nsga2.json";
     let dying = DyingEngine {
         inner: experiment
             .build_engine()
@@ -315,16 +314,25 @@ fn interrupted_fig2_search_resumes_to_the_identical_result() {
     let mut ga_config = Effort::Quick.nsga2_config();
     ga_config.seed ^= 21;
     let searcher = printed_mlp::core::Nsga2::new(ga_config);
-    let crash = searcher.run_resumable(&dying, &checkpoint);
+    let dying_store = dying.inner.store().expect("store attached");
+    let crash =
+        searcher.run_resumable_store(&dying, dying_store, checkpoint, dying.inner.fingerprint());
     assert!(crash.is_err(), "the simulated crash must surface");
+    assert!(
+        store.join(checkpoint).exists(),
+        "the checkpoint document must survive the crash on disk"
+    );
 
-    // Fresh process: same store (warm evaluations) + same checkpoint.
+    // Fresh process: same store (warm evaluations + the checkpoint).
     let engine = experiment
         .build_engine()
         .unwrap()
         .with_store(&store)
         .unwrap();
-    let resumed = searcher.run_resumable(&engine, &checkpoint).unwrap();
+    let engine_store = engine.store().expect("store attached");
+    let resumed = searcher
+        .run_resumable_store(&engine, engine_store, checkpoint, engine.fingerprint())
+        .unwrap();
     assert_eq!(
         resumed, reference.search,
         "resumed search must equal the uninterrupted one"
