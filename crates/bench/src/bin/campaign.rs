@@ -8,8 +8,7 @@
 //! ```text
 //! cargo run --release -p pmlp-bench --bin campaign -- \
 //!     [datasets|all] [full|quick] [seed] [--quick] [--objectives LIST] \
-//!     [--store DIR] [--remote-store URL] [--resume] [--require-warm] \
-//!     [--worker-id ID] [--steal] [--lease-ttl-ms N]
+//!     [--store DIR] [--remote-store URL] [--resume] [--require-warm]
 //!
 //! cargo run --release -p pmlp-bench --bin campaign -- \
 //!     gc [full|quick] [seed] --store DIR
@@ -34,14 +33,6 @@
 //! evaluation and marker the first one computed. `--require-warm` makes the
 //! run fail if anything had to be freshly evaluated — CI uses it to prove
 //! that a store re-run is free.
-//!
-//! With `--worker-id ID` the process joins a *fleet*: instead of computing the
-//! battery statically, it claims one dataset at a time through short-lived
-//! leases in the shared store (`--store` and/or `--remote-store`), so K
-//! workers pointed at the same store split the battery dynamically and each
-//! assembles the full result from the fleet's completion markers. `--steal`
-//! additionally lets it break a crashed peer's *expired* lease and take over
-//! the dataset; `--lease-ttl-ms` tunes how long that takes to kick in.
 //!
 //! The `gc` subcommand garbage-collects a local store directory: it trains
 //! every registry baseline at the given effort/seed to learn the *live*
@@ -97,7 +88,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         durability: options.durability.unwrap_or_default(),
         remote_cooldown_ms: None,
         resume: options.resume,
-        worker: options.worker_options(),
     })
     .with_progress(move |report| {
         eprintln!(
@@ -124,29 +114,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             stats.computed.len(),
             stats.fresh_evaluations
         );
-        if let Some(worker) = &options.worker_id {
-            println!(
-                "worker {worker}: computed {:?}, stole {} expired lease(s){}",
-                stats
-                    .computed
-                    .iter()
-                    .map(|d| d.to_string())
-                    .collect::<Vec<_>>(),
-                stats.stolen.len(),
-                if stats.stolen.is_empty() {
-                    String::new()
-                } else {
-                    format!(
-                        " ({:?})",
-                        stats
-                            .stolen
-                            .iter()
-                            .map(|d| d.to_string())
-                            .collect::<Vec<_>>()
-                    )
-                }
-            );
-        }
     }
 
     let dir = Path::new("target")

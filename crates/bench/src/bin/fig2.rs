@@ -25,8 +25,7 @@
 //! (or replaces the directory with) a shared `pmlp-serve` tier: evaluations
 //! *and the GA checkpoint* replicate to the server, so another machine can
 //! resume the search. `--require-warm` fails the run if any evaluation had
-//! to be computed fresh. `--worker-id` is rejected: fleet workers split the
-//! `campaign` battery, while the GA is one population in one process.
+//! to be computed fresh.
 
 use pmlp_bench::{parse_cli, parse_effort, persist_json, render_figure2, render_headline};
 use pmlp_core::experiment::{headline_combined, Figure2Experiment};
@@ -36,9 +35,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let options = parse_cli(&args);
     options.validate()?;
-    if options.worker_id.is_some() {
-        return Err("--worker-id is campaign-only: fig2 runs one NSGA-II population".into());
-    }
     let dataset = options
         .positional
         .first()
@@ -61,7 +57,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
     // The backend doubles as the baseline characterization cache: a warm
     // store answers baseline training + synthesis with a single document
-    // read (this is also what makes joining a fleet mid-run cheap).
+    // read (this is also what makes a second worker on a shared store cheap).
     let backend = options.open_backend()?;
     let mut engine = experiment.build_engine_cached(backend.as_deref())?;
     if let Some(backend) = backend {

@@ -22,7 +22,7 @@
 //! `hw_eval_speedup` ratio (fast path vs full synthesis on the same spec) is
 //! the most machine-independent figure.
 
-use pmlp_bench::{persist_json, split_cli_args};
+use pmlp_bench::{parse_cli, persist_json};
 use pmlp_core::campaign::{Campaign, CampaignConfig};
 use pmlp_core::engine::{EvalEngine, Evaluator};
 use pmlp_core::experiment::{Effort, Figure2Experiment};
@@ -58,10 +58,6 @@ struct PerfReport {
     /// a loopback server: retries, circuit-breaker transitions and journal
     /// replay volume (see `ResilienceStats`).
     resilience: ResilienceMetrics,
-    /// Distributed campaign scheduling: one lease-queue worker vs two
-    /// loopback workers splitting the same battery by work stealing, at
-    /// identical per-dataset hypervolumes.
-    fleet: FleetMetrics,
     /// Process-wide constant-multiplier cost-cache counters at exit.
     multiplier_cache: MultiplierCache,
     /// Context for readers of the trajectory.
@@ -184,31 +180,6 @@ struct ResilienceMetrics {
 }
 
 #[derive(Debug, Serialize)]
-struct FleetMetrics {
-    /// Datasets in the measured battery (the full quick registry).
-    datasets: usize,
-    /// Wall-clock of ONE worker draining the whole battery through the
-    /// lease queue of a loopback `pmlp-serve` store, seconds.
-    single_worker_secs: f64,
-    /// Wall-clock of TWO workers against a fresh loopback store, splitting
-    /// the same battery dynamically by claiming/stealing leases, seconds
-    /// (slower worker, i.e. time to the last marker).
-    two_worker_secs: f64,
-    /// `single_worker_secs / two_worker_secs` — the distributed-scheduling
-    /// win at equal science.
-    speedup: f64,
-    /// Datasets each of the two workers computed (the dynamic split).
-    two_worker_split: (usize, usize),
-    /// Expired leases broken during the two-worker run (0 when nobody
-    /// crashed — stealing only kicks in on dead peers).
-    stolen: usize,
-    /// Whether every per-dataset hypervolume of both fleet runs equals the
-    /// classic single-process campaign's — the fixed-quality bar the
-    /// wall-clock comparison is made at.
-    hypervolumes_match_classic: bool,
-}
-
-#[derive(Debug, Serialize)]
 struct MultiplierCache {
     /// Cache hits.
     hits: u64,
@@ -254,9 +225,11 @@ fn whitewine_like_spec() -> CircuitSpec {
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let (positional, effort_flag) = split_cli_args(&args);
-    let quick = effort_flag == Some(Effort::Quick);
-    let seed: u64 = positional
+    let options = parse_cli(&args);
+    options.validate()?;
+    let quick = options.effort == Some(Effort::Quick);
+    let seed: u64 = options
+        .positional
         .first()
         .and_then(|s| s.parse().ok())
         .unwrap_or(42);
@@ -329,10 +302,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     //    appends journal, the restarted server is rejoined and replayed.
     let resilience = measure_resilience(if quick { 4 } else { 16 })?;
 
-    // 9. Distributed scheduling: one lease-queue worker vs two loopback
-    //    workers splitting the quick registry battery by work stealing.
-    let fleet = measure_fleet(seed, &campaign)?;
-
     let mul = pmlp_hw::cost::multiplier_cache_stats();
     let report = PerfReport {
         schema: "pmlp-perf-report/v1".into(),
@@ -350,7 +319,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         },
         store,
         resilience,
-        fleet,
         int_infer,
         campaign_engine: CampaignEngine {
             evaluations: campaign.reports.iter().map(|r| r.evaluations).sum(),
@@ -583,79 +551,6 @@ fn measure_resilience(
         replayed_records: stats.replayed_records,
         journal_dropped: stats.journal_dropped,
         cycle_secs: t0.elapsed().as_secs_f64(),
-    })
-}
-
-/// Measures the work-stealing campaign scheduler: the full quick registry
-/// battery drained through lease-queue worker mode against a loopback
-/// `pmlp-serve` coordination store — once by a single worker, once split
-/// dynamically between two workers — and checks both fleets land on exactly
-/// the classic campaign's per-dataset hypervolumes.
-///
-/// Each arm gets its own fresh server so neither inherits the other's
-/// evaluation cache, baselines or markers.
-fn measure_fleet(
-    seed: u64,
-    classic: &pmlp_core::campaign::CampaignResult,
-) -> Result<FleetMetrics, Box<dyn std::error::Error>> {
-    use pmlp_core::campaign::WorkerOptions;
-
-    let worker_config = |url: &str, id: &str| CampaignConfig {
-        effort: Effort::Quick,
-        seed,
-        remote_store: Some(url.to_string()),
-        worker: Some(WorkerOptions::new(id).with_steal(true)),
-        ..CampaignConfig::default()
-    };
-
-    // Arm 1: one worker claims and computes every dataset itself.
-    let server = pmlp_serve::spawn(&pmlp_serve::ServeConfig::default())?;
-    let t0 = Instant::now();
-    let (single_result, _) =
-        Campaign::new(worker_config(&server.url(), "solo")).run_with_stats()?;
-    let single_worker_secs = t0.elapsed().as_secs_f64();
-    server.stop();
-
-    // Arm 2: two workers split the battery through the same lease queue.
-    let server = pmlp_serve::spawn(&pmlp_serve::ServeConfig::default())?;
-    let t0 = Instant::now();
-    let spawn = |id: &str| {
-        let config = worker_config(&server.url(), id);
-        std::thread::spawn(move || Campaign::new(config).run_with_stats())
-    };
-    let first = spawn("w1");
-    let second = spawn("w2");
-    let (result_a, stats_a) = first.join().expect("worker w1 panicked")?;
-    let (result_b, stats_b) = second.join().expect("worker w2 panicked")?;
-    let two_worker_secs = t0.elapsed().as_secs_f64();
-    server.stop();
-
-    assert_eq!(
-        result_a, result_b,
-        "both fleet workers must assemble the same battery result"
-    );
-    let matches = |result: &pmlp_core::campaign::CampaignResult| {
-        result.reports.len() == classic.reports.len()
-            && result
-                .reports
-                .iter()
-                .zip(&classic.reports)
-                .all(|(fleet, single)| fleet.hypervolume == single.hypervolume)
-    };
-    let hypervolumes_match_classic = matches(&single_result) && matches(&result_a);
-    assert!(
-        hypervolumes_match_classic,
-        "fleet runs must reach the classic campaign's hypervolumes exactly"
-    );
-
-    Ok(FleetMetrics {
-        datasets: classic.reports.len(),
-        single_worker_secs,
-        two_worker_secs,
-        speedup: single_worker_secs / two_worker_secs.max(1e-9),
-        two_worker_split: (stats_a.computed.len(), stats_b.computed.len()),
-        stolen: stats_a.stolen.len() + stats_b.stolen.len(),
-        hypervolumes_match_classic,
     })
 }
 

@@ -53,7 +53,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         durability: options.durability.unwrap_or_default(),
         remote_cooldown_ms: None,
         resume: options.resume,
-        worker: options.worker_options(),
     });
     let (result, campaign_stats) = campaign.run_with_stats()?;
     let mut rows: Vec<HeadlineRow> = result

@@ -64,17 +64,6 @@ pub struct CliOptions<'a> {
     /// from `--drain-timeout-ms N`: how long a stopping server waits for
     /// in-flight requests before abandoning them (default 5s).
     pub drain_timeout_ms: Option<u64>,
-    /// Fleet identity from `--worker-id ID` (or `--worker-id=ID`): runs the
-    /// campaign in lease-based work-stealing worker mode. Requires a
-    /// persistence tier.
-    pub worker_id: Option<String>,
-    /// `--steal`: allow this campaign worker to break another worker's
-    /// *expired* lease and take over its dataset. Off by default — a
-    /// non-stealing worker waits for the peer's completion marker instead.
-    pub steal: bool,
-    /// Campaign lease time-to-live override in milliseconds from
-    /// `--lease-ttl-ms N` (default 30s; the holder renews at a third of it).
-    pub lease_ttl_ms: Option<u64>,
     /// A malformed command line detected during parsing (e.g. `--store`
     /// without a directory); surfaced by [`CliOptions::validate`].
     pub parse_error: Option<String>,
@@ -105,27 +94,7 @@ impl CliOptions<'_> {
         if self.workers == Some(0) {
             return Err("--workers must be positive".into());
         }
-        if self.worker_id.is_some() && !self.has_store() {
-            return Err("--worker-id needs --store DIR and/or --remote-store URL".into());
-        }
-        if self.worker_id.is_none() && (self.steal || self.lease_ttl_ms.is_some()) {
-            return Err("--steal/--lease-ttl-ms only make sense with --worker-id".into());
-        }
-        if self.lease_ttl_ms == Some(0) {
-            return Err("--lease-ttl-ms must be positive".into());
-        }
         Ok(())
-    }
-
-    /// Builds the campaign [`WorkerOptions`](pmlp_core::WorkerOptions) the
-    /// parsed flags select, or `None` when `--worker-id` was not given.
-    pub fn worker_options(&self) -> Option<pmlp_core::WorkerOptions> {
-        let id = self.worker_id.as_ref()?;
-        let mut worker = pmlp_core::WorkerOptions::new(id.clone()).with_steal(self.steal);
-        if let Some(ttl) = self.lease_ttl_ms {
-            worker.lease_ttl_ms = ttl;
-        }
-        Some(worker)
     }
 
     /// `true` when any persistence tier is configured.
@@ -159,13 +128,15 @@ impl CliOptions<'_> {
 /// Parses the raw CLI arguments (excluding the program name) of the bench
 /// binaries: positionals, the effort override and the persistence flags.
 /// Every value flag takes its value either attached (`--flag=value`) or as
-/// the next argument (`--flag value`).
+/// the next argument (`--flag value`); an argument starting with `--` that
+/// names no flag is an error. Parsing stops at the first malformed argument.
 pub fn parse_cli(args: &[String]) -> CliOptions<'_> {
     let mut options = CliOptions::default();
     let mut rest = args.iter();
     while let Some(arg) = rest.next() {
         if let Err(error) = parse_arg(&mut options, arg, &mut rest) {
             options.parse_error = Some(error);
+            break;
         }
     }
     options
@@ -188,19 +159,17 @@ fn parse_arg<'a>(
         ("--full", None) => options.effort = Some(Effort::Full),
         ("--resume", None) => options.resume = true,
         ("--require-warm", None) => options.require_warm = true,
-        ("--steal", None) => options.steal = true,
+        ("--quick" | "--full" | "--resume" | "--require-warm", Some(_)) => {
+            return Err(format!("{flag} takes no value"));
+        }
         ("--store", _) => options.store = Some(PathBuf::from(value.text("a", "directory")?)),
         ("--remote-store", _) => options.remote_store = Some(value.text("a", "URL")?.into()),
         ("--token", _) => options.token = Some(value.text("a", "token")?.into()),
-        ("--worker-id", _) => options.worker_id = Some(value.text("an", "identifier")?.into()),
         ("--remote-timeout-ms", _) => {
             options.remote_timeout_ms = Some(value.number("a number of milliseconds")?);
         }
         ("--drain-timeout-ms", _) => {
             options.drain_timeout_ms = Some(value.number("a number of milliseconds")?);
-        }
-        ("--lease-ttl-ms", _) => {
-            options.lease_ttl_ms = Some(value.number("a number of milliseconds")?);
         }
         ("--workers", _) => options.workers = Some(value.number("a thread count")?),
         ("--durability", _) => {
@@ -214,6 +183,7 @@ fn parse_arg<'a>(
             let space = pmlp_core::ObjectiveSpace::parse(list).map_err(|e| e.to_string())?;
             options.objectives = Some(space);
         }
+        _ if flag.starts_with("--") => return Err(format!("unknown flag {flag}")),
         _ => options.positional.push(arg),
     }
     Ok(())
@@ -257,15 +227,6 @@ impl<'a> FlagValue<'a, '_> {
             .and_then(|value| value.parse().ok())
             .ok_or_else(|| format!("{} needs {what}", self.flag))
     }
-}
-
-/// Splits raw CLI arguments (excluding the program name) into positional
-/// arguments and an effort override: `--quick` (or `-q`) anywhere on the
-/// command line forces [`Effort::Quick`], so CI can run the figure binaries
-/// without paper-scale budgets regardless of positional defaults.
-pub fn split_cli_args(args: &[String]) -> (Vec<&str>, Option<Effort>) {
-    let options = parse_cli(args);
-    (options.positional, options.effort)
 }
 
 /// Renders one Fig. 1 subplot as the text table the paper plots.
@@ -354,14 +315,14 @@ mod tests {
             .iter()
             .map(|s| s.to_string())
             .collect();
-        let (positional, effort) = split_cli_args(&args);
-        assert_eq!(positional, vec!["seeds", "7"]);
-        assert_eq!(effort, Some(Effort::Quick));
+        let options = parse_cli(&args);
+        assert_eq!(options.positional, vec!["seeds", "7"]);
+        assert_eq!(options.effort, Some(Effort::Quick));
 
         let args: Vec<String> = ["seeds", "full"].iter().map(|s| s.to_string()).collect();
-        let (positional, effort) = split_cli_args(&args);
-        assert_eq!(positional, vec!["seeds", "full"]);
-        assert_eq!(effort, None);
+        let options = parse_cli(&args);
+        assert_eq!(options.positional, vec!["seeds", "full"]);
+        assert_eq!(options.effort, None);
     }
 
     #[test]
@@ -571,89 +532,6 @@ mod tests {
     }
 
     #[test]
-    fn worker_flags_are_parsed_in_both_forms() {
-        let args: Vec<String> = [
-            "all",
-            "--store",
-            "target/s",
-            "--worker-id",
-            "w1",
-            "--steal",
-            "--lease-ttl-ms",
-            "5000",
-        ]
-        .iter()
-        .map(|s| s.to_string())
-        .collect();
-        let options = parse_cli(&args);
-        assert_eq!(options.worker_id.as_deref(), Some("w1"));
-        assert!(options.steal);
-        assert_eq!(options.lease_ttl_ms, Some(5000));
-        assert!(options.validate().is_ok());
-        let worker = options.worker_options().expect("worker mode");
-        assert_eq!(worker.id, "w1");
-        assert!(worker.steal);
-        assert_eq!(worker.lease_ttl_ms, 5000);
-
-        let args: Vec<String> = ["--store=target/s", "--worker-id=w2", "--lease-ttl-ms=100"]
-            .iter()
-            .map(|s| s.to_string())
-            .collect();
-        let options = parse_cli(&args);
-        assert_eq!(options.worker_id.as_deref(), Some("w2"));
-        assert_eq!(options.lease_ttl_ms, Some(100));
-        assert!(!options.steal, "stealing is opt-in");
-        assert!(options.validate().is_ok());
-
-        assert!(parse_cli(&[]).worker_options().is_none());
-    }
-
-    #[test]
-    fn worker_flags_are_validated() {
-        // --worker-id without a persistence tier is rejected.
-        let args: Vec<String> = ["--worker-id", "w1"]
-            .iter()
-            .map(|s| s.to_string())
-            .collect();
-        assert!(parse_cli(&args).validate().is_err());
-
-        // Dependent flags without --worker-id are rejected.
-        for bad in [
-            vec!["--store", "target/s", "--steal"],
-            vec!["--store", "target/s", "--lease-ttl-ms", "100"],
-        ] {
-            let args: Vec<String> = bad.iter().map(|s| s.to_string()).collect();
-            assert!(
-                parse_cli(&args).validate().is_err(),
-                "{bad:?} must be rejected"
-            );
-        }
-
-        // Missing values, non-numbers and zeros are rejected.
-        for bad in [
-            vec!["--worker-id"],
-            vec!["--worker-id", "--steal"],
-            vec!["--worker-id="],
-            vec!["--lease-ttl-ms", "soon"],
-            vec!["--lease-ttl-ms="],
-            vec![
-                "--store",
-                "target/s",
-                "--worker-id",
-                "w",
-                "--lease-ttl-ms",
-                "0",
-            ],
-        ] {
-            let args: Vec<String> = bad.iter().map(|s| s.to_string()).collect();
-            assert!(
-                parse_cli(&args).validate().is_err(),
-                "{bad:?} must be rejected"
-            );
-        }
-    }
-
-    #[test]
     fn open_backend_composes_the_selected_tiers() {
         let dir = std::env::temp_dir().join(format!(
             "pmlp-bench-backend-{}-{:?}",
@@ -707,24 +585,21 @@ mod tests {
                 "--remote-store= needs a non-empty URL",
             ),
             (vec!["--token", "-x"], "--token needs a token argument"),
-            (
-                vec!["--worker-id"],
-                "--worker-id needs an identifier argument",
-            ),
-            (
-                vec!["--worker-id="],
-                "--worker-id= needs a non-empty identifier",
-            ),
             (vec!["--workers="], "--workers needs a thread count"),
-            (
-                vec!["--lease-ttl-ms", "--steal"],
-                "--lease-ttl-ms needs a number of milliseconds",
-            ),
             (vec!["--durability"], "--durability needs a policy argument"),
             (
                 vec!["--objectives", "--resume"],
                 "--objectives needs a comma-separated objective list",
             ),
+            // Unknown flags are errors, not positionals, in both forms.
+            (
+                vec!["all", "--quick", "--worker-id", "w1", "--steal"],
+                "unknown flag --worker-id",
+            ),
+            (vec!["--worker-id=w1"], "unknown flag --worker-id"),
+            (vec!["--steal"], "unknown flag --steal"),
+            (vec!["--lease-ttl-ms=100"], "unknown flag --lease-ttl-ms"),
+            (vec!["--quick=yes"], "--quick takes no value"),
         ] {
             let args: Vec<String> = args.iter().map(|s| s.to_string()).collect();
             assert_eq!(parse_cli(&args).validate().unwrap_err(), error, "{args:?}");

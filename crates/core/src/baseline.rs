@@ -6,8 +6,8 @@
 //! gate-level synthesis of the reference circuit. With a store attached,
 //! [`BaselineDesign::train_cached`] persists the trained model and its
 //! measured characterization as a store document keyed by the exact training
-//! budget, so resumed campaigns, figure re-runs and fleet workers that steal
-//! a dataset all skip straight past it. Any change to the budget (or the
+//! budget, so resumed campaigns, figure re-runs and second workers on a
+//! shared store all skip straight past it. Any change to the budget (or the
 //! dataset/seed) changes the document fingerprint and self-invalidates the
 //! cache.
 
@@ -246,8 +246,8 @@ impl BaselineDesign {
     /// numbers are loaded verbatim and only the (cheap, deterministic) data
     /// splits are regenerated, skipping full-precision training and reference
     /// synthesis entirely. On a miss the baseline trains normally and the
-    /// characterization is published for the next run (or the next fleet
-    /// worker: a stolen dataset's baseline is already warm). Unreadable or
+    /// characterization is published for the next run (or the next worker
+    /// on the same shared store). Unreadable or
     /// mismatched documents fall back to training, never to an error.
     ///
     /// # Errors

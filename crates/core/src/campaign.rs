@@ -58,9 +58,8 @@ use rayon::prelude::*;
 use serde::json::{self, Value};
 use serde::{Deserialize, Serialize};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// What a [`Campaign`] runs: which datasets, at which effort, under which
 /// seed and accuracy-loss threshold.
@@ -119,64 +118,6 @@ pub struct CampaignConfig {
     /// instead of being re-swept (baselines always train — their fingerprint
     /// is what proves a marker is still valid).
     pub resume: bool,
-    /// Runs this process as one worker of a multi-worker fleet: instead of
-    /// the static rayon fan-out over the dataset battery, datasets are
-    /// claimed dynamically through short-lived **lease documents** in the
-    /// shared store (claim → heartbeat → renew → expire → steal), so K
-    /// workers pointed at the same store split the battery between them and
-    /// a killed worker's dataset is taken over once its lease expires. `None`
-    /// (the default) keeps the classic single-process run — byte-identical
-    /// artifacts to every release since the campaign existed. Requires a
-    /// store tier; completion markers are the fleet's completion signal, so
-    /// worker mode honours them regardless of [`CampaignConfig::resume`].
-    /// Worker identity, stealing and lease timing are deliberately *not*
-    /// part of the completion-marker fingerprint: the science is identical,
-    /// only the scheduling differs.
-    pub worker: Option<WorkerOptions>,
-}
-
-/// How one fleet worker participates in the lease-based campaign scheduler
-/// (see [`CampaignConfig::worker`]).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct WorkerOptions {
-    /// Stable identity of this worker, recorded in the leases it holds. Must
-    /// be a safe document-name component (letters, digits, `.`/`_`/`-`).
-    pub id: String,
-    /// When `true`, this worker may **steal**: claim a dataset whose lease —
-    /// held by another worker — has expired without a completion marker
-    /// appearing (the signature of a killed or wedged peer). When `false`,
-    /// the worker only claims unleased datasets and waits for its peers'
-    /// markers otherwise, so a dead peer stalls the run; fleets that want
-    /// fault tolerance run with stealing on.
-    pub steal: bool,
-    /// Lease time-to-live in milliseconds: how long a claim stays exclusive
-    /// without a heartbeat renewal. The holder renews at a third of this
-    /// period, so a TTL needs to comfortably exceed store round-trip times;
-    /// it also bounds how long a killed worker's dataset stays orphaned.
-    pub lease_ttl_ms: u64,
-    /// How long a worker with nothing claimable sleeps between polls of the
-    /// lease board and the completion markers, in milliseconds.
-    pub poll_ms: u64,
-}
-
-impl WorkerOptions {
-    /// Worker options for `id` with production timing defaults (30 s leases,
-    /// 200 ms polls, stealing off).
-    pub fn new(id: impl Into<String>) -> Self {
-        WorkerOptions {
-            id: id.into(),
-            steal: false,
-            lease_ttl_ms: 30_000,
-            poll_ms: 200,
-        }
-    }
-
-    /// Enables lease stealing (see [`WorkerOptions::steal`]).
-    #[must_use]
-    pub fn with_steal(mut self, steal: bool) -> Self {
-        self.steal = steal;
-        self
-    }
 }
 
 impl Default for CampaignConfig {
@@ -193,7 +134,6 @@ impl Default for CampaignConfig {
             durability: crate::store::DurabilityPolicy::default(),
             remote_cooldown_ms: None,
             resume: false,
-            worker: None,
         }
     }
 }
@@ -351,10 +291,6 @@ pub struct CampaignRunStats {
     /// — `0` means the run was answered entirely from markers and/or the
     /// persistent store.
     pub fresh_evaluations: usize,
-    /// Datasets this worker claimed by breaking another worker's **expired**
-    /// lease (worker mode with stealing only; always a subset of
-    /// [`CampaignRunStats::computed`]).
-    pub stolen: Vec<UciDataset>,
 }
 
 /// Magic string of campaign completion markers.
@@ -362,50 +298,6 @@ const MARKER_MAGIC: &str = "pmlp-campaign-marker";
 
 /// Format version of campaign completion markers.
 const MARKER_VERSION: u32 = 1;
-
-/// Magic string of campaign lease documents.
-const LEASE_MAGIC: &str = "pmlp-campaign-lease";
-
-/// Format version of campaign lease documents.
-const LEASE_VERSION: u32 = 1;
-
-/// How long a claimer waits between writing its lease and reading it back to
-/// detect a lost claim race. Two workers that write the same lease within
-/// this window both re-read after it, so at most one sees itself as the
-/// holder; a race lost later merely duplicates work (markers and evaluations
-/// are idempotent), it never corrupts results.
-const CLAIM_SETTLE_MS: u64 = 25;
-
-/// Builds the sealed lease document `holder` renews: the envelope fingerprint
-/// binds it to the campaign settings and `deadline_ms` (epoch milliseconds)
-/// is what garbage collection and stealing peers test expiry against.
-fn lease_document(fingerprint: u64, holder: &str, deadline_ms: u64) -> Value {
-    crate::store::seal_envelope(
-        LEASE_MAGIC,
-        LEASE_VERSION,
-        fingerprint,
-        vec![
-            ("worker".into(), Value::String(holder.to_string())),
-            ("deadline_ms".into(), Value::Number(deadline_ms as f64)),
-        ],
-    )
-}
-
-/// Guard of a running lease-renewal thread: dropping it stops and joins the
-/// thread (the lease itself is released separately by the worker loop).
-struct LeaseHeartbeat {
-    stop: Arc<AtomicBool>,
-    handle: Option<std::thread::JoinHandle<()>>,
-}
-
-impl Drop for LeaseHeartbeat {
-    fn drop(&mut self) {
-        self.stop.store(true, Ordering::Relaxed);
-        if let Some(handle) = self.handle.take() {
-            handle.join().ok();
-        }
-    }
-}
 
 type CampaignProgressFn = dyn Fn(&DatasetReport) + Send + Sync;
 
@@ -505,8 +397,8 @@ impl Campaign {
         backend: Option<&Arc<dyn StoreBackend>>,
     ) -> Result<EvalEngine, CoreError> {
         // The baseline characterization itself is cached in the store (keyed
-        // by the exact budget): resumed runs and fleet workers that steal a
-        // dataset skip the training + reference-synthesis cost entirely.
+        // by the exact budget): resumed runs and second workers on a shared
+        // store skip the training + reference-synthesis cost entirely.
         let engine = EvalEngine::train_cached(
             dataset,
             self.config.seed,
@@ -544,9 +436,6 @@ impl Campaign {
             return Err(CoreError::InvalidConfig {
                 context: "campaign needs at least one dataset".into(),
             });
-        }
-        if let Some(worker) = &self.config.worker {
-            return self.run_worker(worker);
         }
         // One backend instance for the whole run: tier state (a degraded
         // remote, cached append handles) is shared by every dataset.
@@ -604,7 +493,6 @@ impl Campaign {
                 .filter(|(_, was_resumed)| !*was_resumed)
                 .map(|(report, _)| report.evaluations)
                 .sum(),
-            stolen: Vec::new(),
         };
         let reports: Vec<DatasetReport> = outcomes.into_iter().map(|(report, _)| report).collect();
         Ok((
@@ -669,19 +557,7 @@ impl Campaign {
         if !self.config.resume {
             return None;
         }
-        self.load_marker_any(backend?, dataset, engine_fingerprint)
-    }
-
-    /// [`Campaign::load_marker`] without the `resume` gate: worker mode reads
-    /// markers unconditionally — they are how a fleet learns that a peer
-    /// finished a dataset.
-    fn load_marker_any(
-        &self,
-        backend: &dyn StoreBackend,
-        dataset: UciDataset,
-        engine_fingerprint: u64,
-    ) -> Option<DatasetReport> {
-        let text = backend.get_doc(&self.marker_doc_name(dataset)).ok()??;
+        let text = backend?.get_doc(&self.marker_doc_name(dataset)).ok()??;
         let parsed = json::parse(&text).ok()?;
         let value = crate::store::check_envelope(
             &parsed,
@@ -716,328 +592,6 @@ impl Campaign {
             &self.marker_doc_name(report.dataset),
             &value.render_pretty(),
         )
-    }
-
-    /// Document name of `dataset`'s lease: the claim a fleet worker holds
-    /// while it computes the dataset. Bound to the same settings fingerprint
-    /// as the completion markers, so fleets under different settings never
-    /// contend for each other's leases.
-    pub fn lease_doc_name(&self, dataset: UciDataset) -> String {
-        format!(
-            "lease_{}_{:016x}.json",
-            dataset.to_string().to_lowercase(),
-            self.marker_fingerprint()
-        )
-    }
-
-    /// Reads `(holder, deadline_ms)` out of a lease document; `None` for a
-    /// missing, unreadable or foreign-settings lease (all of which a claimer
-    /// treats as "not held").
-    pub fn read_lease(&self, backend: &dyn StoreBackend, name: &str) -> Option<(String, u64)> {
-        // Leases are mutable and contended: the read MUST see the shared
-        // tier's latest state, not this worker's own write-through copy —
-        // a local-first read would make every claim read-back succeed.
-        let text = backend.get_doc_fresh(name).ok()??;
-        let parsed = json::parse(&text).ok()?;
-        let value = crate::store::check_envelope(
-            &parsed,
-            LEASE_MAGIC,
-            LEASE_VERSION,
-            self.marker_fingerprint(),
-        )?;
-        let holder = value.get("worker")?.as_str()?.to_string();
-        let deadline = match value.get("deadline_ms")? {
-            Value::Number(n) if *n >= 0.0 => *n as u64,
-            _ => return None,
-        };
-        Some((holder, deadline))
-    }
-
-    /// Writes (or renews) `worker`'s lease under `name` with a fresh
-    /// `now + lease_ttl_ms` deadline.
-    fn write_lease(
-        &self,
-        backend: &dyn StoreBackend,
-        name: &str,
-        worker: &WorkerOptions,
-    ) -> Result<(), CoreError> {
-        let value = lease_document(
-            self.marker_fingerprint(),
-            &worker.id,
-            crate::store::now_epoch_ms().saturating_add(worker.lease_ttl_ms),
-        );
-        backend.put_doc(name, &value.render_pretty())
-    }
-
-    /// Attempts to claim `dataset` for `worker`: `Ok(None)` when the lease is
-    /// held by a live peer (or an expired peer and stealing is off, or the
-    /// claim race was lost); `Ok(Some(stolen))` when the claim succeeded,
-    /// with `stolen` recording that another worker's expired lease was
-    /// broken.
-    ///
-    /// The claim is last-write-wins with a read-back: write the lease, wait
-    /// a short settle interval, read it back and proceed only if this worker
-    /// is still the holder. A race lost after the read-back duplicates work at
-    /// worst — evaluations are cached and markers idempotent — it never
-    /// corrupts results.
-    ///
-    /// Public so fleet tooling (and the integration suite) can drive the
-    /// lease protocol directly; [`Campaign::run_with_stats`] in worker mode
-    /// is the normal consumer.
-    pub fn try_claim(
-        &self,
-        backend: &dyn StoreBackend,
-        dataset: UciDataset,
-        worker: &WorkerOptions,
-    ) -> Result<Option<bool>, CoreError> {
-        let name = self.lease_doc_name(dataset);
-        let mut stolen = false;
-        if let Some((holder, deadline)) = self.read_lease(backend, &name) {
-            if holder != worker.id {
-                if deadline >= crate::store::now_epoch_ms() || !worker.steal {
-                    return Ok(None);
-                }
-                stolen = true;
-            }
-            // Our own lingering lease (a previous incarnation of this worker
-            // died mid-dataset): reclaim it silently.
-        }
-        self.write_lease(backend, &name, worker)?;
-        std::thread::sleep(Duration::from_millis(CLAIM_SETTLE_MS));
-        match self.read_lease(backend, &name) {
-            Some((holder, _)) if holder == worker.id => Ok(Some(stolen)),
-            _ => Ok(None),
-        }
-    }
-
-    /// Drops `worker`'s lease on `dataset` if it still holds it. Best-effort:
-    /// a failed removal merely leaves a lease to expire on its own.
-    pub fn release_lease(
-        &self,
-        backend: &dyn StoreBackend,
-        dataset: UciDataset,
-        worker: &WorkerOptions,
-    ) {
-        let name = self.lease_doc_name(dataset);
-        if matches!(self.read_lease(backend, &name), Some((holder, _)) if holder == worker.id) {
-            backend.remove_doc(&name).ok();
-        }
-    }
-
-    /// Spawns the heartbeat thread that renews `worker`'s lease on `dataset`
-    /// at a third of its TTL while the dataset computes. Stops (and joins)
-    /// when the returned guard drops.
-    fn start_heartbeat(
-        &self,
-        backend: Arc<dyn StoreBackend>,
-        dataset: UciDataset,
-        worker: &WorkerOptions,
-    ) -> LeaseHeartbeat {
-        let stop = Arc::new(AtomicBool::new(false));
-        let flag = Arc::clone(&stop);
-        let name = self.lease_doc_name(dataset);
-        let id = worker.id.clone();
-        let fingerprint = self.marker_fingerprint();
-        let ttl = worker.lease_ttl_ms;
-        let handle = std::thread::spawn(move || {
-            let renew_every = Duration::from_millis((ttl / 3).max(1));
-            // Sleep in short slices so a finished dataset is not held hostage
-            // by a long renewal period.
-            let slice = Duration::from_millis(20).min(renew_every);
-            let mut last_renewal = Instant::now();
-            while !flag.load(Ordering::Relaxed) {
-                std::thread::sleep(slice);
-                if flag.load(Ordering::Relaxed) {
-                    break;
-                }
-                if last_renewal.elapsed() >= renew_every {
-                    let value = lease_document(
-                        fingerprint,
-                        &id,
-                        crate::store::now_epoch_ms().saturating_add(ttl),
-                    );
-                    // Renewal failures are tolerated: the tiered breaker
-                    // journals local writes, and a missed renewal risks a
-                    // duplicated dataset via a steal, never corruption.
-                    backend.put_doc(&name, &value.render_pretty()).ok();
-                    last_renewal = Instant::now();
-                }
-            }
-        });
-        LeaseHeartbeat {
-            stop,
-            handle: Some(handle),
-        }
-    }
-
-    /// The fleet-worker run loop behind [`Campaign::run_with_stats`] when
-    /// [`CampaignConfig::worker`] is set: repeatedly sweep the battery,
-    /// resolving each dataset from a peer's completion marker or by claiming
-    /// its lease and computing it; sleep and re-poll when everything is
-    /// leased out elsewhere. Terminates when every dataset has a report.
-    fn run_worker(
-        &self,
-        worker: &WorkerOptions,
-    ) -> Result<(CampaignResult, CampaignRunStats), CoreError> {
-        if !crate::store::safe_component(&worker.id) {
-            return Err(CoreError::InvalidConfig {
-                context: format!(
-                    "worker id `{}` is not a safe document-name component",
-                    worker.id
-                ),
-            });
-        }
-        if worker.lease_ttl_ms == 0 || worker.poll_ms == 0 {
-            return Err(CoreError::InvalidConfig {
-                context: "worker lease TTL and poll interval must be positive".into(),
-            });
-        }
-        let Some(backend) = self.open_backend()? else {
-            return Err(CoreError::InvalidConfig {
-                context: "worker mode needs a store tier (store_dir and/or remote_store)".into(),
-            });
-        };
-        // The work list: configuration order, deduplicated (two workers must
-        // never race on termination bookkeeping for a repeated entry).
-        let mut battery: Vec<UciDataset> = Vec::new();
-        for &dataset in &self.config.datasets {
-            if !battery.contains(&dataset) {
-                battery.push(dataset);
-            }
-        }
-        // (dataset, report, was_resumed, was_stolen), in completion order.
-        let mut outcomes: Vec<(UciDataset, DatasetReport, bool, bool)> = Vec::new();
-        while outcomes.len() < battery.len() {
-            let mut progress = false;
-            for &dataset in &battery {
-                if outcomes.iter().any(|(done, ..)| *done == dataset) {
-                    continue;
-                }
-                // A completion marker — ours from an earlier run or a peer's
-                // from this one — resolves the dataset without claiming it.
-                // Validating it needs the baseline fingerprint, but the
-                // baseline characterization cache (published by whichever
-                // worker computed the dataset) makes that engine build cheap.
-                let marker_present = backend
-                    .get_doc(&self.marker_doc_name(dataset))
-                    .ok()
-                    .flatten()
-                    .is_some();
-                if marker_present {
-                    let engine = self.build_engine_with(dataset, Some(&backend))?;
-                    if let Some(report) =
-                        self.load_marker_any(&*backend, dataset, engine.fingerprint())
-                    {
-                        if let Some(callback) = &self.progress {
-                            callback(&report);
-                        }
-                        outcomes.push((dataset, report, true, false));
-                        progress = true;
-                        continue;
-                    }
-                    // A stale marker (another baseline): claim and recompute.
-                }
-                let Some(was_stolen) = self.try_claim(&*backend, dataset, worker)? else {
-                    continue;
-                };
-                let start = Instant::now();
-                let engine = self.build_engine_with(dataset, Some(&backend))?;
-                // A peer may have finished the dataset while the baseline
-                // trained; its marker wins and our lease is surrendered.
-                if let Some(report) = self.load_marker_any(&*backend, dataset, engine.fingerprint())
-                {
-                    self.release_lease(&*backend, dataset, worker);
-                    if let Some(callback) = &self.progress {
-                        callback(&report);
-                    }
-                    outcomes.push((dataset, report, true, false));
-                    progress = true;
-                    continue;
-                }
-                let heartbeat = self.start_heartbeat(Arc::clone(&backend), dataset, worker);
-                let outcome = self.run_dataset_with(dataset, &engine, start);
-                drop(heartbeat);
-                let report = match outcome {
-                    Ok(report) => report,
-                    Err(err) => {
-                        // Surrender the lease so a peer can take over instead
-                        // of waiting out the TTL.
-                        self.release_lease(&*backend, dataset, worker);
-                        return Err(err);
-                    }
-                };
-                self.write_marker(Some(&*backend), &report, engine.fingerprint())?;
-                self.release_lease(&*backend, dataset, worker);
-                if let Some(callback) = &self.progress {
-                    callback(&report);
-                }
-                outcomes.push((dataset, report, false, was_stolen));
-                progress = true;
-            }
-            if outcomes.len() < battery.len() && !progress {
-                std::thread::sleep(Duration::from_millis(worker.poll_ms));
-            }
-        }
-        backend.flush()?;
-        // Reports in configuration order (repeated entries share a report),
-        // byte-identical to what an uninterrupted classic run would emit.
-        let report_for = |dataset: UciDataset| {
-            outcomes
-                .iter()
-                .find(|(done, ..)| *done == dataset)
-                .map(|(_, report, ..)| report.clone())
-                .expect("every battery dataset resolved")
-        };
-        let reports: Vec<DatasetReport> = self
-            .config
-            .datasets
-            .iter()
-            .map(|&dataset| report_for(dataset))
-            .collect();
-        let stats = CampaignRunStats {
-            resumed: battery
-                .iter()
-                .copied()
-                .filter(|d| {
-                    outcomes
-                        .iter()
-                        .any(|(done, _, resumed, _)| done == d && *resumed)
-                })
-                .collect(),
-            computed: battery
-                .iter()
-                .copied()
-                .filter(|d| {
-                    outcomes
-                        .iter()
-                        .any(|(done, _, resumed, _)| done == d && !*resumed)
-                })
-                .collect(),
-            fresh_evaluations: outcomes
-                .iter()
-                .filter(|(_, _, resumed, _)| !*resumed)
-                .map(|(_, report, ..)| report.evaluations)
-                .sum(),
-            stolen: battery
-                .iter()
-                .copied()
-                .filter(|d| {
-                    outcomes
-                        .iter()
-                        .any(|(done, _, _, stolen)| done == d && *stolen)
-                })
-                .collect(),
-        };
-        Ok((
-            CampaignResult {
-                effort: self.config.effort,
-                seed: self.config.seed,
-                max_accuracy_loss: self.config.max_accuracy_loss,
-                objectives: self.config.objectives.to_string(),
-                reports,
-            },
-            stats,
-        ))
     }
 
     /// Runs one dataset of the campaign: trains its baseline, sweeps the
@@ -1154,7 +708,6 @@ mod tests {
             durability: crate::store::DurabilityPolicy::default(),
             remote_cooldown_ms: None,
             resume,
-            worker: None,
         }
     }
 
@@ -1311,201 +864,6 @@ mod tests {
             .run_with_stats()
             .unwrap();
         assert_eq!(classic.resumed, datasets);
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    fn worker_config(
-        datasets: Vec<UciDataset>,
-        dir: &Path,
-        id: &str,
-        steal: bool,
-    ) -> CampaignConfig {
-        CampaignConfig {
-            worker: Some(WorkerOptions {
-                id: id.into(),
-                steal,
-                lease_ttl_ms: 10_000,
-                poll_ms: 25,
-            }),
-            ..store_config(datasets, dir, false)
-        }
-    }
-
-    #[test]
-    fn worker_fleet_splits_the_battery_and_agrees_with_the_classic_run() {
-        let dir = std::env::temp_dir().join(format!(
-            "pmlp-campaign-fleet-{}-{:?}",
-            std::process::id(),
-            std::thread::current().id()
-        ));
-        std::fs::remove_dir_all(&dir).ok();
-        let datasets = vec![UciDataset::Seeds, UciDataset::Balance];
-
-        let classic = Campaign::new(CampaignConfig {
-            datasets: datasets.clone(),
-            effort: Effort::Quick,
-            seed: 5,
-            ..CampaignConfig::default()
-        })
-        .run()
-        .unwrap();
-
-        let spawn_worker = |id: &str| {
-            let config = worker_config(datasets.clone(), &dir, id, true);
-            std::thread::spawn(move || Campaign::new(config).run_with_stats().unwrap())
-        };
-        let first = spawn_worker("w1");
-        let second = spawn_worker("w2");
-        let (result_a, stats_a) = first.join().unwrap();
-        let (result_b, stats_b) = second.join().unwrap();
-
-        // The fleet partitioned the battery: every dataset computed exactly
-        // once, each worker resumed what its peer computed.
-        for dataset in &datasets {
-            let in_a = stats_a.computed.contains(dataset);
-            let in_b = stats_b.computed.contains(dataset);
-            assert!(in_a ^ in_b, "{dataset:?} must be computed exactly once");
-        }
-        assert_eq!(
-            stats_a.computed.len() + stats_a.resumed.len(),
-            datasets.len()
-        );
-        assert_eq!(
-            stats_b.computed.len() + stats_b.resumed.len(),
-            datasets.len()
-        );
-
-        // Both workers assemble the full, identical battery result, and the
-        // science matches the classic single-process run.
-        assert_eq!(result_a, result_b, "fleet results must agree");
-        assert_eq!(result_a.reports.len(), classic.reports.len());
-        for (fleet, single) in result_a.reports.iter().zip(&classic.reports) {
-            assert_eq!(fleet.series, single.series);
-            assert_eq!(fleet.headline, single.headline);
-            assert_eq!(fleet.hypervolume, single.hypervolume);
-            assert_eq!(fleet.baseline_accuracy, single.baseline_accuracy);
-        }
-
-        // The store is clean: leases released, one marker per dataset.
-        let campaign = Campaign::new(worker_config(datasets.clone(), &dir, "w1", true));
-        let backend = campaign.open_backend().unwrap().unwrap();
-        for &dataset in &datasets {
-            assert!(
-                backend
-                    .get_doc(&campaign.lease_doc_name(dataset))
-                    .unwrap()
-                    .is_none(),
-                "lease of {dataset:?} must be released"
-            );
-            assert!(backend
-                .get_doc(&campaign.marker_doc_name(dataset))
-                .unwrap()
-                .is_some());
-        }
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn expired_leases_are_stolen_and_live_leases_block_claims() {
-        use crate::store::MemoryBackend;
-        let backend = MemoryBackend::new();
-        let datasets = vec![UciDataset::Seeds];
-        let campaign = Campaign::new(CampaignConfig {
-            datasets,
-            effort: Effort::Quick,
-            seed: 5,
-            worker: Some(WorkerOptions::new("survivor").with_steal(true)),
-            ..CampaignConfig::default()
-        });
-        let worker = campaign.config().worker.clone().unwrap();
-        let name = campaign.lease_doc_name(UciDataset::Seeds);
-
-        // A live lease held by a peer blocks the claim.
-        let live = lease_document(
-            campaign.marker_fingerprint(),
-            "peer",
-            crate::store::now_epoch_ms() + 60_000,
-        );
-        backend.put_doc(&name, &live.render_pretty()).unwrap();
-        assert_eq!(
-            campaign
-                .try_claim(&backend, UciDataset::Seeds, &worker)
-                .unwrap(),
-            None
-        );
-
-        // An expired peer lease is stolen — but only with stealing enabled.
-        let expired = lease_document(campaign.marker_fingerprint(), "peer", 1);
-        backend.put_doc(&name, &expired.render_pretty()).unwrap();
-        let timid = WorkerOptions::new("survivor");
-        assert_eq!(
-            campaign
-                .try_claim(&backend, UciDataset::Seeds, &timid)
-                .unwrap(),
-            None,
-            "stealing off: an expired peer lease still blocks"
-        );
-        assert_eq!(
-            campaign
-                .try_claim(&backend, UciDataset::Seeds, &worker)
-                .unwrap(),
-            Some(true),
-            "stealing on: the expired lease is broken"
-        );
-        let (holder, deadline) = campaign.read_lease(&backend, &name).unwrap();
-        assert_eq!(holder, "survivor");
-        assert!(deadline > crate::store::now_epoch_ms());
-
-        // Reclaiming our own lease is not a steal; releasing drops the doc.
-        assert_eq!(
-            campaign
-                .try_claim(&backend, UciDataset::Seeds, &worker)
-                .unwrap(),
-            Some(false)
-        );
-        campaign.release_lease(&backend, UciDataset::Seeds, &worker);
-        assert!(backend.get_doc(&name).unwrap().is_none());
-
-        // A foreign-settings lease is invisible (treated as unclaimed), and
-        // release never drops a lease we do not hold.
-        let foreign = lease_document(0xDEAD, "peer", crate::store::now_epoch_ms() + 60_000);
-        backend.put_doc(&name, &foreign.render_pretty()).unwrap();
-        assert!(campaign.read_lease(&backend, &name).is_none());
-        campaign.release_lease(&backend, UciDataset::Seeds, &worker);
-        assert!(backend.get_doc(&name).unwrap().is_some());
-    }
-
-    #[test]
-    fn worker_mode_validates_its_configuration() {
-        let no_store = Campaign::new(CampaignConfig {
-            datasets: vec![UciDataset::Seeds],
-            worker: Some(WorkerOptions::new("w1")),
-            ..CampaignConfig::default()
-        });
-        assert!(matches!(
-            no_store.run(),
-            Err(CoreError::InvalidConfig { .. })
-        ));
-
-        let dir = std::env::temp_dir().join(format!(
-            "pmlp-campaign-worker-validate-{}-{:?}",
-            std::process::id(),
-            std::thread::current().id()
-        ));
-        let bad_id = Campaign::new(worker_config(
-            vec![UciDataset::Seeds],
-            &dir,
-            "../escape",
-            false,
-        ));
-        assert!(matches!(bad_id.run(), Err(CoreError::InvalidConfig { .. })));
-
-        let mut zero_ttl = worker_config(vec![UciDataset::Seeds], &dir, "w1", false);
-        zero_ttl.worker.as_mut().unwrap().lease_ttl_ms = 0;
-        assert!(matches!(
-            Campaign::new(zero_ttl).run(),
-            Err(CoreError::InvalidConfig { .. })
-        ));
         std::fs::remove_dir_all(&dir).ok();
     }
 

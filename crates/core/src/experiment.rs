@@ -193,7 +193,7 @@ impl Figure1Experiment {
     /// to) the baseline characterization cache in `backend` — see
     /// [`BaselineDesign::train_cached`](crate::baseline::BaselineDesign::train_cached).
     /// A warm cache turns the most expensive part of figure regeneration and
-    /// of stealing a campaign dataset into a single document read.
+    /// of resuming a campaign dataset into a single document read.
     ///
     /// # Errors
     ///

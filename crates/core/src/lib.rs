@@ -57,9 +57,7 @@ pub mod store;
 pub mod sweep;
 
 pub use baseline::{baseline_doc_name, BaselineConfig, BaselineDesign};
-pub use campaign::{
-    Campaign, CampaignConfig, CampaignResult, CampaignRunStats, DatasetReport, WorkerOptions,
-};
+pub use campaign::{Campaign, CampaignConfig, CampaignResult, CampaignRunStats, DatasetReport};
 pub use engine::{EngineStats, EvalEngine, EvalKey, EvalProgress, Evaluator, FinalizedDesign};
 pub use error::CoreError;
 pub use genome::Genome;

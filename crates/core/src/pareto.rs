@@ -267,8 +267,7 @@ fn dominated_box_volume(mut points: Vec<Vec<f64>>, dim: usize) -> f64 {
 /// objectives (or an unusable baseline reference on some axis) are skipped.
 ///
 /// A larger hypervolume means a strictly better front: it is monotone under
-/// adding points and under improving any point on any axis — the success
-/// metric fleet-scale search compares workers by.
+/// adding points and under improving any point on any axis.
 pub fn hypervolume(
     space: &ObjectiveSpace,
     points: &[DesignPoint],

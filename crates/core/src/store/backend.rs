@@ -173,16 +173,10 @@ pub trait StoreBackend: Send + Sync {
     /// document is `Ok(None)`, not an error).
     fn get_doc(&self, name: &str) -> Result<Option<String>, CoreError>;
 
-    /// Reads a named document, bypassing any read-through caching: the
-    /// answer reflects the latest state of the *authoritative* tier. For
-    /// single-tier backends this is exactly [`StoreBackend::get_doc`]; a
-    /// tiered composition consults its remote leg first and only degrades
-    /// to the (possibly stale) local copy when the remote is unreachable.
-    ///
-    /// Coordination documents that several workers contend on — campaign
-    /// leases above all — MUST be read through this: a lease read from a
-    /// local write-through cache would always show this worker as the
-    /// holder, defeating the claim read-back.
+    /// Same as [`StoreBackend::get_doc`]. No backend in the workspace
+    /// overrides it and nothing calls it; it stays declared only because
+    /// the out-of-workspace `perfbench` package overrides it, and goes with
+    /// the next change allowed to touch `perfbench/`.
     ///
     /// # Errors
     ///
@@ -206,15 +200,10 @@ pub trait StoreBackend: Send + Sync {
     /// Returns [`CoreError::Store`] when the backing storage fails.
     fn remove_doc(&self, name: &str) -> Result<(), CoreError>;
 
-    /// Lists the names of every stored document starting with `prefix`,
-    /// sorted lexicographically (`""` lists everything). Coordination
-    /// documents (campaign leases, completion markers, cached baselines) are
-    /// published under structured name prefixes, so this is how a store's
-    /// documents are surveyed.
-    ///
-    /// The default returns an empty list so purely record-oriented backends
-    /// (and external implementations) keep compiling; every backend in this
-    /// workspace overrides it.
+    /// Returns an empty list. No backend in the workspace overrides it and
+    /// nothing calls it; it stays declared only because the out-of-workspace
+    /// `perfbench` package overrides it, and goes with the next change
+    /// allowed to touch `perfbench/`.
     ///
     /// # Errors
     ///
@@ -284,17 +273,11 @@ impl<T: StoreBackend + ?Sized> StoreBackend for std::sync::Arc<T> {
     fn get_doc(&self, name: &str) -> Result<Option<String>, CoreError> {
         (**self).get_doc(name)
     }
-    fn get_doc_fresh(&self, name: &str) -> Result<Option<String>, CoreError> {
-        (**self).get_doc_fresh(name)
-    }
     fn put_doc(&self, name: &str, contents: &str) -> Result<(), CoreError> {
         (**self).put_doc(name, contents)
     }
     fn remove_doc(&self, name: &str) -> Result<(), CoreError> {
         (**self).remove_doc(name)
-    }
-    fn list_docs(&self, prefix: &str) -> Result<Vec<String>, CoreError> {
-        (**self).list_docs(prefix)
     }
     fn record_path(&self, name: &str, fingerprint: u64) -> Option<PathBuf> {
         (**self).record_path(name, fingerprint)

@@ -147,11 +147,6 @@ impl StoreBackend for FaultBackend {
         self.inner.get_doc(name)
     }
 
-    fn get_doc_fresh(&self, name: &str) -> Result<Option<String>, CoreError> {
-        self.gate("get_doc_fresh")?;
-        self.inner.get_doc_fresh(name)
-    }
-
     fn put_doc(&self, name: &str, contents: &str) -> Result<(), CoreError> {
         self.gate("put_doc")?;
         self.inner.put_doc(name, contents)
@@ -160,11 +155,6 @@ impl StoreBackend for FaultBackend {
     fn remove_doc(&self, name: &str) -> Result<(), CoreError> {
         self.gate("remove_doc")?;
         self.inner.remove_doc(name)
-    }
-
-    fn list_docs(&self, prefix: &str) -> Result<Vec<String>, CoreError> {
-        self.gate("list_docs")?;
-        self.inner.list_docs(prefix)
     }
 
     fn record_path(&self, name: &str, fingerprint: u64) -> Option<std::path::PathBuf> {

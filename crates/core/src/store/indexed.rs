@@ -198,12 +198,6 @@ impl StoreBackend for IndexedBackend {
         self.inner.remove_doc(name)
     }
 
-    fn list_docs(&self, prefix: &str) -> Result<Vec<String>, CoreError> {
-        // Documents are never indexed (they are small and read rarely); the
-        // listing passes straight through to the inner tier.
-        self.inner.list_docs(prefix)
-    }
-
     fn record_path(&self, name: &str, fingerprint: u64) -> Option<PathBuf> {
         self.inner.record_path(name, fingerprint)
     }

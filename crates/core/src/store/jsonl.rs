@@ -10,7 +10,7 @@
 //! [store module documentation](crate::store) for the crash-safety story.
 
 use super::backend::{
-    check_doc_name, merge_duplicate_keys, safe_component, sanitize_name, ScanOutcome, StoreBackend,
+    check_doc_name, merge_duplicate_keys, sanitize_name, ScanOutcome, StoreBackend,
 };
 use super::{header_line, header_matches, hex, parse_record_line, record_line, write_atomic};
 use crate::error::CoreError;
@@ -388,36 +388,6 @@ impl StoreBackend for LocalJsonlBackend {
         }
     }
 
-    fn list_docs(&self, prefix: &str) -> Result<Vec<String>, CoreError> {
-        // Everything in the directory that is a document: a file whose name
-        // is a safe doc component and is neither a record log, an atomic-write
-        // temporary, nor a quarantine sidecar.
-        let entries = match fs::read_dir(&self.dir) {
-            Ok(entries) => entries,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(Vec::new()),
-            Err(e) => return Err(store_err(format!("read {}: {e}", self.dir.display()))),
-        };
-        let mut names = Vec::new();
-        for entry in entries {
-            let entry =
-                entry.map_err(|e| store_err(format!("read {}: {e}", self.dir.display())))?;
-            let Some(name) = entry.file_name().to_str().map(String::from) else {
-                continue;
-            };
-            if !name.starts_with(prefix)
-                || !safe_component(&name)
-                || record_log_fingerprint(&name).is_some()
-                || name.ends_with(".tmp")
-                || name.ends_with(".quarantine")
-            {
-                continue;
-            }
-            names.push(name);
-        }
-        names.sort();
-        Ok(names)
-    }
-
     fn record_path(&self, name: &str, fingerprint: u64) -> Option<PathBuf> {
         Some(self.file_path(name, fingerprint))
     }
@@ -521,25 +491,6 @@ fn marker_fingerprint(path: &Path) -> Option<u64> {
     super::parse_hex(parsed.get("fingerprint")?).ok()
 }
 
-/// Extracts the `deadline_ms` wall-clock expiry of a `lease_*.json`
-/// work-stealing lease document.
-fn lease_deadline_ms(path: &Path) -> Option<u64> {
-    let parsed = serde::json::parse(&fs::read_to_string(path).ok()?).ok()?;
-    match parsed.get("deadline_ms")? {
-        serde::json::Value::Number(n) if *n >= 0.0 => Some(*n as u64),
-        _ => None,
-    }
-}
-
-/// Milliseconds since the Unix epoch — the wall clock work-stealing leases
-/// are claimed, renewed and expired against.
-pub fn now_epoch_ms() -> u64 {
-    std::time::SystemTime::now()
-        .duration_since(std::time::UNIX_EPOCH)
-        .map(|d| u64::try_from(d.as_millis()).unwrap_or(u64::MAX))
-        .unwrap_or(0)
-}
-
 /// Garbage-collects a local store directory:
 ///
 /// * record logs whose baseline fingerprint is not in `live_fingerprints`
@@ -548,10 +499,7 @@ pub fn now_epoch_ms() -> u64 {
 /// * surviving logs have duplicate keys merged, and logs at or above
 ///   [`GcPolicy::compact_threshold_bytes`] are compacted unconditionally,
 /// * `done_*.json` completion markers bound to a dead baseline fingerprint
-///   are deleted too,
-/// * `lease_*.json` work-stealing leases past their embedded wall-clock
-///   deadline are deleted; unexpired leases are never reaped, whatever
-///   their fingerprint — a healthy worker may still be holding them.
+///   are deleted too.
 ///
 /// Checkpoint documents and unrelated files are left untouched.
 ///
@@ -599,18 +547,6 @@ pub fn gc_store_dir(
             // marker can never be resumed again.
             match marker_fingerprint(&path) {
                 Some(fp) if !live_fingerprints.contains(&fp) => {
-                    fs::remove_file(&path).ok();
-                    report.files_dropped += 1;
-                    report.bytes_reclaimed += size;
-                }
-                _ => {}
-            }
-        } else if file_name.starts_with("lease_") && file_name.ends_with(".json") {
-            // Work-stealing leases expire by wall-clock deadline: one past
-            // its deadline belongs to a dead or finished worker either way.
-            // An unexpired lease is live by definition and is never reaped.
-            match lease_deadline_ms(&path) {
-                Some(deadline) if deadline < now_epoch_ms() => {
                     fs::remove_file(&path).ok();
                     report.files_dropped += 1;
                     report.bytes_reclaimed += size;
@@ -864,69 +800,6 @@ mod tests {
         // Checkpoints are never GC'd (their fingerprints are config hashes,
         // not baseline identities).
         assert!(backend.get_doc("fig2_seeds_nsga2.json").unwrap().is_some());
-        fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn list_docs_skips_logs_temporaries_and_quarantine() {
-        let dir = temp_dir("jsonl-list-docs");
-        let backend = LocalJsonlBackend::open(&dir).unwrap();
-        backend.append("Seeds", 7, &record(3, 0.8, 40.0)).unwrap();
-        backend.put_doc("done_wine_0007.json", "{}").unwrap();
-        backend.put_doc("done_seeds_0007.json", "{}").unwrap();
-        backend.put_doc("lease_0007_seeds.json", "{}").unwrap();
-        fs::write(dir.join("half-written.tmp"), "x").unwrap();
-        fs::write(dir.join("seeds_0000000000000007.jsonl.quarantine"), "x").unwrap();
-
-        assert_eq!(
-            backend.list_docs("done_").unwrap(),
-            vec![
-                "done_seeds_0007.json".to_string(),
-                "done_wine_0007.json".to_string(),
-            ]
-        );
-        // The unfiltered listing still hides record logs, temporaries and
-        // quarantine sidecars.
-        assert_eq!(
-            backend.list_docs("").unwrap(),
-            vec![
-                "done_seeds_0007.json".to_string(),
-                "done_wine_0007.json".to_string(),
-                "lease_0007_seeds.json".to_string(),
-            ]
-        );
-        assert_eq!(backend.list_docs("zzz").unwrap(), Vec::<String>::new());
-        fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn gc_reaps_expired_leases_only() {
-        let dir = temp_dir("jsonl-gc-lease");
-        let backend = LocalJsonlBackend::open(&dir).unwrap();
-        let lease = |deadline_ms: u64| {
-            super::super::seal_envelope(
-                "pmlp-campaign-lease",
-                1,
-                0xC,
-                vec![(
-                    "deadline_ms".to_string(),
-                    serde::json::Value::Number(deadline_ms as f64),
-                )],
-            )
-            .render_pretty()
-        };
-        let now = now_epoch_ms();
-        backend.put_doc("lease_000c_seeds.json", &lease(1)).unwrap();
-        backend
-            .put_doc("lease_000c_wine.json", &lease(now + 60_000))
-            .unwrap();
-
-        // Leases are reaped by deadline alone, whatever the live set.
-        let report = gc_store_dir(&dir, &[0xA], &GcPolicy::default()).unwrap();
-        assert_eq!(report.files_dropped, 1);
-        // The unexpired lease survives.
-        assert!(backend.get_doc("lease_000c_seeds.json").unwrap().is_none());
-        assert!(backend.get_doc("lease_000c_wine.json").unwrap().is_some());
         fs::remove_dir_all(&dir).ok();
     }
 

@@ -153,19 +153,6 @@ impl StoreBackend for MemoryBackend {
         self.docs.lock().expect("memory docs lock").remove(name);
         Ok(())
     }
-
-    fn list_docs(&self, prefix: &str) -> Result<Vec<String>, CoreError> {
-        let mut names: Vec<String> = self
-            .docs
-            .lock()
-            .expect("memory docs lock")
-            .keys()
-            .filter(|name| name.starts_with(prefix))
-            .cloned()
-            .collect();
-        names.sort();
-        Ok(names)
-    }
 }
 
 #[cfg(test)]
@@ -211,20 +198,5 @@ mod tests {
         backend.remove_doc("m.json").unwrap();
         assert_eq!(backend.get_doc("m.json").unwrap(), None);
         assert!(backend.put_doc("../x", "body").is_err());
-    }
-
-    #[test]
-    fn list_docs_filters_by_prefix_and_sorts() {
-        let backend = MemoryBackend::new();
-        assert_eq!(backend.list_docs("").unwrap(), Vec::<String>::new());
-        backend.put_doc("done_b.json", "x").unwrap();
-        backend.put_doc("done_a.json", "x").unwrap();
-        backend.put_doc("lease_seeds.json", "x").unwrap();
-        assert_eq!(
-            backend.list_docs("done_").unwrap(),
-            vec!["done_a.json".to_string(), "done_b.json".to_string()]
-        );
-        assert_eq!(backend.list_docs("").unwrap().len(), 3);
-        assert_eq!(backend.list_docs("zzz").unwrap(), Vec::<String>::new());
     }
 }

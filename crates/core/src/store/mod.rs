@@ -87,8 +87,7 @@ pub use codec::{decode_artifacts, encode_artifacts};
 pub use fault::FaultBackend;
 pub use indexed::IndexedBackend;
 pub use jsonl::{
-    gc_store_dir, list_record_logs, now_epoch_ms, DurabilityPolicy, GcPolicy, GcReport,
-    LocalJsonlBackend,
+    gc_store_dir, list_record_logs, DurabilityPolicy, GcPolicy, GcReport, LocalJsonlBackend,
 };
 pub use memory::MemoryBackend;
 pub use remote::{RemoteBackend, RetryPolicy};
@@ -323,12 +322,7 @@ fn record_from_line_inner(line: &str) -> Result<EvalRecord, json::Error> {
         input_bits: u8::deserialize_value(key_value.field("input_bits")?)?,
         fine_tune_epochs: usize::deserialize_value(key_value.field("fine_tune_epochs")?)?,
         salt: parse_hex(key_value.field("salt")?)?,
-        // Records written before the accuracy-tier field existed were all
-        // scored on the fake-quantized float model.
-        accuracy_tier: match key_value.get("accuracy_tier") {
-            Some(v) => AccuracyTier::deserialize_value(v)?,
-            None => AccuracyTier::Float,
-        },
+        accuracy_tier: AccuracyTier::deserialize_value(key_value.field("accuracy_tier")?)?,
     };
     let artifacts = value
         .get("artifacts")
@@ -737,10 +731,16 @@ pub(crate) mod tests {
             store.path().expect("local store has a path")
         };
         let text = std::fs::read_to_string(&path).unwrap();
-        std::fs::write(&path, &text[..text.len() - 25]).unwrap();
+        let (header, body) = text.split_once('\n').unwrap();
+        // A key without `accuracy_tier` is damaged like any other key.
+        let full = record_line(&record(6, 0.7, 30.0));
+        let tierless = full.replace(",\"accuracy_tier\":\"Integer\"", "");
+        assert_ne!(tierless, full);
+        let damaged = format!("{header}\n{tierless}\n{}", &body[..body.len() - 25]);
+        std::fs::write(&path, damaged).unwrap();
 
         let mut store = EvalStore::open(&dir, "Seeds", 7).unwrap();
-        assert_eq!(store.dropped_records(), 1);
+        assert_eq!(store.dropped_records(), 2);
         let survivors = store.warm_start();
         assert_eq!(survivors.len(), 1);
         assert_eq!(survivors[0], record(3, 0.8, 40.0));

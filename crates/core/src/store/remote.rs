@@ -10,7 +10,6 @@
 //! | `GET /v1/records/{name}/{fp}` | scan one record log |
 //! | `POST /v1/records/{name}/{fp}` | append record line(s) |
 //! | `GET /v1/docs/{name}` | read a document (404 = absent) |
-//! | `GET /v1/docs?prefix={p}` | list document names with prefix `{p}` (JSON array) |
 //! | `PUT /v1/docs/{name}` | write a document |
 //! | `DELETE /v1/docs/{name}` | delete a document |
 //! | `GET /v1/healthz` | liveness probe |
@@ -610,32 +609,6 @@ impl StoreBackend for RemoteBackend {
             )));
         }
         Ok(())
-    }
-
-    fn list_docs(&self, prefix: &str) -> Result<Vec<String>, CoreError> {
-        // An empty prefix lists everything; anything else must be a safe
-        // document-name fragment (it travels as a URL query value verbatim).
-        if !prefix.is_empty() {
-            check_doc_name(prefix)?;
-        }
-        let response = self.request("GET", &format!("/v1/docs?prefix={prefix}"), "")?;
-        if response.status != 200 {
-            return Err(self.reject(format!(
-                "remote store: list docs `{prefix}` returned HTTP {}",
-                response.status
-            )));
-        }
-        let parsed = serde::json::parse(&response.body).map_err(|e| {
-            self.reject(format!(
-                "remote store: list docs `{prefix}` returned unparseable JSON: {e}"
-            ))
-        })?;
-        let names: Vec<String> = serde::Deserialize::deserialize_value(&parsed).map_err(|e| {
-            self.reject(format!(
-                "remote store: list docs `{prefix}` returned a non-array body: {e}"
-            ))
-        })?;
-        Ok(names)
     }
 }
 

@@ -529,26 +529,6 @@ impl StoreBackend for TieredStore {
         Ok(None)
     }
 
-    fn get_doc_fresh(&self, name: &str) -> Result<Option<String>, CoreError> {
-        // Contended coordination documents (leases) must reflect the shared
-        // truth: consult the remote tier FIRST — another worker's claim lives
-        // there, never in this worker's local cache. The remote answer is
-        // authoritative either way (including `None`: a released lease must
-        // not be resurrected from a stale local copy). Only when the remote
-        // is unreachable does the read degrade to the local tier, preserving
-        // offline single-worker operation.
-        if self.acquire_remote() {
-            match self.remote.get_doc(name) {
-                Ok(doc) => {
-                    self.report_remote_success();
-                    return Ok(doc);
-                }
-                Err(err) => self.report_remote_failure("get_doc_fresh", &err),
-            }
-        }
-        self.local.get_doc(name)
-    }
-
     fn put_doc(&self, name: &str, contents: &str) -> Result<(), CoreError> {
         self.local.put_doc(name, contents)?;
         self.remote_write(
@@ -572,26 +552,6 @@ impl StoreBackend for TieredStore {
             },
         );
         Ok(())
-    }
-
-    fn list_docs(&self, prefix: &str) -> Result<Vec<String>, CoreError> {
-        // Discovery must see *both* tiers: another worker's leases and
-        // markers live on the remote tier only, this worker's journaled writes
-        // may live on the local tier only. Merge, dedup, sort. A dead remote
-        // degrades the listing to local-only — same contract as get_doc.
-        let mut names = self.local.list_docs(prefix)?;
-        if self.acquire_remote() {
-            match self.remote.list_docs(prefix) {
-                Ok(remote_names) => {
-                    names.extend(remote_names);
-                    self.report_remote_success();
-                }
-                Err(err) => self.report_remote_failure("list_docs", &err),
-            }
-        }
-        names.sort();
-        names.dedup();
-        Ok(names)
     }
 
     fn record_path(&self, name: &str, fingerprint: u64) -> Option<std::path::PathBuf> {
@@ -889,77 +849,6 @@ mod tests {
             Some("remote-body")
         );
         assert_eq!(tiered.get_doc("absent.json").unwrap(), None);
-    }
-
-    #[test]
-    fn fresh_doc_reads_see_the_remote_truth_past_a_stale_local_copy() {
-        let local = MemoryBackend::new();
-        let remote_inner = Arc::new(MemoryBackend::new());
-        // This worker cached its own lease locally; meanwhile a peer's claim
-        // superseded it on the shared tier.
-        local.put_doc("lease_seeds.json", "mine").unwrap();
-        remote_inner.put_doc("lease_seeds.json", "peers").unwrap();
-        let remote = Arc::new(FaultBackend::new(Box::new(Arc::clone(&remote_inner))));
-        let tiered = TieredStore::with_breaker(
-            Box::new(local),
-            Box::new(Arc::clone(&remote)),
-            BreakerConfig {
-                failure_threshold: 1,
-                cooldown: Duration::from_secs(60),
-            },
-        );
-
-        // The cached read returns the stale local copy; the fresh read sees
-        // the peer's claim.
-        assert_eq!(
-            tiered.get_doc("lease_seeds.json").unwrap().as_deref(),
-            Some("mine")
-        );
-        assert_eq!(
-            tiered.get_doc_fresh("lease_seeds.json").unwrap().as_deref(),
-            Some("peers")
-        );
-        // A remote `None` is authoritative too: a released lease must not be
-        // resurrected from the local copy.
-        remote_inner.remove_doc("lease_seeds.json").unwrap();
-        assert_eq!(tiered.get_doc_fresh("lease_seeds.json").unwrap(), None);
-
-        // Only a dead remote degrades the fresh read to the local tier.
-        remote.set_down(true);
-        assert_eq!(
-            tiered.get_doc_fresh("lease_seeds.json").unwrap().as_deref(),
-            Some("mine")
-        );
-    }
-
-    #[test]
-    fn list_docs_merges_both_tiers_and_degrades_to_local() {
-        let local = MemoryBackend::new();
-        let remote_inner = Arc::new(MemoryBackend::new());
-        local.put_doc("lease_a.json", "x").unwrap();
-        remote_inner.put_doc("lease_b.json", "x").unwrap();
-        remote_inner.put_doc("lease_a.json", "x").unwrap(); // shared
-        remote_inner.put_doc("other.json", "x").unwrap();
-        let remote = Arc::new(FaultBackend::new(Box::new(Arc::clone(&remote_inner))));
-        let tiered = TieredStore::with_breaker(
-            Box::new(local),
-            Box::new(Arc::clone(&remote)),
-            BreakerConfig {
-                failure_threshold: 1,
-                cooldown: Duration::from_secs(60),
-            },
-        );
-        assert_eq!(
-            tiered.list_docs("lease_").unwrap(),
-            vec!["lease_a.json".to_string(), "lease_b.json".to_string()],
-            "merged, deduped, sorted, prefix-filtered"
-        );
-        // A dead remote degrades the listing to the local tier only.
-        remote.set_down(true);
-        assert_eq!(
-            tiered.list_docs("lease_").unwrap(),
-            vec!["lease_a.json".to_string()]
-        );
     }
 
     #[test]

@@ -19,7 +19,6 @@
 //! | `GET /v1/records/{name}/{fp}` | scan: header line + one record per line |
 //! | `POST /v1/records/{name}/{fp}` | append the record line(s) in the body |
 //! | `GET /v1/docs/{name}` | read a document (404 when absent) |
-//! | `GET /v1/docs?prefix={p}` | list document names starting with `{p}` (JSON array) |
 //! | `PUT /v1/docs/{name}` | write a document |
 //! | `DELETE /v1/docs/{name}` | delete a document |
 //! | `POST /v1/gc` | run a garbage-collection / compaction pass online |
@@ -141,7 +140,6 @@ struct ServeStats {
     doc_gets: AtomicU64,
     doc_puts: AtomicU64,
     doc_deletes: AtomicU64,
-    doc_lists: AtomicU64,
     bad_requests: AtomicU64,
     connections_accepted: AtomicU64,
     connections_active: AtomicU64,
@@ -171,8 +169,6 @@ pub struct StatsSnapshot {
     pub doc_puts: u64,
     /// Document deletions.
     pub doc_deletes: u64,
-    /// Document-name listings (`GET /v1/docs?prefix=`).
-    pub doc_lists: u64,
     /// Requests rejected with a 4xx status.
     pub bad_requests: u64,
     /// Connections the accept loop handed to the worker pool.
@@ -209,7 +205,6 @@ impl ServeStats {
             doc_gets: self.doc_gets.load(Ordering::Relaxed),
             doc_puts: self.doc_puts.load(Ordering::Relaxed),
             doc_deletes: self.doc_deletes.load(Ordering::Relaxed),
-            doc_lists: self.doc_lists.load(Ordering::Relaxed),
             bad_requests: self.bad_requests.load(Ordering::Relaxed),
             connections_accepted: self.connections_accepted.load(Ordering::Relaxed),
             connections_active: self.connections_active.load(Ordering::Relaxed),
@@ -726,13 +721,7 @@ fn route(request: &Request, state: &ServerState) -> (u16, &'static str, &'static
         )
     };
     let backend = state.store.backend();
-    // The target arrives with its query string attached; split it off before
-    // segment matching so `/v1/docs?prefix=x` routes like `/v1/docs`.
-    let (path, query) = request
-        .path
-        .split_once('?')
-        .unwrap_or((request.path.as_str(), ""));
-    let segments: Vec<&str> = path.split('/').filter(|s| !s.is_empty()).collect();
+    let segments: Vec<&str> = request.path.split('/').filter(|s| !s.is_empty()).collect();
     match (request.method.as_str(), segments.as_slice()) {
         ("GET", ["v1", "healthz"]) => {
             // Live vs ready: answering at all is liveness; the status code
@@ -813,35 +802,6 @@ fn route(request: &Request, state: &ServerState) -> (u16, &'static str, &'static
             }
             None => not_found(),
         },
-        ("GET", ["v1", "docs"]) => {
-            let prefix = query
-                .split('&')
-                .find_map(|pair| pair.strip_prefix("prefix="))
-                .unwrap_or("");
-            if !prefix.is_empty() && !safe_component(prefix) {
-                return (
-                    400,
-                    "Bad Request",
-                    "text/plain",
-                    "prefix must be a safe document-name component\n".into(),
-                );
-            }
-            state.stats.doc_lists.fetch_add(1, Ordering::Relaxed);
-            match backend.list_docs(prefix) {
-                Ok(names) => (
-                    200,
-                    "OK",
-                    "application/json",
-                    Value::Array(names.into_iter().map(Value::String).collect()).render_compact(),
-                ),
-                Err(err) => (
-                    500,
-                    "Internal Server Error",
-                    "text/plain",
-                    format!("{err}\n"),
-                ),
-            }
-        }
         ("GET", ["v1", "docs", name]) if safe_component(name) => {
             state.stats.doc_gets.fetch_add(1, Ordering::Relaxed);
             match backend.get_doc(name) {
@@ -1007,7 +967,6 @@ fn render_stats(state: &ServerState) -> String {
         ("doc_gets".into(), n(stats.doc_gets)),
         ("doc_puts".into(), n(stats.doc_puts)),
         ("doc_deletes".into(), n(stats.doc_deletes)),
-        ("doc_lists".into(), n(stats.doc_lists)),
         ("bad_requests".into(), n(stats.bad_requests)),
         ("connections_accepted".into(), n(stats.connections_accepted)),
         ("connections_active".into(), n(stats.connections_active)),

@@ -58,9 +58,7 @@ pub use pmlp_serve as serve;
 /// Commonly used items, importable with `use printed_mlp::prelude::*`.
 pub mod prelude {
     pub use pmlp_core::baseline::{BaselineConfig, BaselineDesign};
-    pub use pmlp_core::campaign::{
-        Campaign, CampaignConfig, CampaignResult, DatasetReport, WorkerOptions,
-    };
+    pub use pmlp_core::campaign::{Campaign, CampaignConfig, CampaignResult, DatasetReport};
     pub use pmlp_core::engine::{EvalEngine, Evaluator};
     pub use pmlp_core::experiment::{Effort, Figure1Experiment, Figure2Experiment};
     pub use pmlp_core::objective::{evaluate_config, DesignPoint, EvaluationContext};

@@ -55,7 +55,6 @@ fn chaos_config(
         durability: Default::default(),
         remote_cooldown_ms: Some(0),
         resume,
-        worker: None,
     }
 }
 

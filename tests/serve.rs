@@ -5,8 +5,10 @@
 //! instead of failing it (see `tests/chaos.rs` for the recovery half:
 //! restarted servers are rejoined and journaled writes replayed).
 
+use printed_mlp::core::baseline_doc_name;
 use printed_mlp::core::campaign::{Campaign, CampaignConfig, CampaignResult, CampaignRunStats};
 use printed_mlp::core::experiment::{Effort, Figure2Experiment};
+use printed_mlp::core::store::{RemoteBackend, StoreBackend};
 use printed_mlp::data::UciDataset;
 use printed_mlp::serve::{spawn, ServeConfig};
 use std::path::{Path, PathBuf};
@@ -39,7 +41,6 @@ fn worker_config(
         durability: Default::default(),
         remote_cooldown_ms: None,
         resume,
-        worker: None,
     }
 }
 
@@ -74,6 +75,16 @@ fn second_worker_on_a_shared_server_is_free_and_byte_identical() {
         "records must replicate"
     );
     assert!(server.stats().doc_puts > 0, "markers must replicate");
+    let baseline_doc = baseline_doc_name(UciDataset::Seeds, 11, &Effort::Quick.baseline_config());
+    assert!(
+        RemoteBackend::new(&server.url())
+            .unwrap()
+            .get_doc(&baseline_doc)
+            .unwrap()
+            .is_some(),
+        "the baseline characterization must be published on the server"
+    );
+    let doc_puts_after_a = server.stats().doc_puts;
 
     // Worker B: fresh machine (empty local dir), same server, --resume
     // --require-warm semantics: zero fresh evaluations, markers stream in
@@ -85,6 +96,11 @@ fn second_worker_on_a_shared_server_is_free_and_byte_identical() {
         true,
     ));
     assert_eq!(b_stats.fresh_evaluations, 0, "worker B must be fully warm");
+    assert_eq!(
+        server.stats().doc_puts,
+        doc_puts_after_a,
+        "worker B loads the baseline and markers instead of republishing them"
+    );
     assert_eq!(b_stats.resumed, datasets);
     assert_eq!(b, a, "resumed reports must be verbatim");
     let paths_b = b.write_artifacts(&artifacts_b).unwrap();

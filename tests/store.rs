@@ -32,7 +32,6 @@ fn store_campaign(datasets: Vec<UciDataset>, store: &Path, resume: bool) -> Camp
         durability: Default::default(),
         remote_cooldown_ms: None,
         resume,
-        worker: None,
     })
 }
 
@@ -240,7 +239,6 @@ fn gc_prunes_a_real_campaign_store() {
         durability: Default::default(),
         remote_cooldown_ms: None,
         resume: false,
-        worker: None,
     };
     let other_campaign = Campaign::new(other.clone());
     other_campaign.run().unwrap();
