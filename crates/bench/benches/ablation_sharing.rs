@@ -12,8 +12,6 @@ use pmlp_core::experiment::Effort;
 use pmlp_hw::constmul::RecodingStrategy;
 use pmlp_hw::{BespokeMlpCircuit, CellLibrary, SharingStrategy};
 use pmlp_minimize::{minimize, MinimizationConfig};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 use std::time::Duration;
 
 fn bench_ablation_sharing(c: &mut Criterion) {
@@ -23,7 +21,6 @@ fn bench_ablation_sharing(c: &mut Criterion) {
         &Effort::Quick.baseline_config(),
     )
     .expect("baseline");
-    let mut rng = StdRng::seed_from_u64(5);
     let clustered = minimize(
         &baseline.model,
         &baseline.train,
@@ -31,7 +28,7 @@ fn bench_ablation_sharing(c: &mut Criterion) {
         &MinimizationConfig::default()
             .with_clusters(3)
             .with_fine_tune_epochs(2),
-        &mut rng,
+        5,
     )
     .expect("clustered model");
     let spec = circuit_spec_from_layers(&clustered.integer_layers, 4).expect("spec");

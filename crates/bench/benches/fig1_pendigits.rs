@@ -9,8 +9,6 @@ use pmlp_core::experiment::{Effort, Figure1Experiment};
 use pmlp_data::UciDataset;
 use pmlp_hw::{BespokeMlpCircuit, CellLibrary};
 use pmlp_minimize::{minimize, MinimizationConfig};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 use std::time::Duration;
 
 fn bench_fig1_pendigits(c: &mut Criterion) {
@@ -23,13 +21,12 @@ fn bench_fig1_pendigits(c: &mut Criterion) {
     let baseline =
         BaselineDesign::train_with(UciDataset::Pendigits, 42, &Effort::Quick.baseline_config())
             .expect("baseline");
-    let mut rng = StdRng::seed_from_u64(1);
     let minimized = minimize(
         &baseline.model,
         &baseline.train,
         None,
         &MinimizationConfig::baseline().with_fine_tune_epochs(1),
-        &mut rng,
+        1,
     )
     .expect("baseline quantization");
     let spec = circuit_spec_from_layers(&minimized.integer_layers, 4).expect("circuit spec");

@@ -70,6 +70,15 @@ const BASELINE_MAGIC: &str = "pmlp-baseline-cache";
 /// Format version of cached baseline-characterization documents.
 const BASELINE_VERSION: u32 = 1;
 
+/// Version of the candidate minimization pipeline, mixed into
+/// [`BaselineDesign::fingerprint`]. A pipeline change can move candidate
+/// results while the baseline and every cache key stay the same; bumping
+/// this retires the stored results, GA checkpoints and campaign markers of
+/// the old pipeline. Cached baselines are keyed by [`budget_fingerprint`]
+/// instead, so they keep loading. Version 2 seeds each pipeline stage from
+/// its own prefix configuration, which moved every multi-stage result.
+const PIPELINE_VERSION: u64 = 2;
+
 /// Identity of a baseline training job: dataset, seed and the full training
 /// budget. Any change to any of them changes the fingerprint, which is what
 /// keys (and invalidates) the cached characterization document.
@@ -195,7 +204,7 @@ impl BaselineDesign {
         // The baseline bespoke MLP: 8-bit post-training quantized weights, no
         // pruning, no clustering, no multiplier sharing.
         let baseline_cfg = MinimizationConfig::baseline().with_input_bits(config.input_bits);
-        let minimized = minimize(&model, &train, Some(&test), &baseline_cfg, &mut rng)?;
+        let minimized = minimize(&model, &train, Some(&test), &baseline_cfg, seed)?;
         let accuracy = match config.accuracy_tier {
             AccuracyTier::Float => minimized.accuracy(&quantized_test),
             AccuracyTier::Integer => integer_accuracy(
@@ -358,9 +367,12 @@ impl BaselineDesign {
     /// accuracy, area, power and gate count — any change to the training
     /// budget, the hardware model or the accuracy arithmetic changes the
     /// measured numbers and therefore the fingerprint, which invalidates
-    /// stale store files without any explicit versioning bookkeeping.
+    /// stale store files. A change to the candidate pipeline alone leaves
+    /// all of those unchanged, so the fingerprint also covers a pipeline
+    /// version.
     pub fn fingerprint(&self) -> u64 {
         let mut fp = crate::store::FingerprintHasher::new();
+        fp.mix_u64(PIPELINE_VERSION);
         fp.mix_bytes(self.dataset.to_string().as_bytes());
         fp.mix_u64(self.seed);
         fp.mix_u64(u64::from(self.input_bits));

@@ -13,6 +13,10 @@
 //! * **in-flight deduplication** guarantees that concurrent workers asking
 //!   for the same configuration never evaluate it twice — later arrivals
 //!   block on the first evaluation and reuse its result,
+//! * a **stage memo** shares the prune and cluster fine-tuning stages among
+//!   configurations that start with the same stages (every GA candidate with
+//!   sparsity 0.4 reuses one pruned model); the same in-flight machinery
+//!   coalesces concurrent requests for a stage,
 //! * [`EvalEngine::evaluate_batch`] fans a whole population out over the
 //!   worker threads,
 //! * a **progress hook** ([`EvalEngine::with_progress`]) reports every
@@ -45,14 +49,17 @@ use crate::baseline::{BaselineConfig, BaselineDesign};
 use crate::bridge::{synthesize_area, SynthesisSummary};
 use crate::error::CoreError;
 use crate::objective::{
-    evaluate_config_detailed, AccuracyTier, DesignPoint, EvaluationContext, SynthesisTier,
+    evaluate_staged, AccuracyTier, DesignPoint, EvaluatedDesign, EvaluationContext, SynthesisTier,
 };
 use crate::store::{EvalArtifacts, EvalRecord, EvalStore, StoreBackend};
 use pmlp_data::UciDataset;
 use pmlp_hw::SharingStrategy;
-use pmlp_minimize::{IntegerLayer, MinimizationConfig};
+use pmlp_minimize::{
+    sparsity_millis, IntegerLayer, MinimizationConfig, MinimizeError, StageMemo, StageOutput,
+};
 use rayon::prelude::*;
 use std::collections::HashMap;
+use std::hash::Hash;
 use std::path::Path;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -118,10 +125,7 @@ impl EvalKey {
     ) -> Self {
         EvalKey {
             weight_bits: config.weight_bits.unwrap_or(0),
-            sparsity_millis: config
-                .sparsity
-                .map(crate::genome::sparsity_millis)
-                .unwrap_or(u32::MAX),
+            sparsity_millis: config.sparsity.map(sparsity_millis).unwrap_or(u32::MAX),
             clusters: config.clusters_per_input.unwrap_or(0),
             input_bits,
             fine_tune_epochs,
@@ -151,13 +155,41 @@ impl EvalKey {
     }
 }
 
-/// A pending evaluation that concurrent requesters can wait on.
-struct InFlight {
-    result: Mutex<Option<Result<DesignPoint, CoreError>>>,
+/// Identity of one memoized prune or cluster stage output: the canonical
+/// prefix configuration (which carries the fine-tuning budget and input
+/// precision) and the pipeline seed. The seed is the baseline seed xor the
+/// engine's salt, so stages computed before a [`EvalEngine::with_salt`] or
+/// [`EvalEngine::with_fine_tune_epochs`] never match a request made after it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+struct StageKey {
+    weight_bits: u8,
+    sparsity_millis: u32,
+    clusters: usize,
+    input_bits: u8,
+    fine_tune_epochs: usize,
+    seed: u64,
+}
+
+impl StageKey {
+    fn new(prefix: &MinimizationConfig, seed: u64) -> Self {
+        StageKey {
+            weight_bits: prefix.weight_bits.unwrap_or(0),
+            sparsity_millis: prefix.sparsity.map(sparsity_millis).unwrap_or(u32::MAX),
+            clusters: prefix.clusters_per_input.unwrap_or(0),
+            input_bits: prefix.input_bits,
+            fine_tune_epochs: prefix.fine_tune_epochs,
+            seed,
+        }
+    }
+}
+
+/// A pending computation that concurrent requesters can wait on.
+struct InFlight<T> {
+    result: Mutex<Option<T>>,
     done: Condvar,
 }
 
-impl InFlight {
+impl<T> InFlight<T> {
     fn new() -> Arc<Self> {
         Arc::new(InFlight {
             result: Mutex::new(None),
@@ -165,17 +197,151 @@ impl InFlight {
         })
     }
 
-    fn fill(&self, value: Result<DesignPoint, CoreError>) {
+    fn fill(&self, value: T) {
         *self.result.lock().expect("in-flight lock") = Some(value);
         self.done.notify_all();
     }
+}
 
-    fn wait(&self) -> Result<DesignPoint, CoreError> {
+impl<T: Clone> InFlight<T> {
+    fn wait(&self) -> T {
         let mut guard = self.result.lock().expect("in-flight lock");
         while guard.is_none() {
             guard = self.done.wait(guard).expect("in-flight wait");
         }
         guard.as_ref().expect("filled").clone()
+    }
+}
+
+/// One memo entry: a finished value, or the computation producing it.
+enum Slot<T, E> {
+    Done(T),
+    Pending(Arc<InFlight<Result<T, E>>>),
+}
+
+/// A memo map that [`resolve`] fills at most once per key.
+type Memo<K, T, E> = Mutex<HashMap<K, Slot<T, E>>>;
+
+/// How [`resolve`] answered a request.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Answer {
+    /// From a finished entry.
+    Hit,
+    /// By waiting on a concurrent computation of the same key.
+    Coalesced,
+    /// By computing it here, successfully or not.
+    Computed,
+}
+
+/// Looks `key` up in `memo`, computing it at most once across threads: a
+/// finished entry is returned, a concurrent computation of the same key is
+/// waited on, and otherwise `compute` runs and its result is handed to every
+/// waiter. Errors are not cached, so a later request recomputes. If
+/// `compute` panics, its pending entry is removed and its waiters receive
+/// `panicked()` instead of blocking forever; the panic then continues.
+fn resolve<K, T, E>(
+    memo: &Memo<K, T, E>,
+    key: K,
+    compute: impl FnOnce() -> Result<T, E>,
+    panicked: fn() -> E,
+) -> (Result<T, E>, Answer)
+where
+    K: Copy + Eq + Hash,
+    T: Clone,
+    E: Clone,
+{
+    /// Unwind guard: if `compute` panics, the pending slot must not stay in
+    /// the memo (it would wedge every later request for this key) and the
+    /// waiters must be released rather than block on a condvar that will
+    /// never be signalled.
+    struct ReleaseOnUnwind<'a, K: Eq + Hash, T, E> {
+        memo: &'a Memo<K, T, E>,
+        key: K,
+        pending: &'a InFlight<Result<T, E>>,
+        panicked: fn() -> E,
+        armed: bool,
+    }
+    impl<K: Eq + Hash, T, E> Drop for ReleaseOnUnwind<'_, K, T, E> {
+        fn drop(&mut self) {
+            if self.armed {
+                if let Ok(mut guard) = self.memo.lock() {
+                    guard.remove(&self.key);
+                }
+                self.pending.fill(Err((self.panicked)()));
+            }
+        }
+    }
+
+    let pending = {
+        let mut guard = memo.lock().expect("memo lock");
+        match guard.get(&key) {
+            Some(Slot::Done(value)) => return (Ok(value.clone()), Answer::Hit),
+            Some(Slot::Pending(pending)) => {
+                let pending = Arc::clone(pending);
+                drop(guard);
+                return (pending.wait(), Answer::Coalesced);
+            }
+            None => {
+                let pending = InFlight::new();
+                guard.insert(key, Slot::Pending(Arc::clone(&pending)));
+                pending
+            }
+        }
+    };
+    let mut unwind_guard = ReleaseOnUnwind {
+        memo,
+        key,
+        pending: &pending,
+        panicked,
+        armed: true,
+    };
+    let outcome = compute();
+    unwind_guard.armed = false;
+    {
+        let mut guard = memo.lock().expect("memo lock");
+        match &outcome {
+            Ok(value) => {
+                guard.insert(key, Slot::Done(value.clone()));
+            }
+            Err(_) => {
+                guard.remove(&key);
+            }
+        }
+    }
+    pending.fill(outcome.clone());
+    (outcome, Answer::Computed)
+}
+
+/// The engine's prune and cluster stage outputs, shared by every
+/// configuration evaluated through it.
+#[derive(Default)]
+struct StageCache {
+    memo: Memo<StageKey, Arc<StageOutput>, MinimizeError>,
+    runs: AtomicUsize,
+    reused: AtomicUsize,
+}
+
+impl StageMemo for StageCache {
+    fn stage(
+        &self,
+        prefix: &MinimizationConfig,
+        seed: u64,
+        compute: &mut dyn FnMut() -> Result<StageOutput, MinimizeError>,
+    ) -> Result<Arc<StageOutput>, MinimizeError> {
+        let (outcome, answer) = resolve(
+            &self.memo,
+            StageKey::new(prefix, seed),
+            || compute().map(Arc::new),
+            || MinimizeError::InvalidConfig {
+                context: "minimization stage panicked; see stderr for the panic message".into(),
+            },
+        );
+        let counter = match answer {
+            Answer::Computed => &self.runs,
+            Answer::Hit | Answer::Coalesced => &self.reused,
+        };
+        counter.fetch_add(1, Ordering::Relaxed);
+        outcome
     }
 }
 
@@ -188,11 +354,6 @@ impl InFlight {
 struct CachedEval {
     point: DesignPoint,
     artifacts: Option<(Arc<Vec<IntegerLayer>>, SharingStrategy)>,
-}
-
-enum Slot {
-    Done(CachedEval),
-    Pending(Arc<InFlight>),
 }
 
 /// Snapshot of the engine's cache counters.
@@ -217,6 +378,12 @@ pub struct EngineStats {
     /// was constructed with [`EvalEngine::with_store`] /
     /// [`EvalEngine::with_backend`].
     pub warmed: usize,
+    /// Prune and cluster fine-tuning stages this engine ran. Each distinct
+    /// stage runs once; configurations that start with it reuse its output.
+    pub stage_runs: usize,
+    /// Stage requests answered from the stage memo or by waiting on a
+    /// concurrent run of the same stage.
+    pub stage_reuses: usize,
     /// Finalizations that had to re-run the minimization pipeline because the
     /// cached entry carried no artifacts (store records written before
     /// artifact persistence, or with an undecodable blob). Store-warmed
@@ -284,7 +451,8 @@ pub struct EvalEngine {
     salt: u64,
     tier: SynthesisTier,
     accuracy_tier: AccuracyTier,
-    shards: Box<[Mutex<HashMap<EvalKey, Slot>>]>,
+    shards: Box<[Memo<EvalKey, CachedEval, CoreError>]>,
+    stages: StageCache,
     hits: AtomicUsize,
     misses: AtomicUsize,
     coalesced: AtomicUsize,
@@ -339,6 +507,7 @@ impl EvalEngine {
             tier: SynthesisTier::default(),
             accuracy_tier,
             shards,
+            stages: StageCache::default(),
             hits: AtomicUsize::new(0),
             misses: AtomicUsize::new(0),
             coalesced: AtomicUsize::new(0),
@@ -559,6 +728,8 @@ impl EvalEngine {
             fast_path: self.fast_path.load(Ordering::Relaxed),
             full_synthesis: self.full_synthesis.load(Ordering::Relaxed),
             warmed: self.warmed,
+            stage_runs: self.stages.runs.load(Ordering::Relaxed),
+            stage_reuses: self.stages.reused.load(Ordering::Relaxed),
             finalize_reruns: self.finalize_reruns.load(Ordering::Relaxed),
             multiplier_cache_hits: mul.hits,
             multiplier_cache_misses: mul.misses,
@@ -571,14 +742,16 @@ impl EvalEngine {
         }
     }
 
-    /// Drops every cached result (counters are kept).
+    /// Drops every cached result and memoized stage (counters are kept), so
+    /// the next evaluations run cold.
     pub fn clear_cache(&self) {
         for shard in self.shards.iter() {
             shard.lock().expect("shard lock").clear();
         }
+        self.stages.memo.lock().expect("stage memo lock").clear();
     }
 
-    fn shard_for(&self, key: &EvalKey) -> &Mutex<HashMap<EvalKey, Slot>> {
+    fn shard_for(&self, key: &EvalKey) -> &Memo<EvalKey, CachedEval, CoreError> {
         &self.shards[(key.shard_hash() % self.shards.len() as u64) as usize]
     }
 
@@ -609,137 +782,36 @@ impl EvalEngine {
         &self,
         config: &MinimizationConfig,
     ) -> Result<(DesignPoint, bool), CoreError> {
-        let key = EvalKey::new(
-            config,
-            self.baseline.input_bits,
-            self.fine_tune_epochs,
-            self.salt,
-            self.accuracy_tier,
+        self.resolve_entry(config)
+            .map(|(entry, cached)| (entry.point, cached))
+    }
+
+    /// [`EvalEngine::evaluate_with_status`] returning the whole cache entry.
+    fn resolve_entry(&self, config: &MinimizationConfig) -> Result<(CachedEval, bool), CoreError> {
+        let key = self.key(config);
+        let (outcome, answer) = resolve(
+            self.shard_for(&key),
+            key,
+            || {
+                self.compute(config).map(|detailed| CachedEval {
+                    point: detailed.point,
+                    artifacts: Some((Arc::new(detailed.layers), detailed.sharing)),
+                })
+            },
+            || CoreError::InvalidConfig {
+                context: "evaluation panicked; see stderr for the panic message".into(),
+            },
         );
-        let shard = self.shard_for(&key);
-
-        enum Action {
-            Hit(DesignPoint),
-            Wait(Arc<InFlight>),
-            Compute(Arc<InFlight>),
-        }
-
-        let action = {
-            let mut guard = shard.lock().expect("shard lock");
-            match guard.get(&key) {
-                Some(Slot::Done(entry)) => Action::Hit(entry.point.clone()),
-                Some(Slot::Pending(pending)) => Action::Wait(Arc::clone(pending)),
-                None => {
-                    let pending = InFlight::new();
-                    guard.insert(key, Slot::Pending(Arc::clone(&pending)));
-                    Action::Compute(pending)
-                }
-            }
-        };
-
-        match action {
-            Action::Hit(point) => {
+        match answer {
+            Answer::Hit => {
                 self.hits.fetch_add(1, Ordering::Relaxed);
-                self.report_progress(config, true);
-                Ok((point, true))
             }
-            Action::Wait(pending) => {
-                // Another worker is computing this exact configuration: block
-                // until it finishes and reuse its result.
-                let outcome = pending.wait();
+            Answer::Coalesced => {
                 self.coalesced.fetch_add(1, Ordering::Relaxed);
-                self.report_progress(config, true);
-                outcome.map(|p| (p, true))
             }
-            Action::Compute(pending) => {
-                // Unwind guard: if the pipeline panics, the pending slot must
-                // not stay in the cache (it would wedge every later request
-                // for this key) and the waiters must be released rather than
-                // blocking on a condvar that will never be signalled.
-                struct ReleaseOnUnwind<'a> {
-                    shard: &'a Mutex<HashMap<EvalKey, Slot>>,
-                    key: EvalKey,
-                    pending: &'a InFlight,
-                    armed: bool,
-                }
-                impl Drop for ReleaseOnUnwind<'_> {
-                    fn drop(&mut self) {
-                        if self.armed {
-                            if let Ok(mut guard) = self.shard.lock() {
-                                guard.remove(&self.key);
-                            }
-                            self.pending.fill(Err(CoreError::InvalidConfig {
-                                context: "evaluation panicked; see stderr for the panic \
-                                          message"
-                                    .into(),
-                            }));
-                        }
-                    }
-                }
-                let mut unwind_guard = ReleaseOnUnwind {
-                    shard,
-                    key,
-                    pending: &pending,
-                    armed: true,
-                };
-
-                let ctx = EvaluationContext::new(&self.baseline)
-                    .with_fine_tune_epochs(self.fine_tune_epochs)
-                    .with_tier(self.tier)
-                    .with_accuracy_tier(self.accuracy_tier);
-                let outcome = evaluate_config_detailed(&ctx, config, self.salt);
-
-                unwind_guard.armed = false;
-                // Move the minimized layers into the cache (only the design
-                // point is cloned); failures are not cached — a retry re-runs
-                // the pipeline.
-                let (outcome, stored_artifacts) = {
-                    let mut guard = shard.lock().expect("shard lock");
-                    match outcome {
-                        Ok(detailed) => {
-                            let point = detailed.point.clone();
-                            let artifacts = (Arc::new(detailed.layers), detailed.sharing);
-                            guard.insert(
-                                key,
-                                Slot::Done(CachedEval {
-                                    point: detailed.point,
-                                    artifacts: Some(artifacts.clone()),
-                                }),
-                            );
-                            (Ok(point), Some(artifacts))
-                        }
-                        Err(err) => {
-                            guard.remove(&key);
-                            (Err(err), None)
-                        }
-                    }
-                };
-                pending.fill(outcome.clone());
-                // Persist the fresh result — layers included, so a later
-                // process can finalize it without re-minimizing; a failing
-                // append degrades the store to this process's lifetime but
-                // never fails a search.
-                if let (Some(store), Ok(point)) = (&self.store, &outcome) {
-                    let record = EvalRecord {
-                        key,
-                        tier: self.tier,
-                        point: point.clone(),
-                        artifacts: stored_artifacts.map(|(layers, sharing)| EvalArtifacts {
-                            layers: layers.as_ref().clone(),
-                            sharing,
-                        }),
-                    };
-                    if self.batch_depth.load(Ordering::Acquire) > 0 {
-                        // Inside evaluate_batch: hold the record back so the
-                        // whole batch flushes as one append at the boundary.
-                        self.batch_buffer
-                            .lock()
-                            .expect("batch buffer lock")
-                            .push(record);
-                    } else if let Err(err) = store.append(&record) {
-                        self.store_append_failures.fetch_add(1, Ordering::Relaxed);
-                        eprintln!("warning: {err}");
-                    }
+            Answer::Computed => {
+                if let (Some(store), Ok(entry)) = (&self.store, &outcome) {
+                    self.persist(store, key, entry);
                 }
                 self.misses.fetch_add(1, Ordering::Relaxed);
                 match self.tier {
@@ -750,9 +822,59 @@ impl EvalEngine {
                         self.full_synthesis.fetch_add(1, Ordering::Relaxed);
                     }
                 }
-                self.report_progress(config, false);
-                outcome.map(|p| (p, false))
             }
+        }
+        let cached = answer != Answer::Computed;
+        self.report_progress(config, cached);
+        outcome.map(|entry| (entry, cached))
+    }
+
+    /// The cache key of `config` under this engine's setup.
+    fn key(&self, config: &MinimizationConfig) -> EvalKey {
+        EvalKey::new(
+            config,
+            self.baseline.input_bits,
+            self.fine_tune_epochs,
+            self.salt,
+            self.accuracy_tier,
+        )
+    }
+
+    /// Runs the pipeline for `config`, sharing stages through the memo.
+    fn compute(&self, config: &MinimizationConfig) -> Result<EvaluatedDesign, CoreError> {
+        let ctx = EvaluationContext::new(&self.baseline)
+            .with_fine_tune_epochs(self.fine_tune_epochs)
+            .with_tier(self.tier)
+            .with_accuracy_tier(self.accuracy_tier);
+        evaluate_staged(&ctx, config, self.salt, &self.stages)
+    }
+
+    /// Persists a fresh result — layers included, so a later process can
+    /// finalize it without re-minimizing. A failing append degrades the
+    /// store to this process's lifetime but never fails a search.
+    fn persist(&self, store: &EvalStore, key: EvalKey, entry: &CachedEval) {
+        let record = EvalRecord {
+            key,
+            tier: self.tier,
+            point: entry.point.clone(),
+            artifacts: entry
+                .artifacts
+                .as_ref()
+                .map(|(layers, sharing)| EvalArtifacts {
+                    layers: layers.as_ref().clone(),
+                    sharing: *sharing,
+                }),
+        };
+        if self.batch_depth.load(Ordering::Acquire) > 0 {
+            // Inside evaluate_batch: hold the record back so the whole batch
+            // flushes as one append at the boundary.
+            self.batch_buffer
+                .lock()
+                .expect("batch buffer lock")
+                .push(record);
+        } else if let Err(err) = store.append(&record) {
+            self.store_append_failures.fetch_add(1, Ordering::Relaxed);
+            eprintln!("warning: {err}");
         }
     }
 }
@@ -784,28 +906,8 @@ impl EvalEngine {
     ///
     /// Propagates evaluation and synthesis errors.
     pub fn finalize(&self, config: &MinimizationConfig) -> Result<FinalizedDesign, CoreError> {
-        let (point, _) = self.evaluate_with_status(config)?;
-        let key = EvalKey::new(
-            config,
-            self.baseline.input_bits,
-            self.fine_tune_epochs,
-            self.salt,
-            self.accuracy_tier,
-        );
-        let cached = {
-            let guard = self.shard_for(&key).lock().expect("shard lock");
-            match guard.get(&key) {
-                Some(Slot::Done(entry)) => entry.artifacts.clone(),
-                _ => {
-                    return Err(CoreError::InvalidConfig {
-                        context: "finalize: evaluation vanished from the cache (cleared \
-                                  concurrently?)"
-                            .into(),
-                    })
-                }
-            }
-        };
-        let (layers, sharing) = match cached {
+        let (CachedEval { point, artifacts }, _) = self.resolve_entry(config)?;
+        let (layers, sharing) = match artifacts {
             Some(artifacts) => artifacts,
             None => {
                 // The entry was warm-started from a store record without a
@@ -814,12 +916,9 @@ impl EvalEngine {
                 // regenerate the minimized layers, and keep them for any
                 // later finalization of the same configuration.
                 self.finalize_reruns.fetch_add(1, Ordering::Relaxed);
-                let ctx = EvaluationContext::new(&self.baseline)
-                    .with_fine_tune_epochs(self.fine_tune_epochs)
-                    .with_tier(self.tier)
-                    .with_accuracy_tier(self.accuracy_tier);
-                let detailed = evaluate_config_detailed(&ctx, config, self.salt)?;
+                let detailed = self.compute(config)?;
                 let artifacts = (Arc::new(detailed.layers), detailed.sharing);
+                let key = self.key(config);
                 let mut guard = self.shard_for(&key).lock().expect("shard lock");
                 if let Some(Slot::Done(entry)) = guard.get_mut(&key) {
                     entry.artifacts = Some(artifacts.clone());
@@ -990,6 +1089,57 @@ pub(crate) mod tests {
         assert_ne!(base, EvalKey::new(&config, 4, 8, 7, tier));
         assert_ne!(base, EvalKey::new(&config, 4, 8, 0, AccuracyTier::Float));
         assert_eq!(base, EvalKey::new(&config, 4, 8, 0, tier));
+    }
+
+    fn failed() -> String {
+        "panicked".into()
+    }
+
+    #[test]
+    fn resolve_caches_successes_but_not_errors() {
+        let memo: Memo<u8, u32, String> = Mutex::default();
+        assert_eq!(
+            resolve(&memo, 1, || Ok(7), failed),
+            (Ok(7), Answer::Computed)
+        );
+        let unreachable = || -> Result<u32, String> { panic!("a hit must not recompute") };
+        assert_eq!(resolve(&memo, 1, unreachable, failed), (Ok(7), Answer::Hit));
+
+        let err = resolve(&memo, 2, || Err("boom".to_string()), failed);
+        assert_eq!(err, (Err("boom".into()), Answer::Computed));
+        assert_eq!(
+            resolve(&memo, 2, || Ok(9), failed),
+            (Ok(9), Answer::Computed)
+        );
+    }
+
+    #[test]
+    fn panicking_computation_releases_its_waiters() {
+        let memo: Memo<u8, u32, String> = Mutex::default();
+        let waiter = std::cell::RefCell::new(None);
+        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            resolve(
+                &memo,
+                1,
+                || {
+                    // Stand in for a concurrent requester: take the pending
+                    // slot a second thread would block on.
+                    if let Some(Slot::Pending(pending)) = memo.lock().unwrap().get(&1) {
+                        *waiter.borrow_mut() = Some(Arc::clone(pending));
+                    }
+                    panic!("stage panicked")
+                },
+                failed,
+            )
+        }));
+        assert!(outcome.is_err());
+        let pending = waiter.into_inner().expect("pending slot was visible");
+        assert_eq!(pending.wait(), Err("panicked".to_string()));
+        assert!(memo.lock().unwrap().is_empty(), "no wedged slot remains");
+        assert_eq!(
+            resolve(&memo, 1, || Ok(3), failed),
+            (Ok(3), Answer::Computed)
+        );
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! "disabled", meaning the corresponding technique is not applied at all, so
 //! the GA can rediscover the standalone techniques as special cases.
 
-use pmlp_minimize::MinimizationConfig;
+use pmlp_minimize::{sparsity_millis, MinimizationConfig};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
@@ -155,13 +155,6 @@ impl Genome {
             self.clusters.unwrap_or(0),
         )
     }
-}
-
-/// Canonical 1e-3-grid encoding of a sparsity value, shared by genome
-/// deduplication keys and the engine's cache key so the two layers always
-/// agree on which configurations are identical.
-pub fn sparsity_millis(sparsity: f64) -> u32 {
-    (sparsity * 1000.0).round() as u32
 }
 
 #[cfg(test)]

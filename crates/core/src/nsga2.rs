@@ -23,13 +23,13 @@
 
 use crate::engine::Evaluator;
 use crate::error::CoreError;
-use crate::genome::{sparsity_millis, Genome, GenomeSpace};
+use crate::genome::{Genome, GenomeSpace};
 use crate::objective::{DesignPoint, ObjectiveSpace};
 use crate::pareto::{
     crowding_distances_in, descending_nan_last, non_dominated_ranks_in, pareto_front_in,
 };
 use crate::store::EvalStore;
-use pmlp_minimize::MinimizationConfig;
+use pmlp_minimize::{sparsity_millis, MinimizationConfig};
 use rand::rngs::StdRng;
 use rand::Rng;
 use rand::SeedableRng;

@@ -5,9 +5,7 @@ use crate::baseline::BaselineDesign;
 use crate::bridge::{circuit_spec_from_layers, estimate_area, synthesize_area};
 use crate::error::CoreError;
 use pmlp_hw::{IntInferEngine, SharingStrategy};
-use pmlp_minimize::{minimize, IntegerLayer, MinimizationConfig};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
+use pmlp_minimize::{minimize_with, IntegerLayer, MinimizationConfig, StageMemo, Uncached};
 use serde::{Deserialize, Serialize};
 
 /// Which hardware model a candidate evaluation runs through.
@@ -506,9 +504,10 @@ impl ObjectiveSpace {
 /// synthesized with multiplier sharing enabled exactly when the configuration
 /// clusters weights.
 ///
-/// `salt` perturbs the fine-tuning RNG so repeated evaluations of the same
-/// configuration (e.g. in different GA generations) stay deterministic per
-/// `(config, salt)` pair.
+/// `salt` perturbs the fine-tuning RNG: the pipeline seed is
+/// `baseline.seed ^ salt`, from which every stage seeds its own RNG with its
+/// prefix configuration (see [`pmlp_minimize::apply`]), so results stay
+/// deterministic per `(config, salt)` pair.
 ///
 /// # Errors
 ///
@@ -540,6 +539,10 @@ pub struct EvaluatedDesign {
 /// so finalist verification can re-synthesize without re-running the
 /// minimization pipeline.
 ///
+/// Runs every stage of the pipeline; an [`EvalEngine`](crate::EvalEngine)
+/// runs the same stages but shares prune and cluster stages among the
+/// configurations it evaluates, with bit-identical results.
+///
 /// # Errors
 ///
 /// Propagates minimization and synthesis errors.
@@ -548,19 +551,32 @@ pub fn evaluate_config_detailed(
     config: &MinimizationConfig,
     salt: u64,
 ) -> Result<EvaluatedDesign, CoreError> {
+    evaluate_staged(ctx, config, salt, &Uncached)
+}
+
+/// [`evaluate_config_detailed`] with the prune and cluster stages fetched
+/// from, or computed into, `memo`.
+pub(crate) fn evaluate_staged(
+    ctx: &EvaluationContext<'_>,
+    config: &MinimizationConfig,
+    salt: u64,
+    memo: &dyn StageMemo,
+) -> Result<EvaluatedDesign, CoreError> {
     let baseline = ctx.baseline();
     let mut config = *config;
     config.input_bits = baseline.input_bits;
     config.fine_tune_epochs = ctx.fine_tune_epochs;
 
-    let mut rng = StdRng::seed_from_u64(baseline.seed ^ salt ^ config_hash(&config));
-    let minimized = minimize(
+    let minimized = minimize_with(
         &baseline.model,
         &baseline.train,
         Some(&baseline.test),
         &config,
-        &mut rng,
+        baseline.seed ^ salt,
+        memo,
     )?;
+    // The point records the canonical configuration the pipeline ran.
+    let config = minimized.config;
     let sharing = if minimized.shares_multipliers() {
         SharingStrategy::SharedPerInput
     } else {
@@ -641,20 +657,6 @@ pub fn integer_accuracy(
     let spec = circuit_spec_from_layers(layers, input_bits)?;
     let engine = IntInferEngine::from_spec_with(&spec, sharing).map_err(CoreError::from)?;
     Ok(engine.accuracy(rows, labels))
-}
-
-/// Deterministic hash of a configuration, used to derive per-candidate seeds.
-fn config_hash(config: &MinimizationConfig) -> u64 {
-    let mut h: u64 = 0xcbf29ce484222325;
-    let mut mix = |v: u64| {
-        h ^= v;
-        h = h.wrapping_mul(0x100000001b3);
-    };
-    mix(config.weight_bits.map(u64::from).unwrap_or(99));
-    mix(config.sparsity.map(|s| (s * 1000.0) as u64).unwrap_or(9999));
-    mix(config.clusters_per_input.map(|c| c as u64).unwrap_or(77777));
-    mix(u64::from(config.input_bits));
-    h
 }
 
 #[cfg(test)]
@@ -868,15 +870,5 @@ mod tests {
         // ... but perfectly healthy in the classic space.
         assert!(!ObjectiveSpace::classic().has_nan(&nan));
         assert!(ObjectiveSpace::classic().dominates(&nan, &a));
-    }
-
-    #[test]
-    fn config_hash_distinguishes_configs() {
-        let a = config_hash(&MinimizationConfig::default().with_weight_bits(3));
-        let b = config_hash(&MinimizationConfig::default().with_weight_bits(4));
-        let c = config_hash(&MinimizationConfig::default().with_sparsity(0.3));
-        assert_ne!(a, b);
-        assert_ne!(a, c);
-        assert_ne!(b, c);
     }
 }

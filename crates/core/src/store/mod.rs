@@ -849,7 +849,7 @@ mod proptests {
             u32::MAX
         } else {
             config = config.with_sparsity(sparsity);
-            crate::genome::sparsity_millis(sparsity)
+            pmlp_minimize::sparsity_millis(sparsity)
         };
         let weight_bits = if bits >= 2 {
             config = config.with_weight_bits(bits);

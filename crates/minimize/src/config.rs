@@ -103,6 +103,18 @@ impl MinimizationConfig {
         self.weight_bits.unwrap_or(8)
     }
 
+    /// This configuration with its sparsity snapped to the 1e-3 grid of
+    /// [`sparsity_millis`], so that float noise (`0.29999999999` vs `0.3`)
+    /// cannot change how many weights are pruned, which RNG stream a stage
+    /// draws, or which cache entry a result lands in.
+    #[must_use]
+    pub fn canonical(mut self) -> Self {
+        self.sparsity = self
+            .sparsity
+            .map(|s| f64::from(sparsity_millis(s)) / 1000.0);
+        self
+    }
+
     /// Validates all fields.
     ///
     /// # Errors
@@ -169,6 +181,13 @@ impl fmt::Display for MinimizationConfig {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(&self.describe())
     }
+}
+
+/// Canonical 1e-3-grid encoding of a sparsity value. Stage seeds, stage memo
+/// keys, genome deduplication keys and evaluation cache keys all derive from
+/// it, so every layer agrees on which configurations are identical.
+pub fn sparsity_millis(sparsity: f64) -> u32 {
+    (sparsity * 1000.0).round() as u32
 }
 
 #[cfg(test)]
@@ -246,6 +265,27 @@ mod tests {
             .with_clusters(3);
         assert_eq!(c.describe(), "q4/p0.40/c3/in4");
         assert_eq!(c.to_string(), c.describe());
+    }
+
+    #[test]
+    fn canonical_snaps_sparsity_onto_the_millis_grid() {
+        let noisy = MinimizationConfig::default().with_sparsity(0.29999999999);
+        assert_eq!(
+            noisy.canonical(),
+            MinimizationConfig::default().with_sparsity(0.3)
+        );
+        // Grid values are fixed points: no sparsity written as a literal with
+        // at most three decimals changes.
+        for millis in 0..1000 {
+            let s = f64::from(millis) / 1000.0;
+            assert_eq!(sparsity_millis(s), millis);
+            let config = MinimizationConfig::default().with_sparsity(s);
+            assert_eq!(config.canonical(), config);
+        }
+        assert_eq!(
+            MinimizationConfig::baseline().canonical(),
+            MinimizationConfig::baseline()
+        );
     }
 
     #[test]

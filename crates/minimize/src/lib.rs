@@ -12,7 +12,9 @@
 //! * [`cluster`] — per-input-position weight clustering (Deep-Compression
 //!   style) that enables multiplier sharing in bespoke circuits,
 //! * [`config`] / [`apply`] — a joint [`MinimizationConfig`] combining all
-//!   three techniques and the pipeline that applies it to a trained MLP.
+//!   three techniques and the staged pipeline that applies it to a trained
+//!   MLP; each stage seeds its own RNG from its prefix configuration, so a
+//!   [`StageMemo`] can share prune and cluster stages between configurations.
 //!
 //! ## Example
 //!
@@ -35,7 +37,7 @@
 //! Trainer::new(TrainConfig { epochs: 10, ..TrainConfig::default() }).fit(&mut mlp, &data, None, &mut rng)?;
 //!
 //! let config = MinimizationConfig::default().with_weight_bits(4).with_sparsity(0.3);
-//! let minimized = minimize(&mlp, &data, None, &config, &mut rng)?;
+//! let minimized = minimize(&mlp, &data, None, &config, 7)?;
 //! assert!(minimized.model.sparsity() >= 0.25);
 //! # Ok(())
 //! # }
@@ -52,9 +54,9 @@ pub mod prune;
 pub mod qat;
 pub mod quantize;
 
-pub use apply::{minimize, MinimizedModel};
+pub use apply::{minimize, minimize_with, MinimizedModel, StageMemo, StageOutput, Uncached};
 pub use cluster::{ClusterAssignment, ClusteringConfig};
-pub use config::MinimizationConfig;
+pub use config::{sparsity_millis, MinimizationConfig};
 pub use error::MinimizeError;
 pub use prune::PruningMask;
 pub use qat::QatConfig;

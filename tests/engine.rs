@@ -1,14 +1,17 @@
 //! Integration tests for the shared evaluation engine: determinism of
 //! engine-backed searches, memoization across runs, in-flight deduplication,
-//! and the quick-effort Figure 1 smoke path used by CI.
+//! the stage memo, and the quick-effort Figure 1 smoke path used by CI.
 
 use printed_mlp::core::baseline::BaselineConfig;
 use printed_mlp::core::engine::{EvalEngine, Evaluator};
 use printed_mlp::core::experiment::{Effort, Figure1Experiment};
 use printed_mlp::core::genome::GenomeSpace;
+use printed_mlp::core::objective::{evaluate_config_detailed, DesignPoint, EvaluationContext};
+use printed_mlp::core::store::MemoryBackend;
+use printed_mlp::core::sweep::{sweep_all, SweepRanges};
 use printed_mlp::core::{Nsga2, Nsga2Config};
 use printed_mlp::data::UciDataset;
-use printed_mlp::minimize::MinimizationConfig;
+use printed_mlp::minimize::{IntegerLayer, MinimizationConfig};
 
 fn quick_engine(seed: u64) -> EvalEngine {
     EvalEngine::train_with(
@@ -159,4 +162,132 @@ fn figure1_quick_smoke_on_seeds() {
     let again = experiment.run_with(&engine).unwrap();
     assert_eq!(again, result);
     assert_eq!(engine.stats().misses, misses);
+}
+
+/// A quick engine that records every computed result in an in-memory store,
+/// which is where its integer layers can be read back.
+fn recording_engine(seed: u64) -> EvalEngine {
+    quick_engine(seed)
+        .with_backend(Box::new(MemoryBackend::new()))
+        .expect("in-memory store")
+}
+
+/// Evaluates `config` and returns the point with the integer layers the
+/// engine computed for it.
+fn point_and_layers(
+    engine: &EvalEngine,
+    config: &MinimizationConfig,
+) -> (DesignPoint, Vec<IntegerLayer>) {
+    let point = engine.evaluate(config).unwrap();
+    let store = engine.store().expect("recording engine");
+    let record = store
+        .backend()
+        .scan(store.name(), store.fingerprint())
+        .unwrap()
+        .records
+        .into_iter()
+        .find(|r| r.point == point)
+        .expect("computed point was recorded");
+    (point, record.artifacts.expect("layers recorded").layers)
+}
+
+fn combined() -> MinimizationConfig {
+    MinimizationConfig::default()
+        .with_weight_bits(4)
+        .with_sparsity(0.3)
+        .with_clusters(3)
+}
+
+#[test]
+fn memoized_stages_reproduce_a_cold_evaluation_bit_for_bit() {
+    // Sweeps fill the prune stage for sparsity 0.3; a cluster-only prefix
+    // evaluation fills the cluster stage for 0.3 + 3 clusters.
+    let warm = recording_engine(3);
+    sweep_all(&warm, &SweepRanges::quick()).unwrap();
+    warm.evaluate(
+        &MinimizationConfig::default()
+            .with_sparsity(0.3)
+            .with_clusters(3),
+    )
+    .unwrap();
+    let runs = warm.stats().stage_runs;
+    let (warm_point, warm_layers) = point_and_layers(&warm, &combined());
+    assert_eq!(
+        warm.stats().stage_runs,
+        runs,
+        "the combined config must reuse both memoized stages"
+    );
+    assert!(warm.stats().stage_reuses > 0);
+
+    let cold = recording_engine(3);
+    let (cold_point, cold_layers) = point_and_layers(&cold, &combined());
+    assert_eq!(cold.stats().stage_runs, 2, "prune, then cluster");
+    assert_eq!(warm_point, cold_point);
+    assert_eq!(warm_layers, cold_layers);
+
+    // Without an engine, the same stages run uncached.
+    let ctx = EvaluationContext::new(cold.baseline()).with_fine_tune_epochs(2);
+    let alone = evaluate_config_detailed(&ctx, &combined(), 0).unwrap();
+    assert_eq!(alone.point, cold_point);
+    assert_eq!(alone.layers, cold_layers);
+}
+
+#[test]
+fn memoized_results_do_not_depend_on_evaluation_order() {
+    let configs = [
+        combined(),
+        combined().with_weight_bits(3),
+        MinimizationConfig::default()
+            .with_weight_bits(4)
+            .with_sparsity(0.3),
+        MinimizationConfig::default()
+            .with_sparsity(0.3)
+            .with_clusters(2),
+        MinimizationConfig::default().with_sparsity(0.3),
+    ];
+    let forward = quick_engine(5);
+    let forward_points: Vec<DesignPoint> = configs
+        .iter()
+        .map(|c| forward.evaluate(c).unwrap())
+        .collect();
+    // The reverse pass runs as one parallel batch, so concurrent candidates
+    // also coalesce onto each other's stages.
+    let reverse: Vec<MinimizationConfig> = configs.iter().rev().copied().collect();
+    let mut reverse_points = quick_engine(5).evaluate_batch(&reverse).unwrap();
+    reverse_points.reverse();
+    assert_eq!(forward_points, reverse_points);
+}
+
+#[test]
+fn cleared_engine_recomputes_the_identical_point() {
+    let engine = quick_engine(6);
+    let first = engine.evaluate(&combined()).unwrap();
+    let runs = engine.stats().stage_runs;
+    engine.clear_cache();
+    let again = engine.evaluate(&combined()).unwrap();
+    assert_eq!(first, again);
+    assert_eq!(
+        engine.stats().stage_runs,
+        2 * runs,
+        "clear_cache drops the stage memo too"
+    );
+}
+
+#[test]
+fn sparsity_float_noise_changes_neither_seed_nor_result() {
+    // Both spellings share one cache key, so they must also share the
+    // pipeline's seeds and pruning amount: otherwise a cached result would
+    // depend on which spelling arrived first.
+    for config in [
+        MinimizationConfig::default(),
+        MinimizationConfig::default().with_weight_bits(4),
+    ] {
+        let noisy = quick_engine(8)
+            .evaluate(&config.with_sparsity(0.29999999999))
+            .unwrap();
+        let clean = quick_engine(8)
+            .evaluate(&config.with_sparsity(0.3))
+            .unwrap();
+        assert_eq!(noisy, clean, "{config}");
+    }
 }

@@ -9,8 +9,6 @@ use printed_mlp::hw::constmul::RecodingStrategy;
 use printed_mlp::hw::{BespokeMlpCircuit, CellLibrary, SharingStrategy};
 use printed_mlp::minimize::{minimize, MinimizationConfig};
 use printed_mlp::nn::Matrix;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 
 /// Quantizes a normalized feature vector to unsigned integer codes of
 /// `input_bits` bits (the format the printed circuit's inputs arrive in).
@@ -45,8 +43,7 @@ fn circuit_classification_matches_quantized_software_model() {
         .with_sparsity(0.3)
         .with_input_bits(input_bits)
         .with_fine_tune_epochs(4);
-    let mut rng = StdRng::seed_from_u64(99);
-    let minimized = minimize(&baseline.model, &baseline.train, None, &config, &mut rng).unwrap();
+    let minimized = minimize(&baseline.model, &baseline.train, None, &config, 99).unwrap();
 
     // Synthesize the bespoke circuit from the integer layers.
     let spec = circuit_spec_from_layers(&minimized.integer_layers, input_bits).unwrap();
@@ -97,8 +94,7 @@ fn shared_and_unshared_circuits_agree_on_clustered_models() {
         .with_clusters(3)
         .with_input_bits(input_bits)
         .with_fine_tune_epochs(3);
-    let mut rng = StdRng::seed_from_u64(123);
-    let minimized = minimize(&baseline.model, &baseline.train, None, &config, &mut rng).unwrap();
+    let minimized = minimize(&baseline.model, &baseline.train, None, &config, 123).unwrap();
     let spec = circuit_spec_from_layers(&minimized.integer_layers, input_bits).unwrap();
 
     let lib = CellLibrary::egt();
@@ -145,8 +141,7 @@ fn csd_and_binary_recoding_produce_identical_functions() {
     let config = MinimizationConfig::default()
         .with_weight_bits(4)
         .with_fine_tune_epochs(2);
-    let mut rng = StdRng::seed_from_u64(7);
-    let minimized = minimize(&baseline.model, &baseline.train, None, &config, &mut rng).unwrap();
+    let minimized = minimize(&baseline.model, &baseline.train, None, &config, 7).unwrap();
     let spec = circuit_spec_from_layers(&minimized.integer_layers, input_bits).unwrap();
 
     let lib = CellLibrary::egt();

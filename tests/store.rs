@@ -214,6 +214,59 @@ fn store_warmed_finalists_finalize_without_re_minimization() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// A store filled by the previous pipeline version holds multi-stage results
+/// the current pipeline no longer produces under the same cache keys, so the
+/// pipeline version is part of the baseline fingerprint and such records
+/// must not warm-start an engine.
+#[test]
+fn records_of_the_previous_pipeline_version_do_not_warm_start() {
+    use printed_mlp::core::engine::EvalEngine;
+    use printed_mlp::core::store::EvalStore;
+
+    /// `fingerprint()` of the quick Seeds baseline at seed 11 under the
+    /// pipeline that ran every stage from one RNG stream.
+    const PREVIOUS_PIPELINE_FP: u64 = 0x4750_51f3_277a_3aaa;
+
+    let dir = temp_dir("stale-pipeline");
+    let build = || {
+        EvalEngine::train_with(UciDataset::Seeds, 11, &Effort::Quick.baseline_config())
+            .unwrap()
+            .with_fine_tune_epochs(2)
+    };
+    let engine = build();
+    assert_ne!(engine.fingerprint(), PREVIOUS_PIPELINE_FP);
+    let config = MinimizationConfig::default()
+        .with_weight_bits(4)
+        .with_sparsity(0.3);
+    let recorder = build()
+        .with_backend(Box::new(printed_mlp::core::store::MemoryBackend::new()))
+        .unwrap();
+    recorder.evaluate(&config).unwrap();
+    let store = recorder.store().unwrap();
+    let record = store
+        .backend()
+        .scan(store.name(), store.fingerprint())
+        .unwrap()
+        .records
+        .remove(0);
+
+    let name = UciDataset::Seeds.to_string();
+    EvalStore::open(&dir, &name, PREVIOUS_PIPELINE_FP)
+        .unwrap()
+        .append(&record)
+        .unwrap();
+    let stale = build().with_store(&dir).unwrap();
+    assert_eq!(stale.stats().warmed, 0, "a stale record warm-started");
+
+    // The same record bound to the current fingerprint does warm-start.
+    EvalStore::open(&dir, &name, engine.fingerprint())
+        .unwrap()
+        .append(&record)
+        .unwrap();
+    assert_eq!(build().with_store(&dir).unwrap().stats().warmed, 1);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// `EvalStore::gc` against a real campaign store: live fingerprints survive,
 /// a dead baseline's logs and markers disappear.
 #[test]
