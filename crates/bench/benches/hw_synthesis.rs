@@ -89,9 +89,9 @@ fn bench_hw_synthesis(c: &mut Criterion) {
         b.iter(|| circuit.timing().critical_path_us)
     });
 
-    // The two-tier comparison: candidate evaluation cost through the analytic
-    // fast path vs full synthesis + all three netlist analyses (what a search
-    // loop would otherwise pay per candidate).
+    // Candidate evaluation cost through the analytic fast path vs full
+    // synthesis + all three netlist analyses (what a search loop would
+    // otherwise pay per candidate).
     group.bench_function("whitewine_full_synthesis_with_analyses", |b| {
         b.iter(|| {
             let circuit = BespokeMlpCircuit::synthesize(&spec, &library).unwrap();

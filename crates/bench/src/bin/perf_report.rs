@@ -1,7 +1,7 @@
 //! Tracked performance baseline: times the stages that dominate a paper
 //! reproduction run — baseline training, a single candidate evaluation, the
-//! hardware cost of one candidate under both tiers (analytic fast path vs
-//! full gate-level synthesis), the quick Fig. 2 experiment, the quick
+//! hardware cost of one candidate through the analytic fast path and through
+//! full gate-level synthesis, the quick Fig. 2 experiment, the quick
 //! full-registry campaign, and the persistence tier (local store append /
 //! replay rates plus the `pmlp-serve` loopback round trip) — and writes the
 //! numbers to `BENCH_campaign.json` so every future PR is measured against a
@@ -461,7 +461,7 @@ fn measure_store(records: usize) -> Result<StoreMetrics, Box<dyn std::error::Err
 /// around.
 fn synthetic_record(i: usize) -> pmlp_core::store::EvalRecord {
     use pmlp_core::engine::EvalKey;
-    use pmlp_core::objective::{AccuracyTier, DesignPoint, SynthesisTier};
+    use pmlp_core::objective::DesignPoint;
     pmlp_core::store::EvalRecord {
         key: EvalKey {
             weight_bits: (i % 14) as u8 + 2,
@@ -470,9 +470,7 @@ fn synthetic_record(i: usize) -> pmlp_core::store::EvalRecord {
             input_bits: 4,
             fine_tune_epochs: 2,
             salt: i as u64,
-            accuracy_tier: AccuracyTier::Integer,
         },
-        tier: SynthesisTier::FastPath,
         point: DesignPoint {
             config: MinimizationConfig::default().with_weight_bits((i % 14) as u8 + 2),
             accuracy: 0.5 + (i % 50) as f64 / 100.0,
@@ -484,7 +482,7 @@ fn synthetic_record(i: usize) -> pmlp_core::store::EvalRecord {
             sparsity: 0.1,
             gate_count: 100 + i,
         },
-        artifacts: None,
+        artifacts: pmlp_core::store::EvalArtifacts::default(),
     }
 }
 

@@ -2,8 +2,8 @@
 //! figure normalizes against.
 //!
 //! Training and characterizing a baseline is the fixed up-front cost of every
-//! experiment: epochs of full-precision training plus (at full effort) one
-//! gate-level synthesis of the reference circuit. With a store attached,
+//! experiment: epochs of full-precision training plus one gate-level
+//! synthesis of the reference circuit. With a store attached,
 //! [`BaselineDesign::train_cached`] persists the trained model and its
 //! measured characterization as a store document keyed by the exact training
 //! budget, so resumed campaigns, figure re-runs and second workers on a
@@ -11,9 +11,9 @@
 //! dataset/seed) changes the document fingerprint and self-invalidates the
 //! cache.
 
-use crate::bridge::{estimate_area, synthesize_area, SynthesisSummary};
+use crate::bridge::{synthesize_area, SynthesisSummary};
 use crate::error::CoreError;
-use crate::objective::{integer_accuracy, AccuracyTier, SynthesisTier};
+use crate::objective::{integer_accuracy, AccuracyTier};
 use crate::store::StoreBackend;
 use pmlp_data::{quantize_features, DatasetDescriptor, UciDataset};
 use pmlp_hw::{CellLibrary, SharingStrategy};
@@ -37,16 +37,11 @@ pub struct BaselineConfig {
     pub train_fraction: f64,
     /// Input bit-width of the bespoke circuit.
     pub input_bits: u8,
-    /// Hardware model used to characterize the baseline circuit. Defaults to
-    /// full gate-level synthesis (the baseline is the reference point and a
-    /// one-time cost); quick/smoke budgets switch to the bit-identical
-    /// analytic fast path and lean on the equivalence test suite instead.
-    pub synthesis_tier: SynthesisTier,
-    /// Which arithmetic scores the baseline's (and, by default, every
-    /// candidate's) test accuracy. Defaults to
+    /// Which arithmetic scores the test accuracy of the baseline and of
+    /// every candidate evaluated against it. Defaults to
     /// [`AccuracyTier::Integer`] — the exact arithmetic of the bespoke
     /// circuit; [`AccuracyTier::Float`] keeps the fake-quantized `f32` model
-    /// for ablations.
+    /// as the integer engine's test oracle.
     pub accuracy_tier: AccuracyTier,
 }
 
@@ -58,7 +53,6 @@ impl Default for BaselineConfig {
             learning_rate: 0.01,
             train_fraction: 0.75,
             input_bits: 4,
-            synthesis_tier: SynthesisTier::FullSynthesis,
             accuracy_tier: AccuracyTier::default(),
         }
     }
@@ -91,10 +85,6 @@ fn budget_fingerprint(dataset: UciDataset, seed: u64, config: &BaselineConfig) -
     fp.mix_u64(u64::from(config.learning_rate.to_bits()));
     fp.mix_u64(config.train_fraction.to_bits());
     fp.mix_u64(u64::from(config.input_bits));
-    fp.mix_u64(match config.synthesis_tier {
-        SynthesisTier::FullSynthesis => 0xF011,
-        SynthesisTier::FastPath => 0xFA57,
-    });
     fp.mix_u64(match config.accuracy_tier {
         AccuracyTier::Float => 0xF10A7,
         AccuracyTier::Integer => 0x1237,
@@ -136,8 +126,8 @@ pub struct BaselineDesign {
     /// The quantized test features as flattened sample-major integer grid
     /// values, the input format of [`pmlp_hw::IntInferEngine`].
     pub test_rows: Vec<u16>,
-    /// Which arithmetic scored [`BaselineDesign::accuracy`]; evaluation
-    /// contexts default to the same tier.
+    /// Which arithmetic scored [`BaselineDesign::accuracy`]; every candidate
+    /// evaluated against this baseline is scored in the same one.
     pub accuracy_tier: AccuracyTier,
     /// Test accuracy of the 8-bit baseline bespoke implementation.
     pub accuracy: f64,
@@ -215,20 +205,14 @@ impl BaselineDesign {
                 test.labels(),
             )?,
         };
-        let synthesis = match config.synthesis_tier {
-            SynthesisTier::FullSynthesis => synthesize_area(
-                &minimized.integer_layers,
-                config.input_bits,
-                &library,
-                SharingStrategy::None,
-            )?,
-            SynthesisTier::FastPath => estimate_area(
-                &minimized.integer_layers,
-                config.input_bits,
-                &library,
-                SharingStrategy::None,
-            )?,
-        };
+        // The reference circuit every candidate is normalized against goes
+        // through full gate-level synthesis.
+        let synthesis = synthesize_area(
+            &minimized.integer_layers,
+            config.input_bits,
+            &library,
+            SharingStrategy::None,
+        )?;
 
         Ok(BaselineDesign {
             dataset,

@@ -7,14 +7,13 @@
 //! [`EvalEngine`], runs the three standalone technique sweeps, and collects
 //! the normalized Pareto fronts plus the headline area-gain rows into one
 //! [`CampaignResult`]. Every reported accuracy — baselines and candidates
-//! alike — is scored under the engine's default
+//! alike — is scored under the default
 //! [accuracy tier](crate::objective::AccuracyTier): pure-integer inference,
 //! bit-identical to gate-level simulation of the bespoke circuit.
 //!
 //! Datasets fan out across rayon workers — engines already parallelize
-//! *within* a dataset, so a campaign saturates the machine at both levels —
-//! and each dataset's report records its own engine statistics and wall-clock
-//! time. Results render as a paper-style aggregate table
+//! *within* a dataset, over candidates — and each dataset's report records
+//! its own engine statistics and wall-clock time. Results render as a paper-style aggregate table
 //! ([`crate::report::render_campaign_table`]) and persist as machine-readable
 //! JSON artifacts ([`CampaignResult::write_artifacts`]).
 //!
@@ -174,10 +173,9 @@ pub struct DatasetReport {
     /// Fraction of evaluation requests answered from the engine's cache.
     pub cache_hit_rate: f64,
     /// Evaluations whose hardware cost came from the analytic fast path (no
-    /// netlist was built).
+    /// netlist was built): every computed evaluation.
     pub fast_path_evals: usize,
-    /// Evaluations (plus finalist verifications) that ran full gate-level
-    /// synthesis.
+    /// Finalist verifications that ran full gate-level synthesis.
     pub full_synthesis_evals: usize,
     /// Hit rate of the process-wide constant-multiplier cost cache when this
     /// dataset finished, in `[0, 1]` (shared across concurrent datasets).
@@ -646,7 +644,7 @@ impl Campaign {
             hypervolume: volume,
             evaluations: stats.misses,
             cache_hit_rate: stats.hit_rate(),
-            fast_path_evals: stats.fast_path,
+            fast_path_evals: stats.misses,
             full_synthesis_evals: stats.full_synthesis,
             multiplier_cache_hit_rate: stats.multiplier_cache_hit_rate(),
             elapsed_secs: start.elapsed().as_secs_f64(),

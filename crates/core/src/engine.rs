@@ -48,15 +48,10 @@
 use crate::baseline::{BaselineConfig, BaselineDesign};
 use crate::bridge::{synthesize_area, SynthesisSummary};
 use crate::error::CoreError;
-use crate::objective::{
-    evaluate_staged, AccuracyTier, DesignPoint, EvaluatedDesign, EvaluationContext, SynthesisTier,
-};
+use crate::objective::{evaluate_staged, DesignPoint, EvaluatedDesign, EvaluationContext};
 use crate::store::{EvalArtifacts, EvalRecord, EvalStore, StoreBackend};
 use pmlp_data::UciDataset;
-use pmlp_hw::SharingStrategy;
-use pmlp_minimize::{
-    sparsity_millis, IntegerLayer, MinimizationConfig, MinimizeError, StageMemo, StageOutput,
-};
+use pmlp_minimize::{sparsity_millis, MinimizationConfig, MinimizeError, StageMemo, StageOutput};
 use rayon::prelude::*;
 use std::collections::HashMap;
 use std::hash::Hash;
@@ -95,7 +90,9 @@ pub trait Evaluator: Sync {
 /// Sparsity is snapped to a 1e-3 grid (matching the genome encoding) so that
 /// float noise cannot split logically identical configurations into distinct
 /// cache entries. This is also the persistent identity of an evaluation in
-/// the on-disk [`EvalStore`].
+/// the on-disk [`EvalStore`]. The accuracy tier is not part of it: it belongs
+/// to the baseline, whose fingerprint already separates the record logs of
+/// different tiers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct EvalKey {
     /// Quantization bit-width (0 = quantization disabled).
@@ -110,9 +107,6 @@ pub struct EvalKey {
     pub fine_tune_epochs: usize,
     /// RNG salt of the evaluation (see [`EvalEngine::with_salt`]).
     pub salt: u64,
-    /// Which arithmetic measured the candidate's accuracy (see
-    /// [`AccuracyTier`]); results scored under different tiers never mix.
-    pub accuracy_tier: AccuracyTier,
 }
 
 impl EvalKey {
@@ -121,7 +115,6 @@ impl EvalKey {
         input_bits: u8,
         fine_tune_epochs: usize,
         salt: u64,
-        accuracy_tier: AccuracyTier,
     ) -> Self {
         EvalKey {
             weight_bits: config.weight_bits.unwrap_or(0),
@@ -130,7 +123,6 @@ impl EvalKey {
             input_bits,
             fine_tune_epochs,
             salt,
-            accuracy_tier,
         }
     }
 
@@ -147,10 +139,6 @@ impl EvalKey {
         mix(u64::from(self.input_bits));
         mix(self.fine_tune_epochs as u64);
         mix(self.salt);
-        mix(match self.accuracy_tier {
-            AccuracyTier::Float => 0,
-            AccuracyTier::Integer => 1,
-        });
         h
     }
 }
@@ -345,15 +333,13 @@ impl StageMemo for StageCache {
     }
 }
 
-/// A resolved cache entry: the scored point plus, for entries computed in
-/// this process, the artefacts finalization needs (integer layers + sharing
-/// strategy) without re-running minimization. Entries warm-started from the
-/// persistent store carry no artefacts — only the design point is persisted —
-/// so finalizing one re-runs the deterministic pipeline once.
+/// A resolved cache entry: the scored point plus the artifacts finalization
+/// needs (integer layers + sharing strategy), computed in this process or
+/// loaded from the store with the point.
 #[derive(Debug, Clone)]
 struct CachedEval {
     point: DesignPoint,
-    artifacts: Option<(Arc<Vec<IntegerLayer>>, SharingStrategy)>,
+    artifacts: Arc<EvalArtifacts>,
 }
 
 /// Snapshot of the engine's cache counters.
@@ -368,11 +354,9 @@ pub struct EngineStats {
     pub coalesced: usize,
     /// Number of distinct configurations currently cached.
     pub entries: usize,
-    /// Computed evaluations whose hardware cost came from the analytic fast
-    /// path (no netlist).
-    pub fast_path: usize,
-    /// Computed evaluations (plus finalist verifications) that ran full
-    /// gate-level synthesis.
+    /// Finalist verifications ([`EvalEngine::finalize`]) that ran full
+    /// gate-level synthesis. Computed evaluations (`misses`) are all costed
+    /// by the analytic fast path.
     pub full_synthesis: usize,
     /// Entries preloaded from the persistent evaluation store when the engine
     /// was constructed with [`EvalEngine::with_store`] /
@@ -384,11 +368,6 @@ pub struct EngineStats {
     /// Stage requests answered from the stage memo or by waiting on a
     /// concurrent run of the same stage.
     pub stage_reuses: usize,
-    /// Finalizations that had to re-run the minimization pipeline because the
-    /// cached entry carried no artifacts (store records written before
-    /// artifact persistence, or with an undecodable blob). Store-warmed
-    /// entries with intact artifacts finalize without a re-run.
-    pub finalize_reruns: usize,
     /// Process-wide constant-multiplier cost-cache hits at snapshot time
     /// (see [`pmlp_hw::cost::multiplier_cache_stats`]).
     pub multiplier_cache_hits: u64,
@@ -449,17 +428,13 @@ pub struct EvalEngine {
     baseline: BaselineDesign,
     fine_tune_epochs: usize,
     salt: u64,
-    tier: SynthesisTier,
-    accuracy_tier: AccuracyTier,
     shards: Box<[Memo<EvalKey, CachedEval, CoreError>]>,
     stages: StageCache,
     hits: AtomicUsize,
     misses: AtomicUsize,
     coalesced: AtomicUsize,
-    fast_path: AtomicUsize,
     full_synthesis: AtomicUsize,
     warmed: usize,
-    finalize_reruns: AtomicUsize,
     store_append_failures: AtomicUsize,
     store: Option<EvalStore>,
     /// Records computed inside an [`EvalEngine::evaluate_batch`] call, held
@@ -497,24 +472,17 @@ impl EvalEngine {
         let shards = (0..DEFAULT_SHARDS)
             .map(|_| Mutex::new(HashMap::new()))
             .collect();
-        // Candidates default to the arithmetic that scored the baseline, so
-        // normalized accuracies compare like with like.
-        let accuracy_tier = baseline.accuracy_tier;
         EvalEngine {
             baseline,
             fine_tune_epochs: DEFAULT_FINE_TUNE_EPOCHS,
             salt: 0,
-            tier: SynthesisTier::default(),
-            accuracy_tier,
             shards,
             stages: StageCache::default(),
             hits: AtomicUsize::new(0),
             misses: AtomicUsize::new(0),
             coalesced: AtomicUsize::new(0),
-            fast_path: AtomicUsize::new(0),
             full_synthesis: AtomicUsize::new(0),
             warmed: 0,
-            finalize_reruns: AtomicUsize::new(0),
             store_append_failures: AtomicUsize::new(0),
             store: None,
             batch_buffer: Mutex::new(Vec::new()),
@@ -586,40 +554,6 @@ impl EvalEngine {
         self
     }
 
-    /// Overrides the hardware-model tier of every evaluation (defaults to the
-    /// analytic fast path, which is bit-for-bit equivalent to full synthesis
-    /// and roughly an order of magnitude cheaper per candidate). Select
-    /// [`SynthesisTier::FullSynthesis`] to force every candidate through
-    /// gate-level synthesis, e.g. for ablation or to measure the fast path's
-    /// speedup.
-    #[must_use]
-    pub fn with_synthesis_tier(mut self, tier: SynthesisTier) -> Self {
-        self.tier = tier;
-        self
-    }
-
-    /// The hardware-model tier candidate evaluations run through.
-    pub fn synthesis_tier(&self) -> SynthesisTier {
-        self.tier
-    }
-
-    /// Overrides which arithmetic scores every candidate's accuracy (part of
-    /// the cache key). Defaults to the tier that scored the baseline —
-    /// [`AccuracyTier::Integer`] unless the baseline opted out — so that
-    /// normalized accuracies always compare like with like; override both the
-    /// baseline's [`crate::BaselineConfig::accuracy_tier`] and this when
-    /// ablating against the fake-quantized float model.
-    #[must_use]
-    pub fn with_accuracy_tier(mut self, tier: AccuracyTier) -> Self {
-        self.accuracy_tier = tier;
-        self
-    }
-
-    /// The arithmetic that scores candidate accuracies.
-    pub fn accuracy_tier(&self) -> AccuracyTier {
-        self.accuracy_tier
-    }
-
     /// Attaches the persistent evaluation store under `dir` (the local JSONL
     /// backend): the engine warm-starts its in-memory cache from the store's
     /// record log for this baseline (see [`EvalEngine::fingerprint`]) and
@@ -629,8 +563,8 @@ impl EvalEngine {
     /// All of [`EvalKey`]'s fields travel with each record, so entries
     /// written under other fine-tuning budgets or salts coexist in the same
     /// file and simply never match; changing the *baseline* (dataset, seed,
-    /// training budget, hardware tier of the reference circuit) changes the
-    /// fingerprint and selects a different file entirely.
+    /// training budget, accuracy tier) changes the fingerprint and selects a
+    /// different file entirely.
     ///
     /// # Errors
     ///
@@ -648,9 +582,9 @@ impl EvalEngine {
     /// in-memory cache from the backend's records for this baseline and
     /// appends every computed miss.
     ///
-    /// Records carrying [finalization artifacts](crate::store::EvalArtifacts)
-    /// warm the cache *fully*: [`EvalEngine::finalize`] of such an entry runs
-    /// gate-level synthesis directly instead of re-running minimization.
+    /// Every record carries its [finalization artifacts](EvalArtifacts), so
+    /// [`EvalEngine::finalize`] of a warmed entry runs gate-level synthesis
+    /// directly instead of re-running minimization.
     ///
     /// # Errors
     ///
@@ -665,13 +599,12 @@ impl EvalEngine {
         let records = store.warm_start();
         self.warmed = records.len();
         for record in records {
-            let artifacts = record.artifacts.map(|a| (Arc::new(a.layers), a.sharing));
             let shard = self.shard_for(&record.key);
             shard.lock().expect("shard lock").insert(
                 record.key,
                 Slot::Done(CachedEval {
                     point: record.point,
-                    artifacts,
+                    artifacts: Arc::new(record.artifacts),
                 }),
             );
         }
@@ -725,12 +658,10 @@ impl EvalEngine {
                 .iter()
                 .map(|s| s.lock().expect("shard lock").len())
                 .sum(),
-            fast_path: self.fast_path.load(Ordering::Relaxed),
             full_synthesis: self.full_synthesis.load(Ordering::Relaxed),
             warmed: self.warmed,
             stage_runs: self.stages.runs.load(Ordering::Relaxed),
             stage_reuses: self.stages.reused.load(Ordering::Relaxed),
-            finalize_reruns: self.finalize_reruns.load(Ordering::Relaxed),
             multiplier_cache_hits: mul.hits,
             multiplier_cache_misses: mul.misses,
             store_append_failures: self.store_append_failures.load(Ordering::Relaxed),
@@ -795,7 +726,10 @@ impl EvalEngine {
             || {
                 self.compute(config).map(|detailed| CachedEval {
                     point: detailed.point,
-                    artifacts: Some((Arc::new(detailed.layers), detailed.sharing)),
+                    artifacts: Arc::new(EvalArtifacts {
+                        layers: detailed.layers,
+                        sharing: detailed.sharing,
+                    }),
                 })
             },
             || CoreError::InvalidConfig {
@@ -814,14 +748,6 @@ impl EvalEngine {
                     self.persist(store, key, entry);
                 }
                 self.misses.fetch_add(1, Ordering::Relaxed);
-                match self.tier {
-                    SynthesisTier::FastPath => {
-                        self.fast_path.fetch_add(1, Ordering::Relaxed);
-                    }
-                    SynthesisTier::FullSynthesis => {
-                        self.full_synthesis.fetch_add(1, Ordering::Relaxed);
-                    }
-                }
             }
         }
         let cached = answer != Answer::Computed;
@@ -836,16 +762,13 @@ impl EvalEngine {
             self.baseline.input_bits,
             self.fine_tune_epochs,
             self.salt,
-            self.accuracy_tier,
         )
     }
 
     /// Runs the pipeline for `config`, sharing stages through the memo.
     fn compute(&self, config: &MinimizationConfig) -> Result<EvaluatedDesign, CoreError> {
-        let ctx = EvaluationContext::new(&self.baseline)
-            .with_fine_tune_epochs(self.fine_tune_epochs)
-            .with_tier(self.tier)
-            .with_accuracy_tier(self.accuracy_tier);
+        let ctx =
+            EvaluationContext::new(&self.baseline).with_fine_tune_epochs(self.fine_tune_epochs);
         evaluate_staged(&ctx, config, self.salt, &self.stages)
     }
 
@@ -855,15 +778,8 @@ impl EvalEngine {
     fn persist(&self, store: &EvalStore, key: EvalKey, entry: &CachedEval) {
         let record = EvalRecord {
             key,
-            tier: self.tier,
             point: entry.point.clone(),
-            artifacts: entry
-                .artifacts
-                .as_ref()
-                .map(|(layers, sharing)| EvalArtifacts {
-                    layers: layers.as_ref().clone(),
-                    sharing: *sharing,
-                }),
+            artifacts: entry.artifacts.as_ref().clone(),
         };
         if self.batch_depth.load(Ordering::Acquire) > 0 {
             // Inside evaluate_batch: hold the record back so the whole batch
@@ -897,40 +813,20 @@ impl EvalEngine {
     /// the search already scored it), then runs **full gate-level synthesis**
     /// on the cached minimized layers and cross-checks the fast-path numbers.
     ///
-    /// This is the second tier of the two-tier evaluation scheme: thousands
-    /// of search candidates go through the analytic fast path, and only
-    /// Pareto-front finalists (and the baseline) pay for a netlist — which
-    /// also makes them simulatable and exportable to Verilog.
+    /// Thousands of search candidates go through the analytic fast path;
+    /// only Pareto-front finalists (and the baseline) pay for a netlist —
+    /// which also makes them simulatable and exportable to Verilog.
     ///
     /// # Errors
     ///
     /// Propagates evaluation and synthesis errors.
     pub fn finalize(&self, config: &MinimizationConfig) -> Result<FinalizedDesign, CoreError> {
         let (CachedEval { point, artifacts }, _) = self.resolve_entry(config)?;
-        let (layers, sharing) = match artifacts {
-            Some(artifacts) => artifacts,
-            None => {
-                // The entry was warm-started from a store record without a
-                // usable artifact blob (written before artifact persistence,
-                // or damaged). Re-run the deterministic pipeline once to
-                // regenerate the minimized layers, and keep them for any
-                // later finalization of the same configuration.
-                self.finalize_reruns.fetch_add(1, Ordering::Relaxed);
-                let detailed = self.compute(config)?;
-                let artifacts = (Arc::new(detailed.layers), detailed.sharing);
-                let key = self.key(config);
-                let mut guard = self.shard_for(&key).lock().expect("shard lock");
-                if let Some(Slot::Done(entry)) = guard.get_mut(&key) {
-                    entry.artifacts = Some(artifacts.clone());
-                }
-                artifacts
-            }
-        };
         let full = synthesize_area(
-            &layers,
+            &artifacts.layers,
             self.baseline.input_bits,
             &self.baseline.library,
-            sharing,
+            artifacts.sharing,
         )?;
         self.full_synthesis.fetch_add(1, Ordering::Relaxed);
         let matches_fast_path = full.area_mm2 == point.area_mm2
@@ -1053,42 +949,26 @@ pub(crate) mod tests {
 
     #[test]
     fn cache_key_canonicalizes_float_noise() {
-        let tier = AccuracyTier::default();
-        let a = EvalKey::new(
-            &MinimizationConfig::default().with_sparsity(0.3),
-            4,
-            8,
-            0,
-            tier,
-        );
-        let b = EvalKey::new(
-            &MinimizationConfig::default().with_sparsity(0.30000000001),
-            4,
-            8,
-            0,
-            tier,
-        );
-        assert_eq!(a, b);
-        let c = EvalKey::new(
-            &MinimizationConfig::default().with_sparsity(0.301),
-            4,
-            8,
-            0,
-            tier,
-        );
-        assert_ne!(a, c);
+        let key = |sparsity| {
+            EvalKey::new(
+                &MinimizationConfig::default().with_sparsity(sparsity),
+                4,
+                8,
+                0,
+            )
+        };
+        assert_eq!(key(0.3), key(0.30000000001));
+        assert_ne!(key(0.3), key(0.301));
     }
 
     #[test]
-    fn cache_key_separates_budgets_salts_and_tiers() {
+    fn cache_key_separates_budgets_and_salts() {
         let config = MinimizationConfig::default().with_weight_bits(4);
-        let tier = AccuracyTier::Integer;
-        let base = EvalKey::new(&config, 4, 8, 0, tier);
-        assert_ne!(base, EvalKey::new(&config, 4, 2, 0, tier));
-        assert_ne!(base, EvalKey::new(&config, 6, 8, 0, tier));
-        assert_ne!(base, EvalKey::new(&config, 4, 8, 7, tier));
-        assert_ne!(base, EvalKey::new(&config, 4, 8, 0, AccuracyTier::Float));
-        assert_eq!(base, EvalKey::new(&config, 4, 8, 0, tier));
+        let base = EvalKey::new(&config, 4, 8, 0);
+        assert_ne!(base, EvalKey::new(&config, 4, 2, 0));
+        assert_ne!(base, EvalKey::new(&config, 6, 8, 0));
+        assert_ne!(base, EvalKey::new(&config, 4, 8, 7));
+        assert_eq!(base, EvalKey::new(&config, 4, 8, 0));
     }
 
     fn failed() -> String {

@@ -32,11 +32,7 @@ pub enum Effort {
 }
 
 impl Effort {
-    /// Baseline training budget for this effort level. `Quick` also swaps the
-    /// baseline's hardware characterization to the bit-identical analytic
-    /// fast path (full synthesis of the reference circuit is the single most
-    /// expensive hardware step of a smoke run; the equivalence suite pins the
-    /// two tiers to each other).
+    /// Baseline training budget for this effort level.
     ///
     /// Both efforts keep the default
     /// [accuracy tier](crate::objective::AccuracyTier): baseline and candidate
@@ -48,7 +44,6 @@ impl Effort {
             Effort::Full => BaselineConfig::default(),
             Effort::Quick => BaselineConfig {
                 epochs: 12,
-                synthesis_tier: crate::objective::SynthesisTier::FastPath,
                 ..BaselineConfig::default()
             },
         }
@@ -85,10 +80,10 @@ impl Effort {
     /// Whether Pareto-front finalists are re-verified through full gate-level
     /// synthesis after the fast-path search.
     ///
-    /// `Full` runs verify every finalist (the second tier of the two-tier
-    /// evaluation scheme); `Quick` runs skip it — CI smoke tests rely on the
-    /// fast-path/full-synthesis equivalence test suite instead, keeping the
-    /// smoke budget proportional to the analytic cost model.
+    /// `Full` runs verify every finalist; `Quick` runs skip it — CI smoke
+    /// tests rely on the fast-path/full-synthesis equivalence test suite
+    /// instead, keeping the smoke budget proportional to the analytic cost
+    /// model.
     pub fn verify_finalists(self) -> bool {
         match self {
             Effort::Full => true,

@@ -64,7 +64,7 @@ pub use genome::Genome;
 pub use nsga2::{Nsga2, Nsga2Config};
 pub use objective::{
     evaluate_config, AccuracyTier, DesignMetrics, DesignPoint, EvaluationContext, ObjectiveKind,
-    ObjectiveSpace, SynthesisTier,
+    ObjectiveSpace,
 };
 pub use pareto::{area_gain_at_accuracy_loss, hypervolume, pareto_front, pareto_front_in};
 pub use report::{render_campaign_table, FigureSeries, HeadlineRow, TechniqueSummary};

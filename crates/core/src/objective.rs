@@ -2,30 +2,15 @@
 //! bespoke-circuit area/power via the hardware model.
 
 use crate::baseline::BaselineDesign;
-use crate::bridge::{circuit_spec_from_layers, estimate_area, synthesize_area};
+use crate::bridge::{circuit_spec_from_layers, estimate_area};
 use crate::error::CoreError;
 use pmlp_hw::{IntInferEngine, SharingStrategy};
 use pmlp_minimize::{minimize_with, IntegerLayer, MinimizationConfig, StageMemo, Uncached};
 use serde::{Deserialize, Serialize};
 
-/// Which hardware model a candidate evaluation runs through.
-///
-/// The two tiers produce bit-for-bit identical numbers (the fast path mirrors
-/// synthesis gate for gate; the equivalence suite asserts exact equality) —
-/// they differ only in cost and in whether a netlist exists afterwards.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
-pub enum SynthesisTier {
-    /// Analytic cost model ([`pmlp_hw::cost::estimate_circuit`]): no netlist,
-    /// an order of magnitude cheaper. The default for search loops.
-    #[default]
-    FastPath,
-    /// Full gate-level synthesis ([`pmlp_hw::BespokeMlpCircuit`]): builds the
-    /// netlist. Used for the baseline, Pareto-front finalists and anything
-    /// that needs simulation or Verilog export.
-    FullSynthesis,
-}
-
-/// Which arithmetic measures a candidate's test accuracy.
+/// Which arithmetic measures test accuracy: a property of the baseline
+/// ([`crate::baseline::BaselineConfig::accuracy_tier`]), which its candidates
+/// are scored in too, so normalized accuracies always compare like with like.
 ///
 /// Both tiers consume the *same* test inputs — features snapped to the
 /// circuit's unsigned `input_bits` grid — so the only difference is the
@@ -34,11 +19,11 @@ pub enum SynthesisTier {
 /// the two together on every registry dataset; the integer tier is
 /// additionally proven bit-identical to gate-level netlist simulation by the
 /// `intinfer_vs_netlist` battery.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum AccuracyTier {
     /// The minimized float model (fake-quantized weights) evaluated in `f32`
-    /// on the quantized test set. Kept for the float-vs-hardware ablation
-    /// and as a cross-check of the integer engine.
+    /// on the quantized test set. Kept as the test oracle of the integer
+    /// engine.
     Float,
     /// Pure-integer inference over the minimized integer layers
     /// ([`pmlp_hw::intinfer`]) — the exact arithmetic of the bespoke
@@ -55,23 +40,14 @@ pub struct EvaluationContext<'a> {
     /// Fine-tuning epochs granted to every candidate (kept small inside the
     /// GA loop, larger for the final sweeps).
     pub fine_tune_epochs: usize,
-    /// Which hardware model scores the candidates (fast path by default).
-    pub tier: SynthesisTier,
-    /// Which arithmetic measures candidate accuracy. Defaults to the tier
-    /// the baseline itself was scored with, so normalized accuracies always
-    /// compare like with like.
-    pub accuracy_tier: AccuracyTier,
 }
 
 impl<'a> EvaluationContext<'a> {
-    /// Creates a context with the default fine-tuning budget (8 epochs), the
-    /// fast-path hardware model, and the baseline's accuracy tier.
+    /// Creates a context with the default fine-tuning budget (8 epochs).
     pub fn new(baseline: &'a BaselineDesign) -> Self {
         EvaluationContext {
             baseline,
             fine_tune_epochs: 8,
-            tier: SynthesisTier::default(),
-            accuracy_tier: baseline.accuracy_tier,
         }
     }
 
@@ -79,22 +55,6 @@ impl<'a> EvaluationContext<'a> {
     #[must_use]
     pub fn with_fine_tune_epochs(mut self, epochs: usize) -> Self {
         self.fine_tune_epochs = epochs;
-        self
-    }
-
-    /// Overrides the hardware-model tier.
-    #[must_use]
-    pub fn with_tier(mut self, tier: SynthesisTier) -> Self {
-        self.tier = tier;
-        self
-    }
-
-    /// Overrides the accuracy-measurement tier. Normalized accuracies stay
-    /// meaningful only when this matches the tier the baseline was scored
-    /// with ([`crate::baseline::BaselineConfig::accuracy_tier`]).
-    #[must_use]
-    pub fn with_accuracy_tier(mut self, tier: AccuracyTier) -> Self {
-        self.accuracy_tier = tier;
         self
     }
 
@@ -113,7 +73,7 @@ impl<'a> EvaluationContext<'a> {
 /// this record (see [`ObjectiveSpace::values`]), taken after cache lookup,
 /// which is why a store populated under one objective subset warm-starts a
 /// search over any other subset without recomputing anything.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct DesignPoint {
     /// The configuration that was evaluated.
     pub config: MinimizationConfig,
@@ -124,11 +84,7 @@ pub struct DesignPoint {
     /// Bespoke-circuit static power in µW.
     pub power_uw: f64,
     /// Critical-path delay of the bespoke circuit in µs, from the timing
-    /// report (fast path and full synthesis agree bit for bit). `NaN` for
-    /// points parsed from records written before delay was persisted; such
-    /// points rank worst under any delay/energy objective and are skipped by
-    /// the hypervolume indicator, but behave exactly as before under the
-    /// classic (accuracy, area) space.
+    /// report (fast path and full synthesis agree bit for bit).
     pub delay_us: f64,
     /// Accuracy normalized to the baseline (`1.0` = same as baseline).
     pub normalized_accuracy: f64,
@@ -139,62 +95,6 @@ pub struct DesignPoint {
     pub sparsity: f64,
     /// Gate count of the synthesized circuit.
     pub gate_count: usize,
-}
-
-// Hand-written serde (instead of the derive) for wire compatibility in both
-// directions: records and checkpoints written before `delay_us` existed must
-// keep parsing (a missing field reads back as `NaN`), and an unknown delay
-// must round-trip as *absent* rather than as `null` (the JSON renderer maps
-// non-finite numbers to `null`, which the f64 parser would then reject).
-impl Serialize for DesignPoint {
-    fn serialize_value(&self) -> serde::json::Value {
-        use serde::json::Value;
-        let mut entries = vec![
-            ("config".to_string(), self.config.serialize_value()),
-            ("accuracy".to_string(), self.accuracy.serialize_value()),
-            ("area_mm2".to_string(), self.area_mm2.serialize_value()),
-            ("power_uw".to_string(), self.power_uw.serialize_value()),
-        ];
-        if self.delay_us.is_finite() {
-            entries.push(("delay_us".to_string(), self.delay_us.serialize_value()));
-        }
-        entries.extend([
-            (
-                "normalized_accuracy".to_string(),
-                self.normalized_accuracy.serialize_value(),
-            ),
-            (
-                "normalized_area".to_string(),
-                self.normalized_area.serialize_value(),
-            ),
-            ("sparsity".to_string(), self.sparsity.serialize_value()),
-            ("gate_count".to_string(), self.gate_count.serialize_value()),
-        ]);
-        Value::Object(entries)
-    }
-}
-
-impl Deserialize for DesignPoint {
-    fn deserialize_value(value: &serde::json::Value) -> Result<Self, serde::json::Error> {
-        Ok(DesignPoint {
-            config: Deserialize::deserialize_value(value.field("config")?)?,
-            accuracy: Deserialize::deserialize_value(value.field("accuracy")?)?,
-            area_mm2: Deserialize::deserialize_value(value.field("area_mm2")?)?,
-            power_uw: Deserialize::deserialize_value(value.field("power_uw")?)?,
-            // Absent in records/checkpoints written before delay was
-            // persisted: those points predate the delay/energy objectives.
-            delay_us: match value.get("delay_us") {
-                Some(v) => Deserialize::deserialize_value(v)?,
-                None => f64::NAN,
-            },
-            normalized_accuracy: Deserialize::deserialize_value(
-                value.field("normalized_accuracy")?,
-            )?,
-            normalized_area: Deserialize::deserialize_value(value.field("normalized_area")?)?,
-            sparsity: Deserialize::deserialize_value(value.field("sparsity")?)?,
-            gate_count: Deserialize::deserialize_value(value.field("gate_count")?)?,
-        })
-    }
 }
 
 impl DesignPoint {
@@ -230,7 +130,7 @@ impl DesignPoint {
     }
 
     /// Energy per inference in pJ: static power (µW) × critical-path delay
-    /// (µs). `NaN` when the point predates delay persistence.
+    /// (µs).
     pub fn energy_pj(&self) -> f64 {
         self.power_uw * self.delay_us
     }
@@ -500,9 +400,10 @@ impl ObjectiveSpace {
 ///
 /// The candidate is produced by running the full minimization pipeline
 /// (prune → cluster → QAT) on a copy of the baseline's float model, its
-/// accuracy is measured on the held-out test split, and its bespoke circuit is
-/// synthesized with multiplier sharing enabled exactly when the configuration
-/// clusters weights.
+/// accuracy is measured on the held-out test split in the baseline's
+/// [`AccuracyTier`], and its bespoke circuit is costed by the analytic fast
+/// path ([`pmlp_hw::cost`], bit-identical to full synthesis) with multiplier
+/// sharing enabled exactly when the configuration clusters weights.
 ///
 /// `salt` perturbs the fine-tuning RNG: the pipeline seed is
 /// `baseline.seed ^ salt`, from which every stage seeds its own RNG with its
@@ -520,8 +421,8 @@ pub fn evaluate_config(
     evaluate_config_detailed(ctx, config, salt).map(|detailed| detailed.point)
 }
 
-/// One evaluated design together with the artefacts the two-tier engine needs
-/// to finalize it later: the minimized integer layers (so Pareto-front
+/// One evaluated design together with the artefacts the engine needs to
+/// finalize it later: the minimized integer layers (so Pareto-front
 /// finalists can run full synthesis without re-training) and the sharing
 /// strategy the hardware model used.
 #[derive(Debug, Clone)]
@@ -582,7 +483,7 @@ pub(crate) fn evaluate_staged(
     } else {
         SharingStrategy::None
     };
-    let accuracy = match ctx.accuracy_tier {
+    let accuracy = match baseline.accuracy_tier {
         AccuracyTier::Float => minimized.accuracy(&baseline.quantized_test),
         AccuracyTier::Integer => integer_accuracy(
             &minimized.integer_layers,
@@ -592,20 +493,12 @@ pub(crate) fn evaluate_staged(
             baseline.test.labels(),
         )?,
     };
-    let synthesis = match ctx.tier {
-        SynthesisTier::FastPath => estimate_area(
-            &minimized.integer_layers,
-            config.input_bits,
-            &baseline.library,
-            sharing,
-        )?,
-        SynthesisTier::FullSynthesis => synthesize_area(
-            &minimized.integer_layers,
-            config.input_bits,
-            &baseline.library,
-            sharing,
-        )?,
-    };
+    let synthesis = estimate_area(
+        &minimized.integer_layers,
+        config.input_bits,
+        &baseline.library,
+        sharing,
+    )?;
 
     let point = DesignPoint {
         config,
@@ -722,20 +615,27 @@ mod tests {
     #[test]
     fn fast_path_and_full_synthesis_tiers_agree_exactly() {
         let baseline = baseline();
-        let fast_ctx = EvaluationContext::new(&baseline).with_fine_tune_epochs(2);
-        let full_ctx = EvaluationContext::new(&baseline)
-            .with_fine_tune_epochs(2)
-            .with_tier(SynthesisTier::FullSynthesis);
-        assert_eq!(fast_ctx.tier, SynthesisTier::FastPath);
+        let ctx = EvaluationContext::new(&baseline).with_fine_tune_epochs(2);
+        let engine = crate::EvalEngine::new(baseline.clone()).with_fine_tune_epochs(2);
         for config in [
             MinimizationConfig::baseline(),
             MinimizationConfig::default().with_weight_bits(3),
             MinimizationConfig::default().with_sparsity(0.5),
             MinimizationConfig::default().with_clusters(3),
         ] {
-            let fast = evaluate_config(&fast_ctx, &config, 1).unwrap();
-            let full = evaluate_config(&full_ctx, &config, 1).unwrap();
-            assert_eq!(fast, full, "tier mismatch for {config:?}");
+            let design = evaluate_config_detailed(&ctx, &config, 0).unwrap();
+            let (layers, bits, library) = (&design.layers, baseline.input_bits, &baseline.library);
+            let full =
+                crate::bridge::synthesize_area(layers, bits, library, design.sharing).unwrap();
+            let fast = estimate_area(layers, bits, library, design.sharing).unwrap();
+            assert_eq!(fast, full, "cost models diverge for {config:?}");
+            assert_eq!(design.point.area_mm2, full.area_mm2);
+            assert_eq!(design.point.delay_us, full.critical_path_us);
+
+            let finalized = engine.finalize(&config).unwrap();
+            assert!(finalized.matches_fast_path, "{config:?}");
+            assert_eq!(finalized.point, design.point);
+            assert_eq!(finalized.full, full);
         }
     }
 
@@ -764,29 +664,16 @@ mod tests {
     }
 
     #[test]
-    fn design_point_serde_round_trips_and_tolerates_legacy_records() {
+    fn design_point_serde_round_trips() {
         let point = sample_point(0.85, 42.0);
         let json = point.serialize_value().render_compact();
         assert!(json.contains("\"delay_us\":2.5"));
         let back = DesignPoint::deserialize_value(&serde::json::parse(&json).unwrap()).unwrap();
         assert_eq!(back, point);
 
-        // Records written before delay persistence lack the field: they must
-        // keep parsing, with an unknown (NaN) delay ...
-        let legacy = json.replace("\"delay_us\":2.5,", "");
-        assert!(!legacy.contains("delay_us"));
-        let old = DesignPoint::deserialize_value(&serde::json::parse(&legacy).unwrap()).unwrap();
-        assert!(old.delay_us.is_nan());
-        assert!(old.energy_pj().is_nan());
-        assert_eq!(old.accuracy, point.accuracy);
-
-        // ... and re-serializing such a point must omit the field again
-        // (non-finite numbers would render as `null` and fail to re-parse).
-        let rewritten = old.serialize_value().render_compact();
-        assert!(!rewritten.contains("delay_us"));
-        let again =
-            DesignPoint::deserialize_value(&serde::json::parse(&rewritten).unwrap()).unwrap();
-        assert!(again.delay_us.is_nan());
+        // Every field is required: a point without a delay does not parse.
+        let delayless = json.replace("\"delay_us\":2.5,", "");
+        assert!(DesignPoint::deserialize_value(&serde::json::parse(&delayless).unwrap()).is_err());
     }
 
     #[test]

@@ -182,7 +182,8 @@ pub fn encode_artifacts(layers: &[IntegerLayer], sharing: SharingStrategy) -> St
 }
 
 /// Decodes a blob written by [`encode_artifacts`]. Returns `None` for foreign
-/// versions or corrupt blobs — the caller then simply re-runs minimization.
+/// versions or corrupt blobs — the record carrying one is dropped and
+/// recomputed.
 pub fn decode_artifacts(blob: &str) -> Option<(Vec<IntegerLayer>, SharingStrategy)> {
     let bytes = b64_decode(blob)?;
     let mut r = Reader {

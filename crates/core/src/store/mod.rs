@@ -4,11 +4,11 @@
 //!
 //! Every candidate evaluation in this workspace is deterministic and keyed by
 //! a canonical [`EvalKey`] (quantization bits, sparsity grid cell, cluster
-//! count, input precision, fine-tuning budget, RNG salt, accuracy tier) under a
+//! count, input precision, fine-tuning budget, RNG salt) under a
 //! [`BaselineDesign::fingerprint`](crate::baseline::BaselineDesign::fingerprint).
 //! That `(fingerprint, key)` pair is a **content address**: the persistence
-//! subsystem stores scored design points (plus compressed finalization
-//! artifacts) under it, behind the [`StoreBackend`] trait:
+//! subsystem stores scored design points with their compressed finalization
+//! artifacts under it, behind the [`StoreBackend`] trait:
 //!
 //! * [`LocalJsonlBackend`] — the historical on-disk format: one append-only
 //!   JSONL log per `(dataset, fingerprint)` pair, a sealed-envelope header
@@ -95,7 +95,7 @@ pub use tiered::{BreakerConfig, TieredStats, TieredStore};
 
 use crate::engine::EvalKey;
 use crate::error::CoreError;
-use crate::objective::{AccuracyTier, DesignPoint, SynthesisTier};
+use crate::objective::DesignPoint;
 use pmlp_hw::SharingStrategy;
 use pmlp_minimize::IntegerLayer;
 use serde::json::{self, Value};
@@ -105,11 +105,9 @@ use std::path::{Path, PathBuf};
 
 /// Format version of the store's JSONL record log. Files written under a
 /// different version are ignored (and rewritten) on open, never misparsed.
-/// The optional per-record `artifacts` blob is a backward-compatible
-/// extension of the version-1 format — blob-less records parse as
-/// point-only — so adding it did **not** bump the version: existing stores
-/// keep warm-starting.
-pub const STORE_VERSION: u32 = 1;
+/// Version 2 records are `{key, point, artifacts}` with a mandatory
+/// artifact blob.
+pub const STORE_VERSION: u32 = 2;
 
 /// Magic string of the store header line.
 const STORE_MAGIC: &str = "pmlp-eval-store";
@@ -118,7 +116,7 @@ const STORE_MAGIC: &str = "pmlp-eval-store";
 /// that [`EvalEngine::finalize`](crate::engine::EvalEngine::finalize) of a
 /// store-warmed Pareto finalist runs full synthesis directly instead of
 /// re-running the whole minimization pipeline.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct EvalArtifacts {
     /// The minimized integer layers of the candidate.
     pub layers: Vec<IntegerLayer>,
@@ -126,22 +124,16 @@ pub struct EvalArtifacts {
     pub sharing: SharingStrategy,
 }
 
-/// One persisted evaluation: the canonical cache key, the hardware-model tier
-/// that produced it (the two tiers are bit-for-bit identical, recorded for
-/// the audit trail), the scored design point and, when available, the
-/// compressed finalization artifacts.
+/// One persisted evaluation: the canonical cache key, the scored design point
+/// and the finalization artifacts of the circuit it scored.
 #[derive(Debug, Clone, PartialEq)]
 pub struct EvalRecord {
     /// Canonical identity of the evaluated configuration under its engine.
     pub key: EvalKey,
-    /// Which hardware model scored the point.
-    pub tier: SynthesisTier,
     /// The scored design point.
     pub point: DesignPoint,
-    /// Minimized layers + sharing strategy (`None` for records written
-    /// before artifact persistence, or whose blob failed to decode — the
-    /// engine then regenerates them on demand).
-    pub artifacts: Option<EvalArtifacts>,
+    /// Minimized layers + sharing strategy.
+    pub artifacts: EvalArtifacts,
 }
 
 /// Incremental FNV-1a hasher behind baseline fingerprints and checkpoint
@@ -279,33 +271,24 @@ pub fn record_line(record: &EvalRecord) -> String {
             Value::Number(record.key.fine_tune_epochs as f64),
         ),
         ("salt".into(), Value::String(hex(record.key.salt))),
-        (
-            "accuracy_tier".into(),
-            record.key.accuracy_tier.serialize_value(),
-        ),
     ]);
-    let mut entries = vec![
+    let artifacts = encode_artifacts(&record.artifacts.layers, record.artifacts.sharing);
+    Value::Object(vec![
         ("key".into(), key),
-        ("tier".into(), record.tier.serialize_value()),
         ("point".into(), record.point.serialize_value()),
-    ];
-    if let Some(artifacts) = &record.artifacts {
-        entries.push((
-            "artifacts".into(),
-            Value::String(encode_artifacts(&artifacts.layers, artifacts.sharing)),
-        ));
-    }
-    Value::Object(entries).render_compact()
+        ("artifacts".into(), Value::String(artifacts)),
+    ])
+    .render_compact()
 }
 
-/// Parses a line written by [`record_line`]. A missing or undecodable
-/// `artifacts` blob yields a record without artifacts (the design point is
-/// the scientific payload; artifacts are a regenerable optimization), while
-/// a damaged key/point is an error the caller counts as a dropped record.
+/// Parses a line written by [`record_line`]. Every field is required: a
+/// line with a damaged key or point, or a missing or undecodable `artifacts`
+/// blob, is an error the caller counts as a dropped record (and the engine
+/// recomputes it as an ordinary miss).
 ///
 /// # Errors
 ///
-/// Returns [`CoreError::Store`] for malformed JSON or a damaged key/point.
+/// Returns [`CoreError::Store`] for malformed JSON or a damaged field.
 pub fn parse_record_line(line: &str) -> Result<EvalRecord, CoreError> {
     record_from_line_inner(line).map_err(|e| CoreError::Store {
         context: format!("bad record line: {e}"),
@@ -322,18 +305,16 @@ fn record_from_line_inner(line: &str) -> Result<EvalRecord, json::Error> {
         input_bits: u8::deserialize_value(key_value.field("input_bits")?)?,
         fine_tune_epochs: usize::deserialize_value(key_value.field("fine_tune_epochs")?)?,
         salt: parse_hex(key_value.field("salt")?)?,
-        accuracy_tier: AccuracyTier::deserialize_value(key_value.field("accuracy_tier")?)?,
     };
-    let artifacts = value
-        .get("artifacts")
-        .and_then(Value::as_str)
+    let (layers, sharing) = value
+        .field("artifacts")?
+        .as_str()
         .and_then(decode_artifacts)
-        .map(|(layers, sharing)| EvalArtifacts { layers, sharing });
+        .ok_or_else(|| json::Error::custom("undecodable artifacts blob"))?;
     Ok(EvalRecord {
         key,
-        tier: SynthesisTier::deserialize_value(value.field("tier")?)?,
         point: DesignPoint::deserialize_value(value.field("point")?)?,
-        artifacts,
+        artifacts: EvalArtifacts { layers, sharing },
     })
 }
 
@@ -596,7 +577,8 @@ pub(crate) mod tests {
     use super::*;
     use pmlp_minimize::MinimizationConfig;
 
-    /// Shared test fixture: a record with a distinctive key and point.
+    /// Shared test fixture: a record with a distinctive key, point and
+    /// artifacts.
     pub(crate) fn record(bits: u8, accuracy: f64, area: f64) -> EvalRecord {
         let config = MinimizationConfig::default().with_weight_bits(bits);
         EvalRecord {
@@ -607,9 +589,7 @@ pub(crate) mod tests {
                 input_bits: 4,
                 fine_tune_epochs: 2,
                 salt: 0xDEAD_BEEF_DEAD_BEEF,
-                accuracy_tier: AccuracyTier::Integer,
             },
-            tier: SynthesisTier::FastPath,
             point: DesignPoint {
                 config,
                 accuracy,
@@ -621,7 +601,15 @@ pub(crate) mod tests {
                 sparsity: 0.0,
                 gate_count: (area * 7.0) as usize,
             },
-            artifacts: None,
+            artifacts: EvalArtifacts {
+                layers: vec![IntegerLayer {
+                    codes: vec![vec![1, -2, 3], vec![0, 0, i64::from(bits)]],
+                    bias_codes: vec![-1, 2],
+                    scale: 0.125,
+                    weight_bits: bits,
+                }],
+                sharing: SharingStrategy::SharedPerInput,
+            },
         }
     }
 
@@ -634,20 +622,6 @@ pub(crate) mod tests {
         ));
         std::fs::remove_dir_all(&dir).ok();
         dir
-    }
-
-    fn record_with_artifacts(bits: u8) -> EvalRecord {
-        let mut r = record(bits, 0.85, 50.0);
-        r.artifacts = Some(EvalArtifacts {
-            layers: vec![IntegerLayer {
-                codes: vec![vec![1, -2, 3], vec![0, 0, 4]],
-                bias_codes: vec![-1, 2],
-                scale: 0.125,
-                weight_bits: bits,
-            }],
-            sharing: SharingStrategy::SharedPerInput,
-        });
-        r
     }
 
     #[test]
@@ -673,7 +647,12 @@ pub(crate) mod tests {
     #[test]
     fn artifacts_travel_with_their_records() {
         let dir = temp_dir("artifacts");
-        let records = vec![record_with_artifacts(4), record(5, 0.9, 70.0)];
+        let mut unshared = record(5, 0.9, 70.0);
+        unshared.artifacts = EvalArtifacts {
+            layers: Vec::new(),
+            sharing: SharingStrategy::None,
+        };
+        let records = vec![record(4, 0.85, 50.0), unshared];
         {
             let store = EvalStore::open(&dir, "Seeds", 0xF00D).unwrap();
             for r in &records {
@@ -681,23 +660,44 @@ pub(crate) mod tests {
             }
         }
         let mut store = EvalStore::open(&dir, "Seeds", 0xF00D).unwrap();
-        let replayed = store.warm_start();
-        assert_eq!(replayed, records);
-        assert!(replayed[0].artifacts.is_some());
-        assert!(replayed[1].artifacts.is_none());
+        assert_eq!(store.warm_start(), records);
         std::fs::remove_dir_all(&dir).ok();
     }
 
+    /// The line of `record` with its artifact blob replaced by `blob`, or
+    /// removed when `blob` is `None`.
+    pub(crate) fn line_with_blob(record: &EvalRecord, blob: Option<&str>) -> String {
+        let line = record_line(record);
+        let cut = line
+            .find(",\"artifacts\":")
+            .expect("a record line has a blob");
+        match blob {
+            Some(blob) => format!("{},\"artifacts\":\"{blob}\"}}", &line[..cut]),
+            None => format!("{}}}", &line[..cut]),
+        }
+    }
+
     #[test]
-    fn a_corrupt_artifact_blob_degrades_to_a_point_only_record() {
-        let with = record_with_artifacts(4);
-        let line = record_line(&with).replace("artifacts\":\"", "artifacts\":\"!corrupt!");
-        let parsed = parse_record_line(&line).unwrap();
-        assert_eq!(parsed.point, with.point);
-        assert_eq!(
-            parsed.artifacts, None,
-            "blob damage must not drop the point"
-        );
+    fn a_record_without_intact_artifacts_is_dropped() {
+        let good = record(3, 0.8, 40.0);
+        let corrupt = line_with_blob(&record(4, 0.85, 55.0), Some("!corrupt!"));
+        let absent = line_with_blob(&record(5, 0.9, 70.0), None);
+        assert!(parse_record_line(&record_line(&good)).is_ok());
+        assert!(parse_record_line(&corrupt).is_err());
+        assert!(parse_record_line(&absent).is_err());
+
+        let dir = temp_dir("blobless");
+        let path = {
+            let store = EvalStore::open(&dir, "Seeds", 3).unwrap();
+            store.append(&good).unwrap();
+            store.path().expect("local store has a path")
+        };
+        let text = std::fs::read_to_string(&path).unwrap();
+        std::fs::write(&path, format!("{text}{corrupt}\n{absent}\n")).unwrap();
+        let mut store = EvalStore::open(&dir, "Seeds", 3).unwrap();
+        assert_eq!(store.dropped_records(), 2, "both damaged lines are counted");
+        assert_eq!(store.warm_start(), vec![good]);
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
@@ -732,11 +732,9 @@ pub(crate) mod tests {
         };
         let text = std::fs::read_to_string(&path).unwrap();
         let (header, body) = text.split_once('\n').unwrap();
-        // A key without `accuracy_tier` is damaged like any other key.
-        let full = record_line(&record(6, 0.7, 30.0));
-        let tierless = full.replace(",\"accuracy_tier\":\"Integer\"", "");
-        assert_ne!(tierless, full);
-        let damaged = format!("{header}\n{tierless}\n{}", &body[..body.len() - 25]);
+        // A record without its artifact blob is damaged like any other line.
+        let blobless = line_with_blob(&record(6, 0.7, 30.0), None);
+        let damaged = format!("{header}\n{blobless}\n{}", &body[..body.len() - 25]);
         std::fs::write(&path, damaged).unwrap();
 
         let mut store = EvalStore::open(&dir, "Seeds", 7).unwrap();
@@ -863,8 +861,7 @@ mod proptests {
         } else {
             0
         };
-        // Give some records artifacts so the blob field round-trips too.
-        let artifacts = bits.is_multiple_of(2).then(|| EvalArtifacts {
+        let artifacts = EvalArtifacts {
             layers: vec![IntegerLayer {
                 codes: vec![vec![bits as i64, -(clusters as i64)]],
                 bias_codes: vec![salt as i64 >> 32],
@@ -876,7 +873,7 @@ mod proptests {
             } else {
                 pmlp_hw::SharingStrategy::None
             },
-        });
+        };
         EvalRecord {
             key: EvalKey {
                 weight_bits,
@@ -885,14 +882,7 @@ mod proptests {
                 input_bits: 4,
                 fine_tune_epochs: 2,
                 salt,
-                // Exercise both tiers across the strategy space.
-                accuracy_tier: if bits.is_multiple_of(2) {
-                    AccuracyTier::Integer
-                } else {
-                    AccuracyTier::Float
-                },
             },
-            tier: SynthesisTier::FastPath,
             point: DesignPoint {
                 config,
                 accuracy,

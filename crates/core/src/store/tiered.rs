@@ -41,7 +41,7 @@ use super::backend::{ResilienceStats, ScanOutcome, StoreBackend};
 use crate::engine::EvalKey;
 use crate::error::CoreError;
 use crate::store::EvalRecord;
-use std::collections::{HashMap, VecDeque};
+use std::collections::{HashSet, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
@@ -392,40 +392,20 @@ impl StoreBackend for TieredStore {
 
     fn scan(&self, name: &str, fingerprint: u64) -> Result<ScanOutcome, CoreError> {
         // The local tier is authoritative for this process: its failure is a
-        // real error. The remote tier adds missing records — and upgrades a
-        // local record whose finalization artifacts were lost (e.g. a blob
-        // damaged by a crash) when the server still has the intact copy.
+        // real error. The remote tier adds the records the local tier is
+        // missing, including any whose local copy was damaged and dropped.
         let mut outcome = self.local.scan(name, fingerprint)?;
         if self.acquire_remote() {
             match self.remote.scan(name, fingerprint) {
                 Ok(remote) => {
-                    let have: HashMap<EvalKey, usize> = outcome
-                        .records
-                        .iter()
-                        .enumerate()
-                        .map(|(i, r)| (r.key, i))
-                        .collect();
+                    let have: HashSet<EvalKey> = outcome.records.iter().map(|r| r.key).collect();
                     for record in remote.records {
-                        match have.get(&record.key) {
-                            Some(&i) => {
-                                if outcome.records[i].artifacts.is_none()
-                                    && record.artifacts.is_some()
-                                {
-                                    // Appending locally makes the upgrade
-                                    // durable: last write wins on replay.
-                                    self.local.append(name, fingerprint, &record)?;
-                                    self.remote_fills.fetch_add(1, Ordering::Relaxed);
-                                    outcome.records[i] = record;
-                                }
-                            }
-                            None => {
-                                // Write-through cache fill: a record seen
-                                // remotely is replayed locally on the next
-                                // (offline) run too.
-                                self.local.append(name, fingerprint, &record)?;
-                                self.remote_fills.fetch_add(1, Ordering::Relaxed);
-                                outcome.records.push(record);
-                            }
+                        if !have.contains(&record.key) {
+                            // Write-through cache fill: a record seen remotely
+                            // is replayed locally on the next (offline) run too.
+                            self.local.append(name, fingerprint, &record)?;
+                            self.remote_fills.fetch_add(1, Ordering::Relaxed);
+                            outcome.records.push(record);
                         }
                     }
                     self.report_remote_success();
@@ -664,32 +644,42 @@ mod tests {
     }
 
     #[test]
-    fn scan_upgrades_artifactless_local_records_from_the_remote() {
-        use crate::store::EvalArtifacts;
-        let local = MemoryBackend::new();
+    fn scan_refills_a_damaged_local_record_from_the_remote() {
+        use crate::store::tests::{line_with_blob, temp_dir};
+        use crate::store::{record_line, LocalJsonlBackend};
+        let dir = temp_dir("tiered-refill");
+        let (kept, damaged) = (record(3, 0.8, 40.0), record(4, 0.9, 50.0));
+        let local = LocalJsonlBackend::open(&dir).unwrap();
+        local.append("Seeds", 1, &kept).unwrap();
+        local.append("Seeds", 1, &damaged).unwrap();
+        let path = local.record_path("Seeds", 1).unwrap();
+        drop(local);
+        let text = std::fs::read_to_string(&path).unwrap();
+        let text = text.replace(
+            &record_line(&damaged),
+            &line_with_blob(&damaged, Some("!corrupt!")),
+        );
+        std::fs::write(&path, text).unwrap();
         let remote = MemoryBackend::new();
-        let bare = record(3, 0.8, 40.0); // artifacts: None (e.g. damaged blob)
-        let mut rich = bare.clone();
-        rich.artifacts = Some(EvalArtifacts {
-            layers: Vec::new(),
-            sharing: pmlp_hw::SharingStrategy::None,
-        });
-        local.append("Seeds", 1, &bare).unwrap();
-        remote.append("Seeds", 1, &rich).unwrap();
+        remote.append("Seeds", 1, &kept).unwrap();
+        remote.append("Seeds", 1, &damaged).unwrap();
 
-        let tiered = TieredStore::new(Box::new(local), Box::new(remote));
+        let tiered = TieredStore::new(
+            Box::new(LocalJsonlBackend::open(&dir).unwrap()),
+            Box::new(remote),
+        );
         let outcome = tiered.scan("Seeds", 1).unwrap();
-        assert_eq!(outcome.records, vec![rich.clone()], "remote artifacts win");
-        assert_eq!(tiered.stats().remote_fills, 1);
+        assert_eq!(outcome.dropped, 1, "the damaged local line is counted");
+        assert_eq!(outcome.records, vec![kept.clone(), damaged.clone()]);
+        assert_eq!(tiered.stats().remote_fills, 1, "only the damaged record");
 
-        // The upgrade is durable on the local tier (last write wins), so the
-        // next scan needs no re-fill.
-        let outcome = tiered.scan("Seeds", 1).unwrap();
-        assert!(outcome
-            .records
-            .iter()
-            .any(|r| r.key == rich.key && r.artifacts.is_some()));
-        assert_eq!(tiered.stats().remote_fills, 1, "no re-fill");
+        // The fill is durable: a fresh local tier replays the intact copy.
+        let outcome = LocalJsonlBackend::open(&dir)
+            .unwrap()
+            .scan("Seeds", 1)
+            .unwrap();
+        assert_eq!((outcome.records, outcome.dropped), (vec![kept, damaged], 0));
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

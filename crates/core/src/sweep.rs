@@ -7,7 +7,7 @@
 //!
 //! Accuracy numbers come from whatever [`Evaluator`] backs the sweep; through
 //! the production [`EvalEngine`](crate::engine::EvalEngine) that means the
-//! engine's [accuracy tier](crate::objective::AccuracyTier) — by default the
+//! baseline's [accuracy tier](crate::objective::AccuracyTier) — by default the
 //! pure-integer arithmetic of the bespoke circuit itself.
 
 use crate::engine::Evaluator;

@@ -9,7 +9,8 @@
 //!
 //! * no floats anywhere — inputs are the unsigned `input_bits`-wide grid
 //!   values the circuit's primary inputs carry, sums are exact integers;
-//! * row-blocked accumulate kernels, parallelised over rows with rayon;
+//! * row-blocked accumulate kernels, run serially (parallelism lives above
+//!   them, over candidates);
 //! * a narrow **i32** kernel is selected automatically when the worst-case
 //!   accumulator bound fits, falling back to an **i64** kernel otherwise
 //!   (the bound is over magnitudes, so every partial sum is covered too);
@@ -51,12 +52,9 @@
 
 use crate::circuit::{CircuitSpec, HwActivation, SharingStrategy};
 use crate::error::HwError;
-use rayon::ParallelSliceMut;
 use std::collections::BTreeMap;
 
-/// Number of classification rows each parallel worker scores per block.
-/// Large enough to amortise scratch allocation, small enough to balance
-/// load across cores for modest test sets.
+/// Number of classification rows scored per scratch allocation.
 const ROW_BLOCK: usize = 1024;
 
 /// Quantizes min-max-normalized features (each in `[0, 1]`) onto the
@@ -481,8 +479,7 @@ impl IntInferEngine {
     }
 
     /// Classifies a flattened batch (`rows.len()` must be a multiple of
-    /// [`input_count`](IntInferEngine::input_count)), row-blocked and
-    /// rayon-parallel over blocks.
+    /// [`input_count`](IntInferEngine::input_count)), row-blocked.
     ///
     /// # Panics
     ///
@@ -512,17 +509,15 @@ impl IntInferEngine {
     ) {
         let ic = self.input_count;
         let limit = 1_u32 << self.input_bits;
-        out.par_chunks_mut(ROW_BLOCK)
-            .enumerate()
-            .for_each(|(block, chunk)| {
-                let mut scratch = Scratch::for_network(net);
-                for (j, slot) in chunk.iter_mut().enumerate() {
-                    let r = block * ROW_BLOCK + j;
-                    let row = &rows[r * ic..(r + 1) * ic];
-                    debug_assert!(row.iter().all(|&v| (v as u32) < limit));
-                    *slot = argmax(net.forward(row, &mut scratch));
-                }
-            });
+        for (block, chunk) in out.chunks_mut(ROW_BLOCK).enumerate() {
+            let mut scratch = Scratch::for_network(net);
+            for (j, slot) in chunk.iter_mut().enumerate() {
+                let r = block * ROW_BLOCK + j;
+                let row = &rows[r * ic..(r + 1) * ic];
+                debug_assert!(row.iter().all(|&v| (v as u32) < limit));
+                *slot = argmax(net.forward(row, &mut scratch));
+            }
+        }
         // The batch kernel only debug-asserts per value; keep release builds
         // honest with one vectorizable pass over the whole batch.
         assert!(

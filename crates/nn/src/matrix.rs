@@ -293,20 +293,14 @@ impl Matrix {
         Ok(out)
     }
 
-    /// How many multiply-adds a product must involve before `matmul_into`
-    /// fans rows out over the rayon pool; below this the sequential kernel
-    /// wins (and candidate-level parallelism already saturates the cores).
-    const PAR_MATMUL_FLOPS: usize = 1 << 20;
-
     /// Matrix product `self * other` written into a caller-owned matrix,
     /// reusing its allocation.
     ///
     /// This is the training hot kernel: a dense `ikj` loop blocked over `k`
     /// for cache locality (iteration order — and therefore every f32
     /// rounding — is identical to the naive kernel), with no per-element
-    /// zero test on the left operand, and with rows fanned out over the
-    /// rayon pool for large products. Row results are independent, so the
-    /// parallel and sequential paths are bit-identical.
+    /// zero test on the left operand. It runs serially: parallelism lives
+    /// above it, over candidates and datasets.
     ///
     /// # Errors
     ///
@@ -323,33 +317,13 @@ impl Matrix {
         out.cols = other.cols;
         out.data.clear();
         out.data.resize(self.rows * other.cols, 0.0);
-
-        let flops = self.rows * self.cols * other.cols;
-        if flops >= Self::PAR_MATMUL_FLOPS && rayon::current_num_threads() > 1 && self.rows > 1 {
-            use rayon::prelude::*;
-            let rows_per_chunk = self.rows.div_ceil(rayon::current_num_threads()).max(1);
-            out.data
-                .par_chunks_mut(rows_per_chunk * other.cols)
-                .enumerate()
-                .for_each(|(chunk_index, chunk)| {
-                    let row0 = chunk_index * rows_per_chunk;
-                    matmul_rows(
-                        &self.data[row0 * self.cols..],
-                        self.cols,
-                        &other.data,
-                        other.cols,
-                        chunk,
-                    );
-                });
-        } else {
-            matmul_rows(
-                &self.data,
-                self.cols,
-                &other.data,
-                other.cols,
-                &mut out.data,
-            );
-        }
+        matmul_rows(
+            &self.data,
+            self.cols,
+            &other.data,
+            other.cols,
+            &mut out.data,
+        );
         Ok(())
     }
 
@@ -574,6 +548,11 @@ impl Matrix {
 /// `k` ascending — identical to the naive kernel, so results are bit-for-bit
 /// unchanged — and the dense inner loop carries no per-element zero test, so
 /// it vectorizes.
+///
+/// Kept out of line: inlined into `matmul_into`, its only caller, it made
+/// full-effort baseline training and GA runs 10-15% slower (release build,
+/// 2-core x86-64 VM).
+#[inline(never)]
 fn matmul_rows(a: &[f32], a_cols: usize, b: &[f32], b_cols: usize, out: &mut [f32]) {
     const J_BLOCK: usize = 512;
     if b_cols == 0 || a_cols == 0 {

@@ -4,10 +4,10 @@
 //! input is rejected instead of stored.
 
 use pmlp_core::engine::EvalKey;
-use pmlp_core::objective::{AccuracyTier, DesignPoint, SynthesisTier};
+use pmlp_core::objective::DesignPoint;
 use pmlp_core::store::{
-    EvalRecord, EvalStore, LocalJsonlBackend, MemoryBackend, RemoteBackend, StoreBackend,
-    TieredStore,
+    EvalArtifacts, EvalRecord, EvalStore, LocalJsonlBackend, MemoryBackend, RemoteBackend,
+    StoreBackend, TieredStore,
 };
 use pmlp_minimize::MinimizationConfig;
 use pmlp_serve::{spawn, ServeConfig};
@@ -22,9 +22,7 @@ fn record(bits: u8, accuracy: f64) -> EvalRecord {
             input_bits: 4,
             fine_tune_epochs: 2,
             salt: 0xFEED_FACE_CAFE_BEEF,
-            accuracy_tier: AccuracyTier::Integer,
         },
-        tier: SynthesisTier::FastPath,
         point: DesignPoint {
             config: MinimizationConfig::default().with_weight_bits(bits),
             accuracy,
@@ -36,7 +34,7 @@ fn record(bits: u8, accuracy: f64) -> EvalRecord {
             sparsity: 0.0,
             gate_count: 300,
         },
-        artifacts: None,
+        artifacts: EvalArtifacts::default(),
     }
 }
 

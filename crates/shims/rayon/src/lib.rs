@@ -12,10 +12,9 @@
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-/// The usual rayon prelude: import `*` to get `par_iter` / `into_par_iter` /
-/// `par_chunks_mut`.
+/// The usual rayon prelude: import `*` to get `par_iter` / `into_par_iter`.
 pub mod prelude {
-    pub use super::{IntoParallelIterator, ParallelSlice, ParallelSliceMut};
+    pub use super::{IntoParallelIterator, ParallelSlice};
 }
 
 /// Number of worker threads used for parallel operations.
@@ -106,89 +105,6 @@ impl<T: Sync> ParallelSlice<T> for [T] {
 impl<T: Sync> ParallelSlice<T> for Vec<T> {
     fn par_iter(&self) -> ParIter<'_, T> {
         ParIter { items: self }
-    }
-}
-
-/// `par_chunks_mut()` on mutable slices (and anything that derefs to one,
-/// e.g. `Vec`), matching the real rayon chain
-/// `par_chunks_mut(n).enumerate().for_each(...)`.
-pub trait ParallelSliceMut<T: Send> {
-    /// Returns a parallel iterator over non-overlapping mutable chunks of
-    /// `chunk_size` elements (the last chunk may be shorter).
-    fn par_chunks_mut(&mut self, chunk_size: usize) -> ParChunksMut<'_, T>;
-}
-
-impl<T: Send> ParallelSliceMut<T> for [T] {
-    fn par_chunks_mut(&mut self, chunk_size: usize) -> ParChunksMut<'_, T> {
-        assert!(chunk_size > 0, "chunk size must be > 0");
-        ParChunksMut {
-            items: self,
-            chunk_size,
-        }
-    }
-}
-
-impl<T: Send> ParallelSliceMut<T> for Vec<T> {
-    fn par_chunks_mut(&mut self, chunk_size: usize) -> ParChunksMut<'_, T> {
-        self.as_mut_slice().par_chunks_mut(chunk_size)
-    }
-}
-
-/// Parallel iterator over mutable chunks of a slice.
-pub struct ParChunksMut<'a, T> {
-    items: &'a mut [T],
-    chunk_size: usize,
-}
-
-impl<'a, T: Send> ParChunksMut<'a, T> {
-    /// Pairs every chunk with its index.
-    pub fn enumerate(self) -> EnumerateParChunksMut<'a, T> {
-        EnumerateParChunksMut { inner: self }
-    }
-
-    /// Runs `f` on every chunk in parallel.
-    pub fn for_each<F>(self, f: F)
-    where
-        F: Fn(&mut [T]) + Sync,
-    {
-        self.enumerate().for_each(|(_, chunk)| f(chunk));
-    }
-}
-
-/// Enumerated parallel iterator over mutable chunks.
-pub struct EnumerateParChunksMut<'a, T> {
-    inner: ParChunksMut<'a, T>,
-}
-
-/// One hand-off cell per chunk: workers take disjoint chunks by index.
-type ChunkCell<'a, T> = std::sync::Mutex<Option<(usize, &'a mut [T])>>;
-
-impl<T: Send> EnumerateParChunksMut<'_, T> {
-    /// Runs `f` on every `(index, chunk)` pair in parallel.
-    pub fn for_each<F>(self, f: F)
-    where
-        F: Fn((usize, &mut [T])) + Sync,
-    {
-        let chunks: Vec<ChunkCell<'_, T>> = self
-            .inner
-            .items
-            .chunks_mut(self.inner.chunk_size)
-            .enumerate()
-            .map(|pair| std::sync::Mutex::new(Some(pair)))
-            .collect();
-        run_indexed(
-            chunks.len(),
-            current_num_threads(),
-            |i| {
-                let pair = chunks[i]
-                    .lock()
-                    .expect("uncontended")
-                    .take()
-                    .expect("taken once");
-                f(pair)
-            },
-            |_| false,
-        );
     }
 }
 
@@ -442,21 +358,5 @@ mod tests {
         let input: Vec<String> = (0..50).map(|i| i.to_string()).collect();
         let lens: Vec<usize> = input.into_par_iter().map(|s| s.len()).collect();
         assert_eq!(lens.len(), 50);
-    }
-
-    #[test]
-    fn par_chunks_mut_visits_every_chunk_once() {
-        let mut data = vec![0_usize; 103];
-        data.par_chunks_mut(10).enumerate().for_each(|(i, chunk)| {
-            for v in chunk.iter_mut() {
-                *v = i + 1;
-            }
-        });
-        // 103 elements in chunks of 10 -> 11 chunks, last of length 3.
-        assert!(data.iter().all(|&v| v > 0));
-        assert_eq!(data[0], 1);
-        assert_eq!(data[100], 11);
-        assert_eq!(data[9], 1);
-        assert_eq!(data[10], 2);
     }
 }

@@ -8,10 +8,10 @@
 use printed_mlp::core::campaign::{Campaign, CampaignConfig, CampaignResult, CampaignRunStats};
 use printed_mlp::core::engine::EvalKey;
 use printed_mlp::core::experiment::{Effort, Figure1Experiment};
-use printed_mlp::core::objective::{AccuracyTier, DesignPoint, SynthesisTier};
+use printed_mlp::core::objective::DesignPoint;
 use printed_mlp::core::store::{
-    open_backend_opts, BackendOptions, BreakerConfig, EvalRecord, LocalJsonlBackend, RemoteBackend,
-    StoreBackend,
+    open_backend_opts, BackendOptions, BreakerConfig, EvalArtifacts, EvalRecord, LocalJsonlBackend,
+    RemoteBackend, StoreBackend,
 };
 use printed_mlp::data::UciDataset;
 use printed_mlp::minimize::MinimizationConfig;
@@ -107,9 +107,7 @@ fn record(bits: u8, accuracy: f64) -> EvalRecord {
             input_bits: 4,
             fine_tune_epochs: 2,
             salt: 0xFEED_FACE_CAFE_BEEF,
-            accuracy_tier: AccuracyTier::Integer,
         },
-        tier: SynthesisTier::FastPath,
         point: DesignPoint {
             config: MinimizationConfig::default().with_weight_bits(bits),
             accuracy,
@@ -121,7 +119,7 @@ fn record(bits: u8, accuracy: f64) -> EvalRecord {
             sparsity: 0.0,
             gate_count: 300,
         },
-        artifacts: None,
+        artifacts: EvalArtifacts::default(),
     }
 }
 

@@ -188,7 +188,7 @@ fn point_and_layers(
         .into_iter()
         .find(|r| r.point == point)
         .expect("computed point was recorded");
-    (point, record.artifacts.expect("layers recorded").layers)
+    (point, record.artifacts.layers)
 }
 
 fn combined() -> MinimizationConfig {

@@ -1,15 +1,18 @@
-//! Integration tests of the two-tier evaluation scheme: the analytic
-//! fast-path cost model must be indistinguishable from full gate-level
-//! synthesis everywhere the search can observe it, and the engine must
-//! account for which tier every evaluation ran through.
+//! Integration tests of the analytic fast-path cost model: the engine costs
+//! every candidate through it, so it must be indistinguishable from full
+//! gate-level synthesis of the same layers everywhere the search can observe
+//! it, and full synthesis must run only when a finalist is verified.
 
-use printed_mlp::core::baseline::BaselineConfig;
+use printed_mlp::core::baseline::{BaselineConfig, BaselineDesign};
+use printed_mlp::core::bridge::{estimate_area, synthesize_area};
 use printed_mlp::core::engine::{EvalEngine, Evaluator};
-use printed_mlp::core::objective::SynthesisTier;
+use printed_mlp::core::experiment::Effort;
+use printed_mlp::core::objective::{evaluate_config_detailed, EvaluationContext};
 use printed_mlp::data::UciDataset;
-use printed_mlp::minimize::MinimizationConfig;
+use printed_mlp::hw::SharingStrategy;
+use printed_mlp::minimize::{minimize, MinimizationConfig};
 
-fn quick_engine(tier: SynthesisTier) -> EvalEngine {
+fn quick_engine() -> EvalEngine {
     EvalEngine::train_with(
         UciDataset::Seeds,
         13,
@@ -20,7 +23,6 @@ fn quick_engine(tier: SynthesisTier) -> EvalEngine {
     )
     .unwrap()
     .with_fine_tune_epochs(2)
-    .with_synthesis_tier(tier)
 }
 
 fn candidate_configs() -> Vec<MinimizationConfig> {
@@ -38,26 +40,32 @@ fn candidate_configs() -> Vec<MinimizationConfig> {
 }
 
 #[test]
-fn fast_path_engine_reproduces_full_synthesis_engine_exactly() {
-    let fast = quick_engine(SynthesisTier::FastPath);
-    let full = quick_engine(SynthesisTier::FullSynthesis);
-    assert_eq!(fast.synthesis_tier(), SynthesisTier::FastPath);
+fn fast_path_points_equal_full_synthesis_of_their_layers() {
+    let engine = quick_engine();
+    let baseline = engine.baseline();
+    let ctx = EvaluationContext::new(baseline).with_fine_tune_epochs(2);
     for config in candidate_configs() {
-        let a = fast.evaluate(&config).unwrap();
-        let b = full.evaluate(&config).unwrap();
-        assert_eq!(a, b, "tier divergence for {}", config.describe());
+        let point = engine.evaluate(&config).unwrap();
+        let design = evaluate_config_detailed(&ctx, &config, 0).unwrap();
+        assert_eq!(design.point, point, "engine and engine-less paths differ");
+        let (layers, bits, library) = (&design.layers, baseline.input_bits, &baseline.library);
+        let full = synthesize_area(layers, bits, library, design.sharing).unwrap();
+        let fast = estimate_area(layers, bits, library, design.sharing).unwrap();
+        assert_eq!(fast, full, "cost models diverge for {}", config.describe());
+        assert_eq!(
+            (point.area_mm2, point.power_uw, point.delay_us),
+            (full.area_mm2, full.power_uw, full.critical_path_us)
+        );
+        assert_eq!(point.gate_count, full.gate_count);
     }
-    let stats_fast = fast.stats();
-    let stats_full = full.stats();
-    assert_eq!(stats_fast.fast_path, candidate_configs().len());
-    assert_eq!(stats_fast.full_synthesis, 0);
-    assert_eq!(stats_full.fast_path, 0);
-    assert_eq!(stats_full.full_synthesis, candidate_configs().len());
+    let stats = engine.stats();
+    assert_eq!(stats.misses, candidate_configs().len());
+    assert_eq!(stats.full_synthesis, 0, "scoring never builds a netlist");
 }
 
 #[test]
 fn finalize_verifies_the_fast_path_against_a_real_netlist() {
-    let engine = quick_engine(SynthesisTier::FastPath);
+    let engine = quick_engine();
     for config in candidate_configs() {
         let finalized = engine.finalize(&config).unwrap();
         assert!(
@@ -70,18 +78,15 @@ fn finalize_verifies_the_fast_path_against_a_real_netlist() {
         assert_eq!(finalized.full.gate_count, finalized.point.gate_count);
     }
     let stats = engine.stats();
-    // Every candidate went through the fast path once and full synthesis once
-    // (the finalist verification).
-    assert_eq!(stats.fast_path, candidate_configs().len());
-    assert_eq!(stats.full_synthesis, candidate_configs().len());
-    // Finalization reuses the cached minimized layers instead of re-running
-    // the pipeline.
+    // Every candidate was scored once and fully synthesized once (the
+    // finalist verification), from the cached minimized layers.
     assert_eq!(stats.misses, candidate_configs().len());
+    assert_eq!(stats.full_synthesis, candidate_configs().len());
 }
 
 #[test]
 fn multiplier_cache_fills_and_reports_hits() {
-    let engine = quick_engine(SynthesisTier::FastPath);
+    let engine = quick_engine();
     let _ = engine
         .evaluate(&MinimizationConfig::default().with_weight_bits(5))
         .unwrap();
@@ -98,27 +103,25 @@ fn multiplier_cache_fills_and_reports_hits() {
 
 #[test]
 fn quick_baseline_fast_path_matches_full_synthesis_baseline() {
-    use printed_mlp::core::experiment::Effort;
-    // The Quick effort characterizes the baseline circuit through the fast
-    // path; the numbers must equal a full-synthesis characterization.
-    let quick_cfg = Effort::Quick.baseline_config();
-    assert_eq!(quick_cfg.synthesis_tier, SynthesisTier::FastPath);
-    let full_cfg = BaselineConfig {
-        synthesis_tier: SynthesisTier::FullSynthesis,
-        ..quick_cfg.clone()
-    };
-    let a = printed_mlp::core::baseline::BaselineDesign::train_with(
-        UciDataset::Vertebral,
-        3,
-        &quick_cfg,
+    // Every baseline, Quick effort included, is characterized by full
+    // synthesis; the fast path over the same 8-bit layers must agree.
+    let config = Effort::Quick.baseline_config();
+    let baseline = BaselineDesign::train_with(UciDataset::Vertebral, 3, &config).unwrap();
+    let minimized = minimize(
+        &baseline.model,
+        &baseline.train,
+        Some(&baseline.test),
+        &MinimizationConfig::baseline().with_input_bits(config.input_bits),
+        baseline.seed,
     )
     .unwrap();
-    let b = printed_mlp::core::baseline::BaselineDesign::train_with(
-        UciDataset::Vertebral,
-        3,
-        &full_cfg,
-    )
-    .unwrap();
-    assert_eq!(a.synthesis, b.synthesis);
-    assert_eq!(a.accuracy, b.accuracy);
+    let (layers, bits, library) = (
+        &minimized.integer_layers,
+        config.input_bits,
+        &baseline.library,
+    );
+    let full = synthesize_area(layers, bits, library, SharingStrategy::None).unwrap();
+    assert_eq!(full, baseline.synthesis);
+    let fast = estimate_area(layers, bits, library, SharingStrategy::None).unwrap();
+    assert_eq!(fast, full);
 }

@@ -14,7 +14,7 @@
 //! REGEN_GOLDEN=1 cargo test --test int_infer golden
 //! ```
 
-use printed_mlp::core::baseline::BaselineDesign;
+use printed_mlp::core::baseline::{BaselineConfig, BaselineDesign};
 use printed_mlp::core::bridge::circuit_spec_from_layers;
 use printed_mlp::core::experiment::Effort;
 use printed_mlp::core::objective::{
@@ -33,16 +33,22 @@ use std::path::PathBuf;
 
 /// Quick-effort baseline: same budget the `--quick` CI paths use.
 fn quick_baseline(dataset: UciDataset, seed: u64) -> BaselineDesign {
-    BaselineDesign::train_with(dataset, seed, &Effort::Quick.baseline_config())
-        .expect("baseline training succeeds")
+    tiered_baseline(dataset, seed, AccuracyTier::Integer)
 }
 
-/// Evaluation context mirroring `--quick` campaign settings, pinned to one
-/// accuracy tier.
-fn quick_ctx(baseline: &BaselineDesign, tier: AccuracyTier) -> EvaluationContext<'_> {
-    EvaluationContext::new(baseline)
-        .with_fine_tune_epochs(Effort::Quick.fine_tune_epochs())
-        .with_accuracy_tier(tier)
+/// Quick-effort baseline whose accuracy, and its candidates', is scored in
+/// `tier`.
+fn tiered_baseline(dataset: UciDataset, seed: u64, tier: AccuracyTier) -> BaselineDesign {
+    let config = BaselineConfig {
+        accuracy_tier: tier,
+        ..Effort::Quick.baseline_config()
+    };
+    BaselineDesign::train_with(dataset, seed, &config).expect("baseline training succeeds")
+}
+
+/// Evaluation context mirroring `--quick` campaign settings.
+fn quick_ctx(baseline: &BaselineDesign) -> EvaluationContext<'_> {
+    EvaluationContext::new(baseline).with_fine_tune_epochs(Effort::Quick.fine_tune_epochs())
 }
 
 // ---------------------------------------------------------------------------
@@ -51,16 +57,22 @@ fn quick_ctx(baseline: &BaselineDesign, tier: AccuracyTier) -> EvaluationContext
 
 /// Both accuracy tiers score the same minimized model on the same quantized
 /// test split — the float tier in `f32`, the integer tier with the exact
-/// arithmetic of the circuit. The argmax decisions (and hence the reported
-/// accuracies) must be identical on every dataset in the registry.
+/// arithmetic of the circuit. The tier belongs to the baseline, so the two
+/// baselines here differ only in it. The argmax decisions (and hence the
+/// reported accuracies) must be identical on every dataset in the registry.
 #[test]
 fn integer_and_float_tiers_report_identical_accuracy_across_the_registry() {
     let config = MinimizationConfig::default().with_weight_bits(4);
     for &dataset in &UciDataset::all() {
-        let baseline = quick_baseline(dataset, 41);
-        let float_point = evaluate_config(&quick_ctx(&baseline, AccuracyTier::Float), &config, 0)
+        let float_baseline = tiered_baseline(dataset, 41, AccuracyTier::Float);
+        let int_baseline = tiered_baseline(dataset, 41, AccuracyTier::Integer);
+        assert_eq!(
+            float_baseline.accuracy, int_baseline.accuracy,
+            "{dataset:?}: baseline accuracy differs between tiers"
+        );
+        let float_point = evaluate_config(&quick_ctx(&float_baseline), &config, 0)
             .expect("float-tier evaluation succeeds");
-        let int_point = evaluate_config(&quick_ctx(&baseline, AccuracyTier::Integer), &config, 0)
+        let int_point = evaluate_config(&quick_ctx(&int_baseline), &config, 0)
             .expect("integer-tier evaluation succeeds");
         assert_eq!(
             float_point.accuracy, int_point.accuracy,
@@ -91,9 +103,8 @@ fn engine_matches_netlist_on_real_minimized_candidates() {
             .with_clusters(3),
     ];
     for config in &configs {
-        let design =
-            evaluate_config_detailed(&quick_ctx(&baseline, AccuracyTier::Integer), config, 0)
-                .expect("evaluation succeeds");
+        let design = evaluate_config_detailed(&quick_ctx(&baseline), config, 0)
+            .expect("evaluation succeeds");
         let spec = circuit_spec_from_layers(&design.layers, baseline.input_bits)
             .expect("layers form a valid spec");
         let engine = IntInferEngine::from_spec_with(&spec, design.sharing).expect("engine builds");
@@ -137,8 +148,8 @@ fn decoded_store_artifacts_score_identically_to_fresh_ones() {
     let config = MinimizationConfig::default()
         .with_weight_bits(4)
         .with_clusters(4);
-    let design = evaluate_config_detailed(&quick_ctx(&baseline, AccuracyTier::Integer), &config, 7)
-        .expect("evaluation succeeds");
+    let design =
+        evaluate_config_detailed(&quick_ctx(&baseline), &config, 7).expect("evaluation succeeds");
 
     let blob = encode_artifacts(&design.layers, design.sharing);
     let (layers, sharing) = decode_artifacts(&blob).expect("artifact blob decodes");
@@ -351,12 +362,8 @@ fn regenerate_golden_corpus() {
     std::fs::create_dir_all(&dir).expect("golden dir creates");
     for case in golden_cases() {
         let baseline = quick_baseline(case.dataset, case.seed);
-        let design = evaluate_config_detailed(
-            &quick_ctx(&baseline, AccuracyTier::Integer),
-            &case.config,
-            0,
-        )
-        .expect("evaluation succeeds");
+        let design = evaluate_config_detailed(&quick_ctx(&baseline), &case.config, 0)
+            .expect("evaluation succeeds");
         let spec = circuit_spec_from_layers(&design.layers, baseline.input_bits)
             .expect("layers form a valid spec");
         let circuit = BespokeMlpCircuit::synthesize_with(

@@ -142,8 +142,8 @@ fn interrupted_campaign_restarts_only_the_unfinished_datasets() {
 
 /// Persisted finalization artifacts: a store-warmed Pareto finalist runs
 /// full gate-level synthesis directly from the persisted integer layers,
-/// without re-running the minimization pipeline — and a PR-4-era record
-/// (no artifact blob) still finalizes via exactly one re-run.
+/// without re-running the minimization pipeline — and a record whose
+/// artifact blob is damaged is dropped and recomputed as one ordinary miss.
 #[test]
 fn store_warmed_finalists_finalize_without_re_minimization() {
     use printed_mlp::core::baseline::BaselineConfig;
@@ -167,50 +167,85 @@ fn store_warmed_finalists_finalize_without_re_minimization() {
     let engine = build();
     let reference = engine.finalize(&config).unwrap();
     assert!(reference.matches_fast_path);
-    assert_eq!(engine.stats().finalize_reruns, 0);
+    assert_eq!(engine.stats().misses, 1);
     let store_path = engine.store().unwrap().path().expect("local store");
     drop(engine);
 
     // Fresh engine: the record (artifacts included) warm-starts the cache;
-    // finalization must not re-run minimization.
+    // finalization synthesizes the persisted layers without a miss.
     let engine = build();
     assert_eq!(engine.stats().warmed, 1);
     let finalized = engine.finalize(&config).unwrap();
     assert_eq!(engine.stats().misses, 0, "evaluation must be warm");
-    assert_eq!(
-        engine.stats().finalize_reruns,
-        0,
-        "persisted layers must skip the minimization re-run"
-    );
     assert!(finalized.matches_fast_path);
     assert_eq!(finalized.point, reference.point);
     assert_eq!(finalized.full, reference.full);
     drop(engine);
 
-    // Strip the artifact blobs, simulating a record log written before
-    // artifact persistence: finalization still reproduces the reference,
-    // paying exactly one minimization re-run.
+    // Damage the artifact blob: the line is dropped and counted, and the
+    // configuration is recomputed through the ordinary miss path to the
+    // bit-identical point.
     let text = std::fs::read_to_string(&store_path).unwrap();
-    let stripped: String = text
-        .lines()
-        .map(|line| match line.find(",\"artifacts\":\"") {
-            Some(cut) => format!("{}}}\n", &line[..cut]),
-            None => format!("{line}\n"),
-        })
-        .collect();
-    std::fs::write(&store_path, stripped).unwrap();
+    let damaged = text.replacen(",\"artifacts\":\"", ",\"artifacts\":\"!", 1);
+    assert_ne!(damaged, text);
+    std::fs::write(&store_path, damaged).unwrap();
 
     let engine = build();
-    assert_eq!(engine.stats().warmed, 1);
+    assert_eq!(engine.stats().warmed, 0);
+    assert_eq!(engine.store().unwrap().dropped_records(), 1);
     let finalized = engine.finalize(&config).unwrap();
-    assert_eq!(engine.stats().misses, 0);
-    assert_eq!(
-        engine.stats().finalize_reruns,
-        1,
-        "a blob-less record must fall back to one re-run"
-    );
+    assert_eq!(engine.stats().misses, 1, "exactly one recomputation");
     assert!(finalized.matches_fast_path);
     assert_eq!(finalized.point, reference.point);
+    assert_eq!(finalized.full, reference.full);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// The accuracy tier belongs to the baseline: a Float-tier and an
+/// Integer-tier baseline of one dataset and seed have different fingerprints,
+/// so their records land in disjoint logs of one store directory and neither
+/// warm-starts the other.
+#[test]
+fn float_and_integer_tier_baselines_write_disjoint_record_logs() {
+    use printed_mlp::core::baseline::BaselineConfig;
+    use printed_mlp::core::engine::EvalEngine;
+    use printed_mlp::core::AccuracyTier;
+
+    let dir = temp_dir("tier-logs");
+    let config = MinimizationConfig::default().with_weight_bits(4);
+    let build = |tier| {
+        let budget = BaselineConfig {
+            accuracy_tier: tier,
+            ..Effort::Quick.baseline_config()
+        };
+        EvalEngine::train_with(UciDataset::Seeds, 11, &budget)
+            .unwrap()
+            .with_fine_tune_epochs(2)
+            .with_store(&dir)
+            .unwrap()
+    };
+
+    let float = build(AccuracyTier::Float);
+    let integer = build(AccuracyTier::Integer);
+    assert_ne!(float.fingerprint(), integer.fingerprint());
+    float.evaluate(&config).unwrap();
+    integer.evaluate(&config).unwrap();
+    let float_log = float.store().unwrap().path().unwrap();
+    let integer_log = integer.store().unwrap().path().unwrap();
+    assert_ne!(float_log, integer_log);
+    drop((float, integer));
+    for log in [&float_log, &integer_log] {
+        let lines = std::fs::read_to_string(log).unwrap().lines().count();
+        assert_eq!(lines, 2, "{}: header + one record", log.display());
+    }
+
+    // Each tier warm-starts from its own log only.
+    for tier in [AccuracyTier::Float, AccuracyTier::Integer] {
+        let engine = build(tier);
+        assert_eq!(engine.stats().warmed, 1, "{tier:?}");
+        engine.evaluate(&config).unwrap();
+        assert_eq!(engine.stats().misses, 0, "{tier:?}");
+    }
     std::fs::remove_dir_all(&dir).ok();
 }
 
