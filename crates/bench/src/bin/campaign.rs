@@ -43,7 +43,7 @@ use pmlp_bench::{parse_cli, parse_effort, CliOptions};
 use pmlp_core::campaign::{Campaign, CampaignConfig};
 use pmlp_core::experiment::Figure1Experiment;
 use pmlp_core::report::render_campaign_table;
-use pmlp_core::store::{EvalStore, GcPolicy};
+use pmlp_core::store::{GcPolicy, LocalJsonlBackend};
 use pmlp_data::UciDataset;
 use rayon::prelude::*;
 use std::path::Path;
@@ -171,7 +171,11 @@ fn run_gc(options: &CliOptions<'_>) -> Result<(), Box<dyn std::error::Error>> {
         .collect();
     let live = live?;
 
-    let report = EvalStore::gc(dir, &live, &GcPolicy::default())?;
+    // The pass rewrites the directory's logs: run it through a backend that
+    // is the directory's only open owner.
+    drop(backend);
+    let local = LocalJsonlBackend::open_with(dir, options.durability.unwrap_or_default())?;
+    let report = local.gc(Some(&live), &GcPolicy::default())?;
     println!(
         "gc of {}: kept {} record log(s), dropped {} file(s), reclaimed {} byte(s), \
          merged {} duplicate record(s), dropped {} corrupt record(s)",

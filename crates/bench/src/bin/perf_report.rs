@@ -493,9 +493,7 @@ fn synthetic_record(i: usize) -> pmlp_core::store::EvalRecord {
 fn measure_resilience(
     outage_appends: usize,
 ) -> Result<ResilienceMetrics, Box<dyn std::error::Error>> {
-    use pmlp_core::store::{
-        BreakerConfig, MemoryBackend, RemoteBackend, StoreBackend, TieredStore,
-    };
+    use pmlp_core::store::{MemoryBackend, RemoteBackend, StoreBackend, TieredStore};
 
     let t0 = Instant::now();
     let server = pmlp_serve::spawn(&pmlp_serve::ServeConfig::default())?;
@@ -503,13 +501,10 @@ fn measure_resilience(
     // Zero cooldown: the recovery probe happens on the next write instead of
     // after the production default's 1 s wait, so the measured cycle is the
     // work, not the sleep.
-    let tiered = TieredStore::with_breaker(
+    let tiered = TieredStore::with_cooldown(
         Box::new(MemoryBackend::new()),
         Box::new(RemoteBackend::new(&format!("http://{addr}"))?),
-        BreakerConfig {
-            failure_threshold: 1,
-            cooldown: std::time::Duration::ZERO,
-        },
+        std::time::Duration::ZERO,
     );
     for i in 0..outage_appends {
         tiered.append("resil", 0xFA11, &synthetic_record(i))?;

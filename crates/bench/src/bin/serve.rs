@@ -8,16 +8,15 @@
 //! ```text
 //! cargo run --release -p pmlp-bench --bin serve -- \
 //!     [host:port] [--store DIR] [--token TOKEN] [--workers N] \
-//!     [--durability POLICY] [--drain-timeout-ms N]
+//!     [--durability POLICY]
 //! ```
 //!
 //! `host:port` defaults to `127.0.0.1:7878` (use port `0` for an ephemeral
 //! port — the bound address is printed on startup). With `--store DIR` the
-//! server persists into the standard local JSONL store format under `DIR`
-//! (fronted by an in-memory record index preloaded at startup), so an
-//! existing single-machine `--store` directory can be promoted to a shared
-//! server without conversion; without it, state lives in memory for the
-//! server's lifetime.
+//! server reads and writes the standard local JSONL store format under `DIR`
+//! directly, so an existing single-machine `--store` directory can be
+//! promoted to a shared server without conversion; without it, state lives
+//! in memory for the server's lifetime.
 //!
 //! `--token TOKEN` turns on bearer auth: every request except the
 //! `/v1/healthz` liveness probe must carry `Authorization: Bearer TOKEN`, and
@@ -25,9 +24,8 @@
 //! connection worker pool (default: one per core, clamped to 4..=32).
 //! `--durability POLICY` (`buffered`, `sync-each-append`, `sync-on-seal`)
 //! picks how eagerly a `--store`-backed server fsyncs; a graceful shutdown
-//! (SIGTERM/SIGINT) always drains in-flight requests and fsyncs before
-//! exiting, whatever the policy. `--drain-timeout-ms N` bounds how long the
-//! drain waits for in-flight requests before abandoning them (default 5s).
+//! (SIGTERM/SIGINT) always drains in-flight requests (for up to 5 s) and
+//! fsyncs before exiting, whatever the policy.
 //!
 //! Point workers at the server with `--remote-store http://host:port` (or
 //! `http://TOKEN@host:port` when auth is on) on the
@@ -46,7 +44,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .copied()
         .unwrap_or("127.0.0.1:7878")
         .to_string();
-    let mut config = ServeConfig {
+    let config = ServeConfig {
         addr,
         store_dir: options.store.clone(),
         token: options.token.clone(),
@@ -54,9 +52,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         durability: options.durability.unwrap_or_default(),
         ..ServeConfig::default()
     };
-    if let Some(ms) = options.drain_timeout_ms {
-        config.drain_timeout = std::time::Duration::from_millis(ms);
-    }
     run(&config)?;
     Ok(())
 }

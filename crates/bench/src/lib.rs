@@ -60,10 +60,6 @@ pub struct CliOptions<'a> {
     /// `buffered`). Honoured by `--store DIR` compositions and by the
     /// `serve` binary's disk-backed store.
     pub durability: Option<pmlp_core::store::DurabilityPolicy>,
-    /// Graceful-shutdown drain deadline override for the `serve` binary
-    /// from `--drain-timeout-ms N`: how long a stopping server waits for
-    /// in-flight requests before abandoning them (default 5s).
-    pub drain_timeout_ms: Option<u64>,
     /// A malformed command line detected during parsing (e.g. `--store`
     /// without a directory); surfaced by [`CliOptions::validate`].
     pub parse_error: Option<String>,
@@ -119,7 +115,7 @@ impl CliOptions<'_> {
             &pmlp_core::store::BackendOptions {
                 remote_timeout: self.remote_timeout_ms.map(std::time::Duration::from_millis),
                 durability: self.durability.unwrap_or_default(),
-                breaker: None,
+                remote_cooldown: None,
             },
         )
     }
@@ -167,9 +163,6 @@ fn parse_arg<'a>(
         ("--token", _) => options.token = Some(value.text("a", "token")?.into()),
         ("--remote-timeout-ms", _) => {
             options.remote_timeout_ms = Some(value.number("a number of milliseconds")?);
-        }
-        ("--drain-timeout-ms", _) => {
-            options.drain_timeout_ms = Some(value.number("a number of milliseconds")?);
         }
         ("--workers", _) => options.workers = Some(value.number("a thread count")?),
         ("--durability", _) => {
@@ -505,33 +498,6 @@ mod tests {
     }
 
     #[test]
-    fn drain_timeout_flag_is_parsed_in_both_forms() {
-        let args: Vec<String> = ["--drain-timeout-ms", "2500"]
-            .iter()
-            .map(|s| s.to_string())
-            .collect();
-        assert_eq!(parse_cli(&args).drain_timeout_ms, Some(2500));
-
-        let args: Vec<String> = ["--drain-timeout-ms=100"]
-            .iter()
-            .map(|s| s.to_string())
-            .collect();
-        assert_eq!(parse_cli(&args).drain_timeout_ms, Some(100));
-        assert_eq!(parse_cli(&[]).drain_timeout_ms, None);
-
-        for bad in [
-            vec!["--drain-timeout-ms"],
-            vec!["--drain-timeout-ms", "soon"],
-        ] {
-            let args: Vec<String> = bad.iter().map(|s| s.to_string()).collect();
-            assert!(
-                parse_cli(&args).validate().is_err(),
-                "{bad:?} must be rejected"
-            );
-        }
-    }
-
-    #[test]
     fn open_backend_composes_the_selected_tiers() {
         let dir = std::env::temp_dir().join(format!(
             "pmlp-bench-backend-{}-{:?}",
@@ -599,6 +565,14 @@ mod tests {
             (vec!["--worker-id=w1"], "unknown flag --worker-id"),
             (vec!["--steal"], "unknown flag --steal"),
             (vec!["--lease-ttl-ms=100"], "unknown flag --lease-ttl-ms"),
+            (
+                vec!["--drain-timeout-ms", "2500"],
+                "unknown flag --drain-timeout-ms",
+            ),
+            (
+                vec!["--drain-timeout-ms=100"],
+                "unknown flag --drain-timeout-ms",
+            ),
             (vec!["--quick=yes"], "--quick takes no value"),
         ] {
             let args: Vec<String> = args.iter().map(|s| s.to_string()).collect();

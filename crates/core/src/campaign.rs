@@ -364,13 +364,10 @@ impl Campaign {
                     .remote_timeout_ms
                     .map(std::time::Duration::from_millis),
                 durability: self.config.durability,
-                breaker: self
+                remote_cooldown: self
                     .config
                     .remote_cooldown_ms
-                    .map(|ms| crate::store::BreakerConfig {
-                        cooldown: std::time::Duration::from_millis(ms),
-                        ..crate::store::BreakerConfig::default()
-                    }),
+                    .map(std::time::Duration::from_millis),
             },
         )?
         .map(Arc::from))

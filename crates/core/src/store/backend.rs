@@ -101,7 +101,8 @@ pub trait StoreBackend: Send + Sync {
 
     /// Fetches the record for one key, `None` when it was never stored.
     ///
-    /// The default implementation scans; backends with an index override it.
+    /// The default implementation scans; backends that can look one key up
+    /// directly override it.
     ///
     /// # Errors
     ///

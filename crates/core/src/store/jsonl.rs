@@ -156,7 +156,7 @@ impl LocalJsonlBackend {
     /// next to the log (and counted, and warned about once per replay) so a
     /// record damaged by something worse than a crash-truncated tail can
     /// still be inspected by hand. The sidecar's name ends in `.quarantine`,
-    /// invisible to [`list_record_logs`] and the GC pass.
+    /// invisible to the GC pass.
     fn replay(path: &Path, fingerprint: u64) -> Result<(Vec<EvalRecord>, usize, bool), CoreError> {
         let mut loaded: Vec<EvalRecord> = Vec::new();
         let mut quarantined: Vec<String> = Vec::new();
@@ -230,33 +230,22 @@ impl LocalJsonlBackend {
     /// instance. Must be called with the writers lock held — the map passed
     /// in *is* the locked map.
     fn writer_for<'w>(
+        &self,
         writers: &'w mut HashMap<PathBuf, fs::File>,
         path: &Path,
         fingerprint: u64,
-        durability: DurabilityPolicy,
     ) -> Result<&'w mut fs::File, CoreError> {
         if !writers.contains_key(path) {
             // First touch of this log by this backend instance: make sure a
             // valid header leads the file before appending after it. An
             // existing file with a foreign/stale header must be salvaged
             // *now* — appending after a bad header would let the next scan
-            // discard the fresh records along with it.
+            // discard the fresh records along with it. A brand-new log gets
+            // its header sealed so a replay can bind the file to its
+            // fingerprint.
             let (records, _, needs_rewrite) = Self::replay(path, fingerprint)?;
-            let mut sealed = false;
-            if needs_rewrite {
-                Self::rewrite(path, fingerprint, &records)?;
-                sealed = true;
-            } else if !path.exists() {
-                // Brand-new log: seal the header so a replay can bind the
-                // file to its fingerprint.
-                let mut contents = header_line(fingerprint);
-                contents.push('\n');
-                write_atomic(path, &contents)
-                    .map_err(|e| store_err(format!("create {}: {e}", path.display())))?;
-                sealed = true;
-            }
-            if sealed && durability != DurabilityPolicy::Buffered {
-                sync_path(path);
+            if needs_rewrite || !path.exists() {
+                self.rewrite(path, fingerprint, &records)?;
             }
             let file = fs::OpenOptions::new()
                 .append(true)
@@ -267,8 +256,16 @@ impl LocalJsonlBackend {
         Ok(writers.get_mut(path).expect("cached writer"))
     }
 
-    /// Writes `records` (plus the header) to `path` atomically.
-    fn rewrite(path: &Path, fingerprint: u64, records: &[EvalRecord]) -> Result<(), CoreError> {
+    /// Writes `records` (plus the header) to `path` atomically, then syncs
+    /// it unless the policy is [`DurabilityPolicy::Buffered`]. The new file
+    /// replaces the inode a cached append handle points at, so a caller
+    /// rewriting a log that may have one drops it (under the writers lock).
+    fn rewrite(
+        &self,
+        path: &Path,
+        fingerprint: u64,
+        records: &[EvalRecord],
+    ) -> Result<(), CoreError> {
         let mut contents = header_line(fingerprint);
         contents.push('\n');
         for record in records {
@@ -276,7 +273,85 @@ impl LocalJsonlBackend {
             contents.push('\n');
         }
         write_atomic(path, &contents)
-            .map_err(|e| store_err(format!("rewrite {}: {e}", path.display())))
+            .map_err(|e| store_err(format!("rewrite {}: {e}", path.display())))?;
+        if self.durability != DurabilityPolicy::Buffered {
+            sync_path(path);
+        }
+        Ok(())
+    }
+
+    /// Garbage-collects this backend's directory under the writers lock:
+    ///
+    /// * record logs whose baseline fingerprint is not in `live` are deleted
+    ///   (their baseline no longer exists, so no engine can ever warm-start
+    ///   from them again); `None` keeps every fingerprint, making the pass a
+    ///   pure compaction,
+    /// * surviving logs have duplicate keys merged and damaged lines
+    ///   dropped, and logs at or above [`GcPolicy::compact_threshold_bytes`]
+    ///   are compacted unconditionally,
+    /// * `done_*.json` completion markers bound to a dead baseline
+    ///   fingerprint are deleted too.
+    ///
+    /// Every log the pass rewrites or deletes loses its cached append
+    /// handle, so a later append reopens the rewritten file, or seals a
+    /// fresh one, instead of writing into an orphaned inode. Checkpoint
+    /// documents and unrelated files are left untouched.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CoreError::Store`] when the directory cannot be read or a
+    /// rewrite fails; per-file deletions that race with other processes are
+    /// ignored.
+    pub fn gc(&self, live: Option<&[u64]>, policy: &GcPolicy) -> Result<GcReport, CoreError> {
+        let is_live = |fp: u64| live.is_none_or(|live| live.contains(&fp));
+        let dir = &self.dir;
+        let mut writers = self.writers.lock().expect("writer map lock");
+        let mut report = GcReport::default();
+        let entries =
+            fs::read_dir(dir).map_err(|e| store_err(format!("read {}: {e}", dir.display())))?;
+        for entry in entries {
+            let entry = entry.map_err(|e| store_err(format!("read {}: {e}", dir.display())))?;
+            let path = entry.path();
+            let Some(file_name) = path.file_name().and_then(|n| n.to_str()).map(String::from)
+            else {
+                continue;
+            };
+            let size = entry.metadata().map(|m| m.len()).unwrap_or(0);
+
+            if let Some(fp) = record_log_fingerprint(&file_name) {
+                if !is_live(fp) {
+                    fs::remove_file(&path).ok();
+                    writers.remove(&path);
+                    report.files_dropped += 1;
+                    report.bytes_reclaimed += size;
+                    continue;
+                }
+                report.files_kept += 1;
+                let (records, corrupt, damaged) = Self::replay(&path, fp)?;
+                let (merged, removed) = merge_duplicate_keys(records);
+                if removed > 0 || damaged || size >= policy.compact_threshold_bytes {
+                    self.rewrite(&path, fp, &merged)?;
+                    writers.remove(&path);
+                    let new_size = fs::metadata(&path).map(|m| m.len()).unwrap_or(size);
+                    report.bytes_reclaimed += size.saturating_sub(new_size);
+                    report.duplicates_merged += removed;
+                    report.corrupt_dropped += corrupt;
+                }
+            } else if file_name.starts_with("done_") && file_name.ends_with(".json") {
+                // Completion markers carry the baseline fingerprint they were
+                // measured against in their envelope; a dead baseline means
+                // the marker can never be resumed again.
+                match marker_fingerprint(&path) {
+                    Some(fp) if !is_live(fp) => {
+                        fs::remove_file(&path).ok();
+                        report.files_dropped += 1;
+                        report.bytes_reclaimed += size;
+                    }
+                    _ => {}
+                }
+            }
+        }
+        Ok(report)
     }
 }
 
@@ -295,10 +370,7 @@ impl StoreBackend for LocalJsonlBackend {
         if needs_rewrite {
             // A rewrite replaces the inode any cached append handle points
             // at; drop the stale handle so later appends reopen the new file.
-            Self::rewrite(&path, fingerprint, &records)?;
-            if self.durability != DurabilityPolicy::Buffered {
-                sync_path(&path);
-            }
+            self.rewrite(&path, fingerprint, &records)?;
             writers.remove(&path);
         }
         Ok(ScanOutcome { records, dropped })
@@ -309,7 +381,7 @@ impl StoreBackend for LocalJsonlBackend {
         let mut line = record_line(record);
         line.push('\n');
         let mut writers = self.writers.lock().expect("writer map lock");
-        let writer = Self::writer_for(&mut writers, &path, fingerprint, self.durability)?;
+        let writer = self.writer_for(&mut writers, &path, fingerprint)?;
         writer
             .write_all(line.as_bytes())
             .and_then(|()| writer.flush())
@@ -338,7 +410,7 @@ impl StoreBackend for LocalJsonlBackend {
         // One write + one flush for the whole batch: a crash can still only
         // truncate the tail, which replay tolerates.
         let mut writers = self.writers.lock().expect("writer map lock");
-        let writer = Self::writer_for(&mut writers, &path, fingerprint, self.durability)?;
+        let writer = self.writer_for(&mut writers, &path, fingerprint)?;
         writer
             .write_all(lines.as_bytes())
             .and_then(|()| writer.flush())
@@ -355,10 +427,7 @@ impl StoreBackend for LocalJsonlBackend {
         let (records, _, _) = Self::replay(&path, fingerprint)?;
         let (merged, removed) = merge_duplicate_keys(records);
         if removed > 0 {
-            Self::rewrite(&path, fingerprint, &merged)?;
-            if self.durability != DurabilityPolicy::Buffered {
-                sync_path(&path);
-            }
+            self.rewrite(&path, fingerprint, &merged)?;
             writers.remove(&path);
         }
         Ok(removed)
@@ -409,7 +478,7 @@ impl StoreBackend for LocalJsonlBackend {
 // Garbage collection
 // ---------------------------------------------------------------------------
 
-/// Tuning knobs of [`gc_store_dir`].
+/// Tuning knobs of [`LocalJsonlBackend::gc`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct GcPolicy {
     /// Record logs at or above this size are compacted (duplicate keys
@@ -451,111 +520,10 @@ fn record_log_fingerprint(file_name: &str) -> Option<u64> {
     (fp.len() == 16).then(|| u64::from_str_radix(fp, 16).ok())?
 }
 
-/// Enumerates the record logs of a store directory as `(shard label,
-/// fingerprint)` pairs — the keys a server preloads its in-memory index with
-/// and the default "everything currently present is live" set of an online
-/// GC pass. Non-log files (documents, markers) are skipped.
-///
-/// # Errors
-///
-/// Returns [`CoreError::Store`] when the directory cannot be read; a missing
-/// directory lists empty (a fresh store has no logs yet).
-pub fn list_record_logs(dir: &Path) -> Result<Vec<(String, u64)>, CoreError> {
-    let mut logs = Vec::new();
-    let entries = match fs::read_dir(dir) {
-        Ok(entries) => entries,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(logs),
-        Err(e) => return Err(store_err(format!("read {}: {e}", dir.display()))),
-    };
-    for entry in entries {
-        let entry = entry.map_err(|e| store_err(format!("read {}: {e}", dir.display())))?;
-        let Some(file_name) = entry.file_name().to_str().map(String::from) else {
-            continue;
-        };
-        if let Some(fp) = record_log_fingerprint(&file_name) {
-            let stem = file_name
-                .strip_suffix(".jsonl")
-                .and_then(|s| s.rsplit_once('_'))
-                .map(|(name, _)| name.to_string())
-                .expect("fingerprinted log names split");
-            logs.push((stem, fp));
-        }
-    }
-    logs.sort();
-    Ok(logs)
-}
-
 /// Extracts the envelope fingerprint of a `done_*.json` completion marker.
 fn marker_fingerprint(path: &Path) -> Option<u64> {
     let parsed = serde::json::parse(&fs::read_to_string(path).ok()?).ok()?;
     super::parse_hex(parsed.get("fingerprint")?).ok()
-}
-
-/// Garbage-collects a local store directory:
-///
-/// * record logs whose baseline fingerprint is not in `live_fingerprints`
-///   are deleted (their baseline no longer exists, so no engine can ever
-///   warm-start from them again),
-/// * surviving logs have duplicate keys merged, and logs at or above
-///   [`GcPolicy::compact_threshold_bytes`] are compacted unconditionally,
-/// * `done_*.json` completion markers bound to a dead baseline fingerprint
-///   are deleted too.
-///
-/// Checkpoint documents and unrelated files are left untouched.
-///
-/// # Errors
-///
-/// Returns [`CoreError::Store`] when the directory cannot be read or a
-/// rewrite fails; per-file deletions that race with other processes are
-/// ignored.
-pub fn gc_store_dir(
-    dir: &Path,
-    live_fingerprints: &[u64],
-    policy: &GcPolicy,
-) -> Result<GcReport, CoreError> {
-    let mut report = GcReport::default();
-    let entries =
-        fs::read_dir(dir).map_err(|e| store_err(format!("read {}: {e}", dir.display())))?;
-    for entry in entries {
-        let entry = entry.map_err(|e| store_err(format!("read {}: {e}", dir.display())))?;
-        let path = entry.path();
-        let Some(file_name) = path.file_name().and_then(|n| n.to_str()).map(String::from) else {
-            continue;
-        };
-        let size = entry.metadata().map(|m| m.len()).unwrap_or(0);
-
-        if let Some(fp) = record_log_fingerprint(&file_name) {
-            if !live_fingerprints.contains(&fp) {
-                fs::remove_file(&path).ok();
-                report.files_dropped += 1;
-                report.bytes_reclaimed += size;
-                continue;
-            }
-            report.files_kept += 1;
-            let (records, corrupt, damaged) = LocalJsonlBackend::replay(&path, fp)?;
-            let (merged, removed) = merge_duplicate_keys(records);
-            if removed > 0 || damaged || size >= policy.compact_threshold_bytes {
-                LocalJsonlBackend::rewrite(&path, fp, &merged)?;
-                let new_size = fs::metadata(&path).map(|m| m.len()).unwrap_or(size);
-                report.bytes_reclaimed += size.saturating_sub(new_size);
-                report.duplicates_merged += removed;
-                report.corrupt_dropped += corrupt;
-            }
-        } else if file_name.starts_with("done_") && file_name.ends_with(".json") {
-            // Completion markers carry the baseline fingerprint they were
-            // measured against in their envelope; a dead baseline means the
-            // marker can never be resumed again.
-            match marker_fingerprint(&path) {
-                Some(fp) if !live_fingerprints.contains(&fp) => {
-                    fs::remove_file(&path).ok();
-                    report.files_dropped += 1;
-                    report.bytes_reclaimed += size;
-                }
-                _ => {}
-            }
-        }
-    }
-    Ok(report)
 }
 
 #[cfg(test)]
@@ -739,8 +707,10 @@ mod tests {
         let sidecar = PathBuf::from(format!("{}.quarantine", path.display()));
         let quarantined = fs::read_to_string(&sidecar).unwrap();
         assert!(quarantined.contains("!!not json!!"));
-        // The sidecar is invisible to log enumeration (and therefore GC).
-        assert_eq!(list_record_logs(&dir).unwrap().len(), 1);
+        // The sidecar is invisible to GC: one log kept, nothing dropped.
+        let report = fresh.gc(None, &GcPolicy::default()).unwrap();
+        assert_eq!((report.files_kept, report.files_dropped), (1, 0));
+        assert!(sidecar.exists());
         fs::remove_dir_all(&dir).ok();
     }
 
@@ -758,7 +728,7 @@ mod tests {
             .append("Balance", 0xDEAD, &record(5, 0.9, 50.0))
             .unwrap();
 
-        let report = gc_store_dir(&dir, &[0xA11CE], &GcPolicy::default()).unwrap();
+        let report = backend.gc(Some(&[0xA11CE]), &GcPolicy::default()).unwrap();
         assert_eq!(report.files_kept, 1);
         assert_eq!(report.files_dropped, 2);
         assert_eq!(report.duplicates_merged, 1);
@@ -772,7 +742,19 @@ mod tests {
         assert_eq!(names.len(), 1);
         assert!(names[0].starts_with("seeds_"));
         let outcome = backend.scan("Seeds", 0xA11CE).unwrap();
-        assert_eq!(outcome.records, vec![live]);
+        assert_eq!(outcome.records, vec![live.clone()]);
+
+        // The pass dropped the append handles of the logs it rewrote and
+        // deleted: later appends land in files a fresh instance replays, and
+        // the dead log comes back as a freshly sealed file.
+        let (late, reborn) = (record(6, 0.6, 60.0), record(7, 0.5, 70.0));
+        backend.append("Seeds", 0xA11CE, &late).unwrap();
+        backend.append("Balance", 0xDEAD, &reborn).unwrap();
+        let reopened = LocalJsonlBackend::open(&dir).unwrap();
+        let seeds = reopened.scan("Seeds", 0xA11CE).unwrap().records;
+        assert_eq!(seeds, vec![live, late]);
+        let balance = reopened.scan("Balance", 0xDEAD).unwrap();
+        assert_eq!((balance.records, balance.dropped), (vec![reborn], 0));
         fs::remove_dir_all(&dir).ok();
     }
 
@@ -793,7 +775,7 @@ mod tests {
             .put_doc("fig2_seeds_nsga2.json", "{\"unrelated\":true}")
             .unwrap();
 
-        let report = gc_store_dir(&dir, &[0xA], &GcPolicy::default()).unwrap();
+        let report = backend.gc(Some(&[0xA]), &GcPolicy::default()).unwrap();
         assert_eq!(report.files_dropped, 1);
         assert!(backend.get_doc("done_seeds_0001.json").unwrap().is_some());
         assert!(backend.get_doc("done_balance_0002.json").unwrap().is_none());
@@ -817,7 +799,7 @@ mod tests {
         let policy = GcPolicy {
             compact_threshold_bytes: 1,
         };
-        let report = gc_store_dir(&dir, &[0xF00], &policy).unwrap();
+        let report = backend.gc(Some(&[0xF00]), &policy).unwrap();
         assert_eq!(report.duplicates_merged, 19);
         assert!(fs::metadata(&path).unwrap().len() < before);
         fs::remove_dir_all(&dir).ok();

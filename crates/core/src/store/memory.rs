@@ -43,8 +43,7 @@ impl MemoryBackend {
         self.docs.lock().expect("memory docs lock").len()
     }
 
-    /// Every `(shard label, fingerprint)` log currently held, sorted — the
-    /// in-memory analogue of [`list_record_logs`](super::list_record_logs).
+    /// Every `(shard label, fingerprint)` log currently held, sorted.
     pub fn logs(&self) -> Vec<(String, u64)> {
         let mut logs: Vec<(String, u64)> = self
             .records

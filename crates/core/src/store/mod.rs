@@ -29,7 +29,7 @@
 //! the view an [`EvalEngine`](crate::engine::EvalEngine) warm-starts from and
 //! appends to. Backends also carry named *documents* (NSGA-II checkpoints,
 //! campaign completion markers), so resumable searches work identically
-//! against every tier. [`EvalStore::gc`] garbage-collects a local store
+//! against every tier. [`LocalJsonlBackend::gc`] garbage-collects a store
 //! directory: logs of dead baselines are dropped, duplicate keys merged, and
 //! oversized logs compacted.
 //!
@@ -75,8 +75,6 @@
 
 mod backend;
 mod codec;
-mod fault;
-mod indexed;
 mod jsonl;
 mod memory;
 mod remote;
@@ -84,14 +82,10 @@ mod tiered;
 
 pub use backend::{safe_component, sanitize_name, ResilienceStats, ScanOutcome, StoreBackend};
 pub use codec::{decode_artifacts, encode_artifacts};
-pub use fault::FaultBackend;
-pub use indexed::IndexedBackend;
-pub use jsonl::{
-    gc_store_dir, list_record_logs, DurabilityPolicy, GcPolicy, GcReport, LocalJsonlBackend,
-};
+pub use jsonl::{DurabilityPolicy, GcPolicy, GcReport, LocalJsonlBackend};
 pub use memory::MemoryBackend;
 pub use remote::{RemoteBackend, RetryPolicy};
-pub use tiered::{BreakerConfig, TieredStats, TieredStore};
+pub use tiered::{TieredStats, TieredStore};
 
 use crate::engine::EvalKey;
 use crate::error::CoreError;
@@ -357,9 +351,9 @@ pub struct BackendOptions {
     /// Durability policy of the local JSONL tier (`--durability`); remote
     /// and in-memory tiers ignore it.
     pub durability: DurabilityPolicy,
-    /// Circuit-breaker tuning of a tiered composition; `None` keeps the
-    /// [`BreakerConfig`] defaults (trip on the first failure, 1 s cooldown).
-    pub breaker: Option<BreakerConfig>,
+    /// Circuit-breaker cooldown of a tiered composition; `None` keeps the
+    /// [`TieredStore`] default of 1 s.
+    pub remote_cooldown: Option<std::time::Duration>,
 }
 
 /// [`open_backend`] with explicit [`BackendOptions`].
@@ -382,8 +376,8 @@ pub fn open_backend_opts(
     };
     let tiered = |local: Box<dyn StoreBackend>, url: &str| -> Result<TieredStore, CoreError> {
         let remote = Box::new(remote(url)?);
-        Ok(match options.breaker {
-            Some(breaker) => TieredStore::with_breaker(local, remote, breaker),
+        Ok(match options.remote_cooldown {
+            Some(cooldown) => TieredStore::with_cooldown(local, remote, cooldown),
             None => TieredStore::new(local, remote),
         })
     };
@@ -552,23 +546,6 @@ impl EvalStore {
     /// Returns [`CoreError::Store`] when the backend fails.
     pub fn remove_doc(&self, name: &str) -> Result<(), CoreError> {
         self.backend.remove_doc(name)
-    }
-
-    /// Garbage-collects a local store directory: record logs (and completion
-    /// markers) bound to a baseline fingerprint not in `live_fingerprints`
-    /// are deleted, duplicate keys are merged, and logs at or above the
-    /// policy's size threshold are compacted. See [`gc_store_dir`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::Store`] when the directory cannot be read or a
-    /// rewrite fails.
-    pub fn gc(
-        dir: &Path,
-        live_fingerprints: &[u64],
-        policy: &GcPolicy,
-    ) -> Result<GcReport, CoreError> {
-        gc_store_dir(dir, live_fingerprints, policy)
     }
 }
 
@@ -978,12 +955,11 @@ mod proptests {
             lines.insert(at, &garbage);
             std::fs::write(&path, format!("{}\n", lines.join("\n"))).unwrap();
 
-            // A fresh indexed replay (the server's read path) must keep every
-            // real record — including all of them *after* the garbage —
-            // counting and quarantining the bad line instead of panicking or
+            // A fresh replay (the server's read path) must keep every real
+            // record — including all of them *after* the garbage — counting
+            // and quarantining the bad line instead of panicking or
             // truncating the tail.
-            let indexed = IndexedBackend::new(Box::new(LocalJsonlBackend::open(&dir).unwrap()));
-            let outcome = indexed.scan("proptest", 0x5EED).unwrap();
+            let outcome = LocalJsonlBackend::open(&dir).unwrap().scan("proptest", 0x5EED).unwrap();
             prop_assert_eq!(&outcome.records[..], &records[..]);
             prop_assert_eq!(outcome.dropped, 1, "exactly the injected line");
             let sidecar = format!("{}.quarantine", path.display());
@@ -991,8 +967,7 @@ mod proptests {
             prop_assert!(quarantined.contains(&garbage));
 
             // The salvage rewrite is durable: the next replay is clean.
-            indexed.invalidate();
-            let outcome = indexed.scan("proptest", 0x5EED).unwrap();
+            let outcome = LocalJsonlBackend::open(&dir).unwrap().scan("proptest", 0x5EED).unwrap();
             prop_assert_eq!(&outcome.records[..], &records[..]);
             prop_assert_eq!(outcome.dropped, 0, "salvage rewrite committed");
             std::fs::remove_dir_all(&dir).ok();

@@ -15,7 +15,7 @@
 //! The remote tier is optional at runtime, guarded by a circuit breaker:
 //!
 //! ```text
-//!            consecutive failures ≥ threshold
+//!                     remote failure
 //!   CLOSED ──────────────────────────────────▶ OPEN
 //!     ▲                                          │ cooldown elapses
 //!     │ probe succeeds                           ▼
@@ -60,27 +60,10 @@ pub struct TieredStats {
     pub remote_failures: usize,
 }
 
-/// Circuit-breaker tuning of a [`TieredStore`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BreakerConfig {
-    /// Consecutive remote failures that open the breaker. The remote client
-    /// already retries transient errors internally, so one surfaced failure
-    /// means a whole retry budget was exhausted — the default opens
-    /// immediately.
-    pub failure_threshold: u32,
-    /// How long the breaker stays open before the next operation is allowed
-    /// through as a half-open probe.
-    pub cooldown: Duration,
-}
-
-impl Default for BreakerConfig {
-    fn default() -> Self {
-        BreakerConfig {
-            failure_threshold: 1,
-            cooldown: Duration::from_secs(1),
-        }
-    }
-}
+/// How long the breaker stays open before the next operation is allowed
+/// through as a half-open probe, unless [`TieredStore::with_cooldown`] says
+/// otherwise.
+const DEFAULT_COOLDOWN: Duration = Duration::from_secs(1);
 
 /// Most journal entries retained during an outage (an entry is one append
 /// batch or one document write). Beyond this the oldest entries are evicted
@@ -90,8 +73,8 @@ const JOURNAL_CAP: usize = 4096;
 /// Circuit-breaker state (see the module docs for the transition diagram).
 #[derive(Debug, Clone, Copy)]
 enum BreakerState {
-    /// Remote traffic flows; counts consecutive failures.
-    Closed { consecutive_failures: u32 },
+    /// Remote traffic flows.
+    Closed,
     /// Remote traffic shunned until the cooldown deadline.
     Open { until: Instant },
     /// One probe operation is in flight; `since` lets a replacement probe
@@ -133,7 +116,7 @@ pub struct TieredStore {
     local: Box<dyn StoreBackend>,
     remote: Box<dyn StoreBackend>,
     breaker: Mutex<BreakerState>,
-    config: BreakerConfig,
+    cooldown: Duration,
     journal: Mutex<VecDeque<JournalEntry>>,
     warned: AtomicBool,
     remote_fills: AtomicUsize,
@@ -158,24 +141,24 @@ impl std::fmt::Debug for TieredStore {
 
 impl TieredStore {
     /// Composes `local` (write-through cache) over `remote` (shared tier)
-    /// with the default breaker tuning.
+    /// with the default 1 s breaker cooldown.
     pub fn new(local: Box<dyn StoreBackend>, remote: Box<dyn StoreBackend>) -> Self {
-        Self::with_breaker(local, remote, BreakerConfig::default())
+        Self::with_cooldown(local, remote, DEFAULT_COOLDOWN)
     }
 
-    /// [`TieredStore::new`] with explicit circuit-breaker tuning.
-    pub fn with_breaker(
+    /// [`TieredStore::new`] with an explicit breaker cooldown: how long the
+    /// breaker stays open before the next operation is allowed through as a
+    /// half-open probe.
+    pub fn with_cooldown(
         local: Box<dyn StoreBackend>,
         remote: Box<dyn StoreBackend>,
-        config: BreakerConfig,
+        cooldown: Duration,
     ) -> Self {
         TieredStore {
             local,
             remote,
-            breaker: Mutex::new(BreakerState::Closed {
-                consecutive_failures: 0,
-            }),
-            config,
+            breaker: Mutex::new(BreakerState::Closed),
+            cooldown,
             journal: Mutex::new(VecDeque::new()),
             warned: AtomicBool::new(false),
             remote_fills: AtomicUsize::new(0),
@@ -195,7 +178,7 @@ impl TieredStore {
     pub fn remote_healthy(&self) -> bool {
         matches!(
             *self.breaker.lock().expect("breaker lock"),
-            BreakerState::Closed { .. }
+            BreakerState::Closed
         )
     }
 
@@ -221,15 +204,13 @@ impl TieredStore {
         let mut state = self.breaker.lock().expect("breaker lock");
         let now = Instant::now();
         match *state {
-            BreakerState::Closed { .. } => true,
+            BreakerState::Closed => true,
             BreakerState::Open { until } if now >= until => {
                 *state = BreakerState::HalfOpen { since: now };
                 true
             }
             BreakerState::Open { .. } => false,
-            BreakerState::HalfOpen { since }
-                if now.duration_since(since) >= self.config.cooldown =>
-            {
+            BreakerState::HalfOpen { since } if now.duration_since(since) >= self.cooldown => {
                 *state = BreakerState::HalfOpen { since: now };
                 true
             }
@@ -242,64 +223,37 @@ impl TieredStore {
     fn report_remote_success(&self) {
         {
             let mut state = self.breaker.lock().expect("breaker lock");
-            match *state {
-                BreakerState::Closed {
-                    consecutive_failures: 0,
-                } => {}
-                BreakerState::Closed { .. } => {
-                    *state = BreakerState::Closed {
-                        consecutive_failures: 0,
-                    };
-                }
-                BreakerState::Open { .. } | BreakerState::HalfOpen { .. } => {
-                    *state = BreakerState::Closed {
-                        consecutive_failures: 0,
-                    };
-                    self.breaker_recoveries.fetch_add(1, Ordering::Relaxed);
-                    let pending = self.journal_len();
-                    eprintln!(
-                        "remote store {} rejoined; replaying {pending} journaled write(s)",
-                        self.remote.describe()
-                    );
-                }
+            if !matches!(*state, BreakerState::Closed) {
+                *state = BreakerState::Closed;
+                self.breaker_recoveries.fetch_add(1, Ordering::Relaxed);
+                let pending = self.journal_len();
+                eprintln!(
+                    "remote store {} rejoined; replaying {pending} journaled write(s)",
+                    self.remote.describe()
+                );
             }
         }
         self.drain_journal();
     }
 
-    /// Records a failed remote operation: counts it and opens the breaker
-    /// once the consecutive-failure threshold is reached (a failed half-open
-    /// probe re-opens immediately). Warns once per store instance.
+    /// Records a failed remote operation: counts it and opens the breaker.
+    /// The remote client already retries transient errors internally, so
+    /// one surfaced failure means a whole retry budget was exhausted (and a
+    /// failed half-open probe re-opens just the same). Warns once per store
+    /// instance.
     fn report_remote_failure(&self, what: &str, err: &CoreError) {
         self.remote_failures.fetch_add(1, Ordering::Relaxed);
-        let opened = {
-            let mut state = self.breaker.lock().expect("breaker lock");
-            let now = Instant::now();
-            match *state {
-                BreakerState::Closed {
-                    consecutive_failures,
-                } if consecutive_failures + 1 < self.config.failure_threshold => {
-                    *state = BreakerState::Closed {
-                        consecutive_failures: consecutive_failures + 1,
-                    };
-                    false
-                }
-                _ => {
-                    *state = BreakerState::Open {
-                        until: now + self.config.cooldown,
-                    };
-                    self.breaker_opens.fetch_add(1, Ordering::Relaxed);
-                    true
-                }
-            }
+        *self.breaker.lock().expect("breaker lock") = BreakerState::Open {
+            until: Instant::now() + self.cooldown,
         };
-        if opened && !self.warned.swap(true, Ordering::Relaxed) {
+        self.breaker_opens.fetch_add(1, Ordering::Relaxed);
+        if !self.warned.swap(true, Ordering::Relaxed) {
             eprintln!(
                 "warning: remote store {} failed during {what} ({err}); circuit breaker open — \
                  continuing on the local write-through cache, journaling writes, probing again \
                  after {:?}",
                 self.remote.describe(),
-                self.config.cooldown
+                self.cooldown
             );
         }
     }
@@ -564,7 +518,7 @@ impl StoreBackend for TieredStore {
         if self.journal_len() > 0 {
             {
                 let mut state = self.breaker.lock().expect("breaker lock");
-                if !matches!(*state, BreakerState::Closed { .. }) {
+                if !matches!(*state, BreakerState::Closed) {
                     *state = BreakerState::HalfOpen {
                         since: Instant::now(),
                     };
@@ -581,44 +535,68 @@ impl StoreBackend for TieredStore {
 
 #[cfg(test)]
 mod tests {
-    use super::super::fault::FaultBackend;
     use super::super::memory::MemoryBackend;
     use super::super::tests::record;
     use super::*;
     use std::sync::Arc;
 
-    /// A backend that fails every operation — a dead server stand-in.
-    #[derive(Debug)]
-    struct DeadBackend;
+    /// A remote stand-in with an outage switch that starts down: while down,
+    /// every record and document operation fails like an unreachable server.
+    struct FaultBackend {
+        inner: Box<dyn StoreBackend>,
+        down: AtomicBool,
+    }
 
-    impl StoreBackend for DeadBackend {
+    impl FaultBackend {
+        fn down(inner: impl StoreBackend + 'static) -> Self {
+            FaultBackend {
+                inner: Box::new(inner),
+                down: AtomicBool::new(true),
+            }
+        }
+
+        fn set_down(&self, down: bool) {
+            self.down.store(down, Ordering::SeqCst);
+        }
+
+        fn gate(&self) -> Result<(), CoreError> {
+            if self.down.load(Ordering::SeqCst) {
+                return Err(CoreError::Store {
+                    context: "injected outage".into(),
+                });
+            }
+            Ok(())
+        }
+    }
+
+    impl StoreBackend for FaultBackend {
         fn describe(&self) -> String {
-            "dead backend".into()
+            format!("fault-injecting ({})", self.inner.describe())
         }
-        fn scan(&self, _: &str, _: u64) -> Result<ScanOutcome, CoreError> {
-            Err(CoreError::Store {
-                context: "dead".into(),
-            })
+        fn scan(&self, name: &str, fingerprint: u64) -> Result<ScanOutcome, CoreError> {
+            self.gate()?;
+            self.inner.scan(name, fingerprint)
         }
-        fn append(&self, _: &str, _: u64, _: &EvalRecord) -> Result<(), CoreError> {
-            Err(CoreError::Store {
-                context: "dead".into(),
-            })
+        fn append(
+            &self,
+            name: &str,
+            fingerprint: u64,
+            record: &EvalRecord,
+        ) -> Result<(), CoreError> {
+            self.gate()?;
+            self.inner.append(name, fingerprint, record)
         }
-        fn get_doc(&self, _: &str) -> Result<Option<String>, CoreError> {
-            Err(CoreError::Store {
-                context: "dead".into(),
-            })
+        fn get_doc(&self, name: &str) -> Result<Option<String>, CoreError> {
+            self.gate()?;
+            self.inner.get_doc(name)
         }
-        fn put_doc(&self, _: &str, _: &str) -> Result<(), CoreError> {
-            Err(CoreError::Store {
-                context: "dead".into(),
-            })
+        fn put_doc(&self, name: &str, contents: &str) -> Result<(), CoreError> {
+            self.gate()?;
+            self.inner.put_doc(name, contents)
         }
-        fn remove_doc(&self, _: &str) -> Result<(), CoreError> {
-            Err(CoreError::Store {
-                context: "dead".into(),
-            })
+        fn remove_doc(&self, name: &str) -> Result<(), CoreError> {
+            self.gate()?;
+            self.inner.remove_doc(name)
         }
     }
 
@@ -703,7 +681,8 @@ mod tests {
         let local = MemoryBackend::new();
         let r = record(3, 0.8, 40.0);
         local.append("Seeds", 1, &r).unwrap();
-        let tiered = TieredStore::new(Box::new(local), Box::new(DeadBackend));
+        let dead = FaultBackend::down(MemoryBackend::new());
+        let tiered = TieredStore::new(Box::new(local), Box::new(dead));
 
         // Scan survives, opens the breaker, serves local records.
         let outcome = tiered.scan("Seeds", 1).unwrap();
@@ -732,16 +711,11 @@ mod tests {
     #[test]
     fn a_recovered_remote_is_rejoined_and_the_journal_replays_in_order() {
         let remote_inner = Arc::new(MemoryBackend::new());
-        let remote = FaultBackend::new(Box::new(Arc::clone(&remote_inner)));
-        remote.set_down(true);
-        let remote = Arc::new(remote);
-        let tiered = TieredStore::with_breaker(
+        let remote = Arc::new(FaultBackend::down(Arc::clone(&remote_inner)));
+        let tiered = TieredStore::with_cooldown(
             Box::new(MemoryBackend::new()),
             Box::new(Arc::clone(&remote)),
-            BreakerConfig {
-                failure_threshold: 1,
-                cooldown: Duration::ZERO,
-            },
+            Duration::ZERO,
         );
 
         // Writes during the outage land locally and journal for the remote.
@@ -780,15 +754,10 @@ mod tests {
 
     #[test]
     fn a_failed_probe_reopens_the_breaker_and_keeps_the_journal() {
-        let remote = Arc::new(FaultBackend::new(Box::new(MemoryBackend::new())));
-        remote.set_down(true);
-        let tiered = TieredStore::with_breaker(
+        let tiered = TieredStore::with_cooldown(
             Box::new(MemoryBackend::new()),
-            Box::new(Arc::clone(&remote)),
-            BreakerConfig {
-                failure_threshold: 1,
-                cooldown: Duration::ZERO,
-            },
+            Box::new(FaultBackend::down(MemoryBackend::new())),
+            Duration::ZERO,
         );
         tiered.append("Seeds", 1, &record(3, 0.8, 40.0)).unwrap();
         assert!(!tiered.remote_healthy());
@@ -798,28 +767,6 @@ mod tests {
         assert!(!tiered.remote_healthy());
         assert_eq!(tiered.journal_len(), 2);
         assert!(tiered.resilience().unwrap().breaker_opens >= 2);
-    }
-
-    #[test]
-    fn consecutive_failure_threshold_keeps_the_breaker_closed_early() {
-        let remote = Arc::new(FaultBackend::new(Box::new(MemoryBackend::new())));
-        remote.set_down(true);
-        let tiered = TieredStore::with_breaker(
-            Box::new(MemoryBackend::new()),
-            Box::new(Arc::clone(&remote)),
-            BreakerConfig {
-                failure_threshold: 3,
-                cooldown: Duration::from_secs(60),
-            },
-        );
-        tiered.append("Seeds", 1, &record(3, 0.8, 40.0)).unwrap();
-        assert!(tiered.remote_healthy(), "1 failure < threshold 3");
-        tiered.append("Seeds", 1, &record(4, 0.8, 40.0)).unwrap();
-        assert!(tiered.remote_healthy(), "2 failures < threshold 3");
-        tiered.append("Seeds", 1, &record(5, 0.8, 40.0)).unwrap();
-        assert!(!tiered.remote_healthy(), "3rd failure opens the breaker");
-        // A success in between resets the count.
-        assert_eq!(tiered.resilience().unwrap().breaker_opens, 1);
     }
 
     #[test]

@@ -5,6 +5,7 @@
 //! responses, and deadline-armed reads so a half-written request (slowloris)
 //! can stall a worker for at most the request timeout.
 
+use crate::IDLE_TIMEOUT;
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::time::{Duration, Instant};
@@ -53,7 +54,7 @@ fn timed_out(kind: std::io::ErrorKind) -> bool {
 /// Reads one request from `stream` on a persistent connection.
 ///
 /// Returns `Ok(None)` when the peer closed (or went idle past
-/// `idle_timeout`) **between** requests — the normal end of a keep-alive
+/// [`IDLE_TIMEOUT`]) **between** requests — the normal end of a keep-alive
 /// connection. Once the first byte of a request has arrived, the whole
 /// request must land within `request_timeout` (checked via per-read
 /// deadlines), or the read fails with [`ReadError::TimedOut`] — the
@@ -62,7 +63,6 @@ fn timed_out(kind: std::io::ErrorKind) -> bool {
 /// Every byte read is added to `bytes_in`.
 pub(crate) fn read_request(
     stream: &mut TcpStream,
-    idle_timeout: Duration,
     request_timeout: Duration,
     bytes_in: &mut u64,
 ) -> Result<Option<Request>, ReadError> {
@@ -71,8 +71,8 @@ pub(crate) fn read_request(
     let mut buf: Vec<u8> = Vec::with_capacity(1024);
     let mut chunk = [0u8; 4096];
 
-    // Between requests the connection may sit idle for `idle_timeout`.
-    stream.set_read_timeout(Some(idle_timeout)).ok();
+    // Between requests the connection may sit idle for `IDLE_TIMEOUT`.
+    stream.set_read_timeout(Some(IDLE_TIMEOUT)).ok();
     match stream.read(&mut chunk) {
         Ok(0) => return Ok(None),
         Ok(n) => {

@@ -29,19 +29,18 @@
 //! 4..=32) serves **persistent HTTP/1.1 keep-alive connections**: the accept
 //! loop only hands sockets to a channel, and each worker runs a
 //! per-connection request loop until the peer closes, asks for
-//! `Connection: close`, goes idle past [`ServeConfig::idle_timeout`], or
-//! stalls a single request past [`ServeConfig::request_timeout`] (the
-//! slowloris guard — a half-written request costs a worker at most that
-//! long, then it answers `408` and moves on).
+//! `Connection: close`, goes idle for 60 s, or stalls a single request past
+//! [`ServeConfig::request_timeout`] (the slowloris guard — a half-written
+//! request costs a worker at most that long, then it answers `408` and moves
+//! on).
 //!
 //! State lives in an in-memory backend by default, or durably in a local
 //! JSONL store directory (`ServeConfig::store_dir`) — the same on-disk
 //! format a single-machine run writes, so an existing `--store` directory
 //! can be promoted to a shared server without conversion. A disk-backed
-//! server fronts its directory with an in-memory
-//! [`IndexedBackend`]: every record log is replayed **once** (preloaded at
-//! startup) and kept current by the appends flowing through it, so scans and
-//! point-gets stop re-reading files.
+//! server reads and writes its directory through one [`LocalJsonlBackend`],
+//! the only owner of those files: scans replay the log, and `POST /v1/gc`
+//! runs [`LocalJsonlBackend::gc`] under the same lock as every append.
 //!
 //! Optional bearer-token auth (`ServeConfig::token` / `--token`): every
 //! endpoint except `/v1/healthz` then requires
@@ -70,9 +69,8 @@ mod http;
 
 use http::{read_request, respond, ReadError, Request};
 use pmlp_core::store::{
-    gc_store_dir, header_line, list_record_logs, parse_record_line, record_line, safe_component,
-    DurabilityPolicy, GcPolicy, GcReport, IndexedBackend, LocalJsonlBackend, MemoryBackend,
-    StoreBackend,
+    header_line, parse_record_line, record_line, safe_component, DurabilityPolicy, GcPolicy,
+    GcReport, LocalJsonlBackend, MemoryBackend, StoreBackend,
 };
 use serde::json::Value;
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -96,15 +94,9 @@ pub struct ServeConfig {
     /// Worker threads serving connections; `0` picks a per-core default
     /// (clamped to 4..=32).
     pub workers: usize,
-    /// How long a keep-alive connection may sit idle between requests
-    /// before the server closes it.
-    pub idle_timeout: Duration,
     /// How long a single request may take to arrive once its first byte has
     /// been read — the slowloris guard.
     pub request_timeout: Duration,
-    /// How long a graceful shutdown waits for in-flight requests to finish
-    /// answering before giving up on them.
-    pub drain_timeout: Duration,
     /// Durability policy of a disk-backed store (`--durability`); ignored by
     /// the in-memory default. Regardless of policy, a graceful shutdown
     /// fsyncs the record logs before returning.
@@ -118,13 +110,19 @@ impl Default for ServeConfig {
             store_dir: None,
             token: None,
             workers: 0,
-            idle_timeout: Duration::from_secs(60),
             request_timeout: Duration::from_secs(20),
-            drain_timeout: Duration::from_secs(5),
             durability: DurabilityPolicy::default(),
         }
     }
 }
+
+/// How long a keep-alive connection may sit idle between requests before
+/// the server closes it.
+const IDLE_TIMEOUT: Duration = Duration::from_secs(60);
+
+/// How long a graceful shutdown waits for in-flight requests to finish
+/// answering before giving up on them.
+const DRAIN_TIMEOUT: Duration = Duration::from_secs(5);
 
 fn default_workers() -> usize {
     thread::available_parallelism().map_or(8, |n| n.get().clamp(4, 32))
@@ -219,20 +217,19 @@ impl ServeStats {
     }
 }
 
-/// The server's storage: plain memory, or a JSONL directory fronted by the
-/// in-memory record index.
+/// The server's storage: plain memory, or a JSONL directory.
 enum ServerStore {
     /// Non-persistent default state.
     Memory(MemoryBackend),
-    /// Durable directory behind an [`IndexedBackend`] read cache.
-    Disk { dir: PathBuf, index: IndexedBackend },
+    /// Durable directory, owned by this one backend.
+    Disk(LocalJsonlBackend),
 }
 
 impl ServerStore {
     fn backend(&self) -> &dyn StoreBackend {
         match self {
             ServerStore::Memory(memory) => memory,
-            ServerStore::Disk { index, .. } => index,
+            ServerStore::Disk(local) => local,
         }
     }
 }
@@ -241,9 +238,7 @@ impl ServerStore {
 struct ServerState {
     store: ServerStore,
     token: Option<String>,
-    idle_timeout: Duration,
     request_timeout: Duration,
-    drain_timeout: Duration,
     workers: usize,
     stats: ServeStats,
     started: Instant,
@@ -273,26 +268,16 @@ pub struct ServerHandle {
     thread: Option<thread::JoinHandle<()>>,
 }
 
-/// Binds a server to `config.addr` without serving yet. A disk-backed server
-/// preloads its record index here — every existing log is replayed exactly
-/// once, before the first request.
+/// Binds a server to `config.addr` without serving yet.
 ///
 /// # Errors
 ///
 /// Propagates bind failures and store-directory errors.
 pub fn bind(config: &ServeConfig) -> std::io::Result<BoundServer> {
     let store = match &config.store_dir {
-        Some(dir) => {
-            let local = LocalJsonlBackend::open_with(dir, config.durability)
-                .map_err(std::io::Error::other)?;
-            let index = IndexedBackend::new(Box::new(local));
-            let logs = list_record_logs(dir).map_err(std::io::Error::other)?;
-            index.warm(&logs).map_err(std::io::Error::other)?;
-            ServerStore::Disk {
-                dir: dir.clone(),
-                index,
-            }
-        }
+        Some(dir) => ServerStore::Disk(
+            LocalJsonlBackend::open_with(dir, config.durability).map_err(std::io::Error::other)?,
+        ),
         None => ServerStore::Memory(MemoryBackend::new()),
     };
     let listener = TcpListener::bind(&config.addr)?;
@@ -306,9 +291,7 @@ pub fn bind(config: &ServeConfig) -> std::io::Result<BoundServer> {
         state: Arc::new(ServerState {
             store,
             token: config.token.clone(),
-            idle_timeout: config.idle_timeout,
             request_timeout: config.request_timeout,
-            drain_timeout: config.drain_timeout,
             workers,
             stats: ServeStats::default(),
             started: Instant::now(),
@@ -331,8 +314,8 @@ pub fn spawn(config: &ServeConfig) -> std::io::Result<ServerHandle> {
 /// This is the `serve` binary's entry point.
 ///
 /// On Unix, `SIGTERM` and `SIGINT` trigger a **graceful** shutdown: the
-/// server stops accepting, answers what is already in flight (bounded by
-/// [`ServeConfig::drain_timeout`]), fsyncs a disk-backed store, and returns.
+/// server stops accepting, answers what is already in flight (for up to
+/// 5 s), fsyncs a disk-backed store, and returns.
 /// On other platforms it serves forever.
 ///
 /// # Errors
@@ -486,7 +469,7 @@ impl ServerHandle {
     }
 
     /// Gracefully stops the server: stops accepting, answers every request
-    /// already read off the wire (bounded by [`ServeConfig::drain_timeout`]),
+    /// already read off the wire (for up to 5 s),
     /// then fsyncs a disk-backed store before returning. Idle keep-alive
     /// peers do not block shutdown — their workers are detached and their
     /// sockets die with the process.
@@ -507,7 +490,7 @@ impl ServerHandle {
         let _ = TcpStream::connect(self.addr);
         let _ = thread.join();
         // Wait (bounded) for in-flight requests to finish answering.
-        let deadline = Instant::now() + self.state.drain_timeout;
+        let deadline = Instant::now() + DRAIN_TIMEOUT;
         while self.state.stats.requests_in_flight.load(Ordering::SeqCst) > 0
             && Instant::now() < deadline
         {
@@ -592,12 +575,7 @@ fn handle_connection(mut stream: TcpStream, state: &ServerState, stop: &AtomicBo
             break;
         }
         let mut bytes_in = 0u64;
-        let outcome = read_request(
-            &mut stream,
-            state.idle_timeout,
-            state.request_timeout,
-            &mut bytes_in,
-        );
+        let outcome = read_request(&mut stream, state.request_timeout, &mut bytes_in);
         state.stats.bytes_in.fetch_add(bytes_in, Ordering::Relaxed);
         let request = match outcome {
             Ok(Some(request)) => request,
@@ -851,9 +829,9 @@ fn route(request: &Request, state: &ServerState) -> (u16, &'static str, &'static
 /// carries `live` (an array of 16-hex baseline fingerprints to keep; when
 /// absent every currently present fingerprint is considered live, making the
 /// pass a pure compaction) and `compact_threshold_bytes` (see [`GcPolicy`]).
-/// Disk-backed servers run [`gc_store_dir`] and then invalidate the record
-/// index so reads reload the rewritten files; the memory tier compacts every
-/// log (it has no files to drop). Answers the [`GcReport`] as JSON.
+/// Disk-backed servers run [`LocalJsonlBackend::gc`], which rewrites and
+/// drops logs under the lock their appends take; the memory tier compacts
+/// every log (it has no files to drop). Answers the [`GcReport`] as JSON.
 fn handle_gc(state: &ServerState, body: &str) -> (u16, &'static str, &'static str, String) {
     let bad = |msg: &str| (400, "Bad Request", "text/plain", format!("{msg}\n"));
     let mut policy = GcPolicy::default();
@@ -884,19 +862,7 @@ fn handle_gc(state: &ServerState, body: &str) -> (u16, &'static str, &'static st
     }
     state.stats.gc_runs.fetch_add(1, Ordering::Relaxed);
     let report = match &state.store {
-        ServerStore::Disk { dir, index } => {
-            let live = match live {
-                Some(live) => Ok(live),
-                // No explicit live set: keep every fingerprint currently
-                // present — the pass compacts without dropping anything.
-                None => list_record_logs(dir)
-                    .map(|logs| logs.into_iter().map(|(_, fp)| fp).collect::<Vec<u64>>()),
-            };
-            let result = live.and_then(|live| gc_store_dir(dir, &live, &policy));
-            // GC rewrote files underneath the index; reads must reload.
-            index.invalidate();
-            result
-        }
+        ServerStore::Disk(local) => local.gc(live.as_deref(), &policy),
         ServerStore::Memory(memory) => (|| {
             let mut report = GcReport::default();
             for (name, fingerprint) in memory.logs() {
@@ -945,10 +911,6 @@ fn parse_record_target(name: &str, fp: &str) -> Option<u64> {
 fn render_stats(state: &ServerState) -> String {
     let stats = state.stats.snapshot();
     let n = |v: u64| Value::Number(v as f64);
-    let (index_logs, index_records) = match &state.store {
-        ServerStore::Disk { index, .. } => index.resident(),
-        ServerStore::Memory(memory) => (memory.log_count(), memory.record_count()),
-    };
     Value::Object(vec![
         ("magic".into(), Value::String("pmlp-serve-stats".into())),
         (
@@ -975,8 +937,6 @@ fn render_stats(state: &ServerState) -> String {
         ("bytes_out".into(), n(stats.bytes_out)),
         ("auth_failures".into(), n(stats.auth_failures)),
         ("gc_runs".into(), n(stats.gc_runs)),
-        ("index_logs".into(), n(index_logs as u64)),
-        ("index_records".into(), n(index_records as u64)),
         ("requests_in_flight".into(), n(stats.requests_in_flight)),
         ("panics_recovered".into(), n(stats.panics_recovered)),
         (

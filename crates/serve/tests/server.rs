@@ -383,7 +383,7 @@ fn online_gc_compacts_and_drops_dead_fingerprints() {
     // Pass 1, no live set: pure compaction (threshold 0 forces the rewrite).
     let report = client.gc("{\"compact_threshold_bytes\": 0}").unwrap();
     assert!(report.contains("\"duplicates_merged\": 1"), "got: {report}");
-    // The index reloaded from the rewritten file: last write won.
+    // Scans replay the rewritten file: last write won.
     let outcome = client.scan("Seeds", 0xAA).unwrap();
     assert_eq!(outcome.records, vec![a2]);
     assert_eq!(client.scan("Wine", 0xBB).unwrap().records.len(), 1);
@@ -398,6 +398,56 @@ fn online_gc_compacts_and_drops_dead_fingerprints() {
 
     assert_eq!(handle.stats().gc_runs, 2);
     handle.stop();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn appends_after_an_online_gc_survive_a_restart() {
+    let dir = temp_dir("gc-then-append");
+    let config = ServeConfig {
+        addr: "127.0.0.1:0".into(),
+        store_dir: Some(dir.clone()),
+        ..ServeConfig::default()
+    };
+    let (a, b, c, d) = (
+        record(3, 0.8),
+        record(4, 0.9),
+        record(5, 0.7),
+        record(6, 0.6),
+    );
+    {
+        let handle = spawn(&config).unwrap();
+        let client = RemoteBackend::new(&handle.url()).unwrap();
+        client.append("Seeds", 0xAA, &a).unwrap();
+        client.append("Wine", 0xBB, &b).unwrap();
+        // The pass rewrites the live Seeds log and drops the dead Wine log
+        // while the server holds append handles to both.
+        let report = client
+            .gc("{\"live\": [\"00000000000000aa\"], \"compact_threshold_bytes\": 0}")
+            .unwrap();
+        assert!(report.contains("\"files_kept\": 1"), "got: {report}");
+        assert!(report.contains("\"files_dropped\": 1"), "got: {report}");
+        client.append("Seeds", 0xAA, &c).unwrap();
+        client.append("Wine", 0xBB, &d).unwrap();
+        let live = client.scan("Seeds", 0xAA).unwrap().records;
+        assert_eq!(live, vec![a.clone(), c.clone()]);
+        handle.stop();
+    }
+    // A restarted server over the same directory still has every append the
+    // first one acknowledged after the pass...
+    {
+        let handle = spawn(&config).unwrap();
+        let client = RemoteBackend::new(&handle.url()).unwrap();
+        assert_eq!(client.scan("Seeds", 0xAA).unwrap().records, vec![a, c]);
+        assert_eq!(client.scan("Wine", 0xBB).unwrap().records, vec![d.clone()]);
+        handle.stop();
+    }
+    // ...and the dropped log came back as a freshly sealed file.
+    let wine = LocalJsonlBackend::open(&dir)
+        .unwrap()
+        .scan("Wine", 0xBB)
+        .unwrap();
+    assert_eq!((wine.records, wine.dropped), (vec![d], 0));
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -458,22 +508,19 @@ fn graceful_stop_flushes_a_disk_backed_store() {
 
 #[test]
 fn a_restarted_server_is_rejoined_and_journaled_appends_replay() {
-    use pmlp_core::store::{BreakerConfig, RetryPolicy};
+    use pmlp_core::store::RetryPolicy;
     let handle = spawn(&ServeConfig::default()).unwrap();
     let addr = handle.addr();
     // Zero cooldown so the half-open probe happens immediately in the test;
     // production uses the 1 s default.
-    let tiered = TieredStore::with_breaker(
+    let tiered = TieredStore::with_cooldown(
         Box::new(MemoryBackend::new()),
         Box::new(
             RemoteBackend::new(&format!("http://{addr}"))
                 .unwrap()
                 .with_retry_policy(RetryPolicy::none()),
         ),
-        BreakerConfig {
-            failure_threshold: 1,
-            cooldown: std::time::Duration::ZERO,
-        },
+        std::time::Duration::ZERO,
     );
     tiered.append("Seeds", 0x71, &record(3, 0.8)).unwrap();
 

@@ -10,8 +10,8 @@ use printed_mlp::core::engine::EvalKey;
 use printed_mlp::core::experiment::{Effort, Figure1Experiment};
 use printed_mlp::core::objective::DesignPoint;
 use printed_mlp::core::store::{
-    open_backend_opts, BackendOptions, BreakerConfig, EvalArtifacts, EvalRecord, LocalJsonlBackend,
-    RemoteBackend, StoreBackend,
+    open_backend_opts, BackendOptions, EvalArtifacts, EvalRecord, LocalJsonlBackend, RemoteBackend,
+    StoreBackend,
 };
 use printed_mlp::data::UciDataset;
 use printed_mlp::minimize::MinimizationConfig;
@@ -340,10 +340,7 @@ fn an_outage_window_is_visible_in_the_resilience_counters() {
         &BackendOptions {
             remote_timeout: Some(Duration::from_millis(2_000)),
             durability: Default::default(),
-            breaker: Some(BreakerConfig {
-                cooldown: Duration::ZERO,
-                ..BreakerConfig::default()
-            }),
+            remote_cooldown: Some(Duration::ZERO),
         },
     )
     .unwrap()

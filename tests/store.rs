@@ -302,11 +302,11 @@ fn records_of_the_previous_pipeline_version_do_not_warm_start() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// `EvalStore::gc` against a real campaign store: live fingerprints survive,
-/// a dead baseline's logs and markers disappear.
+/// `LocalJsonlBackend::gc` against a real campaign store: live fingerprints
+/// survive, a dead baseline's logs and markers disappear.
 #[test]
 fn gc_prunes_a_real_campaign_store() {
-    use printed_mlp::core::store::{EvalStore, GcPolicy};
+    use printed_mlp::core::store::{GcPolicy, LocalJsonlBackend};
 
     let store = temp_dir("gc-campaign");
     let datasets = vec![UciDataset::Seeds];
@@ -336,7 +336,10 @@ fn gc_prunes_a_real_campaign_store() {
         .fingerprint();
 
     let files_before = std::fs::read_dir(&store).unwrap().count();
-    let report = EvalStore::gc(&store, &[live_fp], &GcPolicy::default()).unwrap();
+    let report = LocalJsonlBackend::open(&store)
+        .unwrap()
+        .gc(Some(&[live_fp]), &GcPolicy::default())
+        .unwrap();
     assert_eq!(report.files_kept, 1, "one live record log");
     assert!(report.files_dropped >= 2, "dead log + dead marker");
     assert!(std::fs::read_dir(&store).unwrap().count() < files_before);
