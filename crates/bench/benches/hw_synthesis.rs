@@ -84,21 +84,24 @@ fn bench_hw_synthesis(c: &mut Criterion) {
         })
     });
 
-    group.bench_function("whitewine_circuit_timing_analysis", |b| {
+    // The one netlist walk behind the area, power and timing reports.
+    group.bench_function("whitewine_circuit_report", |b| {
         let circuit = BespokeMlpCircuit::synthesize(&spec, &library).unwrap();
-        b.iter(|| circuit.timing().critical_path_us)
+        b.iter(|| circuit.report().timing.critical_path_us)
     });
 
     // Candidate evaluation cost through the analytic fast path vs full
-    // synthesis + all three netlist analyses (what a search loop would
-    // otherwise pay per candidate).
+    // synthesis + its report (what finalist verification pays per finalist,
+    // and what a search loop would otherwise pay per candidate).
     group.bench_function("whitewine_full_synthesis_with_analyses", |b| {
         b.iter(|| {
-            let circuit = BespokeMlpCircuit::synthesize(&spec, &library).unwrap();
+            let report = BespokeMlpCircuit::synthesize(&spec, &library)
+                .unwrap()
+                .report();
             black_box((
-                circuit.area().total_mm2,
-                circuit.power().total_uw,
-                circuit.timing().critical_path_us,
+                report.area.total_mm2,
+                report.power.total_uw,
+                report.timing.critical_path_us,
             ))
         })
     });

@@ -75,8 +75,9 @@ struct Timings {
     /// Hardware cost of one WhiteWine-shaped candidate via the analytic fast
     /// path, microseconds (median).
     hw_eval_fast_path_us: f64,
-    /// The same candidate through full gate-level synthesis + netlist
-    /// analyses, microseconds (median).
+    /// The same candidate through full gate-level synthesis + its one-walk
+    /// netlist report (what finalist verification runs), microseconds
+    /// (median).
     hw_eval_full_synthesis_us: f64,
     /// `hw_eval_full_synthesis_us / hw_eval_fast_path_us`.
     hw_eval_speedup: f64,
@@ -267,10 +268,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     });
     let hw_eval_full_synthesis_us = median_us(hw_reps, || {
         let circuit = BespokeMlpCircuit::synthesize(&spec, &library).expect("full synthesis");
+        let report = circuit.report();
         std::hint::black_box((
-            circuit.area().total_mm2,
-            circuit.power().total_uw,
-            circuit.timing().critical_path_us,
+            report.area.total_mm2,
+            report.power.total_uw,
+            report.timing.critical_path_us,
         ));
     });
 

@@ -84,14 +84,12 @@ pub fn synthesize_area(
         pmlp_hw::constmul::RecodingStrategy::Csd,
     )
     .map_err(CoreError::from)?;
-    let area = circuit.area();
-    let power = circuit.power();
-    let timing = circuit.timing();
+    let report = circuit.report();
     Ok(SynthesisSummary {
-        area_mm2: area.total_mm2,
-        power_uw: power.total_uw,
-        critical_path_us: timing.critical_path_us,
-        gate_count: area.gate_count,
+        area_mm2: report.area.total_mm2,
+        power_uw: report.power.total_uw,
+        critical_path_us: report.timing.critical_path_us,
+        gate_count: report.area.gate_count,
     })
 }
 
@@ -101,9 +99,9 @@ pub fn synthesize_area(
 ///
 /// The cost model mirrors synthesis gate for gate, so the summary is
 /// bit-for-bit identical to the full path — the equivalence suite asserts
-/// exact equality — at a small fraction of the cost. Search loops evaluate
-/// through this; Pareto-front finalists and the baseline run
-/// [`synthesize_area`] for a verifiable netlist.
+/// exact equality. Search loops evaluate through this; Pareto-front
+/// finalists and the baseline run [`synthesize_area`] for a verifiable
+/// netlist.
 ///
 /// # Errors
 ///

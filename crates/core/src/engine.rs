@@ -802,9 +802,11 @@ pub struct FinalizedDesign {
     pub point: DesignPoint,
     /// The full-synthesis summary of the same minimized layers.
     pub full: SynthesisSummary,
-    /// `true` when full synthesis reproduced the search-time area, power and
-    /// gate count exactly — which it must, since the fast path mirrors
-    /// synthesis bit for bit. A `false` here indicates a cost-model bug.
+    /// `true` when full synthesis reproduced the search-time area, power,
+    /// critical-path delay and gate count exactly — which it must, since the
+    /// fast path mirrors synthesis bit for bit. A `false` here indicates a
+    /// cost-model bug (or a stored point that no longer matches its
+    /// artifacts).
     pub matches_fast_path: bool,
 }
 
@@ -831,6 +833,7 @@ impl EvalEngine {
         self.full_synthesis.fetch_add(1, Ordering::Relaxed);
         let matches_fast_path = full.area_mm2 == point.area_mm2
             && full.power_uw == point.power_uw
+            && full.critical_path_us == point.delay_us
             && full.gate_count == point.gate_count;
         Ok(FinalizedDesign {
             point,

@@ -105,13 +105,16 @@ fn verify_front(
             return Err(CoreError::Hw {
                 context: format!(
                     "fast-path cost model diverged from full synthesis for {:?}: \
-                     fast ({:.6} mm2, {:.6} uW, {} gates) vs full ({:.6} mm2, {:.6} uW, {} gates)",
+                     fast ({:.6} mm2, {:.6} uW, {:.6} us, {} gates) \
+                     vs full ({:.6} mm2, {:.6} uW, {:.6} us, {} gates)",
                     point.config.describe(),
                     finalized.point.area_mm2,
                     finalized.point.power_uw,
+                    finalized.point.delay_us,
                     finalized.point.gate_count,
                     finalized.full.area_mm2,
                     finalized.full.power_uw,
+                    finalized.full.critical_path_us,
                     finalized.full.gate_count,
                 ),
             });

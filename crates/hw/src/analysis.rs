@@ -1,9 +1,85 @@
-//! Area, power and timing report structures.
+//! Area, power and timing report structures, and the per-kind cell counts
+//! both the netlist walk and the fast-path cost model build them from.
 
-use crate::cell::CellKind;
+use crate::cell::{CellKind, CellLibrary};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fmt;
+
+/// Number of distinct [`CellKind`]s (the length of [`CellKind::all`]).
+pub(crate) const KIND_COUNT: usize = 12;
+
+/// Per-[`CellKind`] propagation delays of `library`, indexed by discriminant
+/// order.
+pub(crate) fn cell_delays(library: &CellLibrary) -> [f64; KIND_COUNT] {
+    CellKind::all().map(|kind| library.params(kind).delay_us)
+}
+
+/// Per-[`CellKind`] instance counts, indexed by discriminant order.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub(crate) struct CellCounts([usize; KIND_COUNT]);
+
+impl CellCounts {
+    #[inline]
+    pub(crate) fn bump(&mut self, kind: CellKind) {
+        self.0[kind as usize] += 1;
+    }
+
+    pub(crate) fn add(&mut self, other: &CellCounts) {
+        for (a, b) in self.0.iter_mut().zip(other.0.iter()) {
+            *a += b;
+        }
+    }
+
+    pub(crate) fn diff(&self, earlier: &CellCounts) -> CellCounts {
+        let mut out = [0usize; KIND_COUNT];
+        for (o, (a, b)) in out.iter_mut().zip(self.0.iter().zip(earlier.0.iter())) {
+            *o = a - b;
+        }
+        CellCounts(out)
+    }
+
+    pub(crate) fn total(&self) -> usize {
+        self.0.iter().sum()
+    }
+
+    /// The area report of these cells under `library`.
+    pub(crate) fn area(&self, library: &CellLibrary) -> AreaReport {
+        let (by_kind, total_mm2) = self.report_map(|kind| library.params(kind).area_mm2);
+        AreaReport {
+            total_mm2,
+            gate_count: self.total(),
+            by_kind,
+        }
+    }
+
+    /// The static-power report of these cells under `library`.
+    pub(crate) fn power(&self, library: &CellLibrary) -> PowerReport {
+        let (by_kind, total_uw) = self.report_map(|kind| library.params(kind).power_uw);
+        PowerReport { total_uw, by_kind }
+    }
+
+    /// Per-kind `(count, count * per_cell)` map, skipping absent kinds, and
+    /// its total. The total sums in [`CellKind`] order, so every caller gets
+    /// the same floating-point result bit for bit.
+    fn report_map(
+        &self,
+        per_cell: impl Fn(CellKind) -> f64,
+    ) -> (BTreeMap<CellKind, (usize, f64)>, f64) {
+        let mut by_kind = BTreeMap::new();
+        let mut total = 0.0;
+        for kind in CellKind::all() {
+            let count = self.0[kind as usize];
+            if count == 0 {
+                continue;
+            }
+            let value = per_cell(kind) * count as f64;
+            by_kind.insert(kind, (count, value));
+            total += value;
+        }
+        (by_kind, total)
+    }
+}
 
 /// Cell-area breakdown of a netlist.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize, Default)]
@@ -35,12 +111,24 @@ pub struct TimingReport {
     pub max_frequency_hz: f64,
 }
 
+impl TimingReport {
+    /// The timing report of a circuit whose longest combinational path takes
+    /// `critical_path_us`.
+    pub(crate) fn from_critical_path(critical_path_us: f64) -> Self {
+        TimingReport {
+            critical_path_us,
+            max_frequency_hz: if critical_path_us > 0.0 {
+                1e6 / critical_path_us
+            } else {
+                f64::INFINITY
+            },
+        }
+    }
+}
+
 impl Default for TimingReport {
     fn default() -> Self {
-        TimingReport {
-            critical_path_us: 0.0,
-            max_frequency_hz: f64::INFINITY,
-        }
+        TimingReport::from_critical_path(0.0)
     }
 }
 

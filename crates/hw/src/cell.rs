@@ -60,6 +60,29 @@ impl CellKind {
             CellKind::Dff,
         ]
     }
+
+    /// Number of input pins (at most 3).
+    pub const fn input_count(self) -> usize {
+        match self {
+            CellKind::Inverter | CellKind::Buffer | CellKind::Dff => 1,
+            CellKind::Nand2
+            | CellKind::Nor2
+            | CellKind::And2
+            | CellKind::Or2
+            | CellKind::Xor2
+            | CellKind::Xnor2
+            | CellKind::HalfAdder => 2,
+            CellKind::Mux2 | CellKind::FullAdder => 3,
+        }
+    }
+
+    /// Number of output pins (at most 2: adders drive sum and carry).
+    pub const fn output_count(self) -> usize {
+        match self {
+            CellKind::HalfAdder | CellKind::FullAdder => 2,
+            _ => 1,
+        }
+    }
 }
 
 impl fmt::Display for CellKind {

@@ -367,15 +367,10 @@ impl BespokeMlpCircuit {
         self.netlist.timing(&self.library)
     }
 
-    /// Full synthesis-style report.
+    /// Full synthesis-style report: area, power and timing from one walk
+    /// over the netlist ([`Netlist::report`]).
     pub fn report(&self) -> SynthesisReport {
-        SynthesisReport {
-            design_name: self.netlist.name().to_string(),
-            library_name: self.library.name().to_string(),
-            area: self.area(),
-            power: self.power(),
-            timing: self.timing(),
-        }
+        self.netlist.report(&self.library)
     }
 
     /// Evaluates the circuit on unsigned integer inputs (each in

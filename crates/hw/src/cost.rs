@@ -11,8 +11,8 @@
 //! so the resulting [`CostReport`] is **bit-for-bit identical** to running
 //! full synthesis followed by [`Netlist::area`](crate::Netlist::area) /
 //! [`Netlist::power`](crate::Netlist::power) /
-//! [`Netlist::timing`](crate::Netlist::timing) — at a small fraction of the
-//! cost (no gate/net allocation, no topological sort, no arrival array).
+//! [`Netlist::timing`](crate::Netlist::timing), without building the netlist
+//! (no gate/net allocation, no topological check, no arrival array).
 //!
 //! This is what makes hardware-in-the-loop search loops cheap: the NSGA-II /
 //! sweep layers evaluate thousands of candidates through this fast path and
@@ -48,69 +48,16 @@
 //! # }
 //! ```
 
-use crate::analysis::{AreaReport, PowerReport, TimingReport};
+use crate::analysis::{cell_delays, AreaReport, CellCounts, PowerReport, TimingReport, KIND_COUNT};
 use crate::cell::{CellKind, CellLibrary};
 use crate::circuit::{CircuitSpec, HwActivation, SharingStrategy};
 use crate::constmul::{MultiplierCost, RecodingStrategy};
 use crate::csd::CsdDigits;
 use crate::error::HwError;
 use crate::neuron::min_signed_width;
-use std::collections::BTreeMap;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
-
-/// Number of distinct [`CellKind`]s (the length of [`CellKind::all`]).
-const KIND_COUNT: usize = 12;
-
-/// Per-[`CellKind`] instance counts, indexed by discriminant order.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-struct CellCounts([usize; KIND_COUNT]);
-
-impl CellCounts {
-    #[inline]
-    fn bump(&mut self, kind: CellKind) {
-        self.0[kind as usize] += 1;
-    }
-
-    fn add(&mut self, other: &CellCounts) {
-        for (a, b) in self.0.iter_mut().zip(other.0.iter()) {
-            *a += b;
-        }
-    }
-
-    fn diff(&self, earlier: &CellCounts) -> CellCounts {
-        let mut out = [0usize; KIND_COUNT];
-        for (o, (a, b)) in out.iter_mut().zip(self.0.iter().zip(earlier.0.iter())) {
-            *o = a - b;
-        }
-        CellCounts(out)
-    }
-
-    fn total(&self) -> usize {
-        self.0.iter().sum()
-    }
-
-    /// Per-kind `(count, count * per_cell)` map in the same order
-    /// [`crate::Netlist::count_by_kind`] produces, skipping absent kinds.
-    fn report_map(
-        &self,
-        per_cell: impl Fn(CellKind) -> f64,
-    ) -> (BTreeMap<CellKind, (usize, f64)>, f64) {
-        let mut by_kind = BTreeMap::new();
-        let mut total = 0.0;
-        for kind in CellKind::all() {
-            let count = self.0[kind as usize];
-            if count == 0 {
-                continue;
-            }
-            let value = per_cell(kind) * count as f64;
-            by_kind.insert(kind, (count, value));
-            total += value;
-        }
-        (by_kind, total)
-    }
-}
 
 /// The fast-path counterpart of a full synthesis run: the same three analysis
 /// reports a [`BespokeMlpCircuit`](crate::BespokeMlpCircuit) produces.
@@ -304,12 +251,8 @@ struct Estimator {
 
 impl Estimator {
     fn new(library: &CellLibrary) -> Self {
-        let mut delays = [0.0; KIND_COUNT];
-        for kind in CellKind::all() {
-            delays[kind as usize] = library.params(kind).delay_us;
-        }
         Estimator {
-            delays,
+            delays: cell_delays(library),
             counts: CellCounts::default(),
             max_arrival: 0.0,
             counting: true,
@@ -606,28 +549,10 @@ pub fn estimate_circuit(
         current = outputs;
     }
 
-    let gate_count = est.counts.total();
-    let (area_by_kind, total_mm2) = est.counts.report_map(|k| library.params(k).area_mm2);
-    let (power_by_kind, total_uw) = est.counts.report_map(|k| library.params(k).power_uw);
-    let critical = est.max_arrival;
     Ok(CostReport {
-        area: AreaReport {
-            total_mm2,
-            gate_count,
-            by_kind: area_by_kind,
-        },
-        power: PowerReport {
-            total_uw,
-            by_kind: power_by_kind,
-        },
-        timing: TimingReport {
-            critical_path_us: critical,
-            max_frequency_hz: if critical > 0.0 {
-                1e6 / critical
-            } else {
-                f64::INFINITY
-            },
-        },
+        area: est.counts.area(library),
+        power: est.counts.power(library),
+        timing: TimingReport::from_critical_path(est.max_arrival),
     })
 }
 

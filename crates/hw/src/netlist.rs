@@ -1,29 +1,60 @@
-//! Gate-level netlist with area/power accumulation, critical-path analysis
-//! and functional (boolean) simulation.
+//! Gate-level netlist with area/power/critical-path analysis and functional
+//! (boolean) simulation.
 //!
 //! The netlist is deliberately simple: a flat list of [`Gate`]s connected by
 //! integer net identifiers. Builders in [`crate::constmul`], [`crate::adder`],
 //! [`crate::neuron`] and [`crate::circuit`] append gates; analysis walks the
-//! list. Net 0 is hard-wired to logic 0 and net 1 to logic 1.
+//! list once. Net 0 is hard-wired to logic 0 and net 1 to logic 1.
 
-use crate::analysis::{AreaReport, PowerReport, TimingReport};
+use crate::analysis::{cell_delays, AreaReport, CellCounts, PowerReport, TimingReport};
 use crate::cell::{CellKind, CellLibrary};
-use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
+use crate::report::SynthesisReport;
+use std::fmt;
 
 /// Identifier of a net (wire) in a [`Netlist`].
 pub type NetId = usize;
 
 /// One instantiated standard cell.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+///
+/// Pins are stored inline, as many inputs and outputs as the cell's
+/// [`CellKind`] has, so appending a gate allocates nothing.
+#[derive(Clone, Copy, PartialEq, Eq)]
 pub struct Gate {
+    kind: CellKind,
+    /// The first `kind.input_count()` slots are live; the rest hold
+    /// [`CONST_ZERO`].
+    inputs: [NetId; 3],
+    /// The first `kind.output_count()` slots are live; the rest hold
+    /// [`CONST_ZERO`].
+    outputs: [NetId; 2],
+}
+
+impl Gate {
     /// The cell kind.
-    pub kind: CellKind,
+    pub fn kind(&self) -> CellKind {
+        self.kind
+    }
+
     /// Input nets, in cell-specific order (e.g. `[a, b, cin]` for a full
     /// adder, `[sel, d0, d1]` for a mux).
-    pub inputs: Vec<NetId>,
+    pub fn inputs(&self) -> &[NetId] {
+        &self.inputs[..self.kind.input_count()]
+    }
+
     /// Output nets, in cell-specific order (e.g. `[sum, cout]` for adders).
-    pub outputs: Vec<NetId>,
+    pub fn outputs(&self) -> &[NetId] {
+        &self.outputs[..self.kind.output_count()]
+    }
+}
+
+impl fmt::Debug for Gate {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Gate")
+            .field("kind", &self.kind)
+            .field("inputs", &self.inputs())
+            .field("outputs", &self.outputs())
+            .finish()
+    }
 }
 
 /// A flat gate-level netlist.
@@ -37,13 +68,13 @@ pub struct Gate {
 /// let a = n.add_input();
 /// let b = n.add_input();
 /// let y = n.add_net();
-/// n.add_gate(CellKind::And2, vec![a, b], vec![y]);
+/// n.add_gate(CellKind::And2, &[a, b], &[y]);
 /// n.mark_output(y);
 /// assert_eq!(n.gate_count(), 1);
 /// let area = n.area(&CellLibrary::egt());
 /// assert!(area.total_mm2 > 0.0);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Netlist {
     name: String,
     gates: Vec<Gate>,
@@ -94,24 +125,38 @@ impl Netlist {
         self.primary_outputs.push(net);
     }
 
-    /// Appends a gate.
+    /// Appends a gate driving `outputs` from `inputs`, both in the cell's
+    /// pin order.
     ///
     /// # Panics
     ///
-    /// Panics if any referenced net has not been allocated, which would
-    /// indicate a builder bug.
-    pub fn add_gate(&mut self, kind: CellKind, inputs: Vec<NetId>, outputs: Vec<NetId>) {
-        for &net in inputs.iter().chain(outputs.iter()) {
+    /// Panics if the pin counts differ from `kind`'s
+    /// ([`CellKind::input_count`], [`CellKind::output_count`]) or if any
+    /// referenced net has not been allocated; either is a bug in the code
+    /// that builds the netlist.
+    pub fn add_gate(&mut self, kind: CellKind, inputs: &[NetId], outputs: &[NetId]) {
+        assert!(
+            inputs.len() == kind.input_count() && outputs.len() == kind.output_count(),
+            "{kind} has {} input and {} output pins, got {} and {}",
+            kind.input_count(),
+            kind.output_count(),
+            inputs.len(),
+            outputs.len()
+        );
+        for &net in inputs.iter().chain(outputs) {
             assert!(
                 net < self.net_count,
                 "gate references unallocated net {net}"
             );
         }
-        self.gates.push(Gate {
+        let mut gate = Gate {
             kind,
-            inputs,
-            outputs,
-        });
+            inputs: [CONST_ZERO; 3],
+            outputs: [CONST_ZERO; 2],
+        };
+        gate.inputs[..inputs.len()].copy_from_slice(inputs);
+        gate.outputs[..outputs.len()].copy_from_slice(outputs);
+        self.gates.push(gate);
     }
 
     /// Number of gates.
@@ -139,102 +184,92 @@ impl Netlist {
         &self.gates
     }
 
-    /// Number of gates of each kind.
-    pub fn count_by_kind(&self) -> BTreeMap<CellKind, usize> {
-        let mut map = BTreeMap::new();
-        for g in &self.gates {
-            *map.entry(g.kind).or_insert(0) += 1;
+    /// Area, static-power and timing reports under `library`, from one walk
+    /// over the gates.
+    ///
+    /// The walk counts cells per kind and propagates arrival times in
+    /// dependency order (producers before consumers), with every primary
+    /// input and constant arriving at t = 0. The critical path is the latest
+    /// arrival of any net.
+    pub fn report(&self, library: &CellLibrary) -> SynthesisReport {
+        let delays = cell_delays(library);
+        let mut counts = CellCounts::default();
+        let mut arrival = vec![0.0_f64; self.net_count];
+        let mut critical = 0.0_f64;
+        self.for_each_gate_in_order(|gate| {
+            counts.bump(gate.kind);
+            let ready = gate
+                .inputs()
+                .iter()
+                .map(|&n| arrival[n])
+                .fold(0.0_f64, f64::max);
+            let t = ready + delays[gate.kind as usize];
+            for &out in gate.outputs() {
+                if t > arrival[out] {
+                    arrival[out] = t;
+                }
+            }
+            critical = critical.max(t);
+        });
+        SynthesisReport {
+            design_name: self.name.clone(),
+            library_name: library.name().to_string(),
+            area: counts.area(library),
+            power: counts.power(library),
+            timing: TimingReport::from_critical_path(critical),
         }
-        map
     }
 
-    /// Total cell area under the given library.
+    /// Total cell area under the given library. Counts cells only; use
+    /// [`Netlist::report`] when timing is wanted too.
     pub fn area(&self, library: &CellLibrary) -> AreaReport {
-        let mut by_kind = BTreeMap::new();
-        let mut total = 0.0;
-        for (kind, count) in self.count_by_kind() {
-            let a = library.params(kind).area_mm2 * count as f64;
-            by_kind.insert(kind, (count, a));
-            total += a;
-        }
-        AreaReport {
-            total_mm2: total,
-            gate_count: self.gate_count(),
-            by_kind,
-        }
+        self.cell_counts().area(library)
     }
 
-    /// Total static power under the given library.
+    /// Total static power under the given library. Counts cells only; use
+    /// [`Netlist::report`] when timing is wanted too.
     pub fn power(&self, library: &CellLibrary) -> PowerReport {
-        let mut by_kind = BTreeMap::new();
-        let mut total = 0.0;
-        for (kind, count) in self.count_by_kind() {
-            let p = library.params(kind).power_uw * count as f64;
-            by_kind.insert(kind, (count, p));
-            total += p;
-        }
-        PowerReport {
-            total_uw: total,
-            by_kind,
-        }
+        self.cell_counts().power(library)
     }
 
     /// Critical-path delay (longest combinational path from any primary input
     /// or constant to any net) under the given library.
     pub fn timing(&self, library: &CellLibrary) -> TimingReport {
-        let arrival = self.arrival_times(library);
-        let critical = arrival.iter().cloned().fold(0.0_f64, f64::max);
-        TimingReport {
-            critical_path_us: critical,
-            max_frequency_hz: if critical > 0.0 {
-                1e6 / critical
-            } else {
-                f64::INFINITY
-            },
-        }
+        self.report(library).timing
     }
 
-    /// Arrival time (µs) of every net, assuming all primary inputs and
-    /// constants arrive at t = 0 and gates are evaluated in dependency order.
-    fn arrival_times(&self, library: &CellLibrary) -> Vec<f64> {
-        let order = self.topological_gate_order();
-        let mut arrival = vec![0.0_f64; self.net_count];
-        for &gi in &order {
-            let gate = &self.gates[gi];
-            let input_arrival = gate
-                .inputs
-                .iter()
-                .map(|&n| arrival[n])
-                .fold(0.0_f64, f64::max);
-            let t = input_arrival + library.params(gate.kind).delay_us;
-            for &out in &gate.outputs {
-                if t > arrival[out] {
-                    arrival[out] = t;
-                }
-            }
+    fn cell_counts(&self) -> CellCounts {
+        let mut counts = CellCounts::default();
+        for gate in &self.gates {
+            counts.bump(gate.kind);
         }
-        arrival
+        counts
     }
 
-    /// Gate indices in topological order (producers before consumers).
+    /// Visits every gate in topological order (producers before consumers).
     ///
     /// Builders create nets before driving them and drive them before use, so
     /// insertion order is already topological for all netlists produced by
-    /// this crate; this method verifies and, if needed, re-sorts via Kahn's
+    /// this crate; the walk verifies that and, if needed, re-sorts via Kahn's
     /// algorithm. Combinational loops are broken arbitrarily (they cannot be
     /// produced by the builders).
-    pub fn topological_gate_order(&self) -> Vec<usize> {
-        // Fast path: the builders in this crate always append producers
-        // before consumers, so most netlists are already in topological
-        // order — verify with two bit-vectors instead of building the full
-        // Kahn worklist structures.
+    fn for_each_gate_in_order(&self, mut visit: impl FnMut(&Gate)) {
         if self.insertion_order_is_topological() {
-            return (0..self.gates.len()).collect();
+            self.gates.iter().for_each(visit);
+        } else {
+            for gi in self.kahn_order() {
+                visit(&self.gates[gi]);
+            }
         }
+    }
+
+    /// Kahn's algorithm over the gates; gates stuck in a combinational loop
+    /// follow in insertion order.
+    fn kahn_order(&self) -> Vec<usize> {
         // Map net -> producing gate index.
         let mut producer: Vec<Option<usize>> = vec![None; self.net_count];
         for (gi, gate) in self.gates.iter().enumerate() {
-            for &out in &gate.outputs {
+            for &out in gate.outputs() {
                 producer[out] = Some(gi);
             }
         }
@@ -242,12 +277,17 @@ impl Netlist {
         let mut indegree: Vec<usize> = self
             .gates
             .iter()
-            .map(|g| g.inputs.iter().filter(|&&n| producer[n].is_some()).count())
+            .map(|g| {
+                g.inputs()
+                    .iter()
+                    .filter(|&&n| producer[n].is_some())
+                    .count()
+            })
             .collect();
         // Consumers of each gate.
         let mut consumers: Vec<Vec<usize>> = vec![Vec::new(); self.gates.len()];
         for (gi, gate) in self.gates.iter().enumerate() {
-            for &input in &gate.inputs {
+            for &input in gate.inputs() {
                 if let Some(p) = producer[input] {
                     consumers[p].push(gi);
                 }
@@ -299,13 +339,13 @@ impl Netlist {
             driven[net] = true;
         }
         for gate in &self.gates {
-            for &out in &gate.outputs {
+            for &out in gate.outputs() {
                 driven[out] = true;
             }
         }
         let mut read = vec![false; self.net_count];
         for gate in &self.gates {
-            for &input in &gate.inputs {
+            for &input in gate.inputs() {
                 read[input] = true;
             }
         }
@@ -319,22 +359,25 @@ impl Netlist {
 
     /// `true` when every gate's inputs are driven only by constants, primary
     /// inputs, undriven nets or gates that appear *earlier* in the list.
+    ///
+    /// One pass: a net read before any gate drove it fails the check as soon
+    /// as a later gate drives it.
     fn insertion_order_is_topological(&self) -> bool {
-        let mut gate_driven = vec![false; self.net_count];
+        const UNSEEN: u8 = 0;
+        const READ_UNDRIVEN: u8 = 1;
+        const DRIVEN: u8 = 2;
+        let mut state = vec![UNSEEN; self.net_count];
         for gate in &self.gates {
-            for &out in &gate.outputs {
-                gate_driven[out] = true;
-            }
-        }
-        let mut available = vec![false; self.net_count];
-        for gate in &self.gates {
-            for &input in &gate.inputs {
-                if gate_driven[input] && !available[input] {
-                    return false;
+            for &input in gate.inputs() {
+                if state[input] == UNSEEN {
+                    state[input] = READ_UNDRIVEN;
                 }
             }
-            for &out in &gate.outputs {
-                available[out] = true;
+            for &out in gate.outputs() {
+                if state[out] == READ_UNDRIVEN {
+                    return false;
+                }
+                state[out] = DRIVEN;
             }
         }
         true
@@ -372,8 +415,7 @@ impl Netlist {
         for (&net, &v) in self.primary_inputs.iter().zip(inputs.iter()) {
             values[net] = v;
         }
-        for gi in self.topological_gate_order() {
-            let gate = &self.gates[gi];
+        self.for_each_gate_in_order(|gate| {
             let get = |i: usize| values[gate.inputs[i]];
             match gate.kind {
                 CellKind::Inverter => {
@@ -421,7 +463,7 @@ impl Netlist {
                     values[gate.outputs[0]] = get(0);
                 }
             }
-        }
+        });
         values
     }
 
@@ -446,10 +488,12 @@ impl Netlist {
         for slot in mapping.iter_mut().skip(2) {
             *slot = self.add_net();
         }
-        for gate in &other.gates {
-            let inputs = gate.inputs.iter().map(|&n| mapping[n]).collect();
-            let outputs = gate.outputs.iter().map(|&n| mapping[n]).collect();
-            self.add_gate(gate.kind, inputs, outputs);
+        for &gate in &other.gates {
+            let mut remapped = gate;
+            for net in remapped.inputs.iter_mut().chain(&mut remapped.outputs) {
+                *net = mapping[*net];
+            }
+            self.add_gate(remapped.kind, remapped.inputs(), remapped.outputs());
         }
         mapping
     }
@@ -466,8 +510,8 @@ mod tests {
         let c = n.add_input();
         let ab = n.add_net();
         let y = n.add_net();
-        n.add_gate(CellKind::And2, vec![a, b], vec![ab]);
-        n.add_gate(CellKind::Or2, vec![ab, c], vec![y]);
+        n.add_gate(CellKind::And2, &[a, b], &[ab]);
+        n.add_gate(CellKind::Or2, &[ab, c], &[y]);
         n.mark_output(y);
         n
     }
@@ -478,7 +522,7 @@ mod tests {
         assert_eq!(n.gate_count(), 2);
         assert_eq!(n.primary_inputs().len(), 3);
         assert_eq!(n.primary_outputs().len(), 1);
-        assert_eq!(n.count_by_kind()[&CellKind::And2], 1);
+        assert_eq!(n.area(&CellLibrary::egt()).by_kind[&CellKind::And2].0, 1);
     }
 
     #[test]
@@ -488,7 +532,7 @@ mod tests {
         let dangling = n.add_net(); // never driven, but read below
         let unused = n.add_net(); // never driven, never read: not reported
         let y = n.add_net();
-        n.add_gate(CellKind::Or2, vec![a, dangling], vec![y]);
+        n.add_gate(CellKind::Or2, &[a, dangling], &[y]);
         n.mark_output(y);
         assert_eq!(n.undriven_nets(), vec![dangling]);
         let _ = unused;
@@ -527,7 +571,7 @@ mod tests {
     fn constants_are_driven() {
         let mut n = Netlist::new("const");
         let y = n.add_net();
-        n.add_gate(CellKind::Or2, vec![CONST_ZERO, CONST_ONE], vec![y]);
+        n.add_gate(CellKind::Or2, &[CONST_ZERO, CONST_ONE], &[y]);
         n.mark_output(y);
         assert_eq!(n.simulate_outputs(&[]), vec![true]);
     }
@@ -540,7 +584,7 @@ mod tests {
         let c = n.add_input();
         let s = n.add_net();
         let co = n.add_net();
-        n.add_gate(CellKind::FullAdder, vec![a, b, c], vec![s, co]);
+        n.add_gate(CellKind::FullAdder, &[a, b, c], &[s, co]);
         n.mark_output(s);
         n.mark_output(co);
         for bits in 0..8u8 {
@@ -561,7 +605,7 @@ mod tests {
         let d0 = n.add_input();
         let d1 = n.add_input();
         let y = n.add_net();
-        n.add_gate(CellKind::Mux2, vec![sel, d0, d1], vec![y]);
+        n.add_gate(CellKind::Mux2, &[sel, d0, d1], &[y]);
         n.mark_output(y);
         assert_eq!(n.simulate_outputs(&[false, true, false]), vec![true]);
         assert_eq!(n.simulate_outputs(&[true, true, false]), vec![false]);
@@ -621,18 +665,46 @@ mod tests {
         let b = n.add_input();
         let mid = n.add_net();
         let y = n.add_net();
-        n.add_gate(CellKind::Inverter, vec![mid], vec![y]); // consumer first
-        n.add_gate(CellKind::And2, vec![a, b], vec![mid]); // producer second
+        n.add_gate(CellKind::Inverter, &[mid], &[y]); // consumer first
+        n.add_gate(CellKind::And2, &[a, b], &[mid]); // producer second
         n.mark_output(y);
-        let order = n.topological_gate_order();
-        assert_eq!(order, vec![1, 0]);
         assert_eq!(n.simulate_outputs(&[true, true]), vec![false]);
+
+        // The analysis walk follows the Kahn order too: the path runs through
+        // the producer first, and the totals match in-order insertion.
+        let lib = CellLibrary::egt();
+        let report = n.report(&lib);
+        assert_eq!(
+            report.timing.critical_path_us,
+            lib.params(CellKind::And2).delay_us + lib.params(CellKind::Inverter).delay_us
+        );
+        let mut in_order = Netlist::new("in-order");
+        let a = in_order.add_input();
+        let b = in_order.add_input();
+        let mid = in_order.add_net();
+        let y = in_order.add_net();
+        in_order.add_gate(CellKind::And2, &[a, b], &[mid]);
+        in_order.add_gate(CellKind::Inverter, &[mid], &[y]);
+        in_order.mark_output(y);
+        let expected = in_order.report(&lib);
+        assert_eq!(report.area, expected.area);
+        assert_eq!(report.power, expected.power);
+        assert_eq!(report.timing, expected.timing);
+    }
+
+    #[test]
+    #[should_panic(expected = "AND2 has 2 input and 1 output pins, got 1 and 1")]
+    fn add_gate_panics_on_wrong_pin_count() {
+        let mut n = Netlist::new("bad");
+        let a = n.add_input();
+        let y = n.add_net();
+        n.add_gate(CellKind::And2, &[a], &[y]);
     }
 
     #[test]
     #[should_panic(expected = "unallocated net")]
     fn add_gate_panics_on_unallocated_net() {
         let mut n = Netlist::new("bad");
-        n.add_gate(CellKind::Inverter, vec![99], vec![CONST_ZERO]);
+        n.add_gate(CellKind::Inverter, &[99], &[CONST_ZERO]);
     }
 }

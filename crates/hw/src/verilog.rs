@@ -72,7 +72,7 @@ fn cell_ports(
 /// let a = n.add_input();
 /// let b = n.add_input();
 /// let y = n.add_net();
-/// n.add_gate(CellKind::And2, vec![a, b], vec![y]);
+/// n.add_gate(CellKind::And2, &[a, b], &[y]);
 /// n.mark_output(y);
 /// let verilog = to_verilog(&n, &VerilogOptions::default());
 /// assert!(verilog.contains("module bespoke_mlp"));
@@ -141,12 +141,12 @@ pub fn to_verilog(netlist: &Netlist, options: &VerilogOptions) -> String {
 
     // Cell instances.
     for (index, gate) in netlist.gates().iter().enumerate() {
-        let (cell, input_ports, output_ports) = cell_ports(gate.kind);
+        let (cell, input_ports, output_ports) = cell_ports(gate.kind());
         let mut connections: Vec<String> = Vec::new();
-        for (port, &net) in input_ports.iter().zip(gate.inputs.iter()) {
+        for (port, &net) in input_ports.iter().zip(gate.inputs()) {
             connections.push(format!(".{port}({})", net_name(net)));
         }
-        for (port, &net) in output_ports.iter().zip(gate.outputs.iter()) {
+        for (port, &net) in output_ports.iter().zip(gate.outputs()) {
             connections.push(format!(".{port}({})", net_name(net)));
         }
         let _ = writeln!(out, "  {cell} u{index} ({});", connections.join(", "));

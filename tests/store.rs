@@ -142,8 +142,10 @@ fn interrupted_campaign_restarts_only_the_unfinished_datasets() {
 
 /// Persisted finalization artifacts: a store-warmed Pareto finalist runs
 /// full gate-level synthesis directly from the persisted integer layers,
-/// without re-running the minimization pipeline — and a record whose
-/// artifact blob is damaged is dropped and recomputed as one ordinary miss.
+/// without re-running the minimization pipeline. A record whose delay no
+/// longer matches its artifacts fails the finalist cross-check, and a record
+/// whose artifact blob is damaged is dropped and recomputed as one ordinary
+/// miss.
 #[test]
 fn store_warmed_finalists_finalize_without_re_minimization() {
     use printed_mlp::core::baseline::BaselineConfig;
@@ -180,6 +182,33 @@ fn store_warmed_finalists_finalize_without_re_minimization() {
     assert!(finalized.matches_fast_path);
     assert_eq!(finalized.point, reference.point);
     assert_eq!(finalized.full, reference.full);
+    drop(engine);
+
+    // Double the record's delay and leave every other field as it was: the
+    // record still warms the engine, but full synthesis of its artifacts
+    // exposes the mismatch (the delay and energy objectives read that value).
+    let text = std::fs::read_to_string(&store_path).unwrap();
+    let key = "\"delay_us\":";
+    let start = text.find(key).expect("record carries a delay") + key.len();
+    let end = start
+        + text[start..]
+            .find([',', '}'])
+            .expect("delay value is terminated");
+    let delay: f64 = text[start..end].parse().unwrap();
+    assert_eq!(delay, reference.full.critical_path_us);
+    let damaged = format!("{}{}{}", &text[..start], 2.0 * delay, &text[end..]);
+    std::fs::write(&store_path, damaged).unwrap();
+
+    let engine = build();
+    assert_eq!(engine.stats().warmed, 1);
+    let finalized = engine.finalize(&config).unwrap();
+    assert_eq!(engine.stats().misses, 0, "evaluation must be warm");
+    assert_eq!(finalized.point.delay_us, 2.0 * delay);
+    assert_eq!(finalized.full, reference.full);
+    assert!(
+        !finalized.matches_fast_path,
+        "a delay mismatch must fail the cross-check"
+    );
     drop(engine);
 
     // Damage the artifact blob: the line is dropped and counted, and the
