@@ -58,8 +58,6 @@ struct PerfReport {
     /// a loopback server: retries, circuit-breaker transitions and journal
     /// replay volume (see `ResilienceStats`).
     resilience: ResilienceMetrics,
-    /// Process-wide constant-multiplier cost-cache counters at exit.
-    multiplier_cache: MultiplierCache,
     /// Context for readers of the trajectory.
     notes: String,
 }
@@ -180,18 +178,6 @@ struct ResilienceMetrics {
     cycle_secs: f64,
 }
 
-#[derive(Debug, Serialize)]
-struct MultiplierCache {
-    /// Cache hits.
-    hits: u64,
-    /// Cache misses.
-    misses: u64,
-    /// Distinct cached `(code, width, recoding)` entries.
-    entries: usize,
-    /// `hits / (hits + misses)`.
-    hit_rate: f64,
-}
-
 fn median_us(reps: usize, mut f: impl FnMut()) -> f64 {
     let mut samples: Vec<f64> = (0..reps.max(1))
         .map(|_| {
@@ -304,7 +290,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     //    appends journal, the restarted server is rejoined and replayed.
     let resilience = measure_resilience(if quick { 4 } else { 16 })?;
 
-    let mul = pmlp_hw::cost::multiplier_cache_stats();
     let report = PerfReport {
         schema: "pmlp-perf-report/v1".into(),
         mode: if quick { "quick".into() } else { "full".into() },
@@ -336,12 +321,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 .iter()
                 .map(|r| (r.name.clone(), r.hypervolume))
                 .collect(),
-        },
-        multiplier_cache: MultiplierCache {
-            hits: mul.hits,
-            misses: mul.misses,
-            entries: mul.entries,
-            hit_rate: mul.hit_rate(),
         },
         notes: "Wall-clock values are machine-relative; compare across commits measured on one \
                 machine. hw_eval_speedup (fast path vs full synthesis, same spec) is the most \

@@ -4,6 +4,7 @@
 use crate::error::CoreError;
 use pmlp_hw::{
     BespokeMlpCircuit, CellLibrary, CircuitSpec, HwActivation, LayerSpec, SharingStrategy,
+    SynthesisReport,
 };
 use pmlp_minimize::IntegerLayer;
 use serde::{Deserialize, Serialize};
@@ -84,22 +85,16 @@ pub fn synthesize_area(
         pmlp_hw::constmul::RecodingStrategy::Csd,
     )
     .map_err(CoreError::from)?;
-    let report = circuit.report();
-    Ok(SynthesisSummary {
-        area_mm2: report.area.total_mm2,
-        power_uw: report.power.total_uw,
-        critical_path_us: report.timing.critical_path_us,
-        gate_count: report.area.gate_count,
-    })
+    Ok(SynthesisSummary::of(&circuit.report()))
 }
 
 /// Fast-path counterpart of [`synthesize_area`]: the same
 /// [`SynthesisSummary`] numbers computed through the analytic cost model
 /// ([`pmlp_hw::cost::estimate_circuit`]) without materializing a netlist.
 ///
-/// The cost model mirrors synthesis gate for gate, so the summary is
-/// bit-for-bit identical to the full path — the equivalence suite asserts
-/// exact equality. Search loops evaluate through this; Pareto-front
+/// The cost model tallies the gates of the same circuit builder, so the
+/// summary is bit-for-bit identical to the full path — the equivalence suite
+/// asserts exact equality. Search loops evaluate through this; Pareto-front
 /// finalists and the baseline run [`synthesize_area`] for a verifiable
 /// netlist.
 ///
@@ -120,12 +115,7 @@ pub fn estimate_area(
         pmlp_hw::constmul::RecodingStrategy::Csd,
     )
     .map_err(CoreError::from)?;
-    Ok(SynthesisSummary {
-        area_mm2: report.area.total_mm2,
-        power_uw: report.power.total_uw,
-        critical_path_us: report.timing.critical_path_us,
-        gate_count: report.area.gate_count,
-    })
+    Ok(SynthesisSummary::of(&report))
 }
 
 /// Compact synthesis result used by the search objective.
@@ -142,6 +132,15 @@ pub struct SynthesisSummary {
 }
 
 impl SynthesisSummary {
+    fn of(report: &SynthesisReport) -> Self {
+        SynthesisSummary {
+            area_mm2: report.area.total_mm2,
+            power_uw: report.power.total_uw,
+            critical_path_us: report.timing.critical_path_us,
+            gate_count: report.area.gate_count,
+        }
+    }
+
     /// Energy per inference in pJ: static power (µW) × critical path (µs).
     /// Like every other field, bit-identical between the fast path and full
     /// synthesis (both factors are).

@@ -177,8 +177,8 @@ pub struct DatasetReport {
     pub fast_path_evals: usize,
     /// Finalist verifications that ran full gate-level synthesis.
     pub full_synthesis_evals: usize,
-    /// Hit rate of the process-wide constant-multiplier cost cache when this
-    /// dataset finished, in `[0, 1]` (shared across concurrent datasets).
+    /// Always 0: nothing memoizes multiplier costs. The field stays for the
+    /// artifact schema and for `perfbench`, which sets it.
     pub multiplier_cache_hit_rate: f64,
     /// Wall-clock seconds spent on this dataset (training + sweeps).
     pub elapsed_secs: f64,
@@ -643,7 +643,7 @@ impl Campaign {
             cache_hit_rate: stats.hit_rate(),
             fast_path_evals: stats.misses,
             full_synthesis_evals: stats.full_synthesis,
-            multiplier_cache_hit_rate: stats.multiplier_cache_hit_rate(),
+            multiplier_cache_hit_rate: 0.0,
             elapsed_secs: start.elapsed().as_secs_f64(),
         })
     }

@@ -368,11 +368,6 @@ pub struct EngineStats {
     /// Stage requests answered from the stage memo or by waiting on a
     /// concurrent run of the same stage.
     pub stage_reuses: usize,
-    /// Process-wide constant-multiplier cost-cache hits at snapshot time
-    /// (see [`pmlp_hw::cost::multiplier_cache_stats`]).
-    pub multiplier_cache_hits: u64,
-    /// Process-wide constant-multiplier cost-cache misses at snapshot time.
-    pub multiplier_cache_misses: u64,
     /// Store appends (single or batched) that failed outright — the engine
     /// warns and continues, degrading persistence to this process's
     /// lifetime.
@@ -391,17 +386,6 @@ impl EngineStats {
             0.0
         } else {
             (self.hits + self.coalesced) as f64 / total as f64
-        }
-    }
-
-    /// Fraction of multiplier-cost lookups answered from the process-wide
-    /// cache, in `[0, 1]`.
-    pub fn multiplier_cache_hit_rate(&self) -> f64 {
-        let total = self.multiplier_cache_hits + self.multiplier_cache_misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.multiplier_cache_hits as f64 / total as f64
         }
     }
 }
@@ -644,11 +628,8 @@ impl EvalEngine {
         self.fine_tune_epochs
     }
 
-    /// Current cache counters. The multiplier-cache fields are a snapshot of
-    /// the *process-wide* constant-multiplier cost cache, which every engine
-    /// in the process shares.
+    /// Current cache counters.
     pub fn stats(&self) -> EngineStats {
-        let mul = pmlp_hw::cost::multiplier_cache_stats();
         EngineStats {
             hits: self.hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
@@ -662,8 +643,6 @@ impl EvalEngine {
             warmed: self.warmed,
             stage_runs: self.stages.runs.load(Ordering::Relaxed),
             stage_reuses: self.stages.reused.load(Ordering::Relaxed),
-            multiplier_cache_hits: mul.hits,
-            multiplier_cache_misses: mul.misses,
             store_append_failures: self.store_append_failures.load(Ordering::Relaxed),
             store_resilience: self
                 .store
@@ -804,9 +783,9 @@ pub struct FinalizedDesign {
     pub full: SynthesisSummary,
     /// `true` when full synthesis reproduced the search-time area, power,
     /// critical-path delay and gate count exactly — which it must, since the
-    /// fast path mirrors synthesis bit for bit. A `false` here indicates a
-    /// cost-model bug (or a stored point that no longer matches its
-    /// artifacts).
+    /// fast path tallies the gates of the same circuit builder. A `false`
+    /// here indicates a stored point that no longer matches its artifacts (or
+    /// a cost-model bug).
     pub matches_fast_path: bool,
 }
 
@@ -1036,12 +1015,5 @@ pub(crate) mod tests {
         };
         assert!((stats.hit_rate() - 0.8).abs() < 1e-12);
         assert_eq!(EngineStats::default().hit_rate(), 0.0);
-        let stats = EngineStats {
-            multiplier_cache_hits: 3,
-            multiplier_cache_misses: 1,
-            ..EngineStats::default()
-        };
-        assert!((stats.multiplier_cache_hit_rate() - 0.75).abs() < 1e-12);
-        assert_eq!(EngineStats::default().multiplier_cache_hit_rate(), 0.0);
     }
 }

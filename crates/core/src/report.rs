@@ -190,18 +190,17 @@ pub fn render_campaign_table(result: &CampaignResult) -> String {
         result.objectives
     ));
     out.push_str(&format!(
-        "{:<14} {:>6} {:>10} {:>10} {:>11} {:>12} {:>10} {:>9}\n",
-        "dataset", "evals", "cache hit", "fast-path", "full-synth", "mul-cache", "hypervol", "secs"
+        "{:<14} {:>6} {:>10} {:>10} {:>11} {:>10} {:>9}\n",
+        "dataset", "evals", "cache hit", "fast-path", "full-synth", "hypervol", "secs"
     ));
     for report in &result.reports {
         out.push_str(&format!(
-            "{:<14} {:>6} {:>9.0}% {:>10} {:>11} {:>11.0}% {:>10.4} {:>9.2}\n",
+            "{:<14} {:>6} {:>9.0}% {:>10} {:>11} {:>10.4} {:>9.2}\n",
             report.name,
             report.evaluations,
             report.cache_hit_rate * 100.0,
             report.fast_path_evals,
             report.full_synthesis_evals,
-            report.multiplier_cache_hit_rate * 100.0,
             report.hypervolume,
             report.elapsed_secs,
         ));
@@ -283,7 +282,7 @@ mod tests {
             cache_hit_rate: 0.2,
             fast_path_evals: 5,
             full_synthesis_evals: 2,
-            multiplier_cache_hit_rate: 0.9,
+            multiplier_cache_hit_rate: 0.0,
             elapsed_secs: 1.0,
         };
         let result = CampaignResult {
@@ -298,10 +297,9 @@ mod tests {
         assert!(table.contains("7-10-3"));
         assert!(table.contains("4.50x"));
         // The evaluation-cost section reports fast-path vs full-synthesis
-        // counts and the multiplier-cache hit rate.
+        // counts.
         assert!(table.contains("evaluation cost"));
         assert!(table.contains("fast-path"));
-        assert!(table.contains("90%"));
         // The per-dataset hypervolume and the objective space are reported.
         assert!(table.contains("objectives: accuracy,area"));
         assert!(table.contains("0.4375"));

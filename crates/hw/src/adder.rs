@@ -1,25 +1,27 @@
 //! Word-level arithmetic builders: two's-complement ripple-carry adders,
 //! subtractors, negation, balanced adder trees and comparators.
 //!
-//! A *word* is a little-endian vector of net ids interpreted as a signed
-//! two's-complement value of fixed width. All builders append gates to a
-//! caller-supplied [`Netlist`] and return the nets of the result word.
-//! Sign extension and shifting are pure wiring (no gates), matching how a
-//! bespoke printed circuit would route them.
+//! A *word* is a little-endian vector of signals interpreted as a signed
+//! two's-complement value of fixed width. All builders hand their gates to a
+//! caller-supplied [`GateSink`] (usually a [`Netlist`](crate::Netlist)) and
+//! return the signals of the result word. Sign extension and shifting are
+//! pure wiring (no gates), matching how a bespoke printed circuit would
+//! route them.
 
 use crate::cell::CellKind;
-use crate::netlist::{NetId, Netlist, CONST_ONE, CONST_ZERO};
+use crate::netlist::{GateSink, NetId};
 
-/// A signed two's-complement word: little-endian bit nets.
-pub type Word = Vec<NetId>;
+/// A signed two's-complement word: little-endian bit signals, net ids unless
+/// stated otherwise.
+pub type Word<P = NetId> = Vec<P>;
 
 /// Builds a word holding the constant `value` in `width` bits (pure wiring to
-/// the constant nets, no gates).
+/// the constant signals, no gates).
 ///
 /// # Panics
 ///
 /// Panics if `width` is 0 or the value does not fit in `width` signed bits.
-pub fn constant_word(value: i64, width: usize) -> Word {
+pub fn constant_word<S: GateSink>(value: i64, width: usize) -> Word<S::Pin> {
     assert!(width > 0, "constant word width must be > 0");
     let min = -(1_i64 << (width - 1));
     let max = (1_i64 << (width - 1)) - 1;
@@ -30,17 +32,17 @@ pub fn constant_word(value: i64, width: usize) -> Word {
     (0..width)
         .map(|i| {
             if (value >> i) & 1 == 1 {
-                CONST_ONE
+                S::ONE
             } else {
-                CONST_ZERO
+                S::ZERO
             }
         })
         .collect()
 }
 
 /// Allocates a primary-input word of `width` bits.
-pub fn input_word(netlist: &mut Netlist, width: usize) -> Word {
-    (0..width).map(|_| netlist.add_input()).collect()
+pub fn input_word<S: GateSink>(sink: &mut S, width: usize) -> Word<S::Pin> {
+    (0..width).map(|_| sink.input()).collect()
 }
 
 /// Sign-extends (or truncates) `word` to `width` bits. Pure wiring.
@@ -48,7 +50,7 @@ pub fn input_word(netlist: &mut Netlist, width: usize) -> Word {
 /// # Panics
 ///
 /// Panics if `word` is empty.
-pub fn resize(word: &[NetId], width: usize) -> Word {
+pub fn resize<P: Copy>(word: &[P], width: usize) -> Word<P> {
     assert!(!word.is_empty(), "cannot resize an empty word");
     let sign = *word.last().expect("non-empty word");
     (0..width)
@@ -58,35 +60,35 @@ pub fn resize(word: &[NetId], width: usize) -> Word {
 
 /// Shifts `word` left by `k` bits (multiplication by `2^k`), widening the
 /// result by `k` bits. Pure wiring.
-pub fn shift_left(word: &[NetId], k: usize) -> Word {
-    let mut out = vec![CONST_ZERO; k];
+pub fn shift_left<S: GateSink>(word: &[S::Pin], k: usize) -> Word<S::Pin> {
+    let mut out = vec![S::ZERO; k];
     out.extend_from_slice(word);
     out
 }
 
 /// Adds two signed words, producing a `max(len) + 1`-bit result (no overflow).
-pub fn add(netlist: &mut Netlist, a: &[NetId], b: &[NetId]) -> Word {
-    add_with_carry(netlist, a, b, CONST_ZERO, false)
+pub fn add<S: GateSink>(sink: &mut S, a: &[S::Pin], b: &[S::Pin]) -> Word<S::Pin> {
+    add_with_carry(sink, a, b, false)
 }
 
 /// Subtracts `b` from `a` (`a - b`), producing a `max(len) + 1`-bit result.
-pub fn sub(netlist: &mut Netlist, a: &[NetId], b: &[NetId]) -> Word {
-    add_with_carry(netlist, a, b, CONST_ONE, true)
+pub fn sub<S: GateSink>(sink: &mut S, a: &[S::Pin], b: &[S::Pin]) -> Word<S::Pin> {
+    add_with_carry(sink, a, b, true)
 }
 
 /// Two's-complement negation of a word (`-a`), one bit wider than the input.
-pub fn negate(netlist: &mut Netlist, a: &[NetId]) -> Word {
-    let zero = constant_word(0, a.len());
-    sub(netlist, &zero, a)
+pub fn negate<S: GateSink>(sink: &mut S, a: &[S::Pin]) -> Word<S::Pin> {
+    let zero = constant_word::<S>(0, a.len());
+    sub(sink, &zero, a)
 }
 
-fn add_with_carry(
-    netlist: &mut Netlist,
-    a: &[NetId],
-    b: &[NetId],
-    carry_in: NetId,
-    invert_b: bool,
-) -> Word {
+/// Ripple-carry `a + b`, or `a - b` as `a + !b + 1` when `subtract`.
+fn add_with_carry<S: GateSink>(
+    sink: &mut S,
+    a: &[S::Pin],
+    b: &[S::Pin],
+    subtract: bool,
+) -> Word<S::Pin> {
     assert!(
         !a.is_empty() && !b.is_empty(),
         "adder operands must be non-empty"
@@ -94,25 +96,22 @@ fn add_with_carry(
     let width = a.len().max(b.len()) + 1;
     let a_ext = resize(a, width);
     let b_ext = resize(b, width);
-    let mut carry = carry_in;
+    // A subtraction's carry-in is the constant one; a plain addition has
+    // none, so its first stage is a half adder.
+    let mut carry = S::ONE;
     let mut sum = Vec::with_capacity(width);
     for i in 0..width {
-        let b_bit = if invert_b {
-            let inv = netlist.add_net();
-            netlist.add_gate(CellKind::Inverter, &[b_ext[i]], &[inv]);
+        let b_bit = if subtract {
+            let [inv] = sink.gate(CellKind::Inverter, &[b_ext[i]]);
             inv
         } else {
             b_ext[i]
         };
-        let s = netlist.add_net();
-        let c = netlist.add_net();
-        // Use a half adder when the carry-in is the constant zero (first stage
-        // of a plain addition), a full adder otherwise.
-        if carry == CONST_ZERO {
-            netlist.add_gate(CellKind::HalfAdder, &[a_ext[i], b_bit], &[s, c]);
+        let [s, c] = if i == 0 && !subtract {
+            sink.gate(CellKind::HalfAdder, &[a_ext[i], b_bit])
         } else {
-            netlist.add_gate(CellKind::FullAdder, &[a_ext[i], b_bit, carry], &[s, c]);
-        }
+            sink.gate(CellKind::FullAdder, &[a_ext[i], b_bit, carry])
+        };
         sum.push(s);
         carry = c;
     }
@@ -122,18 +121,17 @@ fn add_with_carry(
 /// Sums an arbitrary number of signed words with a balanced binary adder tree.
 /// Returns a word wide enough to hold the full sum; an empty operand list
 /// yields the 1-bit constant zero.
-pub fn adder_tree(netlist: &mut Netlist, operands: &[Word]) -> Word {
+pub fn adder_tree<S: GateSink>(sink: &mut S, operands: &[Word<S::Pin>]) -> Word<S::Pin> {
     match operands.len() {
-        0 => constant_word(0, 1),
+        0 => constant_word::<S>(0, 1),
         1 => operands[0].clone(),
         _ => {
-            let mut level: Vec<Word> = operands.to_vec();
+            let mut level: Vec<Word<S::Pin>> = operands.to_vec();
             while level.len() > 1 {
                 let mut next = Vec::with_capacity(level.len().div_ceil(2));
-                let mut iter = level.chunks(2);
-                for chunk in &mut iter {
+                for chunk in level.chunks(2) {
                     if chunk.len() == 2 {
-                        next.push(add(netlist, &chunk[0], &chunk[1]));
+                        next.push(add(sink, &chunk[0], &chunk[1]));
                     } else {
                         next.push(chunk[0].clone());
                     }
@@ -147,37 +145,39 @@ pub fn adder_tree(netlist: &mut Netlist, operands: &[Word]) -> Word {
 
 /// Rectified linear unit on a signed word: outputs `a` when `a >= 0` and `0`
 /// otherwise (one inverter on the sign bit plus one AND gate per bit).
-pub fn relu(netlist: &mut Netlist, a: &[NetId]) -> Word {
+pub fn relu<S: GateSink>(sink: &mut S, a: &[S::Pin]) -> Word<S::Pin> {
     assert!(!a.is_empty(), "relu operand must be non-empty");
     let sign = *a.last().expect("non-empty word");
-    let not_sign = netlist.add_net();
-    netlist.add_gate(CellKind::Inverter, &[sign], &[not_sign]);
+    let [not_sign] = sink.gate(CellKind::Inverter, &[sign]);
     a.iter()
         .map(|&bit| {
-            let out = netlist.add_net();
-            netlist.add_gate(CellKind::And2, &[bit, not_sign], &[out]);
+            let [out] = sink.gate(CellKind::And2, &[bit, not_sign]);
             out
         })
         .collect()
 }
 
-/// Greater-than comparator for signed words: the returned net is 1 when
+/// Greater-than comparator for signed words: the returned signal is 1 when
 /// `a > b` (computed as the sign of `b - a`).
-pub fn greater_than(netlist: &mut Netlist, a: &[NetId], b: &[NetId]) -> NetId {
-    let diff = sub(netlist, b, a);
+pub fn greater_than<S: GateSink>(sink: &mut S, a: &[S::Pin], b: &[S::Pin]) -> S::Pin {
+    let diff = sub(sink, b, a);
     *diff.last().expect("difference word is non-empty")
 }
 
-/// Selects between two words with a shared select net (`sel ? on_true :
+/// Selects between two words with a shared select signal (`sel ? on_true :
 /// on_false`), one mux per bit. Both words are resized to the wider width.
-pub fn mux_word(netlist: &mut Netlist, sel: NetId, on_false: &[NetId], on_true: &[NetId]) -> Word {
+pub fn mux_word<S: GateSink>(
+    sink: &mut S,
+    sel: S::Pin,
+    on_false: &[S::Pin],
+    on_true: &[S::Pin],
+) -> Word<S::Pin> {
     let width = on_false.len().max(on_true.len());
     let f = resize(on_false, width);
     let t = resize(on_true, width);
     (0..width)
         .map(|i| {
-            let out = netlist.add_net();
-            netlist.add_gate(CellKind::Mux2, &[sel, f[i], t[i]], &[out]);
+            let [out] = sink.gate(CellKind::Mux2, &[sel, f[i], t[i]]);
             out
         })
         .collect()
@@ -209,6 +209,7 @@ pub fn encode_value(value: i64, width: usize) -> Vec<bool> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::netlist::{Netlist, CONST_ONE, CONST_ZERO};
 
     fn check_binary_op(
         op: impl Fn(&mut Netlist, &[NetId], &[NetId]) -> Word,
@@ -259,17 +260,17 @@ mod tests {
 
     #[test]
     fn constant_word_encodes_twos_complement() {
-        let w = constant_word(-3, 4);
+        let w = constant_word::<Netlist>(-3, 4);
         // -3 = 1101b
         assert_eq!(w, vec![CONST_ONE, CONST_ZERO, CONST_ONE, CONST_ONE]);
-        let zeros = constant_word(0, 3);
+        let zeros = constant_word::<Netlist>(0, 3);
         assert_eq!(zeros, vec![CONST_ZERO; 3]);
     }
 
     #[test]
     #[should_panic(expected = "does not fit")]
     fn constant_word_rejects_overflow() {
-        let _ = constant_word(8, 4);
+        let _ = constant_word::<Netlist>(8, 4);
     }
 
     #[test]
@@ -291,7 +292,7 @@ mod tests {
     fn shift_left_multiplies_by_power_of_two() {
         let mut netlist = Netlist::new("shl");
         let a = input_word(&mut netlist, 4);
-        let shifted = shift_left(&a, 3);
+        let shifted = shift_left::<Netlist>(&a, 3);
         for v in -8_i64..=7 {
             let values = netlist.simulate(&encode_value(v, 4));
             assert_eq!(word_value(&values, &shifted), v * 8);
@@ -315,7 +316,10 @@ mod tests {
     #[test]
     fn adder_tree_handles_empty_and_single() {
         let mut netlist = Netlist::new("tree0");
-        assert_eq!(adder_tree(&mut netlist, &[]), constant_word(0, 1));
+        assert_eq!(
+            adder_tree(&mut netlist, &[]),
+            constant_word::<Netlist>(0, 1)
+        );
         let w = input_word(&mut netlist, 3);
         assert_eq!(adder_tree(&mut netlist, std::slice::from_ref(&w)), w);
     }
@@ -394,6 +398,7 @@ mod tests {
 #[cfg(test)]
 mod proptests {
     use super::*;
+    use crate::netlist::Netlist;
     use proptest::prelude::*;
 
     proptest! {

@@ -2,6 +2,7 @@
 //! both the netlist walk and the fast-path cost model build them from.
 
 use crate::cell::{CellKind, CellLibrary};
+use crate::report::SynthesisReport;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fmt;
@@ -25,20 +26,6 @@ impl CellCounts {
         self.0[kind as usize] += 1;
     }
 
-    pub(crate) fn add(&mut self, other: &CellCounts) {
-        for (a, b) in self.0.iter_mut().zip(other.0.iter()) {
-            *a += b;
-        }
-    }
-
-    pub(crate) fn diff(&self, earlier: &CellCounts) -> CellCounts {
-        let mut out = [0usize; KIND_COUNT];
-        for (o, (a, b)) in out.iter_mut().zip(self.0.iter().zip(earlier.0.iter())) {
-            *o = a - b;
-        }
-        CellCounts(out)
-    }
-
     pub(crate) fn total(&self) -> usize {
         self.0.iter().sum()
     }
@@ -57,6 +44,23 @@ impl CellCounts {
     pub(crate) fn power(&self, library: &CellLibrary) -> PowerReport {
         let (by_kind, total_uw) = self.report_map(|kind| library.params(kind).power_uw);
         PowerReport { total_uw, by_kind }
+    }
+
+    /// The synthesis report of design `design_name`: these cells under
+    /// `library`, with a longest combinational path of `critical_path_us`.
+    pub(crate) fn report(
+        &self,
+        design_name: &str,
+        library: &CellLibrary,
+        critical_path_us: f64,
+    ) -> SynthesisReport {
+        SynthesisReport {
+            design_name: design_name.to_string(),
+            library_name: library.name().to_string(),
+            area: self.area(library),
+            power: self.power(library),
+            timing: TimingReport::from_critical_path(critical_path_us),
+        }
     }
 
     /// Per-kind `(count, count * per_cell)` map, skipping absent kinds, and

@@ -10,10 +10,13 @@ use crate::analysis::{AreaReport, PowerReport, TimingReport};
 use crate::cell::CellLibrary;
 use crate::constmul::RecodingStrategy;
 use crate::error::HwError;
-use crate::netlist::Netlist;
-use crate::neuron::{build_neuron, NeuronSpec, ProductCache};
+use crate::netlist::{GateSink, Netlist};
+use crate::neuron::{build_neuron, ProductCache};
 use crate::report::SynthesisReport;
 use serde::{Deserialize, Serialize};
+
+/// Design name of every synthesized bespoke MLP and of its fast-path report.
+pub(crate) const DESIGN_NAME: &str = "bespoke_mlp";
 
 /// Activation implemented in hardware after a layer's adder trees.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -278,50 +281,8 @@ impl BespokeMlpCircuit {
         sharing: SharingStrategy,
         recoding: RecodingStrategy,
     ) -> Result<Self, HwError> {
-        // Re-validate so hand-constructed specs cannot bypass the checks
-        // (without cloning the layer stack).
-        spec.validate()?;
-        let mut netlist = Netlist::new("bespoke_mlp");
-        // Primary inputs: unsigned `input_bits` values, carried as signed words
-        // with one extra (zero) sign bit.
-        let width = spec.input_bits as usize + 1;
-        let mut current: Vec<Word> = (0..spec.input_count())
-            .map(|_| {
-                let mut w = adder::input_word(&mut netlist, spec.input_bits as usize);
-                w.push(crate::netlist::CONST_ZERO);
-                debug_assert_eq!(w.len(), width);
-                w
-            })
-            .collect();
-
-        let mut argmax_index = None;
-        let layer_count = spec.layers.len();
-        for (li, layer) in spec.layers.iter().enumerate() {
-            let mut cache = ProductCache::new();
-            let mut outputs: Vec<Word> = Vec::with_capacity(layer.neuron_count());
-            for (ni, row) in layer.weights.iter().enumerate() {
-                let neuron = NeuronSpec {
-                    weights: row.clone(),
-                    bias: layer.biases[ni],
-                    relu: layer.activation == HwActivation::ReLU,
-                };
-                let cache_ref = match sharing {
-                    SharingStrategy::SharedPerInput => Some(&mut cache),
-                    SharingStrategy::None => None,
-                };
-                let out = build_neuron(&mut netlist, &current, &neuron, cache_ref, recoding)?;
-                outputs.push(out);
-            }
-            if layer.activation == HwActivation::Argmax {
-                if li != layer_count - 1 {
-                    return Err(HwError::InvalidSpec {
-                        context: format!("argmax activation on non-output layer {li}"),
-                    });
-                }
-                argmax_index = Some(build_argmax(&mut netlist, &outputs));
-            }
-            current = outputs;
-        }
+        let mut netlist = Netlist::new(DESIGN_NAME);
+        let (outputs, argmax_index) = build_mlp(&mut netlist, spec, sharing, recoding)?;
 
         // Mark primary outputs: the argmax index if present, otherwise the raw
         // output words.
@@ -330,7 +291,7 @@ impl BespokeMlpCircuit {
                 netlist.mark_output(net);
             }
         } else {
-            for word in &current {
+            for word in &outputs {
                 for &net in word {
                     netlist.mark_output(net);
                 }
@@ -340,7 +301,7 @@ impl BespokeMlpCircuit {
         Ok(BespokeMlpCircuit {
             netlist,
             library: library.clone(),
-            outputs: current,
+            outputs,
             argmax_index,
             input_bits: spec.input_bits,
             input_count: spec.input_count(),
@@ -436,18 +397,77 @@ impl BespokeMlpCircuit {
     }
 }
 
+/// The words a circuit build leaves: the last layer's outputs, and the
+/// argmax index when the last layer is an argmax layer.
+type MlpWords<P> = (Vec<Word<P>>, Option<Word<P>>);
+
+/// Hands the whole bespoke circuit of `spec` to `sink`: the primary-input
+/// words, one neuron per weight row (sharing products within a layer under
+/// [`SharingStrategy::SharedPerInput`]) and the argmax tree.
+///
+/// # Errors
+///
+/// Returns [`CircuitSpec::validate`]'s errors, and [`HwError::InvalidSpec`]
+/// for an argmax activation on a non-output layer.
+pub(crate) fn build_mlp<S: GateSink>(
+    sink: &mut S,
+    spec: &CircuitSpec,
+    sharing: SharingStrategy,
+    recoding: RecodingStrategy,
+) -> Result<MlpWords<S::Pin>, HwError> {
+    // Re-validate so hand-constructed specs cannot bypass the checks
+    // (without cloning the layer stack).
+    spec.validate()?;
+    // Primary inputs: unsigned `input_bits` values, carried as signed words
+    // with one extra (zero) sign bit.
+    let mut current: Vec<Word<S::Pin>> = (0..spec.input_count())
+        .map(|_| {
+            let mut w = adder::input_word(sink, spec.input_bits as usize);
+            w.push(S::ZERO);
+            w
+        })
+        .collect();
+
+    let mut argmax_index = None;
+    let layer_count = spec.layers.len();
+    for (li, layer) in spec.layers.iter().enumerate() {
+        let relu = layer.activation == HwActivation::ReLU;
+        let mut cache = ProductCache::new();
+        let mut outputs = Vec::with_capacity(layer.neuron_count());
+        for (weights, &bias) in layer.weights.iter().zip(&layer.biases) {
+            let cache = match sharing {
+                SharingStrategy::SharedPerInput => Some(&mut cache),
+                SharingStrategy::None => None,
+            };
+            outputs.push(build_neuron(
+                sink, &current, weights, bias, relu, cache, recoding,
+            )?);
+        }
+        if layer.activation == HwActivation::Argmax {
+            if li != layer_count - 1 {
+                return Err(HwError::InvalidSpec {
+                    context: format!("argmax activation on non-output layer {li}"),
+                });
+            }
+            argmax_index = Some(build_argmax(sink, &outputs));
+        }
+        current = outputs;
+    }
+    Ok((current, argmax_index))
+}
+
 /// Builds an argmax comparator/mux tree over the neuron output words and
 /// returns the word holding the winning index (ties go to the lower index).
-fn build_argmax(netlist: &mut Netlist, outputs: &[Word]) -> Word {
+fn build_argmax<S: GateSink>(sink: &mut S, outputs: &[Word<S::Pin>]) -> Word<S::Pin> {
     let n = outputs.len();
     let index_bits = (usize::BITS - (n.max(2) - 1).leading_zeros()) as usize;
     let mut best_value = outputs[0].clone();
-    let mut best_index = adder::constant_word(0, index_bits + 1);
+    let mut best_index = adder::constant_word::<S>(0, index_bits + 1);
     for (i, candidate) in outputs.iter().enumerate().skip(1) {
-        let is_greater = adder::greater_than(netlist, candidate, &best_value);
-        best_value = adder::mux_word(netlist, is_greater, &best_value, candidate);
-        let candidate_index = adder::constant_word(i as i64, index_bits + 1);
-        best_index = adder::mux_word(netlist, is_greater, &best_index, &candidate_index);
+        let is_greater = adder::greater_than(sink, candidate, &best_value);
+        best_value = adder::mux_word(sink, is_greater, &best_value, candidate);
+        let candidate_index = adder::constant_word::<S>(i as i64, index_bits + 1);
+        best_index = adder::mux_word(sink, is_greater, &best_index, &candidate_index);
     }
     best_index
 }

@@ -15,7 +15,7 @@
 
 use crate::adder::{self, Word};
 use crate::csd::CsdDigits;
-use crate::netlist::{NetId, Netlist};
+use crate::netlist::GateSink;
 
 /// Strategy for recoding the constant before building the shift-add network.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -32,18 +32,18 @@ pub enum RecodingStrategy {
 ///
 /// The `input` word is interpreted as signed two's complement. A zero constant
 /// returns the 1-bit constant-zero word without adding any gates.
-pub fn constant_multiplier(
-    netlist: &mut Netlist,
-    input: &[NetId],
+pub fn constant_multiplier<S: GateSink>(
+    sink: &mut S,
+    input: &[S::Pin],
     constant: i64,
     strategy: RecodingStrategy,
-) -> Word {
+) -> Word<S::Pin> {
     assert!(
         !input.is_empty(),
         "constant multiplier needs a non-empty input word"
     );
     if constant == 0 {
-        return adder::constant_word(0, 1);
+        return adder::constant_word::<S>(0, 1);
     }
 
     let terms: Vec<(u32, i8)> = match strategy {
@@ -59,25 +59,25 @@ pub fn constant_multiplier(
     };
 
     // Split into positive and negative shift terms.
-    let positive: Vec<Word> = terms
+    let positive: Vec<Word<S::Pin>> = terms
         .iter()
         .filter(|&&(_, sign)| sign > 0)
-        .map(|&(shift, _)| adder::shift_left(input, shift as usize))
+        .map(|&(shift, _)| adder::shift_left::<S>(input, shift as usize))
         .collect();
-    let negative: Vec<Word> = terms
+    let negative: Vec<Word<S::Pin>> = terms
         .iter()
         .filter(|&&(_, sign)| sign < 0)
-        .map(|&(shift, _)| adder::shift_left(input, shift as usize))
+        .map(|&(shift, _)| adder::shift_left::<S>(input, shift as usize))
         .collect();
 
-    let pos_sum = adder::adder_tree(netlist, &positive);
-    let neg_sum = adder::adder_tree(netlist, &negative);
+    let pos_sum = adder::adder_tree(sink, &positive);
+    let neg_sum = adder::adder_tree(sink, &negative);
 
     match (positive.is_empty(), negative.is_empty()) {
-        (true, true) => adder::constant_word(0, 1),
+        (true, true) => adder::constant_word::<S>(0, 1),
         (false, true) => pos_sum,
-        (true, false) => adder::negate(netlist, &neg_sum),
-        (false, false) => adder::sub(netlist, &pos_sum, &neg_sum),
+        (true, false) => adder::negate(sink, &neg_sum),
+        (false, false) => adder::sub(sink, &pos_sum, &neg_sum),
     }
 }
 
@@ -112,6 +112,7 @@ mod tests {
     use super::*;
     use crate::adder::{encode_value, input_word, word_value};
     use crate::cell::CellLibrary;
+    use crate::netlist::Netlist;
 
     fn check_multiplier(constant: i64, width: usize, strategy: RecodingStrategy) {
         let mut netlist = Netlist::new("mul");
@@ -254,6 +255,7 @@ mod tests {
 mod proptests {
     use super::*;
     use crate::adder::{encode_value, input_word, word_value};
+    use crate::netlist::Netlist;
     use proptest::prelude::*;
 
     proptest! {

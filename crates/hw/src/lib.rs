@@ -9,11 +9,11 @@
 //! * [`fixed`] — fixed-point weight/input formats,
 //! * [`csd`] — canonical-signed-digit recoding of hard-wired coefficients,
 //! * [`constmul`] — shift-add synthesis of constant-coefficient multipliers,
-//! * [`cost`] — the analytic fast-path cost model: area/power/timing without
-//!   building a netlist, with a process-wide memoized multiplier cost cache,
+//! * [`cost`] — the analytic fast-path cost model: area/power/timing of the
+//!   circuit the builders describe, tallied without building a netlist,
 //! * [`adder`] — ripple-carry adders and balanced adder trees,
 //! * [`netlist`] — a gate-level netlist with area/power/critical-path
-//!   analysis,
+//!   analysis, and the [`GateSink`] trait every circuit builder writes to,
 //! * [`neuron`] / [`circuit`] — bespoke neurons and whole-MLP circuits,
 //!   including multiplier sharing for clustered weights,
 //! * [`intinfer`] — a pure-integer inference engine, bit-identical to
@@ -70,12 +70,12 @@ pub mod verilog;
 pub use analysis::{AreaReport, PowerReport, TimingReport};
 pub use cell::{CellKind, CellLibrary, CellParams};
 pub use circuit::{BespokeMlpCircuit, CircuitSpec, HwActivation, LayerSpec, SharingStrategy};
-pub use cost::{estimate_circuit, multiplier_cache_stats, CostCacheStats, CostReport};
+pub use cost::{estimate_circuit, multiplier_cache_stats, CostCacheStats};
 pub use csd::CsdDigits;
 pub use error::HwError;
 pub use fixed::FixedPointFormat;
 pub use intinfer::{quantize_rows, IntInferEngine};
-pub use netlist::{Gate, Netlist};
+pub use netlist::{Gate, GateSink, Netlist};
 pub use neuron::NeuronCircuit;
 pub use report::SynthesisReport;
 pub use verilog::{to_verilog, VerilogOptions};

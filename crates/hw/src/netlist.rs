@@ -1,9 +1,10 @@
 //! Gate-level netlist with area/power/critical-path analysis and functional
-//! (boolean) simulation.
+//! (boolean) simulation, and the [`GateSink`] trait the circuit builders
+//! write to.
 //!
 //! The netlist is deliberately simple: a flat list of [`Gate`]s connected by
 //! integer net identifiers. Builders in [`crate::constmul`], [`crate::adder`],
-//! [`crate::neuron`] and [`crate::circuit`] append gates; analysis walks the
+//! [`crate::neuron`] and [`crate::circuit`] hand it gates; analysis walks the
 //! list once. Net 0 is hard-wired to logic 0 and net 1 to logic 1.
 
 use crate::analysis::{cell_delays, AreaReport, CellCounts, PowerReport, TimingReport};
@@ -13,6 +14,31 @@ use std::fmt;
 
 /// Identifier of a net (wire) in a [`Netlist`].
 pub type NetId = usize;
+
+/// Where a circuit builder hands each gate it instantiates.
+///
+/// Builders pass signals around as words of [`GateSink::Pin`]s. A
+/// [`Netlist`] stores every gate, with pins that are net ids. The fast-path
+/// cost model ([`crate::cost::estimate_circuit`]) only tallies them, with
+/// pins that are signal arrival times. Both see the same gates in the same
+/// order, so the fast path is exact by construction.
+pub trait GateSink {
+    /// A signal: one bit of a builder's word.
+    type Pin: Copy;
+    /// The constant logic-0 signal.
+    const ZERO: Self::Pin;
+    /// The constant logic-1 signal.
+    const ONE: Self::Pin;
+
+    /// A fresh primary-input signal.
+    fn input(&mut self) -> Self::Pin;
+
+    /// Instantiates one `kind` cell reading `inputs` (in the cell's pin
+    /// order) and returns its `N` output signals, also in pin order.
+    /// `inputs.len()` and `N` must match [`CellKind::input_count`] and
+    /// [`CellKind::output_count`].
+    fn gate<const N: usize>(&mut self, kind: CellKind, inputs: &[Self::Pin]) -> [Self::Pin; N];
+}
 
 /// One instantiated standard cell.
 ///
@@ -134,6 +160,7 @@ impl Netlist {
     /// ([`CellKind::input_count`], [`CellKind::output_count`]) or if any
     /// referenced net has not been allocated; either is a bug in the code
     /// that builds the netlist.
+    #[inline]
     pub fn add_gate(&mut self, kind: CellKind, inputs: &[NetId], outputs: &[NetId]) {
         assert!(
             inputs.len() == kind.input_count() && outputs.len() == kind.output_count(),
@@ -211,13 +238,7 @@ impl Netlist {
             }
             critical = critical.max(t);
         });
-        SynthesisReport {
-            design_name: self.name.clone(),
-            library_name: library.name().to_string(),
-            area: counts.area(library),
-            power: counts.power(library),
-            timing: TimingReport::from_critical_path(critical),
-        }
+        counts.report(&self.name, library, critical)
     }
 
     /// Total cell area under the given library. Counts cells only; use
@@ -496,6 +517,25 @@ impl Netlist {
             self.add_gate(remapped.kind, remapped.inputs(), remapped.outputs());
         }
         mapping
+    }
+}
+
+impl GateSink for Netlist {
+    type Pin = NetId;
+    const ZERO: NetId = CONST_ZERO;
+    const ONE: NetId = CONST_ONE;
+
+    fn input(&mut self) -> NetId {
+        self.add_input()
+    }
+
+    /// Allocates the output nets in pin order, then appends the gate, so net
+    /// numbers follow gate order.
+    #[inline]
+    fn gate<const N: usize>(&mut self, kind: CellKind, inputs: &[NetId]) -> [NetId; N] {
+        let outputs = std::array::from_fn(|_| self.add_net());
+        self.add_gate(kind, inputs, &outputs);
+        outputs
     }
 }
 

@@ -4,7 +4,7 @@
 use crate::adder::{self, Word};
 use crate::constmul::{constant_multiplier, RecodingStrategy};
 use crate::error::HwError;
-use crate::netlist::Netlist;
+use crate::netlist::{GateSink, NetId, Netlist};
 use std::collections::BTreeMap;
 
 /// Minimum signed bit-width needed to represent `value`.
@@ -23,7 +23,7 @@ pub fn min_signed_width(value: i64) -> usize {
 /// When weight clustering forces several neurons to use the same weight value
 /// for the same input, the corresponding product is computed once and shared —
 /// the hardware mechanism that makes clustering save area in bespoke circuits.
-pub type ProductCache = BTreeMap<(usize, i64), Word>;
+pub type ProductCache<P = NetId> = BTreeMap<(usize, i64), Word<P>>;
 
 /// Parameters of a single bespoke neuron.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -52,11 +52,14 @@ impl NeuronSpec {
     }
 }
 
-/// Appends one bespoke neuron to `netlist`.
+/// Hands one bespoke neuron's gates to `sink`: a constant multiplier per
+/// non-zero weight, an adder tree over the products and the bias, and a
+/// ReLU when `relu`.
 ///
-/// `inputs` holds one word per input of the layer. When `cache` is `Some`,
-/// products are looked up / inserted by `(input index, weight)` so identical
-/// products are shared between neurons of the same layer.
+/// `inputs` holds one word per input of the layer and `weights` one weight
+/// per input. When `cache` is `Some`, products are looked up / inserted by
+/// `(input index, weight)` so identical products are shared between neurons
+/// of the same layer.
 ///
 /// Returns the output word of the neuron (post-activation).
 ///
@@ -64,58 +67,46 @@ impl NeuronSpec {
 ///
 /// Returns [`HwError::InvalidSpec`] when the weight count does not match the
 /// input count.
-pub fn build_neuron(
-    netlist: &mut Netlist,
-    inputs: &[Word],
-    spec: &NeuronSpec,
-    cache: Option<&mut ProductCache>,
+pub fn build_neuron<S: GateSink>(
+    sink: &mut S,
+    inputs: &[Word<S::Pin>],
+    weights: &[i64],
+    bias: i64,
+    relu: bool,
+    mut cache: Option<&mut ProductCache<S::Pin>>,
     recoding: RecodingStrategy,
-) -> Result<Word, HwError> {
-    if spec.weights.len() != inputs.len() {
+) -> Result<Word<S::Pin>, HwError> {
+    if weights.len() != inputs.len() {
         return Err(HwError::InvalidSpec {
             context: format!(
                 "neuron has {} weights but the layer provides {} inputs",
-                spec.weights.len(),
+                weights.len(),
                 inputs.len()
             ),
         });
     }
 
-    let mut operands: Vec<Word> = Vec::new();
-    match cache {
-        Some(cache) => {
-            for (i, (&w, input)) in spec.weights.iter().zip(inputs.iter()).enumerate() {
-                if w == 0 {
-                    continue;
-                }
-                let product = cache
-                    .entry((i, w))
-                    .or_insert_with(|| constant_multiplier(netlist, input, w, recoding))
-                    .clone();
-                operands.push(product);
-            }
+    let mut operands: Vec<Word<S::Pin>> = Vec::new();
+    for (i, (&w, input)) in weights.iter().zip(inputs).enumerate() {
+        if w == 0 {
+            continue;
         }
-        None => {
-            for (&w, input) in spec.weights.iter().zip(inputs.iter()) {
-                if w == 0 {
-                    continue;
-                }
-                operands.push(constant_multiplier(netlist, input, w, recoding));
-            }
-        }
+        let product = match cache.as_deref_mut() {
+            Some(cache) => cache
+                .entry((i, w))
+                .or_insert_with(|| constant_multiplier(sink, input, w, recoding))
+                .clone(),
+            None => constant_multiplier(sink, input, w, recoding),
+        };
+        operands.push(product);
     }
 
-    if spec.bias != 0 {
-        operands.push(adder::constant_word(spec.bias, min_signed_width(spec.bias)));
+    if bias != 0 {
+        operands.push(adder::constant_word::<S>(bias, min_signed_width(bias)));
     }
 
-    let sum = adder::adder_tree(netlist, &operands);
-    let out = if spec.relu {
-        adder::relu(netlist, &sum)
-    } else {
-        sum
-    };
-    Ok(out)
+    let sum = adder::adder_tree(sink, &operands);
+    Ok(if relu { adder::relu(sink, &sum) } else { sum })
 }
 
 /// A standalone synthesized neuron, mainly useful for unit analysis and for
@@ -151,7 +142,15 @@ impl NeuronCircuit {
         let inputs: Vec<Word> = (0..spec.weights.len())
             .map(|_| adder::input_word(&mut netlist, input_bits))
             .collect();
-        let output = build_neuron(&mut netlist, &inputs, spec, None, RecodingStrategy::Csd)?;
+        let output = build_neuron(
+            &mut netlist,
+            &inputs,
+            &spec.weights,
+            spec.bias,
+            spec.relu,
+            None,
+            RecodingStrategy::Csd,
+        )?;
         for &net in &output {
             netlist.mark_output(net);
         }
@@ -288,33 +287,21 @@ mod tests {
         let mut netlist = Netlist::new("shared");
         let inputs: Vec<Word> = (0..2).map(|_| adder::input_word(&mut netlist, 4)).collect();
         let mut cache = ProductCache::new();
-        let spec_a = NeuronSpec {
-            weights: vec![5, 3],
-            bias: 0,
-            relu: false,
+        let mut build = |netlist: &mut Netlist, weights: &[i64]| {
+            build_neuron(
+                netlist,
+                &inputs,
+                weights,
+                0,
+                false,
+                Some(&mut cache),
+                RecodingStrategy::Csd,
+            )
+            .unwrap()
         };
-        let spec_b = NeuronSpec {
-            weights: vec![5, -3],
-            bias: 0,
-            relu: false,
-        };
-        let _ = build_neuron(
-            &mut netlist,
-            &inputs,
-            &spec_a,
-            Some(&mut cache),
-            RecodingStrategy::Csd,
-        )
-        .unwrap();
+        let _ = build(&mut netlist, &[5, 3]);
         let gates_after_a = netlist.gate_count();
-        let _ = build_neuron(
-            &mut netlist,
-            &inputs,
-            &spec_b,
-            Some(&mut cache),
-            RecodingStrategy::Csd,
-        )
-        .unwrap();
+        let _ = build(&mut netlist, &[5, -3]);
         let gates_after_b = netlist.gate_count();
         // Neuron B reuses the (input 0, weight 5) product, so it must add
         // fewer gates than neuron A did.
@@ -326,12 +313,16 @@ mod tests {
     fn weight_count_mismatch_is_rejected() {
         let mut netlist = Netlist::new("bad");
         let inputs: Vec<Word> = (0..3).map(|_| adder::input_word(&mut netlist, 4)).collect();
-        let spec = NeuronSpec {
-            weights: vec![1, 2],
-            bias: 0,
-            relu: false,
-        };
-        assert!(build_neuron(&mut netlist, &inputs, &spec, None, RecodingStrategy::Csd).is_err());
+        let built = build_neuron(
+            &mut netlist,
+            &inputs,
+            &[1, 2],
+            0,
+            false,
+            None,
+            RecodingStrategy::Csd,
+        );
+        assert!(built.is_err());
     }
 
     #[test]

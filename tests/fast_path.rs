@@ -85,23 +85,6 @@ fn finalize_verifies_the_fast_path_against_a_real_netlist() {
 }
 
 #[test]
-fn multiplier_cache_fills_and_reports_hits() {
-    let engine = quick_engine();
-    let _ = engine
-        .evaluate(&MinimizationConfig::default().with_weight_bits(5))
-        .unwrap();
-    let stats = engine.stats();
-    let total = stats.multiplier_cache_hits + stats.multiplier_cache_misses;
-    assert!(total > 0, "fast path must consult the multiplier cache");
-    // Weight codes repeat heavily inside one circuit, so hits dominate.
-    assert!(
-        stats.multiplier_cache_hit_rate() > 0.5,
-        "hit rate {}",
-        stats.multiplier_cache_hit_rate()
-    );
-}
-
-#[test]
 fn quick_baseline_fast_path_matches_full_synthesis_baseline() {
     // Every baseline, Quick effort included, is characterized by full
     // synthesis; the fast path over the same 8-bit layers must agree.

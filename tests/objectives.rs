@@ -26,8 +26,7 @@ fn golden_dir() -> PathBuf {
 }
 
 /// Runs the reference quick campaign (Seeds + Balance, seed 11) and zeroes
-/// the two fields that are allowed to differ between runs: wall-clock timing
-/// and the process-wide multiplier-cache snapshot.
+/// the one field that is allowed to differ between runs: wall-clock timing.
 fn reference_campaign() -> CampaignResult {
     let mut result = Campaign::new(CampaignConfig {
         datasets: vec![UciDataset::Seeds, UciDataset::Balance],
@@ -40,7 +39,6 @@ fn reference_campaign() -> CampaignResult {
     .expect("quick campaign");
     for report in &mut result.reports {
         report.elapsed_secs = 0.0;
-        report.multiplier_cache_hit_rate = 0.0;
     }
     result
 }
