@@ -5,7 +5,7 @@ use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use pmlp_data::{load, UciDataset};
 use pmlp_minimize::qat::quantization_aware_train;
 use pmlp_minimize::QatConfig;
-use pmlp_nn::{Activation, Matrix, MlpBuilder, MlpScratch, TrainConfig, Trainer};
+use pmlp_nn::{Matrix, MlpBuilder, MlpScratch, TrainConfig, Trainer};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::time::Duration;
@@ -14,7 +14,7 @@ fn bench_nn_training(c: &mut Criterion) {
     let data = load(UciDataset::Seeds, 42).expect("seeds dataset");
     let mut rng = StdRng::seed_from_u64(1);
     let mlp = MlpBuilder::new(data.feature_count())
-        .hidden(10, Activation::ReLU)
+        .hidden(10)
         .output(data.class_count())
         .build(&mut rng)
         .expect("mlp");

@@ -18,7 +18,7 @@ use crate::store::StoreBackend;
 use pmlp_data::{quantize_features, DatasetDescriptor, UciDataset};
 use pmlp_hw::{CellLibrary, SharingStrategy};
 use pmlp_minimize::{minimize, MinimizationConfig};
-use pmlp_nn::{Activation, Dataset, Mlp, MlpBuilder, TrainConfig, Trainer};
+use pmlp_nn::{Dataset, Mlp, MlpBuilder, TrainConfig, Trainer};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::json::{self, Value};
@@ -168,7 +168,7 @@ impl BaselineDesign {
         let (train, test) = data.stratified_split(config.train_fraction, &mut rng)?;
 
         let mut model = MlpBuilder::new(descriptor.feature_count)
-            .hidden(descriptor.hidden_neurons, Activation::ReLU)
+            .hidden(descriptor.hidden_neurons)
             .output(descriptor.class_count)
             .build(&mut rng)?;
         let trainer = Trainer::new(TrainConfig {
@@ -179,7 +179,6 @@ impl BaselineDesign {
             // model on the held-out test split, so the per-epoch
             // full-train-set accuracy pass is pure overhead.
             track_train_accuracy: false,
-            ..TrainConfig::default()
         });
         trainer.fit(&mut model, &train, Some(&test), &mut rng)?;
 

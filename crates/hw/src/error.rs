@@ -15,13 +15,6 @@ pub enum HwError {
         /// Description of the inconsistency.
         context: String,
     },
-    /// A value does not fit in the requested fixed-point format.
-    Overflow {
-        /// The value that overflowed.
-        value: f64,
-        /// Description of the target format.
-        format: String,
-    },
 }
 
 impl fmt::Display for HwError {
@@ -30,12 +23,6 @@ impl fmt::Display for HwError {
             HwError::InvalidBitWidth { context } => write!(f, "invalid bit width: {context}"),
             HwError::InvalidSpec { context } => {
                 write!(f, "invalid circuit specification: {context}")
-            }
-            HwError::Overflow { value, format } => {
-                write!(
-                    f,
-                    "value {value} does not fit in fixed-point format {format}"
-                )
             }
         }
     }
@@ -53,12 +40,10 @@ mod tests {
             context: "weight bits = 0".into(),
         };
         assert!(e.to_string().contains("weight bits"));
-        let e = HwError::Overflow {
-            value: 3.5,
-            format: "Q1.2".into(),
+        let e = HwError::InvalidSpec {
+            context: "layer 1 expects 5 inputs".into(),
         };
-        assert!(e.to_string().contains("3.5"));
-        assert!(e.to_string().contains("Q1.2"));
+        assert!(e.to_string().contains("layer 1 expects 5 inputs"));
     }
 
     #[test]

@@ -6,7 +6,6 @@
 //!
 //! * [`cell`] — an Electrolyte-Gated Transistor (EGT) standard-cell library
 //!   with per-cell area, static power and delay,
-//! * [`fixed`] — fixed-point weight/input formats,
 //! * [`csd`] — canonical-signed-digit recoding of hard-wired coefficients,
 //! * [`constmul`] — shift-add synthesis of constant-coefficient multipliers,
 //! * [`cost`] — the analytic fast-path cost model: area/power/timing of the
@@ -60,7 +59,6 @@ pub mod constmul;
 pub mod cost;
 pub mod csd;
 pub mod error;
-pub mod fixed;
 pub mod intinfer;
 pub mod netlist;
 pub mod neuron;
@@ -73,7 +71,6 @@ pub use circuit::{BespokeMlpCircuit, CircuitSpec, HwActivation, LayerSpec, Shari
 pub use cost::{estimate_circuit, multiplier_cache_stats, CostCacheStats};
 pub use csd::CsdDigits;
 pub use error::HwError;
-pub use fixed::FixedPointFormat;
 pub use intinfer::{quantize_rows, IntInferEngine};
 pub use netlist::{Gate, GateSink, Netlist};
 pub use neuron::NeuronCircuit;

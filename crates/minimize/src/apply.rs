@@ -313,7 +313,7 @@ fn config_hash(config: &MinimizationConfig) -> u64 {
 mod tests {
     use super::*;
     use pmlp_data::{load, UciDataset};
-    use pmlp_nn::{Activation, MlpBuilder, Trainer};
+    use pmlp_nn::{MlpBuilder, Trainer};
     use std::cell::{Cell, RefCell};
     use std::collections::{BTreeSet, HashMap};
 
@@ -321,7 +321,7 @@ mod tests {
         let data = load(UciDataset::Seeds, 1).unwrap();
         let (train, test) = data.stratified_split(0.8, rng).unwrap();
         let mut mlp = MlpBuilder::new(train.feature_count())
-            .hidden(8, Activation::ReLU)
+            .hidden(8)
             .output(train.class_count())
             .build(rng)
             .unwrap();

@@ -291,7 +291,7 @@ pub fn cluster_and_fine_tune<R: Rng + ?Sized>(
 mod tests {
     use super::*;
     use pmlp_data::{load, UciDataset};
-    use pmlp_nn::{Activation, MlpBuilder};
+    use pmlp_nn::MlpBuilder;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use std::collections::BTreeSet;
@@ -299,7 +299,7 @@ mod tests {
     fn mlp(seed: u64) -> Mlp {
         let mut rng = StdRng::seed_from_u64(seed);
         MlpBuilder::new(5)
-            .hidden(12, Activation::ReLU)
+            .hidden(12)
             .output(3)
             .build(&mut rng)
             .unwrap()
@@ -416,7 +416,7 @@ mod tests {
         let mut other = {
             let mut rng = StdRng::seed_from_u64(7);
             MlpBuilder::new(3)
-                .hidden(4, Activation::ReLU)
+                .hidden(4)
                 .output(2)
                 .build(&mut rng)
                 .unwrap()
@@ -430,7 +430,7 @@ mod tests {
         let data = load(UciDataset::Seeds, 5).unwrap();
         let (train, _) = data.stratified_split(0.8, &mut rng).unwrap();
         let mut model = MlpBuilder::new(train.feature_count())
-            .hidden(8, Activation::ReLU)
+            .hidden(8)
             .output(train.class_count())
             .build(&mut rng)
             .unwrap();

@@ -20,7 +20,7 @@
 //!
 //! ```
 //! use pmlp_minimize::{MinimizationConfig, apply::minimize};
-//! use pmlp_nn::{MlpBuilder, Activation, Dataset, Trainer, TrainConfig};
+//! use pmlp_nn::{MlpBuilder, Dataset, Trainer, TrainConfig};
 //! use rand::SeedableRng;
 //! use rand::rngs::StdRng;
 //!
@@ -33,7 +33,7 @@
 //! let ys: Vec<usize> = (0..100).map(|i| i % 2).collect();
 //! let data = Dataset::from_rows(xs, ys, 2)?;
 //!
-//! let mut mlp = MlpBuilder::new(2).hidden(4, Activation::ReLU).output(2).build(&mut rng)?;
+//! let mut mlp = MlpBuilder::new(2).hidden(4).output(2).build(&mut rng)?;
 //! Trainer::new(TrainConfig { epochs: 10, ..TrainConfig::default() }).fit(&mut mlp, &data, None, &mut rng)?;
 //!
 //! let config = MinimizationConfig::default().with_weight_bits(4).with_sparsity(0.3);

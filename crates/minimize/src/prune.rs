@@ -221,14 +221,14 @@ pub fn prune_and_fine_tune<R: Rng + ?Sized>(
 mod tests {
     use super::*;
     use pmlp_data::{load, UciDataset};
-    use pmlp_nn::{Activation, MlpBuilder};
+    use pmlp_nn::MlpBuilder;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
     fn mlp(seed: u64) -> Mlp {
         let mut rng = StdRng::seed_from_u64(seed);
         MlpBuilder::new(7)
-            .hidden(10, Activation::ReLU)
+            .hidden(10)
             .output(3)
             .build(&mut rng)
             .unwrap()
@@ -313,7 +313,7 @@ mod tests {
         let mut other = {
             let mut rng = StdRng::seed_from_u64(9);
             MlpBuilder::new(5)
-                .hidden(4, Activation::ReLU)
+                .hidden(4)
                 .output(2)
                 .build(&mut rng)
                 .unwrap()
@@ -336,7 +336,7 @@ mod tests {
         let data = load(UciDataset::Seeds, 33).unwrap();
         let (train, test) = data.stratified_split(0.8, &mut rng).unwrap();
         let mut model = MlpBuilder::new(train.feature_count())
-            .hidden(10, Activation::ReLU)
+            .hidden(10)
             .output(train.class_count())
             .build(&mut rng)
             .unwrap();
@@ -396,7 +396,7 @@ mod tests {
 #[cfg(test)]
 mod proptests {
     use super::*;
-    use pmlp_nn::{Activation, MlpBuilder};
+    use pmlp_nn::MlpBuilder;
     use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -406,7 +406,7 @@ mod proptests {
         #[test]
         fn achieved_sparsity_close_to_target(target in 0.0f64..0.9, seed in 0u64..100) {
             let mut rng = StdRng::seed_from_u64(seed);
-            let m = MlpBuilder::new(6).hidden(8, Activation::ReLU).output(3).build(&mut rng).unwrap();
+            let m = MlpBuilder::new(6).hidden(8).output(3).build(&mut rng).unwrap();
             let mask = PruningMask::magnitude_global(&m, target).unwrap();
             prop_assert!((mask.sparsity() - target).abs() < 0.05);
         }

@@ -116,7 +116,7 @@ pub fn post_training_quantize(
 mod tests {
     use super::*;
     use pmlp_data::{load, UciDataset};
-    use pmlp_nn::{Activation, MlpBuilder};
+    use pmlp_nn::MlpBuilder;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -124,7 +124,7 @@ mod tests {
         let data = load(UciDataset::Seeds, 11).unwrap();
         let (train, test) = data.stratified_split(0.8, rng).unwrap();
         let mut mlp = MlpBuilder::new(train.feature_count())
-            .hidden(8, Activation::ReLU)
+            .hidden(8)
             .output(train.class_count())
             .build(rng)
             .unwrap();

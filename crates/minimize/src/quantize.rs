@@ -205,14 +205,14 @@ impl QuantizedMlp {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pmlp_nn::{Activation, MlpBuilder};
+    use pmlp_nn::MlpBuilder;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
     fn mlp() -> Mlp {
         let mut rng = StdRng::seed_from_u64(3);
         MlpBuilder::new(4)
-            .hidden(6, Activation::ReLU)
+            .hidden(6)
             .output(3)
             .build(&mut rng)
             .unwrap()

@@ -6,12 +6,10 @@ use std::fmt;
 
 /// Activation function applied element-wise after a dense layer.
 ///
-/// Printed bespoke MLPs favour activations that map to cheap hardware:
-/// [`Activation::ReLU`] is a comparator + mux, [`Activation::HardSigmoid`] and
-/// [`Activation::HardTanh`] are clamped linear segments. [`Activation::Sigmoid`]
-/// and [`Activation::Tanh`] are included for software baselines, and
-/// [`Activation::Identity`] is used on output layers trained with a softmax
-/// cross-entropy loss.
+/// The printed bespoke MLPs use [`Activation::ReLU`] on every hidden layer
+/// (a comparator and a mux in hardware) and [`Activation::Identity`] on the
+/// output layer, whose logits feed the softmax cross-entropy loss in
+/// training and an argmax in the circuit.
 ///
 /// # Example
 ///
@@ -27,16 +25,7 @@ pub enum Activation {
     /// Rectified linear unit, `max(0, x)`.
     #[default]
     ReLU,
-    /// Logistic sigmoid, `1 / (1 + e^-x)`.
-    Sigmoid,
-    /// Hyperbolic tangent.
-    Tanh,
-    /// Piecewise-linear sigmoid approximation `clamp(0.2 x + 0.5, 0, 1)` —
-    /// hardware friendly (shift and add only).
-    HardSigmoid,
-    /// Piecewise-linear tanh approximation `clamp(x, -1, 1)`.
-    HardTanh,
-    /// Identity (no activation); typically used before a softmax loss.
+    /// Identity (no activation); used on the output layer.
     Identity,
 }
 
@@ -46,19 +35,13 @@ impl Activation {
     pub fn apply(self, x: f32) -> f32 {
         match self {
             Activation::ReLU => x.max(0.0),
-            Activation::Sigmoid => 1.0 / (1.0 + (-x).exp()),
-            Activation::Tanh => x.tanh(),
-            Activation::HardSigmoid => (0.2 * x + 0.5).clamp(0.0, 1.0),
-            Activation::HardTanh => x.clamp(-1.0, 1.0),
             Activation::Identity => x,
         }
     }
 
     /// Derivative of the activation with respect to its pre-activation input.
     ///
-    /// For the piecewise-linear activations the derivative at the kink points
-    /// follows the usual sub-gradient convention used for training (the value
-    /// of the right-continuous branch).
+    /// At the ReLU kink (`x = 0`) this is the sub-gradient `0`.
     #[inline]
     pub fn derivative(self, x: f32) -> f32 {
         match self {
@@ -69,35 +52,8 @@ impl Activation {
                     0.0
                 }
             }
-            Activation::Sigmoid => {
-                let s = Activation::Sigmoid.apply(x);
-                s * (1.0 - s)
-            }
-            Activation::Tanh => {
-                let t = x.tanh();
-                1.0 - t * t
-            }
-            Activation::HardSigmoid => {
-                if (-2.5..=2.5).contains(&x) {
-                    0.2
-                } else {
-                    0.0
-                }
-            }
-            Activation::HardTanh => {
-                if (-1.0..=1.0).contains(&x) {
-                    1.0
-                } else {
-                    0.0
-                }
-            }
             Activation::Identity => 1.0,
         }
-    }
-
-    /// Applies the activation to every element of a matrix.
-    pub fn apply_matrix(self, m: &Matrix) -> Matrix {
-        m.map(|x| self.apply(x))
     }
 
     /// Applies the activation to every element in place (allocation-free
@@ -108,46 +64,12 @@ impl Activation {
         }
         m.map_inplace(|x| self.apply(x));
     }
-
-    /// Element-wise derivative over a matrix of pre-activations.
-    pub fn derivative_matrix(self, m: &Matrix) -> Matrix {
-        m.map(|x| self.derivative(x))
-    }
-
-    /// `true` when the activation is implementable with comparators, muxes and
-    /// shifts only (no exponentials), i.e. suitable for bespoke printed
-    /// hardware.
-    pub fn is_hardware_friendly(self) -> bool {
-        matches!(
-            self,
-            Activation::ReLU
-                | Activation::HardSigmoid
-                | Activation::HardTanh
-                | Activation::Identity
-        )
-    }
-
-    /// All supported activations, useful for exhaustive sweeps and tests.
-    pub fn all() -> [Activation; 6] {
-        [
-            Activation::ReLU,
-            Activation::Sigmoid,
-            Activation::Tanh,
-            Activation::HardSigmoid,
-            Activation::HardTanh,
-            Activation::Identity,
-        ]
-    }
 }
 
 impl fmt::Display for Activation {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let name = match self {
             Activation::ReLU => "relu",
-            Activation::Sigmoid => "sigmoid",
-            Activation::Tanh => "tanh",
-            Activation::HardSigmoid => "hard_sigmoid",
-            Activation::HardTanh => "hard_tanh",
             Activation::Identity => "identity",
         };
         f.write_str(name)
@@ -200,40 +122,10 @@ mod tests {
     }
 
     #[test]
-    fn sigmoid_is_bounded_and_symmetric() {
-        let s = Activation::Sigmoid;
-        assert!((s.apply(0.0) - 0.5).abs() < 1e-6);
-        assert!(s.apply(10.0) > 0.999);
-        assert!(s.apply(-10.0) < 0.001);
-        assert!((s.apply(2.0) + s.apply(-2.0) - 1.0).abs() < 1e-6);
-    }
-
-    #[test]
-    fn tanh_matches_std() {
-        assert!((Activation::Tanh.apply(0.7) - 0.7f32.tanh()).abs() < 1e-7);
-    }
-
-    #[test]
-    fn hard_sigmoid_clamps() {
-        let h = Activation::HardSigmoid;
-        assert_eq!(h.apply(-10.0), 0.0);
-        assert_eq!(h.apply(10.0), 1.0);
-        assert!((h.apply(0.0) - 0.5).abs() < 1e-6);
-    }
-
-    #[test]
-    fn hard_tanh_clamps() {
-        let h = Activation::HardTanh;
-        assert_eq!(h.apply(-3.0), -1.0);
-        assert_eq!(h.apply(3.0), 1.0);
-        assert_eq!(h.apply(0.25), 0.25);
-    }
-
-    #[test]
     fn derivatives_match_finite_differences() {
         let eps = 1e-3_f32;
-        for act in Activation::all() {
-            // Avoid the kink points of the piecewise-linear activations.
+        for act in [Activation::ReLU, Activation::Identity] {
+            // Avoid the ReLU kink at zero.
             for &x in &[-2.0f32, -0.7, 0.3, 1.7] {
                 let numeric = (act.apply(x + eps) - act.apply(x - eps)) / (2.0 * eps);
                 let analytic = act.derivative(x);
@@ -243,14 +135,6 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn hardware_friendly_classification() {
-        assert!(Activation::ReLU.is_hardware_friendly());
-        assert!(Activation::HardSigmoid.is_hardware_friendly());
-        assert!(!Activation::Sigmoid.is_hardware_friendly());
-        assert!(!Activation::Tanh.is_hardware_friendly());
     }
 
     #[test]
@@ -275,8 +159,20 @@ mod tests {
 
     #[test]
     fn display_names_are_snake_case() {
-        assert_eq!(Activation::HardSigmoid.to_string(), "hard_sigmoid");
         assert_eq!(Activation::ReLU.to_string(), "relu");
+        assert_eq!(Activation::Identity.to_string(), "identity");
+    }
+
+    #[test]
+    fn serde_names_are_the_variant_names() {
+        // Cached baseline documents store every layer's activation by name.
+        for (act, name) in [
+            (Activation::ReLU, "\"ReLU\""),
+            (Activation::Identity, "\"Identity\""),
+        ] {
+            assert_eq!(serde_json::to_string(&act).unwrap(), name);
+            assert_eq!(serde_json::from_str::<Activation>(name).unwrap(), act);
+        }
     }
 }
 
@@ -289,18 +185,6 @@ mod proptests {
         #[test]
         fn relu_output_is_non_negative(x in -100.0f32..100.0) {
             prop_assert!(Activation::ReLU.apply(x) >= 0.0);
-        }
-
-        #[test]
-        fn sigmoid_output_in_unit_interval(x in -50.0f32..50.0) {
-            let y = Activation::Sigmoid.apply(x);
-            prop_assert!((0.0..=1.0).contains(&y));
-        }
-
-        #[test]
-        fn hard_variants_are_bounded(x in -50.0f32..50.0) {
-            prop_assert!((0.0..=1.0).contains(&Activation::HardSigmoid.apply(x)));
-            prop_assert!((-1.0..=1.0).contains(&Activation::HardTanh.apply(x)));
         }
 
         #[test]

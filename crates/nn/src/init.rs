@@ -1,86 +1,23 @@
-//! Weight-initialization schemes.
+//! Glorot/Xavier-uniform weight initialization, the one scheme the
+//! pipeline's dense layers start from.
 
 use crate::matrix::Matrix;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
-use std::fmt;
 
-/// Weight initialization scheme for dense layers.
-///
-/// # Example
-///
-/// ```
-/// use pmlp_nn::WeightInit;
-/// use rand::SeedableRng;
-/// use rand::rngs::StdRng;
-///
-/// let mut rng = StdRng::seed_from_u64(1);
-/// let w = WeightInit::XavierUniform.matrix(4, 8, &mut rng);
-/// assert_eq!(w.shape(), (4, 8));
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize, Default)]
-pub enum WeightInit {
-    /// Glorot/Xavier uniform: `U(-sqrt(6/(fan_in+fan_out)), +sqrt(...))`.
-    #[default]
-    XavierUniform,
-    /// He/Kaiming uniform: `U(-sqrt(6/fan_in), +sqrt(6/fan_in))`, suited to ReLU.
-    HeUniform,
-    /// Uniform in a fixed `[-0.5, 0.5]` range (legacy bespoke-MLP baseline).
-    SmallUniform,
-    /// All zeros (useful for biases and for tests).
-    Zeros,
-}
-
-impl WeightInit {
-    /// Samples a single weight for a layer with the given fan-in/fan-out.
-    pub fn sample<R: Rng + ?Sized>(self, fan_in: usize, fan_out: usize, rng: &mut R) -> f32 {
-        match self {
-            WeightInit::XavierUniform => {
-                let limit = (6.0 / (fan_in + fan_out).max(1) as f32).sqrt();
-                rng.gen_range(-limit..=limit)
-            }
-            WeightInit::HeUniform => {
-                let limit = (6.0 / fan_in.max(1) as f32).sqrt();
-                rng.gen_range(-limit..=limit)
-            }
-            WeightInit::SmallUniform => rng.gen_range(-0.5..=0.5),
-            WeightInit::Zeros => 0.0,
-        }
+/// Draws a `fan_in x fan_out` weight matrix from
+/// `U(-sqrt(6/(fan_in+fan_out)), +sqrt(6/(fan_in+fan_out)))`, one sample per
+/// entry in row-major order.
+pub(crate) fn xavier_uniform<R: Rng + ?Sized>(
+    fan_in: usize,
+    fan_out: usize,
+    rng: &mut R,
+) -> Matrix {
+    let limit = (6.0 / (fan_in + fan_out) as f32).sqrt();
+    let mut m = Matrix::zeros(fan_in, fan_out);
+    for w in m.as_mut_slice() {
+        *w = rng.gen_range(-limit..=limit);
     }
-
-    /// Builds a `fan_in x fan_out` weight matrix.
-    pub fn matrix<R: Rng + ?Sized>(self, fan_in: usize, fan_out: usize, rng: &mut R) -> Matrix {
-        let mut m = Matrix::zeros(fan_in, fan_out);
-        for r in 0..fan_in {
-            for c in 0..fan_out {
-                m.set(r, c, self.sample(fan_in, fan_out, rng));
-            }
-        }
-        m
-    }
-
-    /// Upper bound of the absolute value of a sampled weight for the given
-    /// fan-in/fan-out, used by tests and by the fixed-point range analysis.
-    pub fn bound(self, fan_in: usize, fan_out: usize) -> f32 {
-        match self {
-            WeightInit::XavierUniform => (6.0 / (fan_in + fan_out).max(1) as f32).sqrt(),
-            WeightInit::HeUniform => (6.0 / fan_in.max(1) as f32).sqrt(),
-            WeightInit::SmallUniform => 0.5,
-            WeightInit::Zeros => 0.0,
-        }
-    }
-}
-
-impl fmt::Display for WeightInit {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let name = match self {
-            WeightInit::XavierUniform => "xavier_uniform",
-            WeightInit::HeUniform => "he_uniform",
-            WeightInit::SmallUniform => "small_uniform",
-            WeightInit::Zeros => "zeros",
-        };
-        f.write_str(name)
-    }
+    m
 }
 
 #[cfg(test)]
@@ -92,49 +29,33 @@ mod tests {
     #[test]
     fn samples_respect_bounds() {
         let mut rng = StdRng::seed_from_u64(42);
-        for init in [
-            WeightInit::XavierUniform,
-            WeightInit::HeUniform,
-            WeightInit::SmallUniform,
-        ] {
-            let bound = init.bound(10, 20);
-            for _ in 0..500 {
-                let w = init.sample(10, 20, &mut rng);
-                assert!(w.abs() <= bound + 1e-6, "{init}: {w} exceeds bound {bound}");
+        let bound = (6.0_f32 / 30.0).sqrt();
+        for _ in 0..3 {
+            let m = xavier_uniform(10, 20, &mut rng);
+            for &w in m.as_slice() {
+                assert!(w.abs() <= bound + 1e-6, "{w} exceeds bound {bound}");
             }
         }
     }
 
     #[test]
-    fn zeros_init_is_all_zeros() {
-        let mut rng = StdRng::seed_from_u64(0);
-        let m = WeightInit::Zeros.matrix(3, 5, &mut rng);
-        assert_eq!(m.count_zeros(), 15);
-    }
-
-    #[test]
     fn matrix_has_requested_shape() {
         let mut rng = StdRng::seed_from_u64(1);
-        let m = WeightInit::HeUniform.matrix(7, 3, &mut rng);
+        let m = xavier_uniform(7, 3, &mut rng);
         assert_eq!(m.shape(), (7, 3));
     }
 
     #[test]
     fn same_seed_gives_same_matrix() {
-        let a = WeightInit::XavierUniform.matrix(4, 4, &mut StdRng::seed_from_u64(9));
-        let b = WeightInit::XavierUniform.matrix(4, 4, &mut StdRng::seed_from_u64(9));
+        let a = xavier_uniform(4, 4, &mut StdRng::seed_from_u64(9));
+        let b = xavier_uniform(4, 4, &mut StdRng::seed_from_u64(9));
         assert_eq!(a, b);
     }
 
     #[test]
     fn different_seeds_give_different_matrices() {
-        let a = WeightInit::XavierUniform.matrix(4, 4, &mut StdRng::seed_from_u64(1));
-        let b = WeightInit::XavierUniform.matrix(4, 4, &mut StdRng::seed_from_u64(2));
+        let a = xavier_uniform(4, 4, &mut StdRng::seed_from_u64(1));
+        let b = xavier_uniform(4, 4, &mut StdRng::seed_from_u64(2));
         assert_ne!(a, b);
-    }
-
-    #[test]
-    fn he_bound_larger_than_xavier_for_same_fans() {
-        assert!(WeightInit::HeUniform.bound(16, 16) > WeightInit::XavierUniform.bound(16, 16));
     }
 }

@@ -2,7 +2,7 @@
 
 use crate::activation::Activation;
 use crate::error::NnError;
-use crate::init::WeightInit;
+use crate::init::xavier_uniform;
 use crate::matrix::Matrix;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
@@ -15,13 +15,13 @@ use serde::{Deserialize, Serialize};
 /// # Example
 ///
 /// ```
-/// use pmlp_nn::{DenseLayer, Activation, WeightInit, Matrix};
+/// use pmlp_nn::{DenseLayer, Activation, Matrix};
 /// use rand::SeedableRng;
 /// use rand::rngs::StdRng;
 ///
 /// # fn main() -> Result<(), pmlp_nn::NnError> {
 /// let mut rng = StdRng::seed_from_u64(3);
-/// let layer = DenseLayer::new(3, 2, Activation::ReLU, WeightInit::XavierUniform, &mut rng)?;
+/// let layer = DenseLayer::new(3, 2, Activation::ReLU, &mut rng)?;
 /// let x = Matrix::from_rows(&[vec![0.1, -0.2, 0.3]])?;
 /// let y = layer.forward(&x)?;
 /// assert_eq!(y.shape(), (1, 2));
@@ -77,7 +77,9 @@ impl Default for BackpropScratch {
 impl DenseLayer {
     /// Creates a layer with `inputs` inputs and `outputs` outputs.
     ///
-    /// Biases start at zero; weights follow `init`.
+    /// Biases start at zero. Weights are Glorot/Xavier uniform,
+    /// `U(-sqrt(6/(inputs+outputs)), +sqrt(6/(inputs+outputs)))`, drawn from
+    /// `rng` in row-major order.
     ///
     /// # Errors
     ///
@@ -86,7 +88,6 @@ impl DenseLayer {
         inputs: usize,
         outputs: usize,
         activation: Activation,
-        init: WeightInit,
         rng: &mut R,
     ) -> Result<Self, NnError> {
         if inputs == 0 || outputs == 0 {
@@ -95,7 +96,7 @@ impl DenseLayer {
             });
         }
         Ok(DenseLayer {
-            weights: init.matrix(inputs, outputs, rng),
+            weights: xavier_uniform(inputs, outputs, rng),
             biases: vec![0.0; outputs],
             activation,
         })
@@ -159,11 +160,6 @@ impl DenseLayer {
     /// Mutable access to the bias vector.
     pub fn biases_mut(&mut self) -> &mut [f32] {
         &mut self.biases
-    }
-
-    /// Replaces the activation function.
-    pub fn set_activation(&mut self, activation: Activation) {
-        self.activation = activation;
     }
 
     /// Total number of weight parameters (excluding biases).
@@ -327,9 +323,8 @@ impl DenseLayer {
         ))
     }
 
-    /// Applies a parameter update `p <- p - lr * g` (plain SGD step, used by
-    /// the optimizers in [`crate::optimizer`] after they have transformed the
-    /// raw gradients).
+    /// Applies a parameter update `p <- p - u`, where `u` is the update
+    /// [`crate::Adam::step`] made from the raw gradient.
     ///
     /// # Errors
     ///
@@ -375,14 +370,24 @@ mod tests {
 
     fn layer(inputs: usize, outputs: usize, act: Activation) -> DenseLayer {
         let mut rng = StdRng::seed_from_u64(11);
-        DenseLayer::new(inputs, outputs, act, WeightInit::XavierUniform, &mut rng).unwrap()
+        DenseLayer::new(inputs, outputs, act, &mut rng).unwrap()
     }
 
     #[test]
     fn rejects_zero_sized_layers() {
         let mut rng = StdRng::seed_from_u64(0);
-        assert!(DenseLayer::new(0, 4, Activation::ReLU, WeightInit::Zeros, &mut rng).is_err());
-        assert!(DenseLayer::new(4, 0, Activation::ReLU, WeightInit::Zeros, &mut rng).is_err());
+        assert!(DenseLayer::new(0, 4, Activation::ReLU, &mut rng).is_err());
+        assert!(DenseLayer::new(4, 0, Activation::ReLU, &mut rng).is_err());
+    }
+
+    #[test]
+    fn new_draws_xavier_uniform_weights_within_bound() {
+        let mut rng = StdRng::seed_from_u64(42);
+        let l = DenseLayer::new(10, 20, Activation::ReLU, &mut rng).unwrap();
+        let bound = (6.0_f32 / 30.0).sqrt();
+        assert_eq!(l.weights().shape(), (10, 20));
+        assert!(l.weights().as_slice().iter().all(|w| w.abs() <= bound));
+        assert_eq!(l.biases(), &[0.0; 20]);
     }
 
     #[test]
@@ -428,14 +433,7 @@ mod tests {
         // Single sample, identity activation, check dL/dW numerically with
         // L = sum(y).
         let mut rng = StdRng::seed_from_u64(5);
-        let mut l = DenseLayer::new(
-            3,
-            2,
-            Activation::Identity,
-            WeightInit::XavierUniform,
-            &mut rng,
-        )
-        .unwrap();
+        let mut l = DenseLayer::new(3, 2, Activation::Identity, &mut rng).unwrap();
         let x = Matrix::from_rows(&[vec![0.3, -0.7, 0.2]]).unwrap();
         let (_, cache) = l.forward_with_cache(&x).unwrap();
         let grad_out = Matrix::filled(1, 2, 1.0);
@@ -463,10 +461,14 @@ mod tests {
     #[test]
     fn backward_input_gradient_matches_finite_difference() {
         let mut rng = StdRng::seed_from_u64(6);
-        let l =
-            DenseLayer::new(3, 2, Activation::Tanh, WeightInit::XavierUniform, &mut rng).unwrap();
-        let x = Matrix::from_rows(&[vec![0.5, -0.1, 0.9]]).unwrap();
+        let l = DenseLayer::new(3, 2, Activation::ReLU, &mut rng).unwrap();
+        let x = Matrix::from_rows(&[vec![-0.5, 0.1, -0.9]]).unwrap();
         let (_, cache) = l.forward_with_cache(&x).unwrap();
+        // Away from the ReLU kink, so the finite difference is well defined,
+        // with at least one unit active, so the gradient is not trivially 0.
+        let pre = cache.pre_activation.as_slice();
+        assert!(pre.iter().all(|p| p.abs() > 1e-2));
+        assert!(pre.iter().any(|&p| p > 0.0));
         let grad_out = Matrix::filled(1, 2, 1.0);
         let (grad_in, _) = l.backward(&cache, &grad_out).unwrap();
 

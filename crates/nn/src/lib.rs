@@ -3,9 +3,9 @@
 //! This crate implements everything needed to train the small multilayer
 //! perceptrons (MLPs) used as printed-electronics classifiers in the DATE 2023
 //! paper *Hardware-Aware Automated Neural Minimization for Printed Multilayer
-//! Perceptrons*: a dense matrix type, dense layers with activations,
-//! losses, optimizers (SGD / momentum / Adam), a mini-batch trainer and
-//! classification metrics.
+//! Perceptrons*, with the one recipe the pipeline uses: a dense matrix type,
+//! Xavier-initialized dense layers (ReLU hidden, identity output), the
+//! softmax cross-entropy loss, Adam and a mini-batch trainer.
 //!
 //! The MLPs in the printed-electronics setting are deliberately tiny (a single
 //! hidden layer of a few tens of neurons), so this crate favours clarity and
@@ -16,7 +16,7 @@
 //! ## Example
 //!
 //! ```
-//! use pmlp_nn::{Mlp, MlpBuilder, Activation, Trainer, TrainConfig, Dataset};
+//! use pmlp_nn::{MlpBuilder, Trainer, TrainConfig, Dataset};
 //! use rand::SeedableRng;
 //! use rand::rngs::StdRng;
 //!
@@ -30,7 +30,7 @@
 //! let data = Dataset::from_rows(xs, ys, 2)?;
 //!
 //! let mut mlp = MlpBuilder::new(2)
-//!     .hidden(8, Activation::ReLU)
+//!     .hidden(8)
 //!     .output(2)
 //!     .build(&mut rng)?;
 //!
@@ -49,7 +49,7 @@
 pub mod activation;
 pub mod dataset;
 pub mod error;
-pub mod init;
+mod init;
 pub mod layer;
 pub mod loss;
 pub mod matrix;
@@ -61,11 +61,9 @@ pub mod trainer;
 pub use activation::Activation;
 pub use dataset::Dataset;
 pub use error::NnError;
-pub use init::WeightInit;
 pub use layer::{BackpropScratch, DenseLayer};
-pub use loss::Loss;
 pub use matrix::Matrix;
-pub use metrics::{accuracy, confusion_matrix, macro_f1, ClassificationReport};
+pub use metrics::accuracy;
 pub use mlp::{Mlp, MlpBuilder, MlpScratch};
-pub use optimizer::{Adam, Momentum, Optimizer, Sgd};
+pub use optimizer::Adam;
 pub use trainer::{TrainConfig, TrainReport, Trainer};

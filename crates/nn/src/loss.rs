@@ -1,163 +1,102 @@
-//! Loss functions for classification training.
+//! Softmax cross-entropy, the loss every classifier trains with.
+//!
+//! The trainer calls the fused [`cross_entropy_with_gradient`]. The separate
+//! [`cross_entropy`] and [`cross_entropy_gradient`] are the textbook
+//! formulations it must reproduce bit for bit; the finite-difference tests
+//! check the gradient against the loss.
 
 use crate::activation::softmax_rows;
 use crate::error::NnError;
 use crate::matrix::Matrix;
-use serde::{Deserialize, Serialize};
-use std::fmt;
 
-/// Loss function used by the trainer.
+/// Mean softmax cross-entropy of a batch.
 ///
-/// The printed-MLP classifiers are trained with
-/// [`Loss::SoftmaxCrossEntropy`]; [`Loss::MeanSquaredError`] is provided for
-/// regression-style sanity tests and ablations.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize, Default)]
-pub enum Loss {
-    /// Softmax over the logits followed by categorical cross-entropy.
-    #[default]
-    SoftmaxCrossEntropy,
-    /// Mean squared error against one-hot targets.
-    MeanSquaredError,
+/// `logits` is `batch x classes`, `targets` holds the class index of each
+/// sample.
+///
+/// # Errors
+///
+/// Returns [`NnError::ShapeMismatch`] when `targets.len() != logits.rows()`
+/// and [`NnError::InvalidDataset`] when a target index is out of range.
+pub fn cross_entropy(logits: &Matrix, targets: &[usize]) -> Result<f32, NnError> {
+    validate(logits, targets)?;
+    let n = logits.rows() as f32;
+    let probs = softmax_rows(logits);
+    let mut total = 0.0;
+    for (r, &t) in targets.iter().enumerate() {
+        let p = probs.get(r, t).max(1e-12);
+        total -= p.ln();
+    }
+    Ok(total / n)
 }
 
-impl Loss {
-    /// Computes the scalar loss for a batch.
-    ///
-    /// `logits` is `batch x classes`, `targets` holds the class index of each
-    /// sample.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NnError::ShapeMismatch`] when `targets.len() != logits.rows()`
-    /// and [`NnError::InvalidDataset`] when a target index is out of range.
-    pub fn compute(self, logits: &Matrix, targets: &[usize]) -> Result<f32, NnError> {
-        self.validate(logits, targets)?;
-        let n = logits.rows() as f32;
-        match self {
-            Loss::SoftmaxCrossEntropy => {
-                let probs = softmax_rows(logits);
-                let mut total = 0.0;
-                for (r, &t) in targets.iter().enumerate() {
-                    let p = probs.get(r, t).max(1e-12);
-                    total -= p.ln();
-                }
-                Ok(total / n)
-            }
-            Loss::MeanSquaredError => {
-                let mut total = 0.0;
-                for (r, &t) in targets.iter().enumerate() {
-                    for c in 0..logits.cols() {
-                        let target = if c == t { 1.0 } else { 0.0 };
-                        let diff = logits.get(r, c) - target;
-                        total += diff * diff;
-                    }
-                }
-                Ok(total / (n * logits.cols() as f32))
-            }
-        }
+/// Gradient of [`cross_entropy`] with respect to the logits, averaged over
+/// the batch (so learning rates are batch-size independent).
+///
+/// # Errors
+///
+/// Same conditions as [`cross_entropy`].
+pub fn cross_entropy_gradient(logits: &Matrix, targets: &[usize]) -> Result<Matrix, NnError> {
+    validate(logits, targets)?;
+    let n = logits.rows() as f32;
+    let mut grad = softmax_rows(logits);
+    for (r, &t) in targets.iter().enumerate() {
+        let v = grad.get(r, t);
+        grad.set(r, t, v - 1.0);
     }
-
-    /// Gradient of the loss with respect to the logits, averaged over the
-    /// batch (so learning rates are batch-size independent).
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Loss::compute`].
-    pub fn gradient(self, logits: &Matrix, targets: &[usize]) -> Result<Matrix, NnError> {
-        self.validate(logits, targets)?;
-        let n = logits.rows() as f32;
-        match self {
-            Loss::SoftmaxCrossEntropy => {
-                let mut grad = softmax_rows(logits);
-                for (r, &t) in targets.iter().enumerate() {
-                    let v = grad.get(r, t);
-                    grad.set(r, t, v - 1.0);
-                }
-                // In place — same arithmetic as `scale(1.0 / n)` without the
-                // extra per-batch allocation.
-                let inv_n = 1.0 / n;
-                grad.map_inplace(|x| x * inv_n);
-                Ok(grad)
-            }
-            Loss::MeanSquaredError => {
-                let mut grad = logits.clone();
-                for (r, &t) in targets.iter().enumerate() {
-                    for c in 0..logits.cols() {
-                        let target = if c == t { 1.0 } else { 0.0 };
-                        grad.set(r, c, 2.0 * (logits.get(r, c) - target));
-                    }
-                }
-                Ok(grad.scale(1.0 / (n * logits.cols() as f32)))
-            }
-        }
-    }
-
-    /// Computes the scalar loss *and* its gradient in one pass, sharing the
-    /// softmax (the dominant transcendental cost) between the two — the
-    /// training loop needs both every batch, and computing them separately
-    /// exponentiates every logit twice.
-    ///
-    /// Bit-for-bit identical to calling [`Loss::compute`] and
-    /// [`Loss::gradient`] separately.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Loss::compute`].
-    pub fn compute_with_gradient(
-        self,
-        logits: &Matrix,
-        targets: &[usize],
-    ) -> Result<(f32, Matrix), NnError> {
-        self.validate(logits, targets)?;
-        let n = logits.rows() as f32;
-        match self {
-            Loss::SoftmaxCrossEntropy => {
-                let mut grad = softmax_rows(logits);
-                let mut total = 0.0;
-                for (r, &t) in targets.iter().enumerate() {
-                    let p = grad.get(r, t);
-                    total -= p.max(1e-12).ln();
-                    grad.set(r, t, p - 1.0);
-                }
-                let inv_n = 1.0 / n;
-                grad.map_inplace(|x| x * inv_n);
-                Ok((total / n, grad))
-            }
-            Loss::MeanSquaredError => Ok((
-                self.compute(logits, targets)?,
-                self.gradient(logits, targets)?,
-            )),
-        }
-    }
-
-    fn validate(self, logits: &Matrix, targets: &[usize]) -> Result<(), NnError> {
-        if targets.len() != logits.rows() {
-            return Err(NnError::ShapeMismatch {
-                context: "loss targets".into(),
-                left: logits.shape(),
-                right: (targets.len(), 1),
-            });
-        }
-        if let Some(&bad) = targets.iter().find(|&&t| t >= logits.cols()) {
-            return Err(NnError::InvalidDataset {
-                context: format!(
-                    "target class {bad} out of range for {} classes",
-                    logits.cols()
-                ),
-            });
-        }
-        Ok(())
-    }
+    // In place — same arithmetic as `scale(1.0 / n)` without the extra
+    // per-batch allocation.
+    let inv_n = 1.0 / n;
+    grad.map_inplace(|x| x * inv_n);
+    Ok(grad)
 }
 
-impl fmt::Display for Loss {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let name = match self {
-            Loss::SoftmaxCrossEntropy => "softmax_cross_entropy",
-            Loss::MeanSquaredError => "mean_squared_error",
-        };
-        f.write_str(name)
+/// Computes the scalar loss *and* its gradient in one pass, sharing the
+/// softmax (the dominant transcendental cost) between the two — the
+/// training loop needs both every batch, and computing them separately
+/// exponentiates every logit twice.
+///
+/// Bit-for-bit identical to calling [`cross_entropy`] and
+/// [`cross_entropy_gradient`] separately.
+///
+/// # Errors
+///
+/// Same conditions as [`cross_entropy`].
+pub fn cross_entropy_with_gradient(
+    logits: &Matrix,
+    targets: &[usize],
+) -> Result<(f32, Matrix), NnError> {
+    validate(logits, targets)?;
+    let n = logits.rows() as f32;
+    let mut grad = softmax_rows(logits);
+    let mut total = 0.0;
+    for (r, &t) in targets.iter().enumerate() {
+        let p = grad.get(r, t);
+        total -= p.max(1e-12).ln();
+        grad.set(r, t, p - 1.0);
     }
+    let inv_n = 1.0 / n;
+    grad.map_inplace(|x| x * inv_n);
+    Ok((total / n, grad))
+}
+
+fn validate(logits: &Matrix, targets: &[usize]) -> Result<(), NnError> {
+    if targets.len() != logits.rows() {
+        return Err(NnError::ShapeMismatch {
+            context: "loss targets".into(),
+            left: logits.shape(),
+            right: (targets.len(), 1),
+        });
+    }
+    if let Some(&bad) = targets.iter().find(|&&t| t >= logits.cols()) {
+        return Err(NnError::InvalidDataset {
+            context: format!(
+                "target class {bad} out of range for {} classes",
+                logits.cols()
+            ),
+        });
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -167,30 +106,28 @@ mod tests {
     #[test]
     fn cross_entropy_is_low_for_confident_correct_prediction() {
         let logits = Matrix::from_rows(&[vec![10.0, -10.0]]).unwrap();
-        let loss = Loss::SoftmaxCrossEntropy.compute(&logits, &[0]).unwrap();
+        let loss = cross_entropy(&logits, &[0]).unwrap();
         assert!(loss < 1e-3);
     }
 
     #[test]
     fn cross_entropy_is_high_for_confident_wrong_prediction() {
         let logits = Matrix::from_rows(&[vec![10.0, -10.0]]).unwrap();
-        let loss = Loss::SoftmaxCrossEntropy.compute(&logits, &[1]).unwrap();
+        let loss = cross_entropy(&logits, &[1]).unwrap();
         assert!(loss > 5.0);
     }
 
     #[test]
     fn uniform_logits_give_log_of_class_count() {
         let logits = Matrix::zeros(1, 4);
-        let loss = Loss::SoftmaxCrossEntropy.compute(&logits, &[2]).unwrap();
+        let loss = cross_entropy(&logits, &[2]).unwrap();
         assert!((loss - 4.0f32.ln()).abs() < 1e-5);
     }
 
     #[test]
     fn gradient_shapes_match_logits() {
         let logits = Matrix::zeros(3, 5);
-        let grad = Loss::SoftmaxCrossEntropy
-            .gradient(&logits, &[0, 1, 2])
-            .unwrap();
+        let grad = cross_entropy_gradient(&logits, &[0, 1, 2]).unwrap();
         assert_eq!(grad.shape(), (3, 5));
     }
 
@@ -198,35 +135,15 @@ mod tests {
     fn cross_entropy_gradient_matches_finite_difference() {
         let logits = Matrix::from_rows(&[vec![0.2, -0.4, 0.7]]).unwrap();
         let targets = [2usize];
-        let grad = Loss::SoftmaxCrossEntropy
-            .gradient(&logits, &targets)
-            .unwrap();
+        let grad = cross_entropy_gradient(&logits, &targets).unwrap();
         let eps = 1e-3_f32;
         for c in 0..3 {
             let mut lp = logits.clone();
             lp.set(0, c, logits.get(0, c) + eps);
             let mut lm = logits.clone();
             lm.set(0, c, logits.get(0, c) - eps);
-            let numeric = (Loss::SoftmaxCrossEntropy.compute(&lp, &targets).unwrap()
-                - Loss::SoftmaxCrossEntropy.compute(&lm, &targets).unwrap())
-                / (2.0 * eps);
-            assert!((numeric - grad.get(0, c)).abs() < 1e-3);
-        }
-    }
-
-    #[test]
-    fn mse_gradient_matches_finite_difference() {
-        let logits = Matrix::from_rows(&[vec![0.9, -0.3]]).unwrap();
-        let targets = [0usize];
-        let grad = Loss::MeanSquaredError.gradient(&logits, &targets).unwrap();
-        let eps = 1e-3_f32;
-        for c in 0..2 {
-            let mut lp = logits.clone();
-            lp.set(0, c, logits.get(0, c) + eps);
-            let mut lm = logits.clone();
-            lm.set(0, c, logits.get(0, c) - eps);
-            let numeric = (Loss::MeanSquaredError.compute(&lp, &targets).unwrap()
-                - Loss::MeanSquaredError.compute(&lm, &targets).unwrap())
+            let numeric = (cross_entropy(&lp, &targets).unwrap()
+                - cross_entropy(&lm, &targets).unwrap())
                 / (2.0 * eps);
             assert!((numeric - grad.get(0, c)).abs() < 1e-3);
         }
@@ -235,23 +152,16 @@ mod tests {
     #[test]
     fn rejects_target_length_mismatch() {
         let logits = Matrix::zeros(2, 2);
-        assert!(Loss::SoftmaxCrossEntropy.compute(&logits, &[0]).is_err());
+        assert!(cross_entropy(&logits, &[0]).is_err());
     }
 
     #[test]
     fn rejects_out_of_range_class() {
         let logits = Matrix::zeros(1, 2);
         assert!(matches!(
-            Loss::SoftmaxCrossEntropy.compute(&logits, &[5]),
+            cross_entropy(&logits, &[5]),
             Err(NnError::InvalidDataset { .. })
         ));
-    }
-
-    #[test]
-    fn mse_loss_zero_for_exact_one_hot() {
-        let logits = Matrix::from_rows(&[vec![1.0, 0.0, 0.0]]).unwrap();
-        let loss = Loss::MeanSquaredError.compute(&logits, &[0]).unwrap();
-        assert!(loss.abs() < 1e-9);
     }
 }
 
@@ -267,7 +177,7 @@ mod proptests {
             t in 0usize..3
         ) {
             let logits = Matrix::from_vec(2, 3, v).unwrap();
-            let loss = Loss::SoftmaxCrossEntropy.compute(&logits, &[t, (t + 1) % 3]).unwrap();
+            let loss = cross_entropy(&logits, &[t, (t + 1) % 3]).unwrap();
             prop_assert!(loss >= 0.0);
             prop_assert!(loss.is_finite());
         }
@@ -278,10 +188,29 @@ mod proptests {
             t in 0usize..4
         ) {
             let logits = Matrix::from_vec(1, 4, v).unwrap();
-            let grad = Loss::SoftmaxCrossEntropy.gradient(&logits, &[t]).unwrap();
+            let grad = cross_entropy_gradient(&logits, &[t]).unwrap();
             let sum: f32 = grad.row(0).iter().sum();
             // softmax probabilities sum to 1 and the target subtracts exactly 1
             prop_assert!(sum.abs() < 1e-4);
+        }
+
+        #[test]
+        fn fused_loss_and_gradient_match_the_separate_functions_bit_for_bit(
+            v in proptest::collection::vec(-20.0f32..20.0, 12),
+            t in 0usize..4
+        ) {
+            let logits = Matrix::from_vec(3, 4, v).unwrap();
+            let targets = [t, (t + 1) % 4, (t + 3) % 4];
+            let bits = |m: &Matrix| m.as_slice().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            let (loss, grad) = cross_entropy_with_gradient(&logits, &targets).unwrap();
+            prop_assert_eq!(
+                loss.to_bits(),
+                cross_entropy(&logits, &targets).unwrap().to_bits()
+            );
+            prop_assert_eq!(
+                bits(&grad),
+                bits(&cross_entropy_gradient(&logits, &targets).unwrap())
+            );
         }
     }
 }

@@ -1,7 +1,4 @@
-//! Classification metrics: accuracy, confusion matrix, precision/recall/F1.
-
-use serde::{Deserialize, Serialize};
-use std::fmt;
+//! Classification accuracy.
 
 /// Fraction of predictions that match the reference labels, in `[0, 1]`.
 ///
@@ -25,145 +22,6 @@ pub fn accuracy(predictions: &[usize], labels: &[usize]) -> f64 {
     correct as f64 / labels.len() as f64
 }
 
-/// Confusion matrix: `matrix[true_class][predicted_class]` counts.
-///
-/// Entries with labels or predictions `>= class_count` are ignored.
-pub fn confusion_matrix(
-    predictions: &[usize],
-    labels: &[usize],
-    class_count: usize,
-) -> Vec<Vec<usize>> {
-    let mut m = vec![vec![0usize; class_count]; class_count];
-    for (&p, &l) in predictions.iter().zip(labels.iter()) {
-        if p < class_count && l < class_count {
-            m[l][p] += 1;
-        }
-    }
-    m
-}
-
-/// Macro-averaged F1 score over all classes, in `[0, 1]`.
-///
-/// Classes that never appear in either labels or predictions contribute an F1
-/// of zero, matching the usual scikit-learn `zero_division=0` convention.
-#[allow(clippy::needless_range_loop)] // cm[c][c] diagonal access reads best indexed
-pub fn macro_f1(predictions: &[usize], labels: &[usize], class_count: usize) -> f64 {
-    if class_count == 0 || predictions.len() != labels.len() || predictions.is_empty() {
-        return 0.0;
-    }
-    let cm = confusion_matrix(predictions, labels, class_count);
-    let mut f1_sum = 0.0;
-    for c in 0..class_count {
-        let tp = cm[c][c] as f64;
-        let fp: f64 = (0..class_count)
-            .filter(|&r| r != c)
-            .map(|r| cm[r][c] as f64)
-            .sum();
-        let fn_: f64 = (0..class_count)
-            .filter(|&p| p != c)
-            .map(|p| cm[c][p] as f64)
-            .sum();
-        let precision = if tp + fp > 0.0 { tp / (tp + fp) } else { 0.0 };
-        let recall = if tp + fn_ > 0.0 { tp / (tp + fn_) } else { 0.0 };
-        let f1 = if precision + recall > 0.0 {
-            2.0 * precision * recall / (precision + recall)
-        } else {
-            0.0
-        };
-        f1_sum += f1;
-    }
-    f1_sum / class_count as f64
-}
-
-/// A per-class precision/recall/F1 summary plus overall accuracy.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct ClassificationReport {
-    /// Overall accuracy in `[0, 1]`.
-    pub accuracy: f64,
-    /// Macro-averaged F1 in `[0, 1]`.
-    pub macro_f1: f64,
-    /// Per-class `(precision, recall, f1, support)`.
-    pub per_class: Vec<ClassMetrics>,
-}
-
-/// Precision/recall/F1 and support for a single class.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct ClassMetrics {
-    /// Class index.
-    pub class: usize,
-    /// Precision in `[0, 1]`.
-    pub precision: f64,
-    /// Recall in `[0, 1]`.
-    pub recall: f64,
-    /// F1 score in `[0, 1]`.
-    pub f1: f64,
-    /// Number of reference samples of this class.
-    pub support: usize,
-}
-
-impl ClassificationReport {
-    /// Computes the full report from predictions and reference labels.
-    #[allow(clippy::needless_range_loop)] // cm[c][c] diagonal access reads best indexed
-    pub fn new(predictions: &[usize], labels: &[usize], class_count: usize) -> Self {
-        let cm = confusion_matrix(predictions, labels, class_count);
-        let mut per_class = Vec::with_capacity(class_count);
-        for c in 0..class_count {
-            let tp = cm[c][c] as f64;
-            let fp: f64 = (0..class_count)
-                .filter(|&r| r != c)
-                .map(|r| cm[r][c] as f64)
-                .sum();
-            let fn_: f64 = (0..class_count)
-                .filter(|&p| p != c)
-                .map(|p| cm[c][p] as f64)
-                .sum();
-            let support: usize = cm[c].iter().sum();
-            let precision = if tp + fp > 0.0 { tp / (tp + fp) } else { 0.0 };
-            let recall = if tp + fn_ > 0.0 { tp / (tp + fn_) } else { 0.0 };
-            let f1 = if precision + recall > 0.0 {
-                2.0 * precision * recall / (precision + recall)
-            } else {
-                0.0
-            };
-            per_class.push(ClassMetrics {
-                class: c,
-                precision,
-                recall,
-                f1,
-                support,
-            });
-        }
-        ClassificationReport {
-            accuracy: accuracy(predictions, labels),
-            macro_f1: macro_f1(predictions, labels, class_count),
-            per_class,
-        }
-    }
-}
-
-impl fmt::Display for ClassificationReport {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        writeln!(
-            f,
-            "accuracy: {:.4}  macro-F1: {:.4}",
-            self.accuracy, self.macro_f1
-        )?;
-        writeln!(
-            f,
-            "{:>6} {:>10} {:>10} {:>10} {:>8}",
-            "class", "precision", "recall", "f1", "support"
-        )?;
-        for m in &self.per_class {
-            writeln!(
-                f,
-                "{:>6} {:>10.4} {:>10.4} {:>10.4} {:>8}",
-                m.class, m.precision, m.recall, m.f1, m.support
-            )?;
-        }
-        Ok(())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -178,48 +36,6 @@ mod tests {
     fn accuracy_empty_or_mismatched_is_zero() {
         assert_eq!(accuracy(&[], &[]), 0.0);
         assert_eq!(accuracy(&[0], &[0, 1]), 0.0);
-    }
-
-    #[test]
-    fn confusion_matrix_diagonal_counts_correct_predictions() {
-        let cm = confusion_matrix(&[0, 0, 1, 1], &[0, 1, 1, 1], 2);
-        assert_eq!(cm[0][0], 1); // true 0 predicted 0
-        assert_eq!(cm[1][0], 1); // true 1 predicted 0
-        assert_eq!(cm[1][1], 2); // true 1 predicted 1
-        assert_eq!(cm[0][1], 0);
-    }
-
-    #[test]
-    fn macro_f1_perfect_prediction_is_one() {
-        let labels = [0, 1, 2, 0, 1, 2];
-        assert!((macro_f1(&labels, &labels, 3) - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn macro_f1_penalizes_missing_class() {
-        // Predicting everything as class 0 on a balanced two-class problem:
-        // class 0 gets f1 = 2*0.5*1/(1.5) = 2/3, class 1 gets 0 -> macro 1/3.
-        let labels = [0, 0, 1, 1];
-        let preds = [0, 0, 0, 0];
-        assert!((macro_f1(&preds, &labels, 2) - 1.0 / 3.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn report_supports_sum_to_sample_count() {
-        let labels = [0, 0, 1, 2, 2, 2];
-        let preds = [0, 1, 1, 2, 0, 2];
-        let report = ClassificationReport::new(&preds, &labels, 3);
-        let total: usize = report.per_class.iter().map(|m| m.support).sum();
-        assert_eq!(total, labels.len());
-        assert!((report.accuracy - 4.0 / 6.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn report_display_contains_header() {
-        let report = ClassificationReport::new(&[0, 1], &[0, 1], 2);
-        let text = report.to_string();
-        assert!(text.contains("precision"));
-        assert!(text.contains("accuracy"));
     }
 }
 
@@ -237,27 +53,6 @@ mod proptests {
             let labels: Vec<usize> = preds.iter().map(|p| (p + seed) % 4).collect();
             let acc = accuracy(&preds, &labels);
             prop_assert!((0.0..=1.0).contains(&acc));
-        }
-
-        #[test]
-        fn confusion_matrix_total_equals_sample_count(
-            pairs in proptest::collection::vec((0usize..3, 0usize..3), 1..40)
-        ) {
-            let preds: Vec<usize> = pairs.iter().map(|(p, _)| *p).collect();
-            let labels: Vec<usize> = pairs.iter().map(|(_, l)| *l).collect();
-            let cm = confusion_matrix(&preds, &labels, 3);
-            let total: usize = cm.iter().flatten().sum();
-            prop_assert_eq!(total, pairs.len());
-        }
-
-        #[test]
-        fn macro_f1_bounded_by_one(
-            pairs in proptest::collection::vec((0usize..3, 0usize..3), 1..40)
-        ) {
-            let preds: Vec<usize> = pairs.iter().map(|(p, _)| *p).collect();
-            let labels: Vec<usize> = pairs.iter().map(|(_, l)| *l).collect();
-            let f1 = macro_f1(&preds, &labels, 3);
-            prop_assert!((0.0..=1.0).contains(&f1));
         }
     }
 }

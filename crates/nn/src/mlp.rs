@@ -3,7 +3,6 @@
 use crate::activation::Activation;
 use crate::dataset::Dataset;
 use crate::error::NnError;
-use crate::init::WeightInit;
 use crate::layer::{BackpropScratch, DenseLayer, LayerCache, LayerGradient};
 use crate::matrix::Matrix;
 use crate::metrics;
@@ -19,14 +18,14 @@ use serde::{Deserialize, Serialize};
 /// # Example
 ///
 /// ```
-/// use pmlp_nn::{MlpBuilder, Activation, Matrix};
+/// use pmlp_nn::{MlpBuilder, Matrix};
 /// use rand::SeedableRng;
 /// use rand::rngs::StdRng;
 ///
 /// # fn main() -> Result<(), pmlp_nn::NnError> {
 /// let mut rng = StdRng::seed_from_u64(0);
 /// let mlp = MlpBuilder::new(4)
-///     .hidden(10, Activation::ReLU)
+///     .hidden(10)
 ///     .output(3)
 ///     .build(&mut rng)?;
 /// assert_eq!(mlp.input_size(), 4);
@@ -303,8 +302,7 @@ impl Mlp {
         out
     }
 
-    /// Largest absolute weight in the network (used to size fixed-point
-    /// formats).
+    /// Largest absolute weight in the network.
     pub fn max_abs_weight(&self) -> f32 {
         self.layers
             .iter()
@@ -313,22 +311,24 @@ impl Mlp {
     }
 }
 
-/// Builder for [`Mlp`] instances.
+/// Builder for [`Mlp`] instances: ReLU hidden layers and an
+/// [`Activation::Identity`] output layer whose logits the trainer feeds to
+/// the softmax cross-entropy loss. Every layer draws Xavier-uniform weights
+/// (see [`DenseLayer::new`]).
 ///
 /// # Example
 ///
 /// ```
-/// use pmlp_nn::{MlpBuilder, Activation, WeightInit};
+/// use pmlp_nn::MlpBuilder;
 /// use rand::SeedableRng;
 /// use rand::rngs::StdRng;
 ///
 /// # fn main() -> Result<(), pmlp_nn::NnError> {
 /// let mut rng = StdRng::seed_from_u64(1);
 /// let mlp = MlpBuilder::new(16)
-///     .hidden(20, Activation::ReLU)
-///     .hidden(10, Activation::ReLU)
+///     .hidden(20)
+///     .hidden(10)
 ///     .output(10)
-///     .weight_init(WeightInit::HeUniform)
 ///     .build(&mut rng)?;
 /// assert_eq!(mlp.topology(), vec![16, 20, 10, 10]);
 /// # Ok(())
@@ -337,10 +337,8 @@ impl Mlp {
 #[derive(Debug, Clone)]
 pub struct MlpBuilder {
     input_size: usize,
-    hidden: Vec<(usize, Activation)>,
+    hidden: Vec<usize>,
     output_size: Option<usize>,
-    output_activation: Activation,
-    weight_init: WeightInit,
 }
 
 impl MlpBuilder {
@@ -350,39 +348,20 @@ impl MlpBuilder {
             input_size,
             hidden: Vec::new(),
             output_size: None,
-            output_activation: Activation::Identity,
-            weight_init: WeightInit::XavierUniform,
         }
     }
 
-    /// Appends a hidden layer of `size` neurons with the given activation.
+    /// Appends a ReLU hidden layer of `size` neurons.
     #[must_use]
-    pub fn hidden(mut self, size: usize, activation: Activation) -> Self {
-        self.hidden.push((size, activation));
+    pub fn hidden(mut self, size: usize) -> Self {
+        self.hidden.push(size);
         self
     }
 
-    /// Sets the output layer size (number of classes). The output activation
-    /// defaults to [`Activation::Identity`] because training applies softmax
-    /// inside the loss.
+    /// Sets the output layer size (number of classes).
     #[must_use]
     pub fn output(mut self, size: usize) -> Self {
         self.output_size = Some(size);
-        self
-    }
-
-    /// Overrides the output activation.
-    #[must_use]
-    pub fn output_activation(mut self, activation: Activation) -> Self {
-        self.output_activation = activation;
-        self
-    }
-
-    /// Overrides the weight initialization scheme (default:
-    /// [`WeightInit::XavierUniform`]).
-    #[must_use]
-    pub fn weight_init(mut self, init: WeightInit) -> Self {
-        self.weight_init = init;
         self
     }
 
@@ -403,21 +382,14 @@ impl MlpBuilder {
         }
         let mut layers = Vec::with_capacity(self.hidden.len() + 1);
         let mut prev = self.input_size;
-        for &(size, activation) in &self.hidden {
-            layers.push(DenseLayer::new(
-                prev,
-                size,
-                activation,
-                self.weight_init,
-                rng,
-            )?);
+        for &size in &self.hidden {
+            layers.push(DenseLayer::new(prev, size, Activation::ReLU, rng)?);
             prev = size;
         }
         layers.push(DenseLayer::new(
             prev,
             output_size,
-            self.output_activation,
-            self.weight_init,
+            Activation::Identity,
             rng,
         )?);
         Mlp::from_layers(layers)
@@ -433,7 +405,7 @@ mod tests {
     fn tiny_mlp() -> Mlp {
         let mut rng = StdRng::seed_from_u64(2);
         MlpBuilder::new(3)
-            .hidden(5, Activation::ReLU)
+            .hidden(5)
             .output(2)
             .build(&mut rng)
             .unwrap()
@@ -442,10 +414,7 @@ mod tests {
     #[test]
     fn builder_requires_output() {
         let mut rng = StdRng::seed_from_u64(0);
-        assert!(MlpBuilder::new(3)
-            .hidden(4, Activation::ReLU)
-            .build(&mut rng)
-            .is_err());
+        assert!(MlpBuilder::new(3).hidden(4).build(&mut rng).is_err());
     }
 
     #[test]
@@ -464,16 +433,8 @@ mod tests {
     #[test]
     fn from_layers_rejects_size_mismatch() {
         let mut rng = StdRng::seed_from_u64(1);
-        let l1 =
-            DenseLayer::new(3, 4, Activation::ReLU, WeightInit::XavierUniform, &mut rng).unwrap();
-        let l2 = DenseLayer::new(
-            5,
-            2,
-            Activation::Identity,
-            WeightInit::XavierUniform,
-            &mut rng,
-        )
-        .unwrap();
+        let l1 = DenseLayer::new(3, 4, Activation::ReLU, &mut rng).unwrap();
+        let l2 = DenseLayer::new(5, 2, Activation::Identity, &mut rng).unwrap();
         assert!(Mlp::from_layers(vec![l1, l2]).is_err());
     }
 
@@ -553,14 +514,12 @@ mod tests {
     #[test]
     #[allow(clippy::needless_range_loop)]
     fn end_to_end_gradient_matches_finite_difference() {
-        use crate::loss::Loss;
+        use crate::loss::{cross_entropy, cross_entropy_gradient};
         let mut mlp = tiny_mlp();
         let x = Matrix::from_rows(&[vec![0.4, -0.2, 0.8]]).unwrap();
         let targets = [1usize];
         let (logits, caches) = mlp.forward_with_caches(&x).unwrap();
-        let grad_logits = Loss::SoftmaxCrossEntropy
-            .gradient(&logits, &targets)
-            .unwrap();
+        let grad_logits = cross_entropy_gradient(&logits, &targets).unwrap();
         let grads = mlp.backward(&caches, &grad_logits).unwrap();
 
         let eps = 1e-2_f32;
@@ -570,13 +529,9 @@ mod tests {
             for &(r, c) in &[(0usize, 0usize), (rows - 1, cols - 1)] {
                 let orig = mlp.layers()[li].weights().get(r, c);
                 mlp.layers_mut()[li].weights_mut().set(r, c, orig + eps);
-                let lp = Loss::SoftmaxCrossEntropy
-                    .compute(&mlp.forward(&x).unwrap(), &targets)
-                    .unwrap();
+                let lp = cross_entropy(&mlp.forward(&x).unwrap(), &targets).unwrap();
                 mlp.layers_mut()[li].weights_mut().set(r, c, orig - eps);
-                let lm = Loss::SoftmaxCrossEntropy
-                    .compute(&mlp.forward(&x).unwrap(), &targets)
-                    .unwrap();
+                let lm = cross_entropy(&mlp.forward(&x).unwrap(), &targets).unwrap();
                 mlp.layers_mut()[li].weights_mut().set(r, c, orig);
                 let numeric = (lp - lm) / (2.0 * eps);
                 let analytic = grads[li].weights.get(r, c);

@@ -1,191 +1,50 @@
-//! Gradient-descent optimizers.
+//! The Adam optimizer every training run uses.
 //!
-//! An [`Optimizer`] turns raw parameter gradients (one [`LayerGradient`] per
-//! layer) into parameter *updates* that the [`crate::mlp::Mlp`] then subtracts
-//! from its parameters. Keeping the transformation separate from the
-//! application lets the quantization-aware and pruning-aware trainers in
-//! `pmlp-minimize` intercept updates (e.g. to re-apply sparsity masks).
+//! [`Adam::step`] turns one layer's raw gradient into the parameter *update*
+//! that [`crate::mlp::Mlp::apply_updates`] then subtracts from its
+//! parameters.
 
 use crate::layer::LayerGradient;
 use crate::matrix::Matrix;
-use serde::{Deserialize, Serialize};
 
-/// Strategy that converts gradients into parameter updates.
+/// Decay rate of the first-moment (mean) estimate.
+const BETA1: f32 = 0.9;
+/// Decay rate of the second-moment (uncentered variance) estimate.
+const BETA2: f32 = 0.999;
+/// Added to the update's denominator to keep it away from zero.
+const EPSILON: f32 = 1e-8;
+
+/// Adam optimizer (Kingma & Ba, 2015) with bias correction and the standard
+/// hyper-parameters.
 ///
-/// Implementations may carry per-layer state (momentum buffers, Adam moments);
-/// the state is indexed by the layer's position, so one optimizer instance must
-/// only ever be used with a single network.
-pub trait Optimizer {
-    /// Transforms the raw gradient of layer `layer_index` into the update that
-    /// will be subtracted from the parameters.
-    fn step(&mut self, layer_index: usize, gradient: &LayerGradient) -> LayerGradient;
-
-    /// Resets any internal state (momentum buffers etc.).
-    fn reset(&mut self);
-
-    /// Current learning rate.
-    fn learning_rate(&self) -> f32;
-
-    /// Overrides the learning rate (used by learning-rate schedules).
-    fn set_learning_rate(&mut self, lr: f32);
-}
-
-/// Plain stochastic gradient descent: `update = lr * grad`.
-///
-/// # Example
-///
-/// ```
-/// use pmlp_nn::{Sgd, Optimizer};
-/// let opt = Sgd::new(0.05);
-/// assert_eq!(opt.learning_rate(), 0.05);
-/// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct Sgd {
-    lr: f32,
-}
-
-impl Sgd {
-    /// Creates a new SGD optimizer with learning rate `lr`.
-    pub fn new(lr: f32) -> Self {
-        Sgd { lr }
-    }
-}
-
-impl Default for Sgd {
-    fn default() -> Self {
-        Sgd::new(0.1)
-    }
-}
-
-impl Optimizer for Sgd {
-    fn step(&mut self, _layer_index: usize, gradient: &LayerGradient) -> LayerGradient {
-        LayerGradient {
-            weights: gradient.weights.scale(self.lr),
-            biases: gradient.biases.iter().map(|g| g * self.lr).collect(),
-        }
-    }
-
-    fn reset(&mut self) {}
-
-    fn learning_rate(&self) -> f32 {
-        self.lr
-    }
-
-    fn set_learning_rate(&mut self, lr: f32) {
-        self.lr = lr;
-    }
-}
-
-/// SGD with classical momentum: `v <- mu v + grad; update = lr * v`.
-#[derive(Debug, Clone, Default)]
-pub struct Momentum {
-    lr: f32,
-    mu: f32,
-    velocity: Vec<Option<LayerGradient>>,
-}
-
-impl Momentum {
-    /// Creates a momentum optimizer with learning rate `lr` and momentum `mu`.
-    pub fn new(lr: f32, mu: f32) -> Self {
-        Momentum {
-            lr,
-            mu,
-            velocity: Vec::new(),
-        }
-    }
-}
-
-impl Optimizer for Momentum {
-    fn step(&mut self, layer_index: usize, gradient: &LayerGradient) -> LayerGradient {
-        if self.velocity.len() <= layer_index {
-            self.velocity.resize(layer_index + 1, None);
-        }
-        let new_velocity = match &self.velocity[layer_index] {
-            Some(prev) => LayerGradient {
-                weights: prev
-                    .weights
-                    .scale(self.mu)
-                    .add_elem(&gradient.weights)
-                    .expect("momentum buffer shape drift"),
-                biases: prev
-                    .biases
-                    .iter()
-                    .zip(gradient.biases.iter())
-                    .map(|(v, g)| self.mu * v + g)
-                    .collect(),
-            },
-            None => gradient.clone(),
-        };
-        let update = LayerGradient {
-            weights: new_velocity.weights.scale(self.lr),
-            biases: new_velocity.biases.iter().map(|v| v * self.lr).collect(),
-        };
-        self.velocity[layer_index] = Some(new_velocity);
-        update
-    }
-
-    fn reset(&mut self) {
-        self.velocity.clear();
-    }
-
-    fn learning_rate(&self) -> f32 {
-        self.lr
-    }
-
-    fn set_learning_rate(&mut self, lr: f32) {
-        self.lr = lr;
-    }
-}
-
-/// Adam optimizer (Kingma & Ba, 2015) with bias correction.
+/// The moment buffers are indexed by the layer's position, so one optimizer
+/// instance must only ever be used with a single network.
 #[derive(Debug, Clone)]
 pub struct Adam {
     lr: f32,
-    beta1: f32,
-    beta2: f32,
-    epsilon: f32,
     t: u64,
     first_moment: Vec<Option<LayerGradient>>,
     second_moment: Vec<Option<LayerGradient>>,
 }
 
 impl Adam {
-    /// Creates an Adam optimizer with the given learning rate and the standard
-    /// default hyper-parameters (`beta1 = 0.9`, `beta2 = 0.999`, `eps = 1e-8`).
+    /// Creates an Adam optimizer with learning rate `lr`.
     pub fn new(lr: f32) -> Self {
-        Adam::with_betas(lr, 0.9, 0.999, 1e-8)
-    }
-
-    /// Creates an Adam optimizer with fully explicit hyper-parameters.
-    pub fn with_betas(lr: f32, beta1: f32, beta2: f32, epsilon: f32) -> Self {
         Adam {
             lr,
-            beta1,
-            beta2,
-            epsilon,
             t: 0,
             first_moment: Vec::new(),
             second_moment: Vec::new(),
         }
     }
 
-    fn ensure_len(&mut self, layer_index: usize) {
+    /// Transforms the raw gradient of layer `layer_index` into the update
+    /// that will be subtracted from the parameters.
+    pub fn step(&mut self, layer_index: usize, gradient: &LayerGradient) -> LayerGradient {
         if self.first_moment.len() <= layer_index {
             self.first_moment.resize(layer_index + 1, None);
             self.second_moment.resize(layer_index + 1, None);
         }
-    }
-}
-
-impl Default for Adam {
-    fn default() -> Self {
-        Adam::new(0.01)
-    }
-}
-
-impl Optimizer for Adam {
-    fn step(&mut self, layer_index: usize, gradient: &LayerGradient) -> LayerGradient {
-        self.ensure_len(layer_index);
         // Advance the timestep only once per epoch-step of layer 0 so that all
         // layers in one backward pass share the same bias correction.
         if layer_index == 0 {
@@ -218,17 +77,16 @@ impl Optimizer for Adam {
             "adam moment shape drift"
         );
 
-        let (beta1, beta2) = (self.beta1, self.beta2);
         for (m, &g) in m
             .weights
             .as_mut_slice()
             .iter_mut()
             .zip(gradient.weights.as_slice())
         {
-            *m = beta1 * *m + (1.0 - beta1) * g;
+            *m = BETA1 * *m + (1.0 - BETA1) * g;
         }
         for (m, &g) in m.biases.iter_mut().zip(gradient.biases.iter()) {
-            *m = beta1 * *m + (1.0 - beta1) * g;
+            *m = BETA1 * *m + (1.0 - BETA1) * g;
         }
         for (v, &g) in v
             .weights
@@ -236,20 +94,19 @@ impl Optimizer for Adam {
             .iter_mut()
             .zip(gradient.weights.as_slice())
         {
-            *v = beta2 * *v + (g * g) * (1.0 - beta2);
+            *v = BETA2 * *v + (g * g) * (1.0 - BETA2);
         }
         for (v, &g) in v.biases.iter_mut().zip(gradient.biases.iter()) {
-            *v = beta2 * *v + (1.0 - beta2) * g * g;
+            *v = BETA2 * *v + (1.0 - BETA2) * g * g;
         }
 
-        let bias1 = 1.0 - self.beta1.powf(t);
-        let bias2 = 1.0 - self.beta2.powf(t);
+        let bias1 = 1.0 - BETA1.powf(t);
+        let bias2 = 1.0 - BETA2.powf(t);
         let lr = self.lr;
-        let eps = self.epsilon;
         let adamize = |(m, v): (&f32, &f32)| -> f32 {
             let m_hat = m / bias1;
             let v_hat = v / bias2;
-            lr * m_hat / (v_hat.sqrt() + eps)
+            lr * m_hat / (v_hat.sqrt() + EPSILON)
         };
 
         let update_weights = Matrix::from_vec(
@@ -270,20 +127,6 @@ impl Optimizer for Adam {
             biases: update_biases,
         }
     }
-
-    fn reset(&mut self) {
-        self.t = 0;
-        self.first_moment.clear();
-        self.second_moment.clear();
-    }
-
-    fn learning_rate(&self) -> f32 {
-        self.lr
-    }
-
-    fn set_learning_rate(&mut self, lr: f32) {
-        self.lr = lr;
-    }
 }
 
 #[cfg(test)]
@@ -295,42 +138,6 @@ mod tests {
             weights: Matrix::filled(2, 2, value),
             biases: vec![value; 2],
         }
-    }
-
-    #[test]
-    fn sgd_scales_gradient_by_learning_rate() {
-        let mut opt = Sgd::new(0.5);
-        let update = opt.step(0, &gradient(2.0));
-        assert_eq!(update.weights, Matrix::filled(2, 2, 1.0));
-        assert_eq!(update.biases, vec![1.0, 1.0]);
-    }
-
-    #[test]
-    fn momentum_accumulates_velocity() {
-        let mut opt = Momentum::new(1.0, 0.5);
-        let u1 = opt.step(0, &gradient(1.0));
-        let u2 = opt.step(0, &gradient(1.0));
-        // v1 = 1, v2 = 0.5*1 + 1 = 1.5
-        assert_eq!(u1.weights.get(0, 0), 1.0);
-        assert_eq!(u2.weights.get(0, 0), 1.5);
-    }
-
-    #[test]
-    fn momentum_layers_do_not_interfere() {
-        let mut opt = Momentum::new(1.0, 0.9);
-        let _ = opt.step(0, &gradient(1.0));
-        let u_layer1 = opt.step(1, &gradient(1.0));
-        // Layer 1 has no prior velocity, so its first update equals the gradient.
-        assert_eq!(u_layer1.weights.get(0, 0), 1.0);
-    }
-
-    #[test]
-    fn momentum_reset_clears_velocity() {
-        let mut opt = Momentum::new(1.0, 0.5);
-        let _ = opt.step(0, &gradient(1.0));
-        opt.reset();
-        let u = opt.step(0, &gradient(1.0));
-        assert_eq!(u.weights.get(0, 0), 1.0);
     }
 
     #[test]
@@ -355,24 +162,5 @@ mod tests {
         let update = opt.step(0, &grad);
         assert!(update.weights.get(0, 0) < 0.0);
         assert!(update.biases[0] < 0.0);
-    }
-
-    #[test]
-    fn learning_rate_can_be_adjusted() {
-        let mut opt: Box<dyn Optimizer> = Box::new(Adam::new(0.01));
-        opt.set_learning_rate(0.001);
-        assert_eq!(opt.learning_rate(), 0.001);
-    }
-
-    #[test]
-    fn adam_reset_restores_initial_behaviour() {
-        let mut opt = Adam::new(0.01);
-        let first = opt.step(0, &gradient(1.0));
-        for _ in 0..5 {
-            let _ = opt.step(0, &gradient(1.0));
-        }
-        opt.reset();
-        let after_reset = opt.step(0, &gradient(1.0));
-        assert!((first.weights.get(0, 0) - after_reset.weights.get(0, 0)).abs() < 1e-6);
     }
 }

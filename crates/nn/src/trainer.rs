@@ -1,12 +1,12 @@
-//! Mini-batch training loop with optional early stopping and weight
-//! constraints (used by the minimization passes for masked/clustered
-//! retraining).
+//! Mini-batch training loop: Adam on the softmax cross-entropy loss,
+//! keeping the best epoch, with optional weight constraints (used by the
+//! minimization passes for masked/clustered retraining).
 
 use crate::dataset::Dataset;
 use crate::error::NnError;
-use crate::loss::Loss;
+use crate::loss::cross_entropy_with_gradient;
 use crate::mlp::Mlp;
-use crate::optimizer::{Adam, Optimizer};
+use crate::optimizer::Adam;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
@@ -17,18 +17,8 @@ pub struct TrainConfig {
     pub epochs: usize,
     /// Mini-batch size (clamped to at least 1).
     pub batch_size: usize,
-    /// Initial learning rate handed to the optimizer.
+    /// Adam's learning rate.
     pub learning_rate: f32,
-    /// Loss function.
-    pub loss: Loss,
-    /// Multiplicative learning-rate decay applied after each epoch
-    /// (`1.0` disables decay).
-    pub lr_decay: f32,
-    /// Stop early when the validation accuracy has not improved for this many
-    /// epochs (`None` disables early stopping; requires a validation set).
-    pub patience: Option<usize>,
-    /// L2 weight-decay coefficient added to the gradients (`0.0` disables).
-    pub weight_decay: f32,
     /// Record the full-train-set accuracy in [`TrainReport::train_accuracy`]
     /// every epoch (`true` by default). When a validation set drives
     /// best-model tracking this is pure reporting — inner-loop fine-tuning
@@ -45,28 +35,12 @@ impl Default for TrainConfig {
             epochs: 60,
             batch_size: 32,
             learning_rate: 0.01,
-            loss: Loss::SoftmaxCrossEntropy,
-            lr_decay: 1.0,
-            patience: None,
-            weight_decay: 0.0,
             track_train_accuracy: true,
         }
     }
 }
 
 impl TrainConfig {
-    /// A configuration tuned for the fast fine-tuning passes used inside the
-    /// genetic-algorithm loop (few epochs, slightly higher learning rate, no
-    /// per-epoch full-train-set accuracy pass).
-    pub fn fine_tune(epochs: usize) -> Self {
-        TrainConfig {
-            epochs,
-            learning_rate: 0.02,
-            track_train_accuracy: false,
-            ..TrainConfig::default()
-        }
-    }
-
     /// Validates the configuration.
     ///
     /// # Errors
@@ -84,16 +58,6 @@ impl TrainConfig {
                 context: format!("learning_rate must be positive, got {}", self.learning_rate),
             });
         }
-        if self.lr_decay <= 0.0 || self.lr_decay > 1.0 {
-            return Err(NnError::InvalidConfig {
-                context: format!("lr_decay must be in (0,1], got {}", self.lr_decay),
-            });
-        }
-        if self.weight_decay < 0.0 {
-            return Err(NnError::InvalidConfig {
-                context: format!("weight_decay must be >= 0, got {}", self.weight_decay),
-            });
-        }
         Ok(())
     }
 }
@@ -109,8 +73,7 @@ pub struct TrainReport {
     pub train_accuracy: Vec<f64>,
     /// Validation accuracy per epoch (empty when no validation set given).
     pub val_accuracy: Vec<f64>,
-    /// Number of epochs actually run (may be less than configured when early
-    /// stopping triggers).
+    /// Number of epochs run.
     pub epochs_run: usize,
     /// Best validation accuracy seen (or best training accuracy when no
     /// validation set was supplied).
@@ -229,7 +192,6 @@ impl Trainer {
         let mut report = TrainReport::default();
         let mut best_accuracy = 0.0_f64;
         let mut best_model = mlp.clone();
-        let mut epochs_since_best = 0usize;
 
         // Ensure the model starts from a constraint-satisfying point.
         constraint.apply(mlp);
@@ -253,20 +215,11 @@ impl Trainer {
             for batch in shuffled.chunks(batch_size) {
                 train.gather_batch(batch, &mut batch_features, &mut batch_labels);
                 let logits = mlp.forward_with_caches_into(&batch_features, &mut caches)?;
-                let (batch_loss, grad_logits) = self
-                    .config
-                    .loss
-                    .compute_with_gradient(&logits, &batch_labels)?;
+                let (batch_loss, grad_logits) =
+                    cross_entropy_with_gradient(&logits, &batch_labels)?;
                 epoch_loss += batch_loss;
                 batches += 1;
-                let mut grads = mlp.backward_with_scratch(&caches, grad_logits, &mut scratch)?;
-                if self.config.weight_decay > 0.0 {
-                    for (grad, layer) in grads.iter_mut().zip(mlp.layers()) {
-                        grad.weights = grad
-                            .weights
-                            .add_elem(&layer.weights().scale(self.config.weight_decay))?;
-                    }
-                }
+                let grads = mlp.backward_with_scratch(&caches, grad_logits, &mut scratch)?;
                 let updates: Vec<_> = grads
                     .iter()
                     .enumerate()
@@ -302,25 +255,10 @@ impl Trainer {
             if tracked_acc > best_accuracy {
                 best_accuracy = tracked_acc;
                 best_model = mlp.clone();
-                epochs_since_best = 0;
-            } else {
-                epochs_since_best += 1;
-            }
-
-            if let Some(patience) = self.config.patience {
-                if validation.is_some() && epochs_since_best > patience {
-                    break;
-                }
-            }
-
-            if self.config.lr_decay < 1.0 {
-                let lr = optimizer.learning_rate() * self.config.lr_decay;
-                optimizer.set_learning_rate(lr);
             }
         }
 
-        // Keep the best model seen (matters when early stopping or when the
-        // last epochs overfit).
+        // Keep the best model seen (matters when the last epochs overfit).
         if best_accuracy > 0.0 {
             *mlp = best_model;
         }
@@ -338,7 +276,6 @@ impl Default for Trainer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::activation::Activation;
     use crate::mlp::MlpBuilder;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -388,18 +325,6 @@ mod tests {
         }
         .validate()
         .is_err());
-        assert!(TrainConfig {
-            lr_decay: 1.5,
-            ..TrainConfig::default()
-        }
-        .validate()
-        .is_err());
-        assert!(TrainConfig {
-            weight_decay: -0.1,
-            ..TrainConfig::default()
-        }
-        .validate()
-        .is_err());
         assert!(TrainConfig::default().validate().is_ok());
     }
 
@@ -408,7 +333,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(100);
         let data = blobs(200, 7);
         let mut mlp = MlpBuilder::new(2)
-            .hidden(4, Activation::ReLU)
+            .hidden(4)
             .output(2)
             .build(&mut rng)
             .unwrap();
@@ -430,7 +355,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(201);
         let data = xor_data(400, 9);
         let mut mlp = MlpBuilder::new(2)
-            .hidden(12, Activation::ReLU)
+            .hidden(12)
             .output(2)
             .build(&mut rng)
             .unwrap();
@@ -453,7 +378,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(300);
         let data = blobs(200, 11);
         let mut mlp = MlpBuilder::new(2)
-            .hidden(6, Activation::ReLU)
+            .hidden(6)
             .output(2)
             .build(&mut rng)
             .unwrap();
@@ -468,31 +393,11 @@ mod tests {
     }
 
     #[test]
-    fn early_stopping_limits_epochs() {
-        let mut rng = StdRng::seed_from_u64(400);
-        let data = blobs(200, 13);
-        let (train, val) = data.stratified_split(0.8, &mut rng).unwrap();
-        let mut mlp = MlpBuilder::new(2)
-            .hidden(4, Activation::ReLU)
-            .output(2)
-            .build(&mut rng)
-            .unwrap();
-        let trainer = Trainer::new(TrainConfig {
-            epochs: 200,
-            patience: Some(3),
-            ..TrainConfig::default()
-        });
-        let report = trainer.fit(&mut mlp, &train, Some(&val), &mut rng).unwrap();
-        assert!(report.epochs_run < 200, "early stopping never triggered");
-        assert_eq!(report.val_accuracy.len(), report.epochs_run);
-    }
-
-    #[test]
     fn rejects_feature_width_mismatch() {
         let mut rng = StdRng::seed_from_u64(1);
         let data = blobs(20, 1);
         let mut mlp = MlpBuilder::new(5)
-            .hidden(4, Activation::ReLU)
+            .hidden(4)
             .output(2)
             .build(&mut rng)
             .unwrap();
@@ -515,7 +420,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(17);
         let data = blobs(100, 3);
         let mut mlp = MlpBuilder::new(2)
-            .hidden(4, Activation::ReLU)
+            .hidden(4)
             .output(2)
             .build(&mut rng)
             .unwrap();
@@ -533,49 +438,12 @@ mod tests {
     }
 
     #[test]
-    fn weight_decay_shrinks_weight_norm() {
-        let mut rng = StdRng::seed_from_u64(19);
-        let data = blobs(100, 5);
-        let build = |rng: &mut StdRng| {
-            MlpBuilder::new(2)
-                .hidden(8, Activation::ReLU)
-                .output(2)
-                .build(rng)
-                .unwrap()
-        };
-        let mut rng_a = StdRng::seed_from_u64(21);
-        let mut mlp_plain = build(&mut rng_a);
-        let mut rng_b = StdRng::seed_from_u64(21);
-        let mut mlp_decay = build(&mut rng_b);
-
-        let plain = Trainer::new(TrainConfig {
-            epochs: 30,
-            ..TrainConfig::default()
-        });
-        let decay = Trainer::new(TrainConfig {
-            epochs: 30,
-            weight_decay: 0.05,
-            ..TrainConfig::default()
-        });
-        plain.fit(&mut mlp_plain, &data, None, &mut rng).unwrap();
-        decay.fit(&mut mlp_decay, &data, None, &mut rng).unwrap();
-
-        let norm = |m: &Mlp| -> f32 {
-            m.layers()
-                .iter()
-                .map(|l| l.weights().frobenius_norm())
-                .sum()
-        };
-        assert!(norm(&mlp_decay) < norm(&mlp_plain));
-    }
-
-    #[test]
     fn deterministic_given_same_seed() {
         let data = blobs(100, 23);
         let run = |seed: u64| {
             let mut rng = StdRng::seed_from_u64(seed);
             let mut mlp = MlpBuilder::new(2)
-                .hidden(4, Activation::ReLU)
+                .hidden(4)
                 .output(2)
                 .build(&mut rng)
                 .unwrap();

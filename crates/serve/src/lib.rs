@@ -64,7 +64,6 @@
 #![deny(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-pub mod chaos;
 mod http;
 
 use http::{read_request, respond, ReadError, Request};

@@ -5,7 +5,7 @@
 //!
 //! | Module | Crate | Contents |
 //! |--------|-------|----------|
-//! | [`nn`] | `pmlp-nn` | from-scratch MLP training (layers, losses, optimizers, trainer, metrics) |
+//! | [`nn`] | `pmlp-nn` | from-scratch MLP training (ReLU layers, softmax cross-entropy, Adam, trainer) |
 //! | [`data`] | `pmlp-data` | synthetic UCI-equivalent datasets + CSV loader |
 //! | [`hw`] | `pmlp-hw` | bespoke printed-electronics hardware model (EGT cells, CSD multipliers, netlists, area/power/delay) |
 //! | [`minimize`] | `pmlp-minimize` | quantization/QAT, pruning, weight clustering |

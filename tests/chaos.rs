@@ -15,12 +15,15 @@ use printed_mlp::core::store::{
 };
 use printed_mlp::data::UciDataset;
 use printed_mlp::minimize::MinimizationConfig;
-use printed_mlp::serve::chaos::{ChaosConfig, ChaosProxy};
 use printed_mlp::serve::{spawn, ServeConfig, ServerHandle};
 use std::collections::HashSet;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
+
+#[path = "support/chaos_proxy.rs"]
+mod chaos_proxy;
+use chaos_proxy::{ChaosConfig, ChaosProxy};
 
 const SEED: u64 = 11;
 

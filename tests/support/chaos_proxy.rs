@@ -1,5 +1,6 @@
 //! An in-process chaos TCP proxy: the network half of the fault-injection
-//! harness.
+//! harness. Test support for `tests/chaos.rs`, which pulls it in with
+//! `#[path]`; it is not part of any library.
 //!
 //! [`ChaosProxy`] listens on a loopback port and forwards every connection
 //! to an upstream `pmlp-serve` instance, drawing a **fate** for every
@@ -182,12 +183,7 @@ impl ChaosProxy {
         })
     }
 
-    /// The proxy's own address — what workers point `--remote-store` at.
-    pub fn addr(&self) -> SocketAddr {
-        self.addr
-    }
-
-    /// The proxy's base URL.
+    /// The proxy's base URL — what workers point `--remote-store` at.
     pub fn url(&self) -> String {
         format!("http://{}", self.addr)
     }
@@ -386,7 +382,8 @@ fn relay(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pmlp_core::store::StoreBackend;
+    use printed_mlp::core::store::{RemoteBackend, RetryPolicy, StoreBackend};
+    use printed_mlp::serve::{spawn, ServeConfig};
 
     /// A clean-forward-only config, for tests that need determinism of a
     /// specific fate.
@@ -403,9 +400,9 @@ mod tests {
 
     #[test]
     fn a_quiet_proxy_forwards_requests_verbatim() {
-        let server = crate::spawn(&crate::ServeConfig::default()).unwrap();
+        let server = spawn(&ServeConfig::default()).unwrap();
         let proxy = ChaosProxy::spawn(server.addr(), quiet()).unwrap();
-        let client = pmlp_core::store::RemoteBackend::new(&proxy.url()).expect("proxy url parses");
+        let client = RemoteBackend::new(&proxy.url()).expect("proxy url parses");
         let description = client.describe();
         assert!(description.contains("pmlp-serve"));
         // A healthz round trip through the proxy answers like the server.
@@ -419,11 +416,11 @@ mod tests {
 
     #[test]
     fn the_outage_switch_drops_connections_like_a_dead_server() {
-        let server = crate::spawn(&crate::ServeConfig::default()).unwrap();
+        let server = spawn(&ServeConfig::default()).unwrap();
         let proxy = ChaosProxy::spawn(server.addr(), quiet()).unwrap();
-        let client = pmlp_core::store::RemoteBackend::new(&proxy.url())
+        let client = RemoteBackend::new(&proxy.url())
             .expect("proxy url parses")
-            .with_retry_policy(pmlp_core::store::RetryPolicy::none());
+            .with_retry_policy(RetryPolicy::none());
         // Warm the keep-alive pool, then flip the switch: the established
         // relay is severed, not just new connections.
         assert!(client.scan("Seeds", 7).is_ok());
