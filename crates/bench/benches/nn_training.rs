@@ -1,11 +1,12 @@
 //! Micro-benchmarks of the neural-network substrate: forward pass, one
-//! training epoch and QAT fine-tuning on the Seeds classifier.
+//! training epoch and QAT fine-tuning on the Seeds classifier, the matrix
+//! products of a WhiteWine training step, and a WhiteWine QAT fine-tune.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use pmlp_data::{load, UciDataset};
 use pmlp_minimize::qat::quantization_aware_train;
 use pmlp_minimize::QatConfig;
-use pmlp_nn::{Matrix, MlpBuilder, MlpScratch, TrainConfig, Trainer};
+use pmlp_nn::{Matrix, MlpBuilder, TrainConfig, Trainer};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::time::Duration;
@@ -53,53 +54,54 @@ fn bench_nn_training(c: &mut Criterion) {
         })
     });
 
-    // Hot-kernel comparisons: the buffer-reusing `matmul_into` vs the
-    // allocating `matmul`, and the scratch-backed backward (cached-transpose
-    // buffers) vs the allocating one.
-    let a = Matrix::from_vec(
-        64,
-        32,
-        (0..64 * 32).map(|i| (i % 17) as f32 * 0.11).collect(),
-    )
-    .expect("a");
-    let w = Matrix::from_vec(
-        32,
-        48,
-        (0..32 * 48).map(|i| (i % 13) as f32 * 0.07).collect(),
-    )
-    .expect("w");
-    group.bench_function("matmul_alloc_64x32x48", |b| {
-        b.iter(|| black_box(a.matmul(&w).unwrap().as_slice()[0]))
-    });
-    group.bench_function("matmul_into_64x32x48", |b| {
+    // The matrix products of one WhiteWine (11 -> 25 -> 5) training step
+    // at batch 32: the hidden layer's forward product, the output layer's
+    // forward and weight-gradient products, and the output layer of the
+    // per-epoch pass over the 374-row validation split.
+    let operand = |rows: usize, cols: usize, seed: usize| {
+        Matrix::from_vec(
+            rows,
+            cols,
+            (0..rows * cols)
+                .map(|i| ((i * 7 + seed) % 17) as f32 * 0.11 - 0.9)
+                .collect(),
+        )
+        .expect("operand")
+    };
+    for (m, k, n) in [(32, 11, 25), (32, 25, 5), (25, 32, 5), (374, 25, 5)] {
+        let a = operand(m, k, 1);
+        let b = operand(k, n, 2);
         let mut out = Matrix::zeros(0, 0);
-        b.iter(|| {
-            a.matmul_into(&w, &mut out).unwrap();
-            black_box(out.as_slice()[0])
-        })
-    });
+        group.bench_function(&format!("matmul_{m}x{k}x{n}"), |bench| {
+            bench.iter(|| {
+                a.matmul_into(&b, &mut out).unwrap();
+                black_box(out.as_slice()[0])
+            })
+        });
+    }
 
-    let batch = Matrix::from_vec(
-        32,
-        data.feature_count(),
-        (0..32 * data.feature_count())
-            .map(|i| (i % 19) as f32 * 0.05)
-            .collect(),
-    )
-    .expect("batch");
-    let (logits, caches) = mlp.forward_with_caches(&batch).expect("forward");
-    let grad = Matrix::filled(logits.rows(), logits.cols(), 0.01);
-    group.bench_function("backward_alloc_transposes", |b| {
-        b.iter(|| black_box(mlp.backward(&caches, &grad).unwrap().len()))
-    });
-    group.bench_function("backward_cached_transposes", |b| {
-        let mut scratch = MlpScratch::default();
+    // One 10-epoch 4-bit QAT fine-tune of a WhiteWine-shaped model: the
+    // fine-tuning stage every fresh candidate pays for.
+    let whitewine = load(UciDataset::WhiteWine, 42).expect("whitewine dataset");
+    let mut rng = StdRng::seed_from_u64(4);
+    let whitewine_mlp = MlpBuilder::new(whitewine.feature_count())
+        .hidden(25)
+        .output(whitewine.class_count())
+        .build(&mut rng)
+        .expect("mlp");
+    group.bench_function("qat_ten_epochs_4bit_whitewine", |b| {
         b.iter(|| {
-            black_box(
-                mlp.backward_with_scratch(&caches, grad.clone(), &mut scratch)
-                    .unwrap()
-                    .len(),
+            let mut rng = StdRng::seed_from_u64(5);
+            quantization_aware_train(
+                &whitewine_mlp,
+                &whitewine,
+                None,
+                &QatConfig::new(4, 10),
+                &mut rng,
             )
+            .unwrap()
+            .1
+            .best_accuracy
         })
     });
 

@@ -436,6 +436,58 @@ mod tests {
         assert_eq!(loaded.quantized_test, trained.quantized_test);
     }
 
+    /// The first array stored under `key`, depth first.
+    fn first_array_named<'a>(value: &'a mut Value, key: &str) -> Option<&'a mut Vec<Value>> {
+        match value {
+            Value::Object(entries) => entries.iter_mut().find_map(|(k, v)| {
+                if k == key && matches!(v, Value::Array(_)) {
+                    match v {
+                        Value::Array(items) => Some(items),
+                        _ => None,
+                    }
+                } else {
+                    first_array_named(v, key)
+                }
+            }),
+            Value::Array(items) => items.iter_mut().find_map(|v| first_array_named(v, key)),
+            _ => None,
+        }
+    }
+
+    #[test]
+    fn a_baseline_document_with_a_damaged_weight_matrix_retrains() {
+        use crate::store::MemoryBackend;
+        let backend = MemoryBackend::new();
+        let config = BaselineConfig {
+            epochs: 2,
+            ..quick_config()
+        };
+        let trained =
+            BaselineDesign::train_cached(UciDataset::Seeds, 9, &config, Some(&backend)).unwrap();
+
+        // Drop one number from the first layer's weights. The document still
+        // parses, and its `rows`/`cols` still give the 7 -> 10 -> 3 topology.
+        let doc = baseline_doc_name(UciDataset::Seeds, 9, &config);
+        let mut value = json::parse(&backend.get_doc(&doc).unwrap().unwrap()).unwrap();
+        let data = first_array_named(&mut value, "data").expect("weights in the document");
+        assert_eq!(data.len(), 7 * 10);
+        data.remove(0);
+        backend.put_doc(&doc, &value.render_pretty()).unwrap();
+
+        let loaded =
+            BaselineDesign::train_cached(UciDataset::Seeds, 9, &config, Some(&backend)).unwrap();
+        assert_eq!(loaded.model, trained.model, "the damaged document retrains");
+        // A 4-bit candidate on the loaded baseline evaluates.
+        let candidate = minimize(
+            &loaded.model,
+            &loaded.train,
+            None,
+            &MinimizationConfig::default().with_weight_bits(4),
+            9,
+        );
+        assert!(candidate.is_ok());
+    }
+
     #[test]
     fn cache_hits_load_the_document_instead_of_retraining() {
         use crate::store::MemoryBackend;

@@ -107,30 +107,23 @@ impl ClusterAssignment {
     /// Returns [`MinimizeError::InvalidConfig`] when the assignment does not
     /// match the model shape.
     pub fn apply(&self, mlp: &mut Mlp) -> Result<(), MinimizeError> {
-        if mlp.layers().len() != self.assignments.len() {
-            return Err(MinimizeError::InvalidConfig {
-                context: format!(
-                    "assignment covers {} layers but the model has {}",
-                    self.assignments.len(),
-                    mlp.layers().len()
-                ),
-            });
-        }
+        self.check_shape(mlp)?;
         for (layer, (assign, centroids)) in mlp
             .layers_mut()
             .iter_mut()
-            .zip(self.assignments.iter().zip(self.centroids.iter()))
+            .zip(self.assignments.iter().zip(&self.centroids))
         {
-            let (inputs, outputs) = layer.weights().shape();
-            if assign.len() != inputs || assign.iter().any(|row| row.len() != outputs) {
-                return Err(MinimizeError::InvalidConfig {
-                    context: "cluster assignment shape does not match model layer".into(),
-                });
-            }
-            for i in 0..inputs {
-                for o in 0..outputs {
-                    let value = centroids[i][assign[i][o]];
-                    layer.weights_mut().set(i, o, value);
+            // A layer without outputs has no weights, hence no rows to visit.
+            let outputs = layer.outputs().max(1);
+            for ((row, assign), centroids) in layer
+                .weights_mut()
+                .as_mut_slice()
+                .chunks_exact_mut(outputs)
+                .zip(assign)
+                .zip(centroids)
+            {
+                for (w, &c) in row.iter_mut().zip(assign) {
+                    *w = centroids[c];
                 }
             }
         }
@@ -145,31 +138,92 @@ impl ClusterAssignment {
     ///
     /// Returns [`MinimizeError::InvalidConfig`] on shape mismatch.
     pub fn refit_and_apply(&mut self, mlp: &mut Mlp) -> Result<(), MinimizeError> {
-        if mlp.layers().len() != self.assignments.len() {
-            return Err(MinimizeError::InvalidConfig {
-                context: "assignment layer count mismatch".into(),
-            });
-        }
-        for (li, layer) in mlp.layers().iter().enumerate() {
-            let (inputs, outputs) = layer.weights().shape();
-            for i in 0..inputs {
-                let k = self.centroids[li][i].len();
-                let mut sums = vec![0.0_f64; k];
-                let mut counts = vec![0usize; k];
-                for o in 0..outputs {
-                    let c = self.assignments[li][i][o];
-                    sums[c] += layer.weights().get(i, o) as f64;
+        self.refit_and_apply_with(mlp, &mut RefitScratch::default())
+    }
+
+    /// [`ClusterAssignment::refit_and_apply`] with the per-cluster sums in
+    /// caller-owned buffers: fine-tuning refits after every batch and
+    /// allocates nothing for it. Each input row is refit and snapped in one
+    /// visit; a centroid depends only on its own row, and each cluster's
+    /// `f64` sum adds its weights in ascending output order.
+    fn refit_and_apply_with(
+        &mut self,
+        mlp: &mut Mlp,
+        scratch: &mut RefitScratch,
+    ) -> Result<(), MinimizeError> {
+        self.check_shape(mlp)?;
+        let RefitScratch { sums, counts } = scratch;
+        for (layer, (assign, centroids)) in mlp
+            .layers_mut()
+            .iter_mut()
+            .zip(self.assignments.iter().zip(&mut self.centroids))
+        {
+            // A layer without outputs has no weights, hence no rows to visit.
+            let outputs = layer.outputs().max(1);
+            for ((row, assign), centroids) in layer
+                .weights_mut()
+                .as_mut_slice()
+                .chunks_exact_mut(outputs)
+                .zip(assign)
+                .zip(centroids)
+            {
+                sums.clear();
+                sums.resize(centroids.len(), 0.0);
+                counts.clear();
+                counts.resize(centroids.len(), 0);
+                for (&w, &c) in row.iter().zip(assign) {
+                    sums[c] += w as f64;
                     counts[c] += 1;
                 }
-                for c in 0..k {
-                    if counts[c] > 0 {
-                        self.centroids[li][i][c] = (sums[c] / counts[c] as f64) as f32;
+                for ((centroid, &sum), &count) in centroids.iter_mut().zip(&*sums).zip(&*counts) {
+                    if count > 0 {
+                        *centroid = (sum / count as f64) as f32;
                     }
+                }
+                for (w, &c) in row.iter_mut().zip(assign) {
+                    *w = centroids[c];
                 }
             }
         }
-        self.apply(mlp)
+        Ok(())
     }
+
+    /// Checks that the assignment covers `mlp` weight for weight.
+    fn check_shape(&self, mlp: &Mlp) -> Result<(), MinimizeError> {
+        if mlp.layers().len() != self.assignments.len() {
+            return Err(MinimizeError::InvalidConfig {
+                context: format!(
+                    "assignment covers {} layers but the model has {}",
+                    self.assignments.len(),
+                    mlp.layers().len()
+                ),
+            });
+        }
+        for (layer, (assign, centroids)) in mlp
+            .layers()
+            .iter()
+            .zip(self.assignments.iter().zip(&self.centroids))
+        {
+            let (inputs, outputs) = layer.weights().shape();
+            if assign.len() != inputs
+                || centroids.len() != inputs
+                || assign.iter().any(|row| row.len() != outputs)
+            {
+                return Err(MinimizeError::InvalidConfig {
+                    context: "cluster assignment shape does not match model layer".into(),
+                });
+            }
+        }
+        Ok(())
+    }
+}
+
+/// The per-cluster `f64` sums and weight counts of one input row, reused
+/// across rows and refits.
+#[derive(Debug, Default)]
+struct RefitScratch {
+    sums: Vec<f64>,
+    counts: Vec<usize>,
 }
 
 /// One-dimensional k-means on a slice of values. Returns `(centroids,
@@ -277,8 +331,9 @@ pub fn cluster_and_fine_tune<R: Rng + ?Sized>(
     let assignment = cluster_weights(mlp, config)?;
     let trainer = Trainer::new(training.clone());
     let mut shared = assignment.clone();
+    let mut scratch = RefitScratch::default();
     let mut constraint = move |m: &mut Mlp| {
-        let _ = shared.refit_and_apply(m);
+        let _ = shared.refit_and_apply_with(m, &mut scratch);
     };
     let report = trainer.fit_constrained(mlp, train, validation, &mut constraint, rng)?;
     // Produce the final assignment (centroids refit on the trained weights).

@@ -86,7 +86,7 @@ pub fn quantization_aware_train<R: Rng + ?Sized>(
                 continue;
             }
             layer.weights_mut().map_inplace(|w| {
-                let code = (w / scale).round().clamp(-max_code, max_code);
+                let code = round_half_away_from_zero(w / scale).clamp(-max_code, max_code);
                 code * scale
             });
         }
@@ -96,6 +96,33 @@ pub fn quantization_aware_train<R: Rng + ?Sized>(
     // Final integer decomposition of the trained, constraint-satisfying model.
     let quantized = quantize_mlp(&model, &config.quantization)?;
     Ok((quantized, report))
+}
+
+/// `x.round()`: the nearest integer, halfway cases away from zero, equal
+/// to [`f32::round`] bit for bit on every input but a signaling NaN, which
+/// no arithmetic produces (this returns it as it is; `roundf` quiets it).
+///
+/// The QAT constraint snaps every weight after every batch. On the x86-64
+/// baseline target, which has no SSE4.1 `roundss`, `f32::round` is a call
+/// into the C library's `roundf` per weight; this is a truncating
+/// conversion, a compare and two selects, all inline.
+fn round_half_away_from_zero(x: f32) -> f32 {
+    // From 2^23 up every float is an integer, as are the infinities; NaN
+    // rounds to itself. Below it the conversion truncates exactly, and
+    // the fraction `magnitude - truncated` is exact too.
+    const FIRST_INTEGRAL: f32 = 8_388_608.0;
+    let magnitude = x.abs();
+    let truncated = (magnitude as i32) as f32;
+    let rounded = if magnitude - truncated >= 0.5 {
+        truncated + 1.0
+    } else {
+        truncated
+    };
+    if magnitude < FIRST_INTEGRAL {
+        rounded.copysign(x)
+    } else {
+        x
+    }
 }
 
 /// Post-training quantization baseline (no retraining): quantizes the weights
@@ -118,7 +145,7 @@ mod tests {
     use pmlp_data::{load, UciDataset};
     use pmlp_nn::MlpBuilder;
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::{Rng, SeedableRng};
 
     fn trained_seeds_mlp(rng: &mut StdRng) -> (Mlp, Dataset, Dataset) {
         let data = load(UciDataset::Seeds, 11).unwrap();
@@ -188,6 +215,50 @@ mod tests {
             qat_acc >= float_acc - 0.08,
             "8-bit QAT accuracy {qat_acc} far below float accuracy {float_acc}"
         );
+    }
+
+    #[test]
+    fn rounding_helper_equals_f32_round_bit_for_bit() {
+        let edges = [
+            0.0,
+            0.3,
+            0.499_999_97,
+            0.5,
+            1.5,
+            2.5,
+            8_388_607.5,
+            8_388_608.0,
+            1e30,
+            f32::INFINITY,
+        ];
+        let mut inputs: Vec<f32> = edges.iter().flat_map(|&x| [x, -x]).collect();
+        inputs.push(f32::NAN);
+        let mut rng = StdRng::seed_from_u64(23);
+        // Uniform bit patterns cover every binade, subnormals and NaNs
+        // included; the narrow ranges cover the halves the snap meets.
+        inputs.extend((0..100_000).map(|_| f32::from_bits(rng.gen())));
+        inputs.extend((0..100_000).map(|_| rng.gen_range(-20.0f32..20.0)));
+        inputs.extend((-64..=64).map(|i| i as f32 * 0.25));
+        for x in inputs {
+            let (ours, std) = (round_half_away_from_zero(x), x.round());
+            let quiet = 0x0040_0000;
+            if x.is_nan() && x.to_bits() & quiet == 0 {
+                // A signaling NaN: `roundf` quiets it, the helper keeps it.
+                assert_eq!(
+                    ours.to_bits() | quiet,
+                    std.to_bits(),
+                    "{:#010x}",
+                    x.to_bits()
+                );
+                continue;
+            }
+            assert_eq!(
+                ours.to_bits(),
+                std.to_bits(),
+                "{x:e} ({:#010x})",
+                x.to_bits()
+            );
+        }
     }
 
     #[test]

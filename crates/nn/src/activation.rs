@@ -41,7 +41,11 @@ impl Activation {
 
     /// Derivative of the activation with respect to its pre-activation input.
     ///
-    /// At the ReLU kink (`x = 0`) this is the sub-gradient `0`.
+    /// At the ReLU kink (`x = 0`) this is the sub-gradient `0`. For every
+    /// activation the derivative at the output `apply(x)` equals the one at
+    /// `x` (ReLU's output is positive exactly when its input is), so the
+    /// backward pass reads a layer's stored output instead of keeping its
+    /// pre-activation.
     #[inline]
     pub fn derivative(self, x: f32) -> f32 {
         match self {
@@ -76,7 +80,8 @@ impl fmt::Display for Activation {
     }
 }
 
-/// Row-wise softmax with the usual max-subtraction for numerical stability.
+/// Row-wise softmax in place, with the usual max-subtraction for numerical
+/// stability.
 ///
 /// # Example
 ///
@@ -84,17 +89,16 @@ impl fmt::Display for Activation {
 /// use pmlp_nn::{Matrix, activation::softmax_rows};
 ///
 /// # fn main() -> Result<(), pmlp_nn::NnError> {
-/// let logits = Matrix::from_rows(&[vec![1.0, 2.0, 3.0]])?;
-/// let probs = softmax_rows(&logits);
+/// let mut probs = Matrix::from_rows(&[vec![1.0, 2.0, 3.0]])?;
+/// softmax_rows(&mut probs);
 /// let sum: f32 = probs.row(0).iter().sum();
 /// assert!((sum - 1.0).abs() < 1e-6);
 /// # Ok(())
 /// # }
 /// ```
-pub fn softmax_rows(logits: &Matrix) -> Matrix {
-    let mut out = logits.clone();
-    for r in 0..out.rows() {
-        let row = out.row_mut(r);
+pub fn softmax_rows(m: &mut Matrix) {
+    for r in 0..m.rows() {
+        let row = m.row_mut(r);
         let max = row.iter().cloned().fold(f32::NEG_INFINITY, f32::max);
         let mut sum = 0.0;
         for x in row.iter_mut() {
@@ -107,7 +111,6 @@ pub fn softmax_rows(logits: &Matrix) -> Matrix {
             }
         }
     }
-    out
 }
 
 #[cfg(test)]
@@ -138,9 +141,31 @@ mod tests {
     }
 
     #[test]
+    fn derivative_at_the_output_equals_derivative_at_the_input() {
+        for act in [Activation::ReLU, Activation::Identity] {
+            for x in [
+                -2.0f32,
+                -0.0,
+                0.0,
+                1e-30,
+                0.3,
+                f32::INFINITY,
+                f32::NEG_INFINITY,
+                f32::NAN,
+            ] {
+                assert_eq!(
+                    act.derivative(act.apply(x)).to_bits(),
+                    act.derivative(x).to_bits(),
+                    "{act} at {x}"
+                );
+            }
+        }
+    }
+
+    #[test]
     fn softmax_rows_sum_to_one_and_preserve_order() {
-        let logits = Matrix::from_rows(&[vec![1.0, 3.0, 2.0], vec![-1.0, -1.0, -1.0]]).unwrap();
-        let p = softmax_rows(&logits);
+        let mut p = Matrix::from_rows(&[vec![1.0, 3.0, 2.0], vec![-1.0, -1.0, -1.0]]).unwrap();
+        softmax_rows(&mut p);
         for r in 0..p.rows() {
             let sum: f32 = p.row(r).iter().sum();
             assert!((sum - 1.0).abs() < 1e-5);
@@ -151,8 +176,8 @@ mod tests {
 
     #[test]
     fn softmax_is_stable_for_large_logits() {
-        let logits = Matrix::from_rows(&[vec![1000.0, 1001.0]]).unwrap();
-        let p = softmax_rows(&logits);
+        let mut p = Matrix::from_rows(&[vec![1000.0, 1001.0]]).unwrap();
+        softmax_rows(&mut p);
         assert!(p.row(0).iter().all(|x| x.is_finite()));
         assert!(p.row(0)[1] > p.row(0)[0]);
     }
@@ -191,8 +216,8 @@ mod proptests {
         fn softmax_rows_are_probability_distributions(
             v in proptest::collection::vec(-20.0f32..20.0, 5)
         ) {
-            let m = Matrix::from_rows(&[v]).unwrap();
-            let p = softmax_rows(&m);
+            let mut p = Matrix::from_rows(&[v]).unwrap();
+            softmax_rows(&mut p);
             let sum: f32 = p.row(0).iter().sum();
             prop_assert!((sum - 1.0).abs() < 1e-4);
             prop_assert!(p.row(0).iter().all(|&x| x >= 0.0));

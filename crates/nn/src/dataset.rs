@@ -211,8 +211,9 @@ impl Dataset {
     }
 
     /// Gathers the samples at `indices` into caller-owned buffers: `features`
-    /// is resized only when the batch geometry changes (the final short batch
-    /// of an epoch), `labels` is cleared and refilled. This is the
+    /// takes the batch's shape and keeps its allocation (the final short
+    /// batch of an epoch shrinks it in place), `labels` is cleared and
+    /// refilled. This is the
     /// allocation-free batch path used by the trainer; it borrows the feature
     /// matrix instead of copying `Vec<Vec<f32>>` rows around.
     ///
@@ -220,9 +221,7 @@ impl Dataset {
     ///
     /// Panics when any index is out of bounds.
     pub fn gather_batch(&self, indices: &[usize], features: &mut Matrix, labels: &mut Vec<usize>) {
-        if features.shape() != (indices.len(), self.feature_count()) {
-            *features = Matrix::zeros(indices.len(), self.feature_count());
-        }
+        features.resize(indices.len(), self.feature_count());
         features.copy_rows_from(&self.features, indices);
         labels.clear();
         labels.extend(indices.iter().map(|&i| self.labels[i]));

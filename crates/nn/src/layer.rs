@@ -5,6 +5,7 @@ use crate::error::NnError;
 use crate::init::xavier_uniform;
 use crate::matrix::Matrix;
 use rand::Rng;
+use serde::json::{Error, Value};
 use serde::{Deserialize, Serialize};
 
 /// A dense layer computing `y = act(x W + b)`.
@@ -28,50 +29,44 @@ use serde::{Deserialize, Serialize};
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct DenseLayer {
     weights: Matrix,
     biases: Vec<f32>,
     activation: Activation,
 }
 
-/// Everything the backward pass needs that was computed during the forward
-/// pass of one layer.
-#[derive(Debug, Clone)]
-pub struct LayerCache {
-    /// The layer input (batch x inputs).
-    pub input: Matrix,
-    /// Pre-activation values `x W + b` (batch x outputs).
-    pub pre_activation: Matrix,
-}
-
-/// Gradients of the loss with respect to one layer's parameters.
-#[derive(Debug, Clone, PartialEq)]
-pub struct LayerGradient {
-    /// Gradient w.r.t. the weight matrix (inputs x outputs).
-    pub weights: Matrix,
-    /// Gradient w.r.t. the bias vector (length = outputs).
-    pub biases: Vec<f32>,
-}
-
-/// Reusable per-layer backprop buffers: the transposed weight and input
-/// matrices the backward pass needs every batch. Holding them across steps
-/// (see [`crate::Trainer`]) removes two allocations per layer per batch —
-/// the transposed *values* are recomputed (weights change every update), but
-/// into the same buffers.
-#[derive(Debug, Clone)]
-pub struct BackpropScratch {
-    weights_t: Matrix,
-    input_t: Matrix,
-}
-
-impl Default for BackpropScratch {
-    fn default() -> Self {
-        BackpropScratch {
-            weights_t: Matrix::zeros(0, 0),
-            input_t: Matrix::zeros(0, 0),
-        }
+impl Deserialize for DenseLayer {
+    /// Goes through [`DenseLayer::from_parameters`], so a document whose
+    /// bias count does not match its weight columns is rejected.
+    fn deserialize_value(value: &Value) -> Result<Self, Error> {
+        let weights = Matrix::deserialize_value(value.field("weights")?)?;
+        let biases = Vec::<f32>::deserialize_value(value.field("biases")?)?;
+        let activation = Activation::deserialize_value(value.field("activation")?)?;
+        DenseLayer::from_parameters(weights, biases, activation)
+            .map_err(|e| Error::custom(e.to_string()))
     }
+}
+
+/// One layer's buffers in the training step. The [`crate::Trainer`] holds
+/// one per layer for a whole fit: the first batch sizes them, and every
+/// later batch overwrites them in place.
+#[derive(Debug, Default)]
+pub(crate) struct LayerBuffers {
+    /// `act(x W + b)` for the batch (batch x outputs), which the next layer
+    /// reads as its input.
+    pub(crate) output: Matrix,
+    /// The gradient of the loss w.r.t. `output` when the backward pass
+    /// reaches this layer; w.r.t. the pre-activation once it has passed.
+    pub(crate) delta: Matrix,
+    /// The gradient w.r.t. the weights (inputs x outputs).
+    pub(crate) grad_weights: Matrix,
+    /// The gradient w.r.t. the biases (length = outputs).
+    pub(crate) grad_biases: Vec<f32>,
+    /// The layer input, transposed (inputs x batch).
+    input_t: Matrix,
+    /// The weights, transposed (outputs x inputs).
+    weights_t: Matrix,
 }
 
 impl DenseLayer {
@@ -174,189 +169,81 @@ impl DenseLayer {
 
     /// Forward pass for a batch: `act(x W + b)`.
     ///
-    /// Pure inference path: one matrix product, bias and activation applied
-    /// in place — no cache bookkeeping and no intermediate copies.
-    ///
     /// # Errors
     ///
     /// Returns [`NnError::ShapeMismatch`] when `x.cols() != self.inputs()`.
     pub fn forward(&self, x: &Matrix) -> Result<Matrix, NnError> {
-        let mut pre = x.matmul(&self.weights)?;
-        pre.add_row_broadcast_inplace(&self.biases)?;
-        self.activation.apply_matrix_inplace(&mut pre);
-        Ok(pre)
+        let mut out = Matrix::default();
+        self.forward_into(x, &mut out)?;
+        Ok(out)
     }
 
-    /// Forward pass that also returns the cache needed for backprop.
+    /// [`DenseLayer::forward`] into a caller-owned matrix, reusing its
+    /// allocation: one matrix product, then the bias and the activation in
+    /// place. The training step writes each layer's output where the next
+    /// layer reads it.
     ///
     /// # Errors
     ///
     /// Returns [`NnError::ShapeMismatch`] when `x.cols() != self.inputs()`.
-    pub fn forward_with_cache(&self, x: &Matrix) -> Result<(Matrix, LayerCache), NnError> {
-        let mut cache = LayerCache {
-            input: Matrix::zeros(0, 0),
-            pre_activation: Matrix::zeros(0, 0),
-        };
-        let out = self.forward_with_cache_into(x, &mut cache)?;
-        Ok((out, cache))
+    pub(crate) fn forward_into(&self, x: &Matrix, out: &mut Matrix) -> Result<(), NnError> {
+        x.matmul_into(&self.weights, out)?;
+        out.add_row_broadcast_inplace(&self.biases)?;
+        self.activation.apply_matrix_inplace(out);
+        Ok(())
     }
 
-    /// Forward pass writing the backprop cache into a caller-owned
-    /// [`LayerCache`], reusing its buffers — the training loop keeps one
-    /// cache per layer alive across batches instead of reallocating the
-    /// input/pre-activation copies every step.
+    /// The training step's backward pass through this layer.
+    ///
+    /// `input` is the batch this layer read; `buffers.output` holds what
+    /// [`DenseLayer::forward_into`] made of it, and `buffers.delta` the
+    /// gradient of the loss w.r.t. that output. Turns `buffers.delta` into
+    /// the gradient w.r.t. the pre-activation in place, writes the
+    /// parameter gradients into `buffers` and, when `grad_input` is
+    /// given, the gradient w.r.t. `input` into it. Reads the weights as they
+    /// are, so it must run before the optimizer updates this layer.
     ///
     /// # Errors
     ///
-    /// Returns [`NnError::ShapeMismatch`] when `x.cols() != self.inputs()`.
-    pub fn forward_with_cache_into(
+    /// Returns [`NnError::ShapeMismatch`] when `buffers.delta` does not have
+    /// the output's shape or `input` does not fit the layer.
+    pub(crate) fn backward(
         &self,
-        x: &Matrix,
-        cache: &mut LayerCache,
-    ) -> Result<Matrix, NnError> {
-        cache.input.clone_from(x);
-        x.matmul_into(&self.weights, &mut cache.pre_activation)?;
-        cache
-            .pre_activation
-            .add_row_broadcast_inplace(&self.biases)?;
-        // Single pass: allocate the activated output directly instead of
-        // cloning the pre-activations and mapping in place.
-        Ok(cache.pre_activation.map(|x| self.activation.apply(x)))
-    }
-
-    /// Backward pass.
-    ///
-    /// `grad_output` is the gradient of the loss w.r.t. this layer's
-    /// activations; returns the gradient w.r.t. the layer input together with
-    /// the parameter gradients.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NnError::ShapeMismatch`] when `grad_output` does not match the
-    /// cached pre-activation shape.
-    pub fn backward(
-        &self,
-        cache: &LayerCache,
-        grad_output: &Matrix,
-    ) -> Result<(Matrix, LayerGradient), NnError> {
-        let mut scratch = BackpropScratch::default();
-        self.backward_with_scratch(cache, grad_output.clone(), &mut scratch)
-    }
-
-    /// Backward pass reusing caller-owned transpose buffers.
-    ///
-    /// Identical math to [`DenseLayer::backward`], but the transposed weight
-    /// and input matrices are written into `scratch` instead of freshly
-    /// allocated — the trainer holds one scratch per layer for the whole run.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NnError::ShapeMismatch`] when `grad_output` does not match the
-    /// cached pre-activation shape.
-    pub fn backward_with_scratch(
-        &self,
-        cache: &LayerCache,
-        grad_output: Matrix,
-        scratch: &mut BackpropScratch,
-    ) -> Result<(Matrix, LayerGradient), NnError> {
-        let (dpre, grads) = self.backward_core(cache, grad_output, scratch)?;
-        // dL/dx = dpre W^T
-        self.weights.transpose_into(&mut scratch.weights_t);
-        let grad_input = dpre.matmul(&scratch.weights_t)?;
-        Ok((grad_input, grads))
-    }
-
-    /// [`DenseLayer::backward_with_scratch`] without the input-gradient
-    /// product — the first layer of a network has no upstream consumer for
-    /// `dL/dx`, and that product is a full quarter of its backward matmul
-    /// work.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`DenseLayer::backward_with_scratch`].
-    pub fn backward_params_only(
-        &self,
-        cache: &LayerCache,
-        grad_output: Matrix,
-        scratch: &mut BackpropScratch,
-    ) -> Result<LayerGradient, NnError> {
-        Ok(self.backward_core(cache, grad_output, scratch)?.1)
-    }
-
-    /// The shared backward math: validates shapes, fuses the activation
-    /// derivative into the owned gradient in place (yielding `dL/dpre`) and
-    /// computes the parameter gradients.
-    fn backward_core(
-        &self,
-        cache: &LayerCache,
-        grad_output: Matrix,
-        scratch: &mut BackpropScratch,
-    ) -> Result<(Matrix, LayerGradient), NnError> {
-        if grad_output.shape() != cache.pre_activation.shape() {
+        input: &Matrix,
+        buffers: &mut LayerBuffers,
+        grad_input: Option<&mut Matrix>,
+    ) -> Result<(), NnError> {
+        let LayerBuffers {
+            output,
+            delta,
+            grad_weights,
+            grad_biases,
+            input_t,
+            weights_t,
+        } = buffers;
+        if delta.shape() != output.shape() {
             return Err(NnError::ShapeMismatch {
                 context: "dense backward".into(),
-                left: grad_output.shape(),
-                right: cache.pre_activation.shape(),
+                left: delta.shape(),
+                right: output.shape(),
             });
         }
-        // dL/dpre = dL/dout * act'(pre), fused in place into the owned
-        // gradient (the separate derivative matrix + hadamard allocated two
-        // intermediates per batch, plus a clone of the incoming gradient).
-        let mut dpre = grad_output;
-        for (g, &pre) in dpre
-            .as_mut_slice()
-            .iter_mut()
-            .zip(cache.pre_activation.as_slice())
-        {
-            *g *= self.activation.derivative(pre);
+        // dL/dpre = dL/dout * act'(pre). Every activation has the same
+        // derivative at its output as at its input (see
+        // `Activation::derivative`), so the output stands in for the
+        // pre-activation, which the forward pass does not keep.
+        for (g, &y) in delta.as_mut_slice().iter_mut().zip(output.as_slice()) {
+            *g *= self.activation.derivative(y);
         }
         // dL/dW = x^T dpre ; dL/db = column sums of dpre
-        cache.input.transpose_into(&mut scratch.input_t);
-        let grad_weights = scratch.input_t.matmul(&dpre)?;
-        let grad_biases = dpre.sum_rows();
-        Ok((
-            dpre,
-            LayerGradient {
-                weights: grad_weights,
-                biases: grad_biases,
-            },
-        ))
-    }
-
-    /// Applies a parameter update `p <- p - u`, where `u` is the update
-    /// [`crate::Adam::step`] made from the raw gradient.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NnError::ShapeMismatch`] when the gradient shapes do not
-    /// match the layer's parameters.
-    pub fn apply_update(&mut self, update: &LayerGradient) -> Result<(), NnError> {
-        if update.weights.shape() != self.weights.shape() {
-            return Err(NnError::ShapeMismatch {
-                context: "weight update".into(),
-                left: update.weights.shape(),
-                right: self.weights.shape(),
-            });
-        }
-        if update.biases.len() != self.biases.len() {
-            return Err(NnError::ShapeMismatch {
-                context: "bias update".into(),
-                left: (1, update.biases.len()),
-                right: (1, self.biases.len()),
-            });
-        }
-        // In place: this runs once per layer per batch, and the allocating
-        // `sub_elem` showed up in training profiles.
-        for (w, u) in self
-            .weights
-            .as_mut_slice()
-            .iter_mut()
-            .zip(update.weights.as_slice())
-        {
-            *w -= u;
-        }
-        for (b, u) in self.biases.iter_mut().zip(update.biases.iter()) {
-            *b -= u;
+        input.transpose_into(input_t);
+        input_t.matmul_into(delta, grad_weights)?;
+        grad_biases.resize(delta.cols(), 0.0);
+        delta.sum_rows_into(grad_biases);
+        // dL/dx = dpre W^T
+        if let Some(grad_input) = grad_input {
+            self.weights.transpose_into(weights_t);
+            delta.matmul_into(weights_t, grad_input)?;
         }
         Ok(())
     }
@@ -365,6 +252,8 @@ impl DenseLayer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::mlp::Mlp;
+    use crate::optimizer::Adam;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -428,6 +317,21 @@ mod tests {
         assert!(DenseLayer::from_parameters(w, vec![0.0; 2], Activation::ReLU).is_err());
     }
 
+    /// The training step's forward and backward pass through `l` for the
+    /// loss `L = sum(output)`: the filled buffers and `dL/dx`.
+    fn sum_loss_backward(l: &DenseLayer, x: &Matrix) -> (LayerBuffers, Matrix) {
+        let mut buffers = LayerBuffers::default();
+        l.forward_into(x, &mut buffers.output).unwrap();
+        buffers.delta = Matrix::filled(x.rows(), l.outputs(), 1.0);
+        let mut grad_input = Matrix::default();
+        l.backward(x, &mut buffers, Some(&mut grad_input)).unwrap();
+        (buffers, grad_input)
+    }
+
+    fn sum(m: &Matrix) -> f32 {
+        m.as_slice().iter().sum()
+    }
+
     #[test]
     fn backward_gradient_matches_finite_difference() {
         // Single sample, identity activation, check dL/dW numerically with
@@ -435,21 +339,19 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(5);
         let mut l = DenseLayer::new(3, 2, Activation::Identity, &mut rng).unwrap();
         let x = Matrix::from_rows(&[vec![0.3, -0.7, 0.2]]).unwrap();
-        let (_, cache) = l.forward_with_cache(&x).unwrap();
-        let grad_out = Matrix::filled(1, 2, 1.0);
-        let (_, grads) = l.backward(&cache, &grad_out).unwrap();
+        let (buffers, _) = sum_loss_backward(&l, &x);
 
         let eps = 1e-3_f32;
         for r in 0..3 {
             for c in 0..2 {
                 let orig = l.weights().get(r, c);
                 l.weights_mut().set(r, c, orig + eps);
-                let plus = l.forward(&x).unwrap().sum();
+                let plus = sum(&l.forward(&x).unwrap());
                 l.weights_mut().set(r, c, orig - eps);
-                let minus = l.forward(&x).unwrap().sum();
+                let minus = sum(&l.forward(&x).unwrap());
                 l.weights_mut().set(r, c, orig);
                 let numeric = (plus - minus) / (2.0 * eps);
-                let analytic = grads.weights.get(r, c);
+                let analytic = buffers.grad_weights.get(r, c);
                 assert!(
                     (numeric - analytic).abs() < 1e-2,
                     "dW[{r},{c}] numeric {numeric} vs analytic {analytic}"
@@ -463,14 +365,18 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(6);
         let l = DenseLayer::new(3, 2, Activation::ReLU, &mut rng).unwrap();
         let x = Matrix::from_rows(&[vec![-0.5, 0.1, -0.9]]).unwrap();
-        let (_, cache) = l.forward_with_cache(&x).unwrap();
+        let linear = DenseLayer::from_parameters(
+            l.weights().clone(),
+            l.biases().to_vec(),
+            Activation::Identity,
+        )
+        .unwrap();
         // Away from the ReLU kink, so the finite difference is well defined,
         // with at least one unit active, so the gradient is not trivially 0.
-        let pre = cache.pre_activation.as_slice();
-        assert!(pre.iter().all(|p| p.abs() > 1e-2));
-        assert!(pre.iter().any(|&p| p > 0.0));
-        let grad_out = Matrix::filled(1, 2, 1.0);
-        let (grad_in, _) = l.backward(&cache, &grad_out).unwrap();
+        let pre = linear.forward(&x).unwrap();
+        assert!(pre.as_slice().iter().all(|p| p.abs() > 1e-2));
+        assert!(pre.as_slice().iter().any(|&p| p > 0.0));
+        let (_, grad_in) = sum_loss_backward(&l, &x);
 
         let eps = 1e-3_f32;
         for c in 0..3 {
@@ -479,32 +385,34 @@ mod tests {
             let mut xm = x.clone();
             xm.set(0, c, x.get(0, c) - eps);
             let numeric =
-                (l.forward(&xp).unwrap().sum() - l.forward(&xm).unwrap().sum()) / (2.0 * eps);
+                (sum(&l.forward(&xp).unwrap()) - sum(&l.forward(&xm).unwrap())) / (2.0 * eps);
             assert!((numeric - grad_in.get(0, c)).abs() < 1e-2);
         }
     }
 
     #[test]
     fn apply_update_moves_parameters_in_negative_gradient_direction() {
-        let w = Matrix::filled(1, 1, 1.0);
-        let mut l = DenseLayer::from_parameters(w, vec![1.0], Activation::Identity).unwrap();
-        let update = LayerGradient {
-            weights: Matrix::filled(1, 1, 0.25),
-            biases: vec![0.5],
-        };
-        l.apply_update(&update).unwrap();
-        assert_eq!(l.weights().get(0, 0), 0.75);
-        assert_eq!(l.biases()[0], 0.5);
-    }
+        // L = sum(y) for y = x W + b: dL/dW = x^T = [2, -3], dL/db = 1.
+        let w = Matrix::from_rows(&[vec![1.0], vec![1.0]]).unwrap();
+        let l = DenseLayer::from_parameters(w, vec![1.0], Activation::Identity).unwrap();
+        let x = Matrix::from_rows(&[vec![2.0, -3.0]]).unwrap();
+        let (buffers, _) = sum_loss_backward(&l, &x);
+        assert_eq!(buffers.grad_weights.as_slice(), &[2.0, -3.0]);
+        assert_eq!(buffers.grad_biases, vec![1.0]);
 
-    #[test]
-    fn apply_update_rejects_mismatched_shapes() {
-        let mut l = layer(2, 2, Activation::ReLU);
-        let bad = LayerGradient {
-            weights: Matrix::zeros(3, 2),
-            biases: vec![0.0; 2],
-        };
-        assert!(l.apply_update(&bad).is_err());
+        let mut mlp = Mlp::from_layers(vec![l]).unwrap();
+        Adam::new(0.25).step(&mut mlp, &[buffers]);
+        let updated = &mlp.layers()[0];
+        // The first bias-corrected Adam step moves each parameter by about
+        // the learning rate, against the sign of its gradient.
+        let moved = [
+            updated.weights().get(0, 0) - 1.0,
+            updated.weights().get(1, 0) - 1.0,
+            updated.biases()[0] - 1.0,
+        ];
+        for (delta, expected) in moved.into_iter().zip([-0.25, 0.25, -0.25]) {
+            assert!((delta - expected).abs() < 1e-4, "{moved:?}");
+        }
     }
 
     #[test]

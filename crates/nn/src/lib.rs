@@ -9,9 +9,12 @@
 //!
 //! The MLPs in the printed-electronics setting are deliberately tiny (a single
 //! hidden layer of a few tens of neurons), so this crate favours clarity and
-//! determinism over raw throughput: all tensors are dense row-major `f32`
-//! matrices and all randomness flows through caller-provided [`rand::Rng`]
-//! instances so that experiments are reproducible.
+//! determinism: all tensors are dense row-major `f32` matrices and all
+//! randomness flows through caller-provided [`rand::Rng`] instances so that
+//! experiments are reproducible. Every candidate the pipeline scores is
+//! fine-tuned first, so the training step is the one hot path: it allocates
+//! nothing per mini-batch, and its matrix kernel sums in the textbook order,
+//! so trained weights are bit-identical to a naive implementation's.
 //!
 //! ## Example
 //!
@@ -55,15 +58,14 @@ pub mod loss;
 pub mod matrix;
 pub mod metrics;
 pub mod mlp;
-pub mod optimizer;
+mod optimizer;
 pub mod trainer;
 
 pub use activation::Activation;
 pub use dataset::Dataset;
 pub use error::NnError;
-pub use layer::{BackpropScratch, DenseLayer};
+pub use layer::DenseLayer;
 pub use matrix::Matrix;
 pub use metrics::accuracy;
-pub use mlp::{Mlp, MlpBuilder, MlpScratch};
-pub use optimizer::Adam;
+pub use mlp::{Mlp, MlpBuilder};
 pub use trainer::{TrainConfig, TrainReport, Trainer};

@@ -21,7 +21,8 @@ use crate::matrix::Matrix;
 pub fn cross_entropy(logits: &Matrix, targets: &[usize]) -> Result<f32, NnError> {
     validate(logits, targets)?;
     let n = logits.rows() as f32;
-    let probs = softmax_rows(logits);
+    let mut probs = logits.clone();
+    softmax_rows(&mut probs);
     let mut total = 0.0;
     for (r, &t) in targets.iter().enumerate() {
         let p = probs.get(r, t).max(1e-12);
@@ -39,22 +40,21 @@ pub fn cross_entropy(logits: &Matrix, targets: &[usize]) -> Result<f32, NnError>
 pub fn cross_entropy_gradient(logits: &Matrix, targets: &[usize]) -> Result<Matrix, NnError> {
     validate(logits, targets)?;
     let n = logits.rows() as f32;
-    let mut grad = softmax_rows(logits);
+    let mut grad = logits.clone();
+    softmax_rows(&mut grad);
     for (r, &t) in targets.iter().enumerate() {
         let v = grad.get(r, t);
         grad.set(r, t, v - 1.0);
     }
-    // In place — same arithmetic as `scale(1.0 / n)` without the extra
-    // per-batch allocation.
     let inv_n = 1.0 / n;
     grad.map_inplace(|x| x * inv_n);
     Ok(grad)
 }
 
-/// Computes the scalar loss *and* its gradient in one pass, sharing the
-/// softmax (the dominant transcendental cost) between the two — the
-/// training loop needs both every batch, and computing them separately
-/// exponentiates every logit twice.
+/// Computes the scalar loss *and* writes its gradient into `grad`, sharing
+/// the softmax (the dominant transcendental cost) between the two. `grad`
+/// takes the logits' shape and keeps its allocation, so the training step
+/// computes the softmax in a buffer it reuses every batch.
 ///
 /// Bit-for-bit identical to calling [`cross_entropy`] and
 /// [`cross_entropy_gradient`] separately.
@@ -65,19 +65,22 @@ pub fn cross_entropy_gradient(logits: &Matrix, targets: &[usize]) -> Result<Matr
 pub fn cross_entropy_with_gradient(
     logits: &Matrix,
     targets: &[usize],
-) -> Result<(f32, Matrix), NnError> {
+    grad: &mut Matrix,
+) -> Result<f32, NnError> {
     validate(logits, targets)?;
     let n = logits.rows() as f32;
-    let mut grad = softmax_rows(logits);
+    grad.clone_from(logits);
+    softmax_rows(grad);
     let mut total = 0.0;
     for (r, &t) in targets.iter().enumerate() {
-        let p = grad.get(r, t);
+        let row = grad.row_mut(r);
+        let p = row[t];
         total -= p.max(1e-12).ln();
-        grad.set(r, t, p - 1.0);
+        row[t] = p - 1.0;
     }
     let inv_n = 1.0 / n;
     grad.map_inplace(|x| x * inv_n);
-    Ok((total / n, grad))
+    Ok(total / n)
 }
 
 fn validate(logits: &Matrix, targets: &[usize]) -> Result<(), NnError> {
@@ -202,7 +205,8 @@ mod proptests {
             let logits = Matrix::from_vec(3, 4, v).unwrap();
             let targets = [t, (t + 1) % 4, (t + 3) % 4];
             let bits = |m: &Matrix| m.as_slice().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-            let (loss, grad) = cross_entropy_with_gradient(&logits, &targets).unwrap();
+            let mut grad = Matrix::filled(1, 1, 7.0);
+            let loss = cross_entropy_with_gradient(&logits, &targets, &mut grad).unwrap();
             prop_assert_eq!(
                 loss.to_bits(),
                 cross_entropy(&logits, &targets).unwrap().to_bits()

@@ -5,9 +5,9 @@
 //! explicit error reporting is preferred over an external BLAS dependency.
 
 use crate::error::NnError;
+use serde::json::{Error, Value};
 use serde::{Deserialize, Serialize};
 use std::fmt;
-use std::ops::{Add, Mul, Sub};
 
 /// A dense row-major matrix of `f32` values.
 ///
@@ -18,13 +18,13 @@ use std::ops::{Add, Mul, Sub};
 ///
 /// # fn main() -> Result<(), pmlp_nn::NnError> {
 /// let a = Matrix::from_rows(&[vec![1.0, 2.0], vec![3.0, 4.0]])?;
-/// let b = Matrix::identity(2);
+/// let b = Matrix::from_rows(&[vec![0.0, 1.0], vec![1.0, 0.0]])?;
 /// let c = a.matmul(&b)?;
-/// assert_eq!(c, a);
+/// assert_eq!(c, Matrix::from_rows(&[vec![2.0, 1.0], vec![4.0, 3.0]])?);
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, PartialEq, Serialize)]
 pub struct Matrix {
     rows: usize,
     cols: usize,
@@ -49,6 +49,25 @@ impl Clone for Matrix {
     }
 }
 
+/// The empty `0 x 0` matrix: a buffer that the first `*_into` call sizes.
+impl Default for Matrix {
+    fn default() -> Self {
+        Matrix::zeros(0, 0)
+    }
+}
+
+impl Deserialize for Matrix {
+    /// Goes through [`Matrix::from_vec`], so a document whose `data` length
+    /// is not `rows * cols` is rejected instead of building a matrix that
+    /// panics on first use.
+    fn deserialize_value(value: &Value) -> Result<Self, Error> {
+        let rows = usize::deserialize_value(value.field("rows")?)?;
+        let cols = usize::deserialize_value(value.field("cols")?)?;
+        let data = Vec::<f32>::deserialize_value(value.field("data")?)?;
+        Matrix::from_vec(rows, cols, data).map_err(|e| Error::custom(e.to_string()))
+    }
+}
+
 impl Matrix {
     /// Creates a matrix of `rows x cols` filled with zeros.
     ///
@@ -70,15 +89,6 @@ impl Matrix {
             cols,
             data: vec![value; rows * cols],
         }
-    }
-
-    /// Creates an identity matrix of size `n x n`.
-    pub fn identity(n: usize) -> Self {
-        let mut m = Matrix::zeros(n, n);
-        for i in 0..n {
-            m.set(i, i, 1.0);
-        }
-        m
     }
 
     /// Builds a matrix from a slice of equally-long rows.
@@ -122,13 +132,13 @@ impl Matrix {
     ///
     /// # Errors
     ///
-    /// Returns [`NnError::InvalidDimension`] if `data.len() != rows * cols`.
+    /// Returns [`NnError::InvalidDimension`] if `data.len() != rows * cols`
+    /// or `rows * cols` overflows `usize`.
     pub fn from_vec(rows: usize, cols: usize, data: Vec<f32>) -> Result<Self, NnError> {
-        if data.len() != rows * cols {
+        if rows.checked_mul(cols) != Some(data.len()) {
             return Err(NnError::InvalidDimension {
                 context: format!(
-                    "from_vec: expected {} elements, got {}",
-                    rows * cols,
+                    "from_vec: a {rows}x{cols} matrix cannot hold {} elements",
                     data.len()
                 ),
             });
@@ -296,11 +306,12 @@ impl Matrix {
     /// Matrix product `self * other` written into a caller-owned matrix,
     /// reusing its allocation.
     ///
-    /// This is the training hot kernel: a dense `ikj` loop blocked over `k`
-    /// for cache locality (iteration order — and therefore every f32
-    /// rounding — is identical to the naive kernel), with no per-element
-    /// zero test on the left operand. It runs serially: parallelism lives
-    /// above it, over candidates and datasets.
+    /// This is the training hot kernel: it sweeps `other` in 8-wide column
+    /// panels, four rows of `self` at a time, with the partial sums in
+    /// registers. Every element is still the sum of its products in
+    /// ascending inner index, started from `+0.0`, so the result is
+    /// bit-for-bit that of the textbook triple loop. It runs serially:
+    /// parallelism lives above it, over candidates and datasets.
     ///
     /// # Errors
     ///
@@ -313,10 +324,9 @@ impl Matrix {
                 right: other.shape(),
             });
         }
-        out.rows = self.rows;
-        out.cols = other.cols;
-        out.data.clear();
-        out.data.resize(self.rows * other.cols, 0.0);
+        // The kernel writes every element, so a reused buffer keeps its
+        // stale values until then instead of being zeroed first.
+        out.resize(self.rows, other.cols);
         matmul_rows(
             &self.data,
             self.cols,
@@ -327,66 +337,13 @@ impl Matrix {
         Ok(())
     }
 
-    /// Element-wise addition.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NnError::ShapeMismatch`] when shapes differ.
-    pub fn add_elem(&self, other: &Matrix) -> Result<Matrix, NnError> {
-        self.zip_with(other, "add", |a, b| a + b)
-    }
-
-    /// Element-wise subtraction.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NnError::ShapeMismatch`] when shapes differ.
-    pub fn sub_elem(&self, other: &Matrix) -> Result<Matrix, NnError> {
-        self.zip_with(other, "sub", |a, b| a - b)
-    }
-
-    /// Element-wise (Hadamard) product.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NnError::ShapeMismatch`] when shapes differ.
-    pub fn hadamard(&self, other: &Matrix) -> Result<Matrix, NnError> {
-        self.zip_with(other, "hadamard", |a, b| a * b)
-    }
-
-    fn zip_with(
-        &self,
-        other: &Matrix,
-        context: &str,
-        f: impl Fn(f32, f32) -> f32,
-    ) -> Result<Matrix, NnError> {
-        if self.shape() != other.shape() {
-            return Err(NnError::ShapeMismatch {
-                context: context.into(),
-                left: self.shape(),
-                right: other.shape(),
-            });
-        }
-        let data = self
-            .data
-            .iter()
-            .zip(other.data.iter())
-            .map(|(&a, &b)| f(a, b))
-            .collect();
-        Ok(Matrix {
-            rows: self.rows,
-            cols: self.cols,
-            data,
-        })
-    }
-
-    /// Returns a new matrix with `f` applied to every element.
-    pub fn map(&self, f: impl Fn(f32) -> f32) -> Matrix {
-        Matrix {
-            rows: self.rows,
-            cols: self.cols,
-            data: self.data.iter().map(|&x| f(x)).collect(),
-        }
+    /// Gives the matrix the shape `rows x cols`, reusing the allocation. The
+    /// elements keep whatever values the buffer held; callers overwrite
+    /// every one of them.
+    pub(crate) fn resize(&mut self, rows: usize, cols: usize) {
+        self.rows = rows;
+        self.cols = cols;
+        self.data.resize(rows * cols, 0.0);
     }
 
     /// Applies `f` to every element in place.
@@ -396,31 +353,7 @@ impl Matrix {
         }
     }
 
-    /// Multiplies every element by `s`.
-    pub fn scale(&self, s: f32) -> Matrix {
-        self.map(|x| x * s)
-    }
-
-    /// Adds a row vector (broadcast over rows), used for bias addition.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NnError::ShapeMismatch`] when `bias.len() != self.cols()`.
-    pub fn add_row_broadcast(&self, bias: &[f32]) -> Result<Matrix, NnError> {
-        if bias.len() != self.cols {
-            return Err(NnError::ShapeMismatch {
-                context: "add_row_broadcast".into(),
-                left: self.shape(),
-                right: (1, bias.len()),
-            });
-        }
-        let mut out = self.clone();
-        out.add_row_broadcast_inplace(bias)?;
-        Ok(out)
-    }
-
-    /// Adds a row vector to every row in place (allocation-free counterpart
-    /// of [`Matrix::add_row_broadcast`], used in the batched inference path).
+    /// Adds a row vector to every row in place (the bias of a dense layer).
     ///
     /// # Errors
     ///
@@ -439,6 +372,22 @@ impl Matrix {
             }
         }
         Ok(())
+    }
+
+    /// Writes the column sums into `out` (length `cols`): each starts at
+    /// `+0.0` and adds the rows top to bottom.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `out.len() != self.cols()`.
+    pub(crate) fn sum_rows_into(&self, out: &mut [f32]) {
+        assert_eq!(out.len(), self.cols, "sum_rows_into: length mismatch");
+        out.fill(0.0);
+        for row in self.iter_rows() {
+            for (acc, &v) in out.iter_mut().zip(row.iter()) {
+                *acc += v;
+            }
+        }
     }
 
     /// Overwrites this matrix with the selected rows of `src`, reusing the
@@ -462,39 +411,9 @@ impl Matrix {
         }
     }
 
-    /// Sums over rows, producing a vector of length `cols`.
-    pub fn sum_rows(&self) -> Vec<f32> {
-        let mut out = vec![0.0; self.cols];
-        for row in self.iter_rows() {
-            for (acc, &v) in out.iter_mut().zip(row.iter()) {
-                *acc += v;
-            }
-        }
-        out
-    }
-
-    /// Sum of all elements.
-    pub fn sum(&self) -> f32 {
-        self.data.iter().sum()
-    }
-
-    /// Mean of all elements; `0.0` for an empty matrix.
-    pub fn mean(&self) -> f32 {
-        if self.data.is_empty() {
-            0.0
-        } else {
-            self.sum() / self.data.len() as f32
-        }
-    }
-
     /// Maximum absolute value; `0.0` for an empty matrix.
     pub fn max_abs(&self) -> f32 {
         self.data.iter().fold(0.0_f32, |m, &x| m.max(x.abs()))
-    }
-
-    /// Frobenius norm.
-    pub fn frobenius_norm(&self) -> f32 {
-        self.data.iter().map(|&x| x * x).sum::<f32>().sqrt()
     }
 
     /// Number of elements equal to exactly zero.
@@ -522,79 +441,173 @@ impl Matrix {
     /// Index of the maximum value in each row (argmax), ties resolved to the
     /// lowest index.
     pub fn argmax_rows(&self) -> Vec<usize> {
-        self.iter_rows()
-            .map(|row| {
-                row.iter()
-                    .enumerate()
-                    .fold((0usize, f32::NEG_INFINITY), |(bi, bv), (i, &v)| {
-                        if v > bv {
-                            (i, v)
-                        } else {
-                            (bi, bv)
-                        }
-                    })
-                    .0
-            })
-            .collect()
+        self.iter_rows().map(argmax).collect()
     }
 }
 
-/// Dense row-major product kernel shared by the sequential and row-parallel
-/// paths of [`Matrix::matmul_into`]: `out` holds one or more complete result
-/// rows, `a` points at the first corresponding row of the left operand.
+/// Index of the maximum of `row`, ties resolved to the lowest index; `0` for
+/// an empty or all-NaN row.
+pub(crate) fn argmax(row: &[f32]) -> usize {
+    row.iter()
+        .enumerate()
+        .fold((0usize, f32::NEG_INFINITY), |(bi, bv), (i, &v)| {
+            if v > bv {
+                (i, v)
+            } else {
+                (bi, bv)
+            }
+        })
+        .0
+}
+
+/// Width of a column panel of the right operand: two SSE2 vectors.
+const PANEL: usize = 8;
+
+/// Left-operand rows per register block. Four rows by one panel is eight
+/// vector accumulators, which fit in the sixteen SSE2 registers next to the
+/// panel row and the broadcast left value.
+const BLOCK_ROWS: usize = 4;
+
+/// Inner-index depth of the zero-padded tail panel, which lives on the
+/// stack. Every product of the training step is shallower; a deeper one
+/// packs and sweeps the tail panel in slices of this depth.
+const TAIL_DEPTH: usize = 32;
+
+/// Dense row-major product kernel of [`Matrix::matmul_into`]: writes every
+/// element of the `m x b_cols` product `out`, where `a` holds `m` rows of
+/// `a_cols` elements and `b` holds `a_cols` rows of `b_cols` elements.
 ///
-/// Blocked over output columns so the live `out` stripe stays cache-resident
-/// across the whole `k` sweep. Per output element the accumulation order is
-/// `k` ascending — identical to the naive kernel, so results are bit-for-bit
-/// unchanged — and the dense inner loop carries no per-element zero test, so
-/// it vectorizes.
+/// The right operand is swept in column panels of [`PANEL`] (Goto & van de
+/// Geijn, "Anatomy of High-Performance Matrix Multiplication", ACM TOMS
+/// 2008). A full panel is read where it lies in `b`; only the last,
+/// narrower panel is copied into a zero-padded stack buffer. Against each
+/// panel, [`BLOCK_ROWS`] rows of `a` at a time accumulate a `rows x PANEL`
+/// block in registers over the whole inner index, so every output is
+/// written once, and the 5-wide output layer still runs on full vectors.
 ///
-/// Kept out of line: inlined into `matmul_into`, its only caller, it made
-/// full-effort baseline training and GA runs 10-15% slower (release build,
-/// 2-core x86-64 VM).
+/// Per output element the sum starts at `+0.0` and adds each `a * b` in
+/// ascending inner index, with the multiply and the add rounded separately:
+/// the result is bit-for-bit the textbook triple loop's, for every shape.
+///
+/// Kept out of line, as the row-sweep kernel before it was: inlined into
+/// `matmul_into`, its only caller, that kernel made full-effort baseline
+/// training and GA runs 10-15% slower (release build, 2-core x86-64 VM).
+/// This one has not been measured inlined.
 #[inline(never)]
 fn matmul_rows(a: &[f32], a_cols: usize, b: &[f32], b_cols: usize, out: &mut [f32]) {
-    const J_BLOCK: usize = 512;
-    if b_cols == 0 || a_cols == 0 {
+    if b_cols == 0 {
         return;
     }
-    for (i, out_row) in out.chunks_mut(b_cols).enumerate() {
-        let a_row = &a[i * a_cols..(i + 1) * a_cols];
-        let mut j0 = 0;
-        while j0 < b_cols {
-            let j1 = (j0 + J_BLOCK).min(b_cols);
-            let out_chunk = &mut out_row[j0..j1];
-            let width = j1 - j0;
-            // Register-block four `k` steps per sweep: the accumulator stays
-            // live across four multiply-adds instead of being re-read and
-            // re-written per step, quartering the `out` traffic. Per element
-            // the adds still happen in ascending-`k` order.
-            let mut k = 0;
-            while k + 4 <= a_cols {
-                let (a0, a1, a2, a3) = (a_row[k], a_row[k + 1], a_row[k + 2], a_row[k + 3]);
-                let b0 = &b[k * b_cols + j0..k * b_cols + j0 + width];
-                let b1 = &b[(k + 1) * b_cols + j0..(k + 1) * b_cols + j0 + width];
-                let b2 = &b[(k + 2) * b_cols + j0..(k + 2) * b_cols + j0 + width];
-                let b3 = &b[(k + 3) * b_cols + j0..(k + 3) * b_cols + j0 + width];
-                for ((((o, &v0), &v1), &v2), &v3) in
-                    out_chunk.iter_mut().zip(b0).zip(b1).zip(b2).zip(b3)
-                {
-                    let mut acc = *o;
-                    acc += a0 * v0;
-                    acc += a1 * v1;
-                    acc += a2 * v2;
-                    acc += a3 * v3;
-                    *o = acc;
-                }
-                k += 4;
+    if a_cols == 0 {
+        out.fill(0.0);
+        return;
+    }
+    let full = b_cols - b_cols % PANEL;
+    for j0 in (0..full).step_by(PANEL) {
+        let panel = Panel {
+            data: &b[j0..],
+            stride: b_cols,
+            col: j0,
+            width: PANEL,
+        };
+        panel.multiply(a, a_cols, 0..a_cols, out, b_cols);
+    }
+    if full < b_cols {
+        let width = b_cols - full;
+        // Lanes past `width` stay zero: only the first `width` of each row
+        // are ever written.
+        let mut tail = [0.0_f32; PANEL * TAIL_DEPTH];
+        for k0 in (0..a_cols).step_by(TAIL_DEPTH) {
+            let k1 = (k0 + TAIL_DEPTH).min(a_cols);
+            for (dst, src) in tail
+                .chunks_exact_mut(PANEL)
+                .zip(b[k0 * b_cols..k1 * b_cols].chunks_exact(b_cols))
+            {
+                dst[..width].copy_from_slice(&src[full..]);
             }
-            for (k, &av) in a_row.iter().enumerate().skip(k) {
-                let b_chunk = &b[k * b_cols + j0..k * b_cols + j1];
-                for (o, &bv) in out_chunk.iter_mut().zip(b_chunk) {
+            let panel = Panel {
+                data: &tail,
+                stride: PANEL,
+                col: full,
+                width,
+            };
+            panel.multiply(a, a_cols, k0..k1, out, b_cols);
+        }
+    }
+}
+
+/// One column panel of the right operand: row `k` of the panel is
+/// `data[k * stride..][..PANEL]`, counted from the first inner index the
+/// panel holds. It feeds output columns `col..col + width`.
+struct Panel<'a> {
+    data: &'a [f32],
+    stride: usize,
+    col: usize,
+    width: usize,
+}
+
+impl Panel<'_> {
+    /// Accumulates `a[.., inner] * panel` into the panel's columns of every
+    /// output row, [`BLOCK_ROWS`] rows at a time. When `inner` does not
+    /// start at 0, each sum resumes from the partial sum already in `out`.
+    #[inline(always)]
+    fn multiply(
+        &self,
+        a: &[f32],
+        a_cols: usize,
+        inner: std::ops::Range<usize>,
+        out: &mut [f32],
+        out_cols: usize,
+    ) {
+        let rows = out.len() / out_cols;
+        let mut i = 0;
+        while i + BLOCK_ROWS <= rows {
+            self.block::<BLOCK_ROWS>(a, a_cols, i, inner.clone(), out, out_cols);
+            i += BLOCK_ROWS;
+        }
+        match rows - i {
+            1 => self.block::<1>(a, a_cols, i, inner, out, out_cols),
+            2 => self.block::<2>(a, a_cols, i, inner, out, out_cols),
+            3 => self.block::<3>(a, a_cols, i, inner, out, out_cols),
+            _ => {}
+        }
+    }
+
+    /// The register block: output rows `i..i + R` against this panel.
+    #[inline(always)]
+    fn block<const R: usize>(
+        &self,
+        a: &[f32],
+        a_cols: usize,
+        i: usize,
+        inner: std::ops::Range<usize>,
+        out: &mut [f32],
+        out_cols: usize,
+    ) {
+        let depth = inner.len();
+        let mut acc = [[0.0_f32; PANEL]; R];
+        if inner.start > 0 {
+            for (r, acc_row) in acc.iter_mut().enumerate() {
+                acc_row[..self.width]
+                    .copy_from_slice(&out[(i + r) * out_cols + self.col..][..self.width]);
+            }
+        }
+        let a_rows: [&[f32]; R] =
+            std::array::from_fn(|r| &a[(i + r) * a_cols + inner.start..][..depth]);
+        for k in 0..depth {
+            let b_row: &[f32; PANEL] = self.data[k * self.stride..][..PANEL]
+                .try_into()
+                .expect("a panel row is PANEL wide");
+            for (acc_row, a_row) in acc.iter_mut().zip(a_rows) {
+                let av = a_row[k];
+                for (o, &bv) in acc_row.iter_mut().zip(b_row) {
                     *o += av * bv;
                 }
             }
-            j0 = j1;
+        }
+        for (r, acc_row) in acc.iter().enumerate() {
+            out[(i + r) * out_cols + self.col..][..self.width]
+                .copy_from_slice(&acc_row[..self.width]);
         }
     }
 }
@@ -610,37 +623,6 @@ impl fmt::Display for Matrix {
     }
 }
 
-impl Add for &Matrix {
-    type Output = Matrix;
-
-    /// # Panics
-    ///
-    /// Panics if shapes differ; use [`Matrix::add_elem`] for a fallible version.
-    fn add(self, rhs: &Matrix) -> Matrix {
-        self.add_elem(rhs).expect("matrix addition shape mismatch")
-    }
-}
-
-impl Sub for &Matrix {
-    type Output = Matrix;
-
-    /// # Panics
-    ///
-    /// Panics if shapes differ; use [`Matrix::sub_elem`] for a fallible version.
-    fn sub(self, rhs: &Matrix) -> Matrix {
-        self.sub_elem(rhs)
-            .expect("matrix subtraction shape mismatch")
-    }
-}
-
-impl Mul<f32> for &Matrix {
-    type Output = Matrix;
-
-    fn mul(self, rhs: f32) -> Matrix {
-        self.scale(rhs)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -653,11 +635,19 @@ mod tests {
         assert!(m.as_slice().iter().all(|&x| x == 0.0));
     }
 
+    /// The `n x n` identity matrix.
+    pub(super) fn identity(n: usize) -> Matrix {
+        let mut m = Matrix::zeros(n, n);
+        for i in 0..n {
+            m.set(i, i, 1.0);
+        }
+        m
+    }
+
     #[test]
     fn identity_matmul_is_noop() {
         let a = Matrix::from_rows(&[vec![1.0, 2.0, 3.0], vec![4.0, 5.0, 6.0]]).unwrap();
-        let i = Matrix::identity(3);
-        assert_eq!(a.matmul(&i).unwrap(), a);
+        assert_eq!(a.matmul(&identity(3)).unwrap(), a);
     }
 
     #[test]
@@ -696,14 +686,42 @@ mod tests {
     fn from_vec_validates_length() {
         assert!(Matrix::from_vec(2, 2, vec![1.0; 3]).is_err());
         assert!(Matrix::from_vec(2, 2, vec![1.0; 4]).is_ok());
+        // `rows * cols` wraps to 0 in `usize`; that is not an empty matrix.
+        assert!(Matrix::from_vec(1 << 32, 1 << 32, Vec::new()).is_err());
+    }
+
+    #[test]
+    fn deserialization_rejects_a_data_length_that_does_not_fit_the_shape() {
+        let m = Matrix::from_rows(&[vec![1.0, 2.0], vec![3.0, 4.0]]).unwrap();
+        let json = serde_json::to_string(&m).unwrap();
+        assert_eq!(serde_json::from_str::<Matrix>(&json).unwrap(), m);
+        let short = json.replace(",4]", "]");
+        assert_ne!(short, json);
+        assert!(serde_json::from_str::<Matrix>(&short).is_err());
     }
 
     #[test]
     fn add_row_broadcast_adds_bias_to_each_row() {
-        let a = Matrix::from_rows(&[vec![1.0, 1.0], vec![2.0, 2.0]]).unwrap();
-        let out = a.add_row_broadcast(&[10.0, 20.0]).unwrap();
-        assert_eq!(out.row(0), &[11.0, 21.0]);
-        assert_eq!(out.row(1), &[12.0, 22.0]);
+        let mut a = Matrix::from_rows(&[vec![1.0, 1.0], vec![2.0, 2.0]]).unwrap();
+        a.add_row_broadcast_inplace(&[10.0, 20.0]).unwrap();
+        assert_eq!(a.row(0), &[11.0, 21.0]);
+        assert_eq!(a.row(1), &[12.0, 22.0]);
+    }
+
+    #[test]
+    fn add_row_broadcast_inplace_matches_allocating_version() {
+        let a = Matrix::from_rows(&[vec![1.5, -0.0, 3.0], vec![-2.0, 0.25, 0.0]]).unwrap();
+        let bias = [10.0, -0.0, -3.0];
+        // The allocating reference: a fresh matrix with `bias` added to
+        // each element of every row.
+        let expected: Vec<f32> = a
+            .iter_rows()
+            .flat_map(|row| row.iter().zip(&bias).map(|(v, b)| v + b))
+            .collect();
+        let mut b = a.clone();
+        b.add_row_broadcast_inplace(&bias).unwrap();
+        assert_eq!(b, Matrix::from_vec(2, 3, expected).unwrap());
+        assert!(b.add_row_broadcast_inplace(&[1.0]).is_err());
     }
 
     #[test]
@@ -713,25 +731,17 @@ mod tests {
     }
 
     #[test]
-    fn sum_rows_and_mean() {
+    fn sum_rows_into_overwrites_with_column_sums() {
         let a = Matrix::from_rows(&[vec![1.0, 2.0], vec![3.0, 4.0]]).unwrap();
-        assert_eq!(a.sum_rows(), vec![4.0, 6.0]);
-        assert!((a.mean() - 2.5).abs() < 1e-6);
+        let mut sums = vec![9.0; 2];
+        a.sum_rows_into(&mut sums);
+        assert_eq!(sums, vec![4.0, 6.0]);
     }
 
     #[test]
     fn count_zeros_counts_exact_zeros() {
         let a = Matrix::from_rows(&[vec![0.0, 2.0], vec![0.0, 0.0]]).unwrap();
         assert_eq!(a.count_zeros(), 3);
-    }
-
-    #[test]
-    fn add_row_broadcast_inplace_matches_allocating_version() {
-        let a = Matrix::from_rows(&[vec![1.0, 1.0], vec![2.0, 2.0]]).unwrap();
-        let mut b = a.clone();
-        b.add_row_broadcast_inplace(&[10.0, 20.0]).unwrap();
-        assert_eq!(b, a.add_row_broadcast(&[10.0, 20.0]).unwrap());
-        assert!(b.add_row_broadcast_inplace(&[1.0]).is_err());
     }
 
     #[test]
@@ -821,15 +831,6 @@ mod tests {
     }
 
     #[test]
-    fn operators_match_methods() {
-        let a = Matrix::filled(2, 2, 3.0);
-        let b = Matrix::filled(2, 2, 1.0);
-        assert_eq!(&a + &b, Matrix::filled(2, 2, 4.0));
-        assert_eq!(&a - &b, Matrix::filled(2, 2, 2.0));
-        assert_eq!(&a * 2.0, Matrix::filled(2, 2, 6.0));
-    }
-
-    #[test]
     fn display_contains_dimensions() {
         let a = Matrix::zeros(1, 2);
         let s = format!("{a}");
@@ -847,6 +848,42 @@ mod proptests {
             .prop_map(move |v| Matrix::from_vec(rows, cols, v).unwrap())
     }
 
+    /// A `rows x cols` matrix of values in `[-10, 10)`, a fifth of them
+    /// signed zeros, drawn from a generator seeded with `seed`.
+    fn random_matrix(rows: usize, cols: usize, seed: u64) -> Matrix {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let data = (0..rows * cols)
+            .map(|_| match rng.gen_range(0..10) {
+                0 => -0.0,
+                1 => 0.0,
+                _ => rng.gen_range(-10.0f32..10.0),
+            })
+            .collect();
+        Matrix::from_vec(rows, cols, data).unwrap()
+    }
+
+    /// The textbook triple loop: each sum starts at `+0.0` and adds every
+    /// product, rounded on its own, in ascending inner index.
+    fn naive_product(a: &Matrix, b: &Matrix) -> Vec<u32> {
+        let mut out = Vec::with_capacity(a.rows() * b.cols());
+        for i in 0..a.rows() {
+            for j in 0..b.cols() {
+                let mut sum = 0.0_f32;
+                for k in 0..a.cols() {
+                    let product = a.get(i, k) * b.get(k, j);
+                    sum += product;
+                }
+                out.push(sum.to_bits());
+            }
+        }
+        out
+    }
+
+    fn bits(m: &Matrix) -> Vec<u32> {
+        m.as_slice().iter().map(|x| x.to_bits()).collect()
+    }
+
     proptest! {
         #[test]
         fn transpose_is_involution(m in small_matrix(4, 3)) {
@@ -855,7 +892,7 @@ mod proptests {
 
         #[test]
         fn matmul_identity_left_and_right(m in small_matrix(3, 3)) {
-            let i = Matrix::identity(3);
+            let i = super::tests::identity(3);
             let left = i.matmul(&m).unwrap();
             let right = m.matmul(&i).unwrap();
             for (a, b) in left.as_slice().iter().zip(m.as_slice()) {
@@ -867,26 +904,41 @@ mod proptests {
         }
 
         #[test]
-        fn addition_commutes(a in small_matrix(3, 4), b in small_matrix(3, 4)) {
-            let ab = a.add_elem(&b).unwrap();
-            let ba = b.add_elem(&a).unwrap();
-            for (x, y) in ab.as_slice().iter().zip(ba.as_slice()) {
-                prop_assert!((x - y).abs() < 1e-6);
-            }
+        fn matmul_into_is_bit_identical_to_the_naive_triple_loop(
+            rows in 0usize..=40,
+            inner in 0usize..=40,
+            cols in 1usize..=40,
+            seed in 0u64..u64::MAX,
+            stale in 0usize..3,
+        ) {
+            let a = random_matrix(rows, inner, seed);
+            let b = random_matrix(inner, cols, !seed);
+            // A reused buffer of any earlier shape and contents.
+            let mut out = Matrix::filled(stale * 7, stale * 3, f32::NAN);
+            a.matmul_into(&b, &mut out).unwrap();
+            prop_assert_eq!(out.shape(), (rows, cols));
+            prop_assert_eq!(bits(&out), naive_product(&a, &b));
         }
+    }
 
-        #[test]
-        fn scale_by_zero_gives_zero_matrix(a in small_matrix(2, 5)) {
-            let z = a.scale(0.0);
-            prop_assert_eq!(z.count_zeros(), z.len());
-        }
-
-        #[test]
-        fn frobenius_norm_non_negative_and_zero_only_for_zero(a in small_matrix(3, 3)) {
-            let n = a.frobenius_norm();
-            prop_assert!(n >= 0.0);
-            if a.as_slice().iter().all(|&x| x == 0.0) {
-                prop_assert!(n == 0.0);
+    /// Explicit shapes around the kernel's edges: row counts on either side
+    /// of a multiple of its 4-row block, column counts on either side of
+    /// one to four 8-wide panels, and inner dimensions on either side of
+    /// the tail panel's 32-deep stack buffer.
+    #[test]
+    fn matmul_into_is_bit_identical_on_the_kernel_edges() {
+        let mut seed = 0;
+        for rows in [0usize, 1, 3, 4, 5, 7, 8, 9, 32, 33] {
+            for inner in [0usize, 1, 5, 11, 25, 31, 32, 33, 40] {
+                for cols in (1usize..=9).chain([15, 16, 17, 24, 25, 26, 30, 31, 32, 33]) {
+                    seed += 2;
+                    let a = random_matrix(rows, inner, seed);
+                    let b = random_matrix(inner, cols, seed + 1);
+                    // A reused buffer holding stale values at every index.
+                    let mut out = Matrix::filled(33, 33, f32::NAN);
+                    a.matmul_into(&b, &mut out).unwrap();
+                    assert_eq!(bits(&out), naive_product(&a, &b), "{rows}x{inner}x{cols}");
+                }
             }
         }
     }

@@ -3,10 +3,11 @@
 use crate::activation::Activation;
 use crate::dataset::Dataset;
 use crate::error::NnError;
-use crate::layer::{BackpropScratch, DenseLayer, LayerCache, LayerGradient};
-use crate::matrix::Matrix;
-use crate::metrics;
+use crate::layer::{DenseLayer, LayerBuffers};
+use crate::loss::cross_entropy_with_gradient;
+use crate::matrix::{argmax, Matrix};
 use rand::Rng;
+use serde::json::{Error, Value};
 use serde::{Deserialize, Serialize};
 
 /// A feed-forward multilayer perceptron.
@@ -35,17 +36,18 @@ use serde::{Deserialize, Serialize};
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct Mlp {
     layers: Vec<DenseLayer>,
 }
 
-/// Reusable per-layer backprop buffers for a whole network; see
-/// [`Mlp::backward_with_scratch`]. Sized lazily on first use, so one
-/// `MlpScratch::default()` serves any model.
-#[derive(Debug, Clone, Default)]
-pub struct MlpScratch {
-    layers: Vec<BackpropScratch>,
+impl Deserialize for Mlp {
+    /// Goes through [`Mlp::from_layers`], so a document whose layers do not
+    /// chain is rejected.
+    fn deserialize_value(value: &Value) -> Result<Self, Error> {
+        let layers = Vec::<DenseLayer>::deserialize_value(value.field("layers")?)?;
+        Mlp::from_layers(layers).map_err(|e| Error::custom(e.to_string()))
+    }
 }
 
 impl Mlp {
@@ -132,144 +134,66 @@ impl Mlp {
     ///
     /// Returns [`NnError::ShapeMismatch`] when `x.cols() != self.input_size()`.
     pub fn forward(&self, x: &Matrix) -> Result<Matrix, NnError> {
-        let (first, rest) = self
-            .layers
-            .split_first()
-            .expect("mlp has at least one layer");
-        let mut out = first.forward(x)?;
-        for layer in rest {
-            out = layer.forward(&out)?;
-        }
-        Ok(out)
+        let mut buffers = Vec::new();
+        self.forward_into(x, &mut buffers)?;
+        Ok(buffers.pop().expect("mlp has at least one layer").output)
     }
 
-    /// Forward pass that also returns per-layer caches for backprop.
+    /// Forward pass into per-layer buffers, reusing their allocations:
+    /// layer `l` writes `buffers[l].output`, which layer `l + 1` reads.
+    /// Returns the logits, the last layer's output.
     ///
     /// # Errors
     ///
     /// Returns [`NnError::ShapeMismatch`] when the input width is wrong.
-    pub fn forward_with_caches(&self, x: &Matrix) -> Result<(Matrix, Vec<LayerCache>), NnError> {
-        let mut caches = Vec::new();
-        let out = self.forward_with_caches_into(x, &mut caches)?;
-        Ok((out, caches))
-    }
-
-    /// Forward pass writing the per-layer backprop caches into caller-owned
-    /// storage, reusing its buffers across calls — the trainer keeps one
-    /// cache vector alive for the whole run instead of reallocating the
-    /// input/pre-activation copies of every layer every batch.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NnError::ShapeMismatch`] when the input width is wrong.
-    pub fn forward_with_caches_into(
+    pub(crate) fn forward_into<'b>(
         &self,
         x: &Matrix,
-        caches: &mut Vec<LayerCache>,
-    ) -> Result<Matrix, NnError> {
-        if caches.len() != self.layers.len() {
-            caches.clear();
-            caches.resize_with(self.layers.len(), || LayerCache {
-                input: Matrix::zeros(0, 0),
-                pre_activation: Matrix::zeros(0, 0),
-            });
+        buffers: &'b mut Vec<LayerBuffers>,
+    ) -> Result<&'b Matrix, NnError> {
+        buffers.resize_with(self.layers.len(), LayerBuffers::default);
+        let mut input = x;
+        for (layer, layer_buffers) in self.layers.iter().zip(buffers.iter_mut()) {
+            layer.forward_into(input, &mut layer_buffers.output)?;
+            input = &layer_buffers.output;
         }
-        let (first, rest) = self
-            .layers
-            .split_first()
-            .expect("mlp has at least one layer");
-        let (first_cache, rest_caches) = caches
-            .split_first_mut()
-            .expect("cache vector sized to layer count");
-        let mut out = first.forward_with_cache_into(x, first_cache)?;
-        for (layer, cache) in rest.iter().zip(rest_caches.iter_mut()) {
-            out = layer.forward_with_cache_into(&out, cache)?;
-        }
-        Ok(out)
+        Ok(&buffers.last().expect("mlp has at least one layer").output)
     }
 
-    /// Backward pass: given the gradient of the loss w.r.t. the logits and the
-    /// caches from [`Mlp::forward_with_caches`], returns one gradient per
-    /// layer (input to output order).
+    /// The training step's gradient routine: the forward pass of `x` into
+    /// `buffers`, the mean softmax cross-entropy against `targets`, and the
+    /// backward pass. Returns the batch loss and leaves every layer's
+    /// parameter gradients in its buffers.
+    ///
+    /// Each layer's input gradient is computed from its weights as they are,
+    /// so the optimizer must update a layer only after this returns. The
+    /// first layer's input gradient has no consumer and is skipped.
     ///
     /// # Errors
     ///
-    /// Returns [`NnError::ShapeMismatch`] when shapes are inconsistent with
-    /// the caches.
-    pub fn backward(
+    /// Returns [`NnError::ShapeMismatch`] when the input width or the
+    /// target count is wrong, and [`NnError::InvalidDataset`] when a target
+    /// is not a class of the model.
+    pub(crate) fn gradients(
         &self,
-        caches: &[LayerCache],
-        grad_logits: &Matrix,
-    ) -> Result<Vec<LayerGradient>, NnError> {
-        let mut scratch = MlpScratch::default();
-        self.backward_with_scratch(caches, grad_logits.clone(), &mut scratch)
-    }
-
-    /// Backward pass reusing caller-owned per-layer transpose buffers.
-    ///
-    /// Identical math to [`Mlp::backward`]; the trainer holds one
-    /// [`MlpScratch`] across all batches so the per-layer weight/input
-    /// transposes stop allocating.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NnError::ShapeMismatch`] when shapes are inconsistent with
-    /// the caches.
-    pub fn backward_with_scratch(
-        &self,
-        caches: &[LayerCache],
-        grad_logits: Matrix,
-        scratch: &mut MlpScratch,
-    ) -> Result<Vec<LayerGradient>, NnError> {
-        if caches.len() != self.layers.len() {
-            return Err(NnError::InvalidConfig {
-                context: format!("{} caches for {} layers", caches.len(), self.layers.len()),
-            });
-        }
-        if scratch.layers.len() != self.layers.len() {
-            scratch.layers.clear();
-            scratch
-                .layers
-                .resize_with(self.layers.len(), BackpropScratch::default);
-        }
-        let mut grads = vec![None; self.layers.len()];
-        let mut grad = grad_logits;
-        for (i, layer) in self.layers.iter().enumerate().rev() {
-            if i == 0 {
-                // Nothing consumes dL/dx of the first layer; skip its
-                // input-gradient matmul entirely.
-                grads[0] =
-                    Some(layer.backward_params_only(&caches[0], grad, &mut scratch.layers[0])?);
-                break;
+        x: &Matrix,
+        targets: &[usize],
+        buffers: &mut Vec<LayerBuffers>,
+    ) -> Result<f32, NnError> {
+        self.forward_into(x, buffers)?;
+        let LayerBuffers { output, delta, .. } =
+            buffers.last_mut().expect("mlp has at least one layer");
+        let loss = cross_entropy_with_gradient(output, targets, delta)?;
+        for (l, layer) in self.layers.iter().enumerate().rev() {
+            let (previous, rest) = buffers.split_at_mut(l);
+            match previous.last_mut() {
+                Some(LayerBuffers { output, delta, .. }) => {
+                    layer.backward(output, &mut rest[0], Some(delta))?
+                }
+                None => layer.backward(x, &mut rest[0], None)?,
             }
-            let (grad_input, layer_grad) =
-                layer.backward_with_scratch(&caches[i], grad, &mut scratch.layers[i])?;
-            grads[i] = Some(layer_grad);
-            grad = grad_input;
         }
-        Ok(grads
-            .into_iter()
-            .map(|g| g.expect("all layer gradients filled"))
-            .collect())
-    }
-
-    /// Applies one update per layer (already scaled by the optimizer).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NnError::InvalidConfig`] when the number of updates differs
-    /// from the number of layers, or [`NnError::ShapeMismatch`] from the layer
-    /// update itself.
-    pub fn apply_updates(&mut self, updates: &[LayerGradient]) -> Result<(), NnError> {
-        if updates.len() != self.layers.len() {
-            return Err(NnError::InvalidConfig {
-                context: format!("{} updates for {} layers", updates.len(), self.layers.len()),
-            });
-        }
-        for (layer, update) in self.layers.iter_mut().zip(updates.iter()) {
-            layer.apply_update(update)?;
-        }
-        Ok(())
+        Ok(loss)
     }
 
     /// Predicted class index for every sample in `x`.
@@ -286,9 +210,23 @@ impl Mlp {
     /// Returns `0.0` when the forward pass fails (wrong feature width), so the
     /// method can be used directly as a fitness value.
     pub fn accuracy(&self, data: &Dataset) -> f64 {
-        match self.predict(data.features()) {
-            Ok(pred) => metrics::accuracy(&pred, data.labels()),
-            Err(_) => 0.0,
+        self.accuracy_into(data, &mut Vec::new())
+    }
+
+    /// [`Mlp::accuracy`] with the forward pass written into `buffers`,
+    /// reusing their allocations: the trainer's per-epoch accuracy passes.
+    pub(crate) fn accuracy_into(&self, data: &Dataset, buffers: &mut Vec<LayerBuffers>) -> f64 {
+        let labels = data.labels();
+        match self.forward_into(data.features(), buffers) {
+            Ok(logits) if !labels.is_empty() => {
+                let correct = logits
+                    .iter_rows()
+                    .zip(labels)
+                    .filter(|&(row, &label)| argmax(row) == label)
+                    .count();
+                correct as f64 / labels.len() as f64
+            }
+            _ => 0.0,
         }
     }
 
@@ -489,18 +427,11 @@ mod tests {
     fn backward_returns_one_gradient_per_layer() {
         let mlp = tiny_mlp();
         let x = Matrix::zeros(2, 3);
-        let (logits, caches) = mlp.forward_with_caches(&x).unwrap();
-        let grad = Matrix::filled(logits.rows(), logits.cols(), 0.1);
-        let grads = mlp.backward(&caches, &grad).unwrap();
-        assert_eq!(grads.len(), 2);
-        assert_eq!(grads[0].weights.shape(), (3, 5));
-        assert_eq!(grads[1].weights.shape(), (5, 2));
-    }
-
-    #[test]
-    fn apply_updates_validates_count() {
-        let mut mlp = tiny_mlp();
-        assert!(mlp.apply_updates(&[]).is_err());
+        let mut buffers = Vec::new();
+        mlp.gradients(&x, &[0, 1], &mut buffers).unwrap();
+        assert_eq!(buffers.len(), 2);
+        assert_eq!(buffers[0].grad_weights.shape(), (3, 5));
+        assert_eq!(buffers[1].grad_weights.shape(), (5, 2));
     }
 
     #[test]
@@ -514,13 +445,12 @@ mod tests {
     #[test]
     #[allow(clippy::needless_range_loop)]
     fn end_to_end_gradient_matches_finite_difference() {
-        use crate::loss::{cross_entropy, cross_entropy_gradient};
+        use crate::loss::cross_entropy;
         let mut mlp = tiny_mlp();
         let x = Matrix::from_rows(&[vec![0.4, -0.2, 0.8]]).unwrap();
         let targets = [1usize];
-        let (logits, caches) = mlp.forward_with_caches(&x).unwrap();
-        let grad_logits = cross_entropy_gradient(&logits, &targets).unwrap();
-        let grads = mlp.backward(&caches, &grad_logits).unwrap();
+        let mut buffers = Vec::new();
+        mlp.gradients(&x, &targets, &mut buffers).unwrap();
 
         let eps = 1e-2_f32;
         // Check a handful of weights in each layer.
@@ -534,7 +464,7 @@ mod tests {
                 let lm = cross_entropy(&mlp.forward(&x).unwrap(), &targets).unwrap();
                 mlp.layers_mut()[li].weights_mut().set(r, c, orig);
                 let numeric = (lp - lm) / (2.0 * eps);
-                let analytic = grads[li].weights.get(r, c);
+                let analytic = buffers[li].grad_weights.get(r, c);
                 assert!(
                     (numeric - analytic).abs() < 2e-2,
                     "layer {li} weight ({r},{c}): numeric {numeric} vs analytic {analytic}"

@@ -1,11 +1,12 @@
 //! The Adam optimizer every training run uses.
 //!
-//! [`Adam::step`] turns one layer's raw gradient into the parameter *update*
-//! that [`crate::mlp::Mlp::apply_updates`] then subtracts from its
-//! parameters.
+//! [`Adam::step`] updates every layer of the network in place from the
+//! gradients the training step left in its buffers: one pass per parameter
+//! array fuses the moment updates, the bias-corrected step and the
+//! subtraction.
 
-use crate::layer::LayerGradient;
-use crate::matrix::Matrix;
+use crate::layer::{DenseLayer, LayerBuffers};
+use crate::mlp::Mlp;
 
 /// Decay rate of the first-moment (mean) estimate.
 const BETA1: f32 = 0.9;
@@ -19,148 +20,150 @@ const EPSILON: f32 = 1e-8;
 ///
 /// The moment buffers are indexed by the layer's position, so one optimizer
 /// instance must only ever be used with a single network.
-#[derive(Debug, Clone)]
-pub struct Adam {
+#[derive(Debug)]
+pub(crate) struct Adam {
     lr: f32,
     t: u64,
-    first_moment: Vec<Option<LayerGradient>>,
-    second_moment: Vec<Option<LayerGradient>>,
+    moments: Vec<Moments>,
+}
+
+/// The first (`m`) and second (`v`) moment estimates of one layer.
+#[derive(Debug)]
+struct Moments {
+    m_weights: Vec<f32>,
+    v_weights: Vec<f32>,
+    m_biases: Vec<f32>,
+    v_biases: Vec<f32>,
+}
+
+impl Moments {
+    fn zeros(layer: &DenseLayer) -> Self {
+        Moments {
+            m_weights: vec![0.0; layer.weight_count()],
+            v_weights: vec![0.0; layer.weight_count()],
+            m_biases: vec![0.0; layer.outputs()],
+            v_biases: vec![0.0; layer.outputs()],
+        }
+    }
 }
 
 impl Adam {
     /// Creates an Adam optimizer with learning rate `lr`.
-    pub fn new(lr: f32) -> Self {
+    pub(crate) fn new(lr: f32) -> Self {
         Adam {
             lr,
             t: 0,
-            first_moment: Vec::new(),
-            second_moment: Vec::new(),
+            moments: Vec::new(),
         }
     }
 
-    /// Transforms the raw gradient of layer `layer_index` into the update
-    /// that will be subtracted from the parameters.
-    pub fn step(&mut self, layer_index: usize, gradient: &LayerGradient) -> LayerGradient {
-        if self.first_moment.len() <= layer_index {
-            self.first_moment.resize(layer_index + 1, None);
-            self.second_moment.resize(layer_index + 1, None);
+    /// One optimizer step over the whole network, from the parameter
+    /// gradients in `buffers` (one per layer, as [`Mlp::gradients`] left
+    /// them). The timestep advances once, before the first layer updates,
+    /// so every layer shares one bias correction.
+    ///
+    /// # Panics
+    ///
+    /// Panics when a gradient's size does not match its layer's parameters.
+    pub(crate) fn step(&mut self, mlp: &mut Mlp, buffers: &[LayerBuffers]) {
+        if self.moments.len() != mlp.layers().len() {
+            self.moments = mlp.layers().iter().map(Moments::zeros).collect();
         }
-        // Advance the timestep only once per epoch-step of layer 0 so that all
-        // layers in one backward pass share the same bias correction.
-        if layer_index == 0 {
-            self.t += 1;
-        }
-        let t = self.t.max(1) as f32;
-
-        // Moment buffers are updated in place (hot path: one step per layer
-        // per batch); the arithmetic matches the textbook formulation
-        // exactly, element by element.
-        if self.first_moment[layer_index].is_none() {
-            self.first_moment[layer_index] = Some(LayerGradient {
-                weights: Matrix::zeros(gradient.weights.rows(), gradient.weights.cols()),
-                biases: vec![0.0; gradient.biases.len()],
-            });
-            self.second_moment[layer_index] = Some(LayerGradient {
-                weights: Matrix::zeros(gradient.weights.rows(), gradient.weights.cols()),
-                biases: vec![0.0; gradient.biases.len()],
-            });
-        }
-        let m = self.first_moment[layer_index]
-            .as_mut()
-            .expect("adam m initialized");
-        let v = self.second_moment[layer_index]
-            .as_mut()
-            .expect("adam v initialized");
-        assert_eq!(
-            m.weights.shape(),
-            gradient.weights.shape(),
-            "adam moment shape drift"
-        );
-
-        for (m, &g) in m
-            .weights
-            .as_mut_slice()
-            .iter_mut()
-            .zip(gradient.weights.as_slice())
-        {
-            *m = BETA1 * *m + (1.0 - BETA1) * g;
-        }
-        for (m, &g) in m.biases.iter_mut().zip(gradient.biases.iter()) {
-            *m = BETA1 * *m + (1.0 - BETA1) * g;
-        }
-        for (v, &g) in v
-            .weights
-            .as_mut_slice()
-            .iter_mut()
-            .zip(gradient.weights.as_slice())
-        {
-            *v = BETA2 * *v + (g * g) * (1.0 - BETA2);
-        }
-        for (v, &g) in v.biases.iter_mut().zip(gradient.biases.iter()) {
-            *v = BETA2 * *v + (1.0 - BETA2) * g * g;
-        }
-
+        self.t += 1;
+        let t = self.t as f32;
         let bias1 = 1.0 - BETA1.powf(t);
         let bias2 = 1.0 - BETA2.powf(t);
         let lr = self.lr;
-        let adamize = |(m, v): (&f32, &f32)| -> f32 {
-            let m_hat = m / bias1;
-            let v_hat = v / bias2;
-            lr * m_hat / (v_hat.sqrt() + EPSILON)
-        };
-
-        let update_weights = Matrix::from_vec(
-            gradient.weights.rows(),
-            gradient.weights.cols(),
-            m.weights
-                .as_slice()
-                .iter()
-                .zip(v.weights.as_slice())
-                .map(adamize)
-                .collect(),
-        )
-        .expect("adam update shape");
-        let update_biases: Vec<f32> = m.biases.iter().zip(v.biases.iter()).map(adamize).collect();
-
-        LayerGradient {
-            weights: update_weights,
-            biases: update_biases,
+        for ((layer, buffers), moments) in mlp
+            .layers_mut()
+            .iter_mut()
+            .zip(buffers)
+            .zip(&mut self.moments)
+        {
+            assert!(
+                buffers.grad_weights.len() == moments.m_weights.len()
+                    && buffers.grad_biases.len() == moments.m_biases.len(),
+                "adam moment shape drift"
+            );
+            update(
+                layer.weights_mut().as_mut_slice(),
+                buffers.grad_weights.as_slice(),
+                &mut moments.m_weights,
+                &mut moments.v_weights,
+                [lr, bias1, bias2],
+                |g| (g * g) * (1.0 - BETA2),
+            );
+            update(
+                layer.biases_mut(),
+                &buffers.grad_biases,
+                &mut moments.m_biases,
+                &mut moments.v_biases,
+                [lr, bias1, bias2],
+                |g| (1.0 - BETA2) * g * g,
+            );
         }
+    }
+}
+
+/// The fused in-place Adam update of one parameter array. `second_moment`
+/// is the increment `(1 - BETA2) * g * g` of the second moment, passed in
+/// because the weights and the biases associate its product differently
+/// (both orders are kept as they were, so trained models stay
+/// bit-identical).
+#[inline(always)]
+fn update(
+    params: &mut [f32],
+    grads: &[f32],
+    m: &mut [f32],
+    v: &mut [f32],
+    [lr, bias1, bias2]: [f32; 3],
+    second_moment: impl Fn(f32) -> f32,
+) {
+    for (((p, &g), m), v) in params.iter_mut().zip(grads).zip(m).zip(v) {
+        *m = BETA1 * *m + (1.0 - BETA1) * g;
+        *v = BETA2 * *v + second_moment(g);
+        let m_hat = *m / bias1;
+        let v_hat = *v / bias2;
+        *p -= lr * m_hat / (v_hat.sqrt() + EPSILON);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::activation::Activation;
+    use crate::matrix::Matrix;
 
-    fn gradient(value: f32) -> LayerGradient {
-        LayerGradient {
-            weights: Matrix::filled(2, 2, value),
-            biases: vec![value; 2],
-        }
+    /// A one-layer network with zero parameters and buffers holding the
+    /// gradient `value` for every parameter.
+    fn zero_network_with_gradient(value: f32) -> (Mlp, Vec<LayerBuffers>) {
+        let layer =
+            DenseLayer::from_parameters(Matrix::zeros(2, 2), vec![0.0; 2], Activation::Identity)
+                .unwrap();
+        let mut buffers = LayerBuffers::default();
+        buffers.grad_weights = Matrix::filled(2, 2, value);
+        buffers.grad_biases = vec![value; 2];
+        (Mlp::from_layers(vec![layer]).unwrap(), vec![buffers])
     }
 
     #[test]
     fn adam_first_step_is_close_to_learning_rate() {
         // With bias correction, the very first Adam update has magnitude ~lr
         // regardless of gradient scale.
-        let mut opt = Adam::new(0.01);
-        let update = opt.step(0, &gradient(5.0));
-        assert!((update.weights.get(0, 0) - 0.01).abs() < 1e-3);
-        let mut opt2 = Adam::new(0.01);
-        let update2 = opt2.step(0, &gradient(0.001));
-        assert!((update2.weights.get(0, 0) - 0.01).abs() < 1e-3);
+        for value in [5.0, 0.001] {
+            let (mut mlp, buffers) = zero_network_with_gradient(value);
+            Adam::new(0.01).step(&mut mlp, &buffers);
+            let update = -mlp.layers()[0].weights().get(0, 0);
+            assert!((update - 0.01).abs() < 1e-3, "gradient {value}: {update}");
+        }
     }
 
     #[test]
     fn adam_update_sign_follows_gradient_sign() {
-        let mut opt = Adam::new(0.01);
-        let grad = LayerGradient {
-            weights: Matrix::filled(1, 1, -3.0),
-            biases: vec![-3.0],
-        };
-        let update = opt.step(0, &grad);
-        assert!(update.weights.get(0, 0) < 0.0);
-        assert!(update.biases[0] < 0.0);
+        let (mut mlp, buffers) = zero_network_with_gradient(-3.0);
+        Adam::new(0.01).step(&mut mlp, &buffers);
+        // A negative gradient is a negative update, so the parameters grow.
+        assert!(mlp.layers()[0].weights().get(0, 0) > 0.0);
+        assert!(mlp.layers()[0].biases()[0] > 0.0);
     }
 }

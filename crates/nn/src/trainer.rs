@@ -4,7 +4,8 @@
 
 use crate::dataset::Dataset;
 use crate::error::NnError;
-use crate::loss::cross_entropy_with_gradient;
+use crate::layer::LayerBuffers;
+use crate::matrix::Matrix;
 use crate::mlp::Mlp;
 use crate::optimizer::Adam;
 use rand::Rng;
@@ -196,17 +197,15 @@ impl Trainer {
         // Ensure the model starts from a constraint-satisfying point.
         constraint.apply(mlp);
 
-        // Reusable hot-loop buffers, all alive for the whole run: one
-        // shuffled index permutation per epoch, one gathered feature/label
-        // batch (reallocated only when the batch geometry changes — the short
-        // final chunk of an epoch), the per-layer forward caches and the
-        // per-layer backprop transpose scratch.
+        // Hot-loop buffers, all alive for the whole run: one shuffled index
+        // permutation per epoch, one gathered feature/label batch and the
+        // per-layer buffers of the training step, which the per-epoch
+        // accuracy passes reuse. After the first epoch no batch allocates.
         let batch_size = self.config.batch_size.max(1);
         let mut shuffled: Vec<usize> = Vec::with_capacity(train.len());
-        let mut batch_features = crate::matrix::Matrix::zeros(0, train.feature_count());
+        let mut batch_features = Matrix::zeros(0, train.feature_count());
         let mut batch_labels: Vec<usize> = Vec::with_capacity(batch_size);
-        let mut caches: Vec<crate::layer::LayerCache> = Vec::new();
-        let mut scratch = crate::mlp::MlpScratch::default();
+        let mut buffers: Vec<LayerBuffers> = Vec::new();
 
         for epoch in 0..self.config.epochs {
             let mut epoch_loss = 0.0_f32;
@@ -214,18 +213,9 @@ impl Trainer {
             train.shuffle_indices_into(&mut shuffled, rng);
             for batch in shuffled.chunks(batch_size) {
                 train.gather_batch(batch, &mut batch_features, &mut batch_labels);
-                let logits = mlp.forward_with_caches_into(&batch_features, &mut caches)?;
-                let (batch_loss, grad_logits) =
-                    cross_entropy_with_gradient(&logits, &batch_labels)?;
-                epoch_loss += batch_loss;
+                epoch_loss += mlp.gradients(&batch_features, &batch_labels, &mut buffers)?;
                 batches += 1;
-                let grads = mlp.backward_with_scratch(&caches, grad_logits, &mut scratch)?;
-                let updates: Vec<_> = grads
-                    .iter()
-                    .enumerate()
-                    .map(|(i, g)| optimizer.step(i, g))
-                    .collect();
-                mlp.apply_updates(&updates)?;
+                optimizer.step(mlp, &buffers);
                 constraint.apply(mlp);
             }
             report.train_loss.push(if batches > 0 {
@@ -236,13 +226,15 @@ impl Trainer {
             // The full-train-set accuracy pass is skippable only when a
             // validation set drives best-model tracking.
             if self.config.track_train_accuracy || validation.is_none() {
-                report.train_accuracy.push(mlp.accuracy(train));
+                report
+                    .train_accuracy
+                    .push(mlp.accuracy_into(train, &mut buffers));
             }
             report.epochs_run = epoch + 1;
 
             let tracked_acc = match validation {
                 Some(val) => {
-                    let acc = mlp.accuracy(val);
+                    let acc = mlp.accuracy_into(val, &mut buffers);
                     report.val_accuracy.push(acc);
                     acc
                 }
