@@ -1,4 +1,4 @@
-//! Ablation A2 (DESIGN.md): quantization-aware training versus plain
+//! Ablation: quantization-aware training versus plain
 //! post-training quantization at low bit-widths — the reason the paper uses
 //! the QKeras QAT flow rather than simply rounding trained weights.
 //!

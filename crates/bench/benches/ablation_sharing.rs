@@ -1,4 +1,4 @@
-//! Ablation A1 (DESIGN.md): how much of the weight-clustering area gain comes
+//! Ablation: how much of the weight-clustering area gain comes
 //! from multiplier sharing in the bespoke circuit, as opposed to the weight
 //! values themselves becoming more regular.
 //!

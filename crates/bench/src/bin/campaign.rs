@@ -59,11 +59,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let effort = options
         .effort
         .unwrap_or_else(|| parse_effort(options.positional.get(1).copied().unwrap_or("full")));
-    let seed: u64 = options
-        .positional
-        .get(2)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(42);
+    let seed = options.seed(2)?;
 
     let datasets: Vec<UciDataset> = if which.eq_ignore_ascii_case("all") {
         UciDataset::all().to_vec()
@@ -145,11 +141,7 @@ fn run_gc(options: &CliOptions<'_>) -> Result<(), Box<dyn std::error::Error>> {
     let effort = options
         .effort
         .unwrap_or_else(|| parse_effort(options.positional.get(1).copied().unwrap_or("full")));
-    let seed: u64 = options
-        .positional
-        .get(2)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(42);
+    let seed = options.seed(2)?;
 
     // The live fingerprints are the trained registry baselines at this
     // effort/seed — training is exactly what a campaign run does first, so

@@ -44,11 +44,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let effort = options
         .effort
         .unwrap_or_else(|| parse_effort(options.positional.get(1).copied().unwrap_or("full")));
-    let seed: u64 = options
-        .positional
-        .get(2)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(42);
+    let seed = options.seed(2)?;
 
     let start = std::time::Instant::now();
     let mut experiment = Figure2Experiment::new(dataset, effort, seed);

@@ -35,11 +35,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let effort = options
         .effort
         .unwrap_or_else(|| parse_effort(options.positional.first().copied().unwrap_or("full")));
-    let seed: u64 = options
-        .positional
-        .get(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(42);
+    let seed = options.seed(1)?;
 
     let campaign = Campaign::new(CampaignConfig {
         datasets: UciDataset::all().to_vec(),

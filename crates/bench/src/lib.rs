@@ -1,6 +1,5 @@
-//! Shared helpers of the benchmark harness: effort parsing, result printing
-//! and JSON persistence used by both the figure-regeneration binaries and the
-//! criterion benches.
+//! Shared helpers of the pmlp-bench binaries: command-line parsing, result
+//! printing and JSON persistence.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -91,6 +90,22 @@ impl CliOptions<'_> {
             return Err("--workers must be positive".into());
         }
         Ok(())
+    }
+
+    /// The RNG seed given as the positional argument at `index`; 42 when the
+    /// command line stops before it.
+    ///
+    /// # Errors
+    ///
+    /// Returns a message naming the argument when it is not a seed (an
+    /// unsigned 64-bit integer).
+    pub fn seed(&self, index: usize) -> Result<u64, String> {
+        match self.positional.get(index) {
+            None => Ok(42),
+            Some(text) => text
+                .parse()
+                .map_err(|_| format!("invalid seed '{text}': expected an unsigned integer")),
+        }
     }
 
     /// `true` when any persistence tier is configured.
@@ -268,8 +283,8 @@ pub fn render_headline(rows: &[HeadlineRow]) -> String {
     render_headline_table(rows)
 }
 
-/// Writes a serializable result next to the repository root (under
-/// `target/experiment-results/`) so EXPERIMENTS.md can reference raw data.
+/// Writes a serializable result under `target/experiment-results/`, so every
+/// figure's raw data can be inspected after the run.
 ///
 /// Errors are printed rather than propagated: persisting results must never
 /// fail a benchmark run.
@@ -316,6 +331,22 @@ mod tests {
         let options = parse_cli(&args);
         assert_eq!(options.positional, vec!["seeds", "full"]);
         assert_eq!(options.effort, None);
+    }
+
+    #[test]
+    fn a_malformed_seed_is_an_error_not_seed_42() {
+        let argv = |args: &[&str]| -> Vec<String> { args.iter().map(|s| s.to_string()).collect() };
+        let args = argv(&["seeds", "quick", "7"]);
+        assert_eq!(parse_cli(&args).seed(2), Ok(7));
+        let args = argv(&["seeds", "quick"]);
+        assert_eq!(parse_cli(&args).seed(2), Ok(42), "an absent seed is 42");
+        for (args, index, bad) in [
+            (argv(&["seeds", "quick", "notaseed"]), 2, "notaseed"),
+            (argv(&["quick", "-7"]), 1, "-7"),
+        ] {
+            let error = parse_cli(&args).seed(index).unwrap_err();
+            assert!(error.contains(&format!("'{bad}'")), "{args:?}: {error}");
+        }
     }
 
     #[test]

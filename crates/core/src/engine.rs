@@ -7,7 +7,7 @@
 //!
 //! * it **owns** the trained [`BaselineDesign`] (dataset splits, float model,
 //!   baseline circuit) so drivers no longer juggle borrowed contexts,
-//! * a **sharded memo cache** keyed by the canonicalized
+//! * a **memo cache** keyed by the canonicalized
 //!   [`MinimizationConfig`] makes every configuration pay its evaluation cost
 //!   exactly once per engine, across sweeps, GA generations and experiments,
 //! * **in-flight deduplication** guarantees that concurrent workers asking
@@ -124,22 +124,6 @@ impl EvalKey {
             fine_tune_epochs,
             salt,
         }
-    }
-
-    /// FNV-1a over the key fields; used only for shard selection.
-    fn shard_hash(&self) -> u64 {
-        let mut h: u64 = 0xcbf29ce484222325;
-        let mut mix = |v: u64| {
-            h ^= v;
-            h = h.wrapping_mul(0x100000001b3);
-        };
-        mix(u64::from(self.weight_bits));
-        mix(u64::from(self.sparsity_millis));
-        mix(self.clusters as u64);
-        mix(u64::from(self.input_bits));
-        mix(self.fine_tune_epochs as u64);
-        mix(self.salt);
-        h
     }
 }
 
@@ -412,7 +396,7 @@ pub struct EvalEngine {
     baseline: BaselineDesign,
     fine_tune_epochs: usize,
     salt: u64,
-    shards: Box<[Memo<EvalKey, CachedEval, CoreError>]>,
+    cache: Memo<EvalKey, CachedEval, CoreError>,
     stages: StageCache,
     hits: AtomicUsize,
     misses: AtomicUsize,
@@ -446,21 +430,14 @@ impl std::fmt::Debug for EvalEngine {
 /// `EvaluationContext::new` default.
 const DEFAULT_FINE_TUNE_EPOCHS: usize = 8;
 
-/// Default shard count: enough to keep lock contention negligible at the
-/// worker counts this workload sees.
-const DEFAULT_SHARDS: usize = 16;
-
 impl EvalEngine {
     /// Wraps an already-trained baseline.
     pub fn new(baseline: BaselineDesign) -> Self {
-        let shards = (0..DEFAULT_SHARDS)
-            .map(|_| Mutex::new(HashMap::new()))
-            .collect();
         EvalEngine {
             baseline,
             fine_tune_epochs: DEFAULT_FINE_TUNE_EPOCHS,
             salt: 0,
-            shards,
+            cache: Memo::default(),
             stages: StageCache::default(),
             hits: AtomicUsize::new(0),
             misses: AtomicUsize::new(0),
@@ -582,9 +559,9 @@ impl EvalEngine {
         )?;
         let records = store.warm_start();
         self.warmed = records.len();
+        let cache = self.cache.get_mut().expect("cache lock");
         for record in records {
-            let shard = self.shard_for(&record.key);
-            shard.lock().expect("shard lock").insert(
+            cache.insert(
                 record.key,
                 Slot::Done(CachedEval {
                     point: record.point,
@@ -634,11 +611,7 @@ impl EvalEngine {
             hits: self.hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
             coalesced: self.coalesced.load(Ordering::Relaxed),
-            entries: self
-                .shards
-                .iter()
-                .map(|s| s.lock().expect("shard lock").len())
-                .sum(),
+            entries: self.cache.lock().expect("cache lock").len(),
             full_synthesis: self.full_synthesis.load(Ordering::Relaxed),
             warmed: self.warmed,
             stage_runs: self.stages.runs.load(Ordering::Relaxed),
@@ -655,14 +628,8 @@ impl EvalEngine {
     /// Drops every cached result and memoized stage (counters are kept), so
     /// the next evaluations run cold.
     pub fn clear_cache(&self) {
-        for shard in self.shards.iter() {
-            shard.lock().expect("shard lock").clear();
-        }
+        self.cache.lock().expect("cache lock").clear();
         self.stages.memo.lock().expect("stage memo lock").clear();
-    }
-
-    fn shard_for(&self, key: &EvalKey) -> &Memo<EvalKey, CachedEval, CoreError> {
-        &self.shards[(key.shard_hash() % self.shards.len() as u64) as usize]
     }
 
     fn report_progress(&self, config: &MinimizationConfig, cached: bool) {
@@ -700,7 +667,7 @@ impl EvalEngine {
     fn resolve_entry(&self, config: &MinimizationConfig) -> Result<(CachedEval, bool), CoreError> {
         let key = self.key(config);
         let (outcome, answer) = resolve(
-            self.shard_for(&key),
+            &self.cache,
             key,
             || {
                 self.compute(config).map(|detailed| CachedEval {

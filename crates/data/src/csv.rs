@@ -1,4 +1,4 @@
-//! Minimal CSV reader/writer so the real UCI files can be dropped in.
+//! Minimal CSV reader/writer for the real UCI files' formats.
 //!
 //! The UCI wine and seeds files use `;`- or whitespace-separated numeric
 //! columns with the class label in the last column; this module parses that

@@ -9,11 +9,13 @@
 //! so every entry ships a deterministic *synthetic equivalent*: a seeded
 //! Gaussian-mixture generator that reproduces the dataset's dimensionality,
 //! class count, class imbalance and approximate difficulty (via controlled
-//! class overlap), plus a CSV loader so the real UCI files can be dropped in
-//! without code changes.
+//! class overlap). [`csv::parse_csv`] parses the real UCI files into a
+//! [`Dataset`], but only as a library function: every experiment trains on
+//! the synthetic stand-in, and no binary reads a CSV.
 //!
-//! The substitution is documented in `DESIGN.md`; every generator is seeded so
-//! experiments are exactly reproducible.
+//! The substitution is described in the `pmlp-data` section of
+//! `docs/ARCHITECTURE.md`; every generator is seeded so experiments are
+//! exactly reproducible.
 //!
 //! ## Example
 //!
@@ -39,6 +41,6 @@ pub mod uci;
 
 pub use error::DataError;
 pub use pmlp_nn::Dataset;
-pub use preprocess::{quantize_features, zscore_normalize};
+pub use preprocess::quantize_features;
 pub use synth::{ClassSpec, GaussianMixtureSpec};
 pub use uci::{load, DatasetDescriptor, UciDataset};

@@ -1,60 +1,9 @@
 //! Feature preprocessing beyond the min-max normalization built into
-//! [`pmlp_nn::Dataset`]: z-score standardization and the uniform input
-//! quantization used by the bespoke printed circuits.
+//! [`pmlp_nn::Dataset`]: the uniform input quantization used by the bespoke
+//! printed circuits.
 
 use crate::error::DataError;
 use pmlp_nn::Dataset;
-
-/// Standardizes every feature to zero mean and unit variance in place and
-/// returns the per-feature `(mean, std)` pairs so the same transform can be
-/// applied to held-out data.
-///
-/// Features with zero variance are left at zero (after mean subtraction).
-pub fn zscore_normalize(data: &mut Dataset) -> Vec<(f32, f32)> {
-    let cols = data.feature_count();
-    let rows = data.len();
-    let mut stats = Vec::with_capacity(cols);
-    for c in 0..cols {
-        let features = data.features();
-        let mean = features.column_iter(c).sum::<f32>() / rows as f32;
-        let var = features
-            .column_iter(c)
-            .map(|x| (x - mean).powi(2))
-            .sum::<f32>()
-            / rows as f32;
-        stats.push((mean, var.sqrt()));
-    }
-    apply_zscore(data, &stats);
-    stats
-}
-
-/// Applies a previously computed z-score transform to `data`.
-///
-/// # Panics
-///
-/// Panics if `stats.len() != data.feature_count()`.
-pub fn apply_zscore(data: &mut Dataset, stats: &[(f32, f32)]) {
-    assert_eq!(stats.len(), data.feature_count(), "stat count mismatch");
-    let cols = data.feature_count();
-    let rows = data.len();
-    // Work on a copy of the feature matrix through the public accessors.
-    let mut new_rows: Vec<Vec<f32>> = Vec::with_capacity(rows);
-    for r in 0..rows {
-        let mut row = data.features().row(r).to_vec();
-        for (c, value) in row.iter_mut().enumerate().take(cols) {
-            let (mean, std) = stats[c];
-            *value = if std > f32::EPSILON {
-                (*value - mean) / std
-            } else {
-                0.0
-            };
-        }
-        new_rows.push(row);
-    }
-    let labels = data.labels().to_vec();
-    let classes = data.class_count();
-    *data = Dataset::from_rows(new_rows, labels, classes).expect("shape preserved");
-}
 
 /// Quantizes every feature to an unsigned integer grid of `bits` bits over
 /// `[0, 1]` and maps it back to `[0, 1]`, mirroring what the printed circuit's
@@ -111,36 +60,6 @@ mod tests {
             2,
         )
         .unwrap()
-    }
-
-    #[test]
-    fn zscore_gives_zero_mean_unit_variance() {
-        let mut d = toy();
-        zscore_normalize(&mut d);
-        for c in 0..d.feature_count() {
-            let col = d.features().column(c);
-            let mean: f32 = col.iter().sum::<f32>() / col.len() as f32;
-            let var: f32 = col.iter().map(|x| (x - mean).powi(2)).sum::<f32>() / col.len() as f32;
-            assert!(mean.abs() < 1e-5);
-            assert!((var - 1.0).abs() < 1e-4);
-        }
-    }
-
-    #[test]
-    fn zscore_transform_is_reusable_on_new_data() {
-        let mut train = toy();
-        let stats = zscore_normalize(&mut train);
-        let mut test = toy();
-        apply_zscore(&mut test, &stats);
-        assert_eq!(train, test);
-    }
-
-    #[test]
-    fn zscore_handles_constant_feature() {
-        let mut d =
-            Dataset::from_rows(vec![vec![5.0, 1.0], vec![5.0, 2.0]], vec![0, 1], 2).unwrap();
-        zscore_normalize(&mut d);
-        assert_eq!(d.features().column(0), vec![0.0, 0.0]);
     }
 
     #[test]

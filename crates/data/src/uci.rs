@@ -332,7 +332,7 @@ pub struct DatasetDescriptor {
     /// Sample count of the real UCI dataset (for documentation).
     pub original_samples: usize,
     /// Sample count of the synthetic stand-in (scaled down for tractable GA
-    /// evaluation; see DESIGN.md).
+    /// evaluation).
     pub synthetic_samples: usize,
     /// Relative class frequencies of the synthetic stand-in (sums to ~1).
     pub class_weights: Vec<f64>,

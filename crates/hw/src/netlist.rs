@@ -497,27 +497,6 @@ impl Netlist {
         let values = self.simulate(inputs);
         self.primary_outputs.iter().map(|&n| values[n]).collect()
     }
-
-    /// Appends all gates and nets of `other` into `self`, remapping net ids.
-    /// `other`'s primary inputs/outputs become ordinary internal nets; the
-    /// mapping from `other` net ids to new ids is returned so callers can
-    /// stitch the circuits together.
-    pub fn absorb(&mut self, other: &Netlist) -> Vec<NetId> {
-        let mut mapping = vec![0usize; other.net_count];
-        mapping[CONST_ZERO] = CONST_ZERO;
-        mapping[CONST_ONE] = CONST_ONE;
-        for slot in mapping.iter_mut().skip(2) {
-            *slot = self.add_net();
-        }
-        for &gate in &other.gates {
-            let mut remapped = gate;
-            for net in remapped.inputs.iter_mut().chain(&mut remapped.outputs) {
-                *net = mapping[*net];
-            }
-            self.add_gate(remapped.kind, remapped.inputs(), remapped.outputs());
-        }
-        mapping
-    }
 }
 
 impl GateSink for Netlist {
@@ -543,8 +522,9 @@ impl GateSink for Netlist {
 mod tests {
     use super::*;
 
-    fn and_or_netlist() -> Netlist {
-        let mut n = Netlist::new("t");
+    /// Appends one `y = (a & b) | c` chain with inputs and an output of its
+    /// own.
+    fn push_and_or(n: &mut Netlist) {
         let a = n.add_input();
         let b = n.add_input();
         let c = n.add_input();
@@ -553,6 +533,11 @@ mod tests {
         n.add_gate(CellKind::And2, &[a, b], &[ab]);
         n.add_gate(CellKind::Or2, &[ab, c], &[y]);
         n.mark_output(y);
+    }
+
+    fn and_or_netlist() -> Netlist {
+        let mut n = Netlist::new("t");
+        push_and_or(&mut n);
         n
     }
 
@@ -656,7 +641,7 @@ mod tests {
         let lib = CellLibrary::egt();
         let single = and_or_netlist();
         let mut double = and_or_netlist();
-        double.absorb(&and_or_netlist());
+        push_and_or(&mut double);
         assert!(double.area(&lib).total_mm2 > single.area(&lib).total_mm2);
         assert!((double.area(&lib).total_mm2 - 2.0 * single.area(&lib).total_mm2).abs() < 1e-9);
         assert!((double.power(&lib).total_uw - 2.0 * single.power(&lib).total_uw).abs() < 1e-9);
@@ -679,22 +664,6 @@ mod tests {
         assert_eq!(n.area(&lib).total_mm2, 0.0);
         assert_eq!(n.timing(&lib).critical_path_us, 0.0);
         assert!(n.timing(&lib).max_frequency_hz.is_infinite());
-    }
-
-    #[test]
-    fn absorb_remaps_nets_correctly() {
-        let mut host = Netlist::new("host");
-        let inner = and_or_netlist();
-        let before_nets = host.net_count();
-        let mapping = host.absorb(&inner);
-        assert_eq!(host.gate_count(), inner.gate_count());
-        assert!(host.net_count() > before_nets);
-        assert_eq!(mapping[CONST_ZERO], CONST_ZERO);
-        assert_eq!(mapping[CONST_ONE], CONST_ONE);
-        // Every absorbed gate references valid nets (add_gate would have
-        // panicked otherwise); check that the mapped output exists.
-        let inner_out = inner.primary_outputs()[0];
-        assert!(mapping[inner_out] < host.net_count());
     }
 
     #[test]

@@ -73,31 +73,9 @@ pub struct ClusterAssignment {
 }
 
 impl ClusterAssignment {
-    /// Number of layers covered.
-    pub fn layer_count(&self) -> usize {
-        self.assignments.len()
-    }
-
     /// The centroid values of one layer/input position.
     pub fn centroids(&self, layer: usize, input: usize) -> &[f32] {
         &self.centroids[layer][input]
-    }
-
-    /// Number of distinct non-zero weight values per input position, summed
-    /// over all positions of all layers — an upper bound on the number of
-    /// multipliers the shared bespoke circuit needs.
-    pub fn distinct_nonzero_values(&self) -> usize {
-        self.centroids
-            .iter()
-            .flat_map(|layer| layer.iter())
-            .map(|cs| {
-                cs.iter()
-                    .filter(|&&c| c != 0.0)
-                    .map(|c| c.to_bits())
-                    .collect::<std::collections::BTreeSet<u32>>()
-                    .len()
-            })
-            .sum()
     }
 
     /// Snaps every weight of `mlp` to its cluster centroid.
@@ -514,19 +492,6 @@ mod tests {
                 assert!(count <= k, "cluster structure broken: {count} > {k}");
             }
         }
-    }
-
-    #[test]
-    fn distinct_nonzero_values_counts_sharing_opportunities() {
-        let mut m = mlp(8);
-        let assignment = cluster_weights(&mut m, &ClusteringConfig::new(2)).unwrap();
-        let upper_bound: usize = m
-            .layers()
-            .iter()
-            .map(|l| l.weights().rows() * 2) // at most k distinct values per row
-            .sum();
-        assert!(assignment.distinct_nonzero_values() <= upper_bound);
-        assert!(assignment.distinct_nonzero_values() > 0);
     }
 }
 

@@ -22,17 +22,6 @@ pub struct PruningMask {
 }
 
 impl PruningMask {
-    /// Builds a mask that keeps every weight of `mlp`.
-    pub fn keep_all(mlp: &Mlp) -> Self {
-        let layers = mlp
-            .layers()
-            .iter()
-            .map(|l| vec![true; l.weight_count()])
-            .collect();
-        let shapes = mlp.layers().iter().map(|l| l.weights().shape()).collect();
-        PruningMask { layers, shapes }
-    }
-
     /// Global magnitude pruning: removes the `sparsity` fraction of weights
     /// with the smallest absolute value across the whole network.
     ///
@@ -79,46 +68,6 @@ impl PruningMask {
             layers.push(mask);
         }
         Ok(PruningMask { layers, shapes })
-    }
-
-    /// Per-layer magnitude pruning: removes the `sparsity` fraction of weights
-    /// with the smallest absolute value *within each layer*.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MinimizeError::InvalidConfig`] when `sparsity` is not in
-    /// `[0, 1)`.
-    pub fn magnitude_per_layer(mlp: &Mlp, sparsity: f64) -> Result<Self, MinimizeError> {
-        if !(0.0..1.0).contains(&sparsity) {
-            return Err(MinimizeError::InvalidConfig {
-                context: format!("sparsity must be in [0,1), got {sparsity}"),
-            });
-        }
-        let mut layers = Vec::with_capacity(mlp.layers().len());
-        let mut shapes = Vec::with_capacity(mlp.layers().len());
-        for layer in mlp.layers() {
-            let weights = layer.weights().as_slice();
-            let mut order: Vec<usize> = (0..weights.len()).collect();
-            order.sort_by(|&a, &b| {
-                weights[a]
-                    .abs()
-                    .partial_cmp(&weights[b].abs())
-                    .expect("weights are finite")
-            });
-            let prune_count = ((weights.len() as f64) * sparsity).floor() as usize;
-            let mut mask = vec![true; weights.len()];
-            for &idx in order.iter().take(prune_count) {
-                mask[idx] = false;
-            }
-            shapes.push(layer.weights().shape());
-            layers.push(mask);
-        }
-        Ok(PruningMask { layers, shapes })
-    }
-
-    /// Number of layers covered by the mask.
-    pub fn layer_count(&self) -> usize {
-        self.layers.len()
     }
 
     /// Fraction of weights removed by the mask.
@@ -235,14 +184,6 @@ mod tests {
     }
 
     #[test]
-    fn keep_all_mask_has_zero_sparsity() {
-        let m = mlp(1);
-        let mask = PruningMask::keep_all(&m);
-        assert_eq!(mask.sparsity(), 0.0);
-        assert_eq!(mask.layer_count(), 2);
-    }
-
-    #[test]
     fn global_pruning_hits_requested_sparsity() {
         let m = mlp(2);
         for target in [0.2, 0.4, 0.6] {
@@ -256,23 +197,10 @@ mod tests {
     }
 
     #[test]
-    fn per_layer_pruning_prunes_each_layer() {
-        let m = mlp(3);
-        let mask = PruningMask::magnitude_per_layer(&m, 0.5).unwrap();
-        let mut pruned = m.clone();
-        mask.apply(&mut pruned).unwrap();
-        for layer in pruned.layers() {
-            let sparsity = layer.zero_weight_count() as f64 / layer.weight_count() as f64;
-            assert!((sparsity - 0.5).abs() < 0.05, "layer sparsity {sparsity}");
-        }
-    }
-
-    #[test]
     fn invalid_sparsity_is_rejected() {
         let m = mlp(4);
         assert!(PruningMask::magnitude_global(&m, 1.0).is_err());
         assert!(PruningMask::magnitude_global(&m, -0.1).is_err());
-        assert!(PruningMask::magnitude_per_layer(&m, 1.5).is_err());
     }
 
     #[test]

@@ -185,22 +185,6 @@ impl Dataset {
         Ok((self.subset(&train_idx), self.subset(&test_idx)))
     }
 
-    /// Returns shuffled mini-batch index chunks covering the whole dataset.
-    ///
-    /// Allocates one `Vec` per batch; the training hot path uses
-    /// [`Dataset::shuffle_indices_into`] + [`Dataset::gather_batch`] instead,
-    /// which reuse caller-owned buffers across batches and epochs.
-    pub fn batch_indices<R: Rng + ?Sized>(
-        &self,
-        batch_size: usize,
-        rng: &mut R,
-    ) -> Vec<Vec<usize>> {
-        let batch_size = batch_size.max(1);
-        let mut indices: Vec<usize> = (0..self.len()).collect();
-        indices.shuffle(rng);
-        indices.chunks(batch_size).map(|c| c.to_vec()).collect()
-    }
-
     /// Fills `indices` with a fresh shuffled permutation of `0..len`, reusing
     /// the buffer's allocation. Chunking the result yields one epoch's
     /// mini-batches without any further allocation.
@@ -335,13 +319,13 @@ mod tests {
     }
 
     #[test]
-    fn batch_indices_cover_all_samples_exactly_once() {
+    fn shuffle_indices_into_covers_all_samples_exactly_once() {
         let d = toy(10, 2);
         let mut rng = StdRng::seed_from_u64(3);
-        let batches = d.batch_indices(7, &mut rng);
-        let mut all: Vec<usize> = batches.into_iter().flatten().collect();
-        all.sort_unstable();
-        assert_eq!(all, (0..20).collect::<Vec<_>>());
+        let mut indices = vec![7, 7, 7];
+        d.shuffle_indices_into(&mut indices, &mut rng);
+        indices.sort_unstable();
+        assert_eq!(indices, (0..20).collect::<Vec<_>>());
     }
 
     #[test]
@@ -358,18 +342,6 @@ mod tests {
         d.gather_batch(&[0, 2, 3], &mut features, &mut labels);
         assert_eq!(features.as_slice().as_ptr(), capacity_ptr);
         assert_eq!(&features, d.subset(&[0, 2, 3]).features());
-    }
-
-    #[test]
-    fn shuffle_indices_into_matches_batch_indices_stream() {
-        let d = toy(10, 2);
-        let mut a_rng = StdRng::seed_from_u64(3);
-        let batches = d.batch_indices(7, &mut a_rng);
-        let flat_a: Vec<usize> = batches.into_iter().flatten().collect();
-        let mut b_rng = StdRng::seed_from_u64(3);
-        let mut flat_b = Vec::new();
-        d.shuffle_indices_into(&mut flat_b, &mut b_rng);
-        assert_eq!(flat_a, flat_b);
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Reproduction of the paper's qualitative trends at reduced scale ("quick"
-//! effort). The full-scale numbers are produced by the bench harness and
-//! recorded in EXPERIMENTS.md; these tests pin the *shape* of the results so
+//! effort). The full-scale numbers come from the figure binaries listed in
+//! `docs/ARCHITECTURE.md`; these tests pin the *shape* of the results so
 //! regressions in any crate are caught by `cargo test --workspace`.
 
 use printed_mlp::core::experiment::{headline_summary, Effort, Figure1Experiment};

@@ -398,6 +398,10 @@ fn interrupted_fig2_search_resumes_to_the_identical_result() {
     let reference = experiment
         .run_with(&experiment.build_engine().unwrap())
         .unwrap();
+    assert!(
+        !reference.combined.points.is_empty(),
+        "the reference run must reach a combined front"
+    );
 
     /// Fails every evaluation once the budget is spent.
     struct DyingEngine {
