@@ -39,7 +39,7 @@
 //! fingerprints, then deletes record logs (and completion markers) bound to
 //! any other baseline, merges duplicate keys, and compacts oversized logs.
 
-use pmlp_bench::{parse_cli, parse_effort, CliOptions};
+use pmlp_bench::{parse_cli, CliOptions};
 use pmlp_core::campaign::{Campaign, CampaignConfig};
 use pmlp_core::experiment::Figure1Experiment;
 use pmlp_core::report::render_campaign_table;
@@ -52,13 +52,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let options = parse_cli(&args);
     options.validate()?;
+    options.check_positionals(3)?;
     if options.positional.first().copied() == Some("gc") {
         return run_gc(&options);
     }
     let which = options.positional.first().copied().unwrap_or("all");
-    let effort = options
-        .effort
-        .unwrap_or_else(|| parse_effort(options.positional.get(1).copied().unwrap_or("full")));
+    let effort = options.effort(1)?;
     let seed = options.seed(2)?;
 
     let datasets: Vec<UciDataset> = if which.eq_ignore_ascii_case("all") {
@@ -138,9 +137,7 @@ fn run_gc(options: &CliOptions<'_>) -> Result<(), Box<dyn std::error::Error>> {
                 .into(),
         );
     };
-    let effort = options
-        .effort
-        .unwrap_or_else(|| parse_effort(options.positional.get(1).copied().unwrap_or("full")));
+    let effort = options.effort(1)?;
     let seed = options.seed(2)?;
 
     // The live fingerprints are the trained registry baselines at this

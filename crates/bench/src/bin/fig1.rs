@@ -25,7 +25,7 @@
 //! fresh. (`--resume` is accepted for symmetry with `campaign`; the sweeps
 //! are stateless, so warm-starting the store is already a resume.)
 
-use pmlp_bench::{parse_cli, parse_effort, persist_json, render_figure1, render_headline};
+use pmlp_bench::{parse_cli, persist_json, render_figure1, render_headline};
 use pmlp_core::experiment::{headline_summary, Figure1Experiment};
 use pmlp_data::UciDataset;
 
@@ -33,10 +33,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let options = parse_cli(&args);
     options.validate()?;
+    options.check_positionals(3)?;
     let which = options.positional.first().copied().unwrap_or("all");
-    let effort = options
-        .effort
-        .unwrap_or_else(|| parse_effort(options.positional.get(1).copied().unwrap_or("full")));
+    let effort = options.effort(1)?;
     let seed = options.seed(2)?;
 
     let datasets: Vec<UciDataset> = if which.eq_ignore_ascii_case("all") {

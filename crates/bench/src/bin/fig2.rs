@@ -27,7 +27,7 @@
 //! resume the search. `--require-warm` fails the run if any evaluation had
 //! to be computed fresh.
 
-use pmlp_bench::{parse_cli, parse_effort, persist_json, render_figure2, render_headline};
+use pmlp_bench::{parse_cli, persist_json, render_figure2, render_headline};
 use pmlp_core::experiment::{headline_combined, Figure2Experiment};
 use pmlp_data::UciDataset;
 
@@ -35,15 +35,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let options = parse_cli(&args);
     options.validate()?;
+    options.check_positionals(3)?;
     let dataset = options
         .positional
         .first()
         .map(|name| UciDataset::parse(name))
         .transpose()?
         .unwrap_or(UciDataset::WhiteWine);
-    let effort = options
-        .effort
-        .unwrap_or_else(|| parse_effort(options.positional.get(1).copied().unwrap_or("full")));
+    let effort = options.effort(1)?;
     let seed = options.seed(2)?;
 
     let start = std::time::Instant::now();

@@ -38,6 +38,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let options = parse_cli(&args);
     options.validate()?;
+    options.check_positionals(1)?;
     let addr = options
         .positional
         .first()

@@ -21,7 +21,7 @@
 //! `--remote-store URL` shares all of it through a `pmlp-serve` instance;
 //! `--require-warm` fails the run if anything had to be evaluated fresh.
 
-use pmlp_bench::{parse_cli, parse_effort, persist_json, render_headline};
+use pmlp_bench::{parse_cli, persist_json, render_headline};
 use pmlp_core::campaign::{Campaign, CampaignConfig};
 use pmlp_core::experiment::{headline_combined, Figure2Experiment};
 use pmlp_core::report::{HeadlineRow, TechniqueSummary};
@@ -32,9 +32,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let options = parse_cli(&args);
     options.validate()?;
-    let effort = options
-        .effort
-        .unwrap_or_else(|| parse_effort(options.positional.first().copied().unwrap_or("full")));
+    options.check_positionals(2)?;
+    let effort = options.effort(0)?;
     let seed = options.seed(1)?;
 
     let campaign = Campaign::new(CampaignConfig {

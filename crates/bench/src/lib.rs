@@ -8,11 +8,19 @@ use pmlp_core::experiment::{Effort, Figure1Result, Figure2Result};
 use pmlp_core::report::{render_headline_table, HeadlineRow};
 use std::path::{Path, PathBuf};
 
-/// Parses an effort name from the command line (`full`, `quick`).
-pub fn parse_effort(name: &str) -> Effort {
+/// Parses an effort name from the command line: `full`, or `quick` (alias
+/// `smoke`), in any case.
+///
+/// # Errors
+///
+/// Returns a message naming any other word.
+pub fn parse_effort(name: &str) -> Result<Effort, String> {
     match name.to_ascii_lowercase().as_str() {
-        "quick" | "smoke" => Effort::Quick,
-        _ => Effort::Full,
+        "full" => Ok(Effort::Full),
+        "quick" | "smoke" => Ok(Effort::Quick),
+        _ => Err(format!(
+            "invalid effort '{name}': expected full, quick or smoke"
+        )),
     }
 }
 
@@ -90,6 +98,35 @@ impl CliOptions<'_> {
             return Err("--workers must be positive".into());
         }
         Ok(())
+    }
+
+    /// Rejects a command line with more than `read` positionals, the number
+    /// the binary reads: an argument it would drop is a mistake, not a no-op.
+    ///
+    /// # Errors
+    ///
+    /// Returns a message naming the first positional past the last one read.
+    pub fn check_positionals(&self, read: usize) -> Result<(), String> {
+        match self.positional.get(read) {
+            None => Ok(()),
+            Some(extra) => Err(format!(
+                "unexpected argument '{extra}': this command reads at most {read} positional argument(s)"
+            )),
+        }
+    }
+
+    /// The effort: `--quick`/`--full` when given, else the positional at
+    /// `index`, else [`Effort::Full`]. The positional is checked even when a
+    /// flag overrides it.
+    ///
+    /// # Errors
+    ///
+    /// Returns a message naming the positional when it is not an effort
+    /// name (see [`parse_effort`]).
+    pub fn effort(&self, index: usize) -> Result<Effort, String> {
+        let named = self.positional.get(index).map(|name| parse_effort(name));
+        let named = named.transpose()?.unwrap_or(Effort::Full);
+        Ok(self.effort.unwrap_or(named))
     }
 
     /// The RNG seed given as the positional argument at `index`; 42 when the
@@ -309,12 +346,53 @@ pub fn persist_json<T: serde::Serialize>(name: &str, value: &T) {
 mod tests {
     use super::*;
 
+    fn argv(args: &[&str]) -> Vec<String> {
+        args.iter().map(|s| s.to_string()).collect()
+    }
+
     #[test]
     fn effort_parsing_defaults_to_full() {
-        assert_eq!(parse_effort("quick"), Effort::Quick);
-        assert_eq!(parse_effort("SMOKE"), Effort::Quick);
-        assert_eq!(parse_effort("full"), Effort::Full);
-        assert_eq!(parse_effort("anything"), Effort::Full);
+        assert_eq!(parse_effort("quick"), Ok(Effort::Quick));
+        assert_eq!(parse_effort("SMOKE"), Ok(Effort::Quick));
+        assert_eq!(parse_effort("full"), Ok(Effort::Full));
+        let args = argv(&["seeds"]);
+        assert_eq!(parse_cli(&args).effort(1), Ok(Effort::Full));
+        let error = parse_effort("anything").unwrap_err();
+        assert!(error.contains("'anything'"), "{error}");
+    }
+
+    #[test]
+    fn a_word_in_the_effort_slot_must_name_an_effort() {
+        for (args, effort) in [
+            (argv(&["seeds", "quick", "7"]), Effort::Quick),
+            (argv(&["seeds", "Full"]), Effort::Full),
+            (argv(&["seeds", "--quick"]), Effort::Quick),
+            (argv(&["seeds", "full", "--quick"]), Effort::Quick),
+        ] {
+            assert_eq!(parse_cli(&args).effort(1), Ok(effort), "{args:?}");
+        }
+        // A seed in the effort slot is not a silent full-effort seed-42 run,
+        // and a flag that overrides the slot does not hide it.
+        for args in [argv(&["seeds", "7"]), argv(&["seeds", "--quick", "7"])] {
+            let error = parse_cli(&args).effort(1).unwrap_err();
+            assert!(error.contains("'7'"), "{args:?}: {error}");
+        }
+    }
+
+    #[test]
+    fn positionals_past_the_last_one_read_are_an_error() {
+        let args = argv(&["seeds", "quick", "7"]);
+        assert_eq!(parse_cli(&args).check_positionals(3), Ok(()));
+        assert_eq!(parse_cli(&[]).check_positionals(1), Ok(()));
+        for (args, read, extra) in [
+            (argv(&["seeds", "quick", "7", "whitewine"]), 3, "whitewine"),
+            (argv(&["quick", "7", "extra"]), 2, "extra"),
+            (argv(&["--quick", "7", "extra", "more"]), 2, "more"),
+            (argv(&["127.0.0.1:7878", "--store", "dir", "x"]), 1, "x"),
+        ] {
+            let error = parse_cli(&args).check_positionals(read).unwrap_err();
+            assert!(error.contains(&format!("'{extra}'")), "{args:?}: {error}");
+        }
     }
 
     #[test]
@@ -335,7 +413,6 @@ mod tests {
 
     #[test]
     fn a_malformed_seed_is_an_error_not_seed_42() {
-        let argv = |args: &[&str]| -> Vec<String> { args.iter().map(|s| s.to_string()).collect() };
         let args = argv(&["seeds", "quick", "7"]);
         assert_eq!(parse_cli(&args).seed(2), Ok(7));
         let args = argv(&["seeds", "quick"]);

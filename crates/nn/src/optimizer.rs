@@ -4,6 +4,14 @@
 //! gradients the training step left in its buffers: one pass per parameter
 //! array fuses the moment updates, the bias-corrected step and the
 //! subtraction.
+//!
+//! A moment whose gradient stays zero (a dead hidden unit's) decays into
+//! the subnormal range and, under round-to-nearest, stays there, so every
+//! later step would do slow subnormal arithmetic on it.
+//! [`Adam::flush_subnormals`] zeroes such moments; the trainer calls it once
+//! per epoch, not per step, because only long runs reach the subnormal range
+//! (the fine-tunes' few hundred steps per stage never do) and a select in
+//! the per-step update slows every fine-tune.
 
 use crate::layer::{DenseLayer, LayerBuffers};
 use crate::mlp::Mlp;
@@ -103,6 +111,32 @@ impl Adam {
             );
         }
     }
+
+    /// Sets every subnormal moment to `+0.0`; NaN and infinities pass
+    /// through.
+    ///
+    /// The trained parameters do not move in practice, though not by
+    /// construction: a flushed second moment's bias-corrected square root
+    /// (below 3.4e-18) vanishes against [`EPSILON`], and a flushed first
+    /// moment shifts a step by less than `lr` × 1.2e-29 (1.2e-31 at the
+    /// learning rate of 0.01), which rounds away unless the parameter's
+    /// magnitude is below about 2e-24.
+    pub(crate) fn flush_subnormals(&mut self) {
+        for moments in &mut self.moments {
+            for array in [
+                &mut moments.m_weights,
+                &mut moments.v_weights,
+                &mut moments.m_biases,
+                &mut moments.v_biases,
+            ] {
+                for value in array.iter_mut() {
+                    if value.abs() < f32::MIN_POSITIVE {
+                        *value = 0.0;
+                    }
+                }
+            }
+        }
+    }
 }
 
 /// The fused in-place Adam update of one parameter array. `second_moment`
@@ -165,5 +199,82 @@ mod tests {
         // A negative gradient is a negative update, so the parameters grow.
         assert!(mlp.layers()[0].weights().get(0, 0) > 0.0);
         assert!(mlp.layers()[0].biases()[0] > 0.0);
+    }
+
+    /// Every moment of `adam`: per layer, the weights' first and second
+    /// moments, then the biases'.
+    fn moments(adam: &Adam) -> Vec<f32> {
+        adam.moments
+            .iter()
+            .flat_map(|m| [&m.m_weights, &m.v_weights, &m.m_biases, &m.v_biases])
+            .flatten()
+            .copied()
+            .collect()
+    }
+
+    fn parameter_bits(mlp: &Mlp) -> Vec<u32> {
+        let layer = &mlp.layers()[0];
+        let parameters = layer.weights().as_slice().iter().chain(layer.biases());
+        parameters.map(|p| p.to_bits()).collect()
+    }
+
+    #[test]
+    fn flush_zeroes_exactly_the_subnormal_moments_and_keeps_the_parameters() {
+        // One real gradient (one bias's negative), then 800 zero gradients,
+        // as a unit that dies after its first step sees: the first moments
+        // decay by BETA1 per step into the subnormal range and stick there,
+        // the second moments decay by BETA2 and stay normal.
+        let (mut mlp, mut gradient) = zero_network_with_gradient(1e-3);
+        gradient[0].grad_biases[1] = -1e-3;
+        let (_, zero) = zero_network_with_gradient(0.0);
+        let mut adam = Adam::new(0.01);
+        let (mut unflushed_mlp, _) = zero_network_with_gradient(0.0);
+        let mut unflushed = Adam::new(0.01);
+        let mut step_both = |buffers: &[LayerBuffers], adam: &mut Adam| {
+            adam.step(&mut mlp, buffers);
+            unflushed.step(&mut unflushed_mlp, buffers);
+        };
+        for buffers in std::iter::once(&gradient).chain(std::iter::repeat_n(&zero, 800)) {
+            step_both(buffers, &mut adam);
+        }
+        let before = moments(&adam);
+        assert!(
+            before
+                .iter()
+                .any(|m| m.is_subnormal() && m.is_sign_negative())
+                && before.iter().any(|m| m.is_normal()),
+            "the test needs subnormal and normal moments: {before:?}"
+        );
+
+        adam.flush_subnormals();
+        for (old, new) in before.iter().zip(moments(&adam)) {
+            let expected = if old.is_subnormal() { 0.0 } else { *old };
+            assert_eq!(
+                new.to_bits(),
+                expected.to_bits(),
+                "{old:e} flushed to {new:e}"
+            );
+        }
+
+        // More dead steps, then a live one: the parameters never part from
+        // an unflushed run's.
+        for buffers in std::iter::repeat_n(&zero, 100).chain([&gradient]) {
+            step_both(buffers, &mut adam);
+        }
+        assert_eq!(parameter_bits(&mlp), parameter_bits(&unflushed_mlp));
+
+        // NaN, the infinities and the smallest normal value pass through.
+        let layer = &mut adam.moments[0];
+        layer.m_weights[0] = f32::NAN;
+        layer.v_weights[0] = f32::INFINITY;
+        layer.m_biases[0] = f32::NEG_INFINITY;
+        layer.v_biases[0] = f32::MIN_POSITIVE;
+        adam.flush_subnormals();
+        let layer = &adam.moments[0];
+        assert!(layer.m_weights[0].is_nan());
+        assert_eq!(
+            [layer.v_weights[0], layer.m_biases[0], layer.v_biases[0]],
+            [f32::INFINITY, f32::NEG_INFINITY, f32::MIN_POSITIVE]
+        );
     }
 }

@@ -218,6 +218,10 @@ impl Trainer {
                 optimizer.step(mlp, &buffers);
                 constraint.apply(mlp);
             }
+            // Dead units' moments settle in the subnormal range, where every
+            // step that touches them is slow; one pass per epoch keeps them
+            // out of it without a select in the per-step update.
+            optimizer.flush_subnormals();
             report.train_loss.push(if batches > 0 {
                 epoch_loss / batches as f32
             } else {

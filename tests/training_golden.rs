@@ -15,6 +15,13 @@
 //! matrix kernel twice. WhiteWine (11→25→5) covers full panels, a
 //! zero-padded tail panel and the 5-wide output layer.
 //!
+//! The Quick baselines (12 epochs, at most 432 Adam steps) and the
+//! fine-tunes stop before any Adam moment decays to a subnormal value, so
+//! one more constant covers long runs: the full-effort (60-epoch, about
+//! 2,160 steps) WhiteWine baseline at seed 42, whose dead hidden units'
+//! first moments turn subnormal partway through, where the trainer's
+//! per-epoch flush of subnormal moments acts.
+//!
 //! Any change to initialization, the optimizer, the loss, the batch order,
 //! the summation order of the matrix kernel or the fine-tuning constraints
 //! fails here. A change that moves the weights on purpose must update the
@@ -39,6 +46,9 @@ const WHITEWINE_BASELINE_HASH: u64 = 0x3c90_62ab_6b90_c07e;
 
 /// Hash of the q4/p0.40/c3 minimized model on that baseline.
 const WHITEWINE_COMBINED_HASH: u64 = 0xb574_c393_f6e8_d2af;
+
+/// Hash of the full-effort (60-epoch) WhiteWine baseline at seed 42.
+const WHITEWINE_FULL_BASELINE_HASH: u64 = 0x14bc_84d8_d4df_f2bd;
 
 /// 64-bit FNV-1a over the little-endian bytes of every parameter's bits.
 fn parameter_hash(model: &Mlp) -> u64 {
@@ -96,5 +106,17 @@ fn whitewine_trained_weights_are_bit_identical() {
         "trained float weights moved: (baseline, combined) = ({:#018x}, {:#018x})",
         hashes.0,
         hashes.1
+    );
+}
+
+#[test]
+fn full_effort_whitewine_baseline_is_bit_identical() {
+    let baseline =
+        BaselineDesign::train_with(UciDataset::WhiteWine, SEED, &Effort::Full.baseline_config())
+            .expect("full-effort baseline");
+    let hash = parameter_hash(&baseline.model);
+    assert_eq!(
+        hash, WHITEWINE_FULL_BASELINE_HASH,
+        "trained float weights moved: baseline = {hash:#018x}"
     );
 }
