@@ -39,7 +39,7 @@
 //! fingerprints, then deletes record logs (and completion markers) bound to
 //! any other baseline, merges duplicate keys, and compacts oversized logs.
 
-use pmlp_bench::{parse_cli, CliOptions};
+use pmlp_bench::{parse_cli, CliOptions, CAMPAIGN_FLAGS, CAMPAIGN_GC_FLAGS};
 use pmlp_core::campaign::{Campaign, CampaignConfig};
 use pmlp_core::experiment::Figure1Experiment;
 use pmlp_core::report::render_campaign_table;
@@ -51,9 +51,15 @@ use std::path::Path;
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let options = parse_cli(&args);
+    let gc = options.positional.first().copied() == Some("gc");
+    options.check_flags(if gc {
+        CAMPAIGN_GC_FLAGS
+    } else {
+        CAMPAIGN_FLAGS
+    })?;
     options.validate()?;
     options.check_positionals(3)?;
-    if options.positional.first().copied() == Some("gc") {
+    if gc {
         return run_gc(&options);
     }
     let which = options.positional.first().copied().unwrap_or("all");

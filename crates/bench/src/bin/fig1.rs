@@ -7,7 +7,7 @@
 //! ```text
 //! cargo run --release -p pmlp-bench --bin fig1 -- \
 //!     [dataset|all] [full|quick] [seed] [--quick] [--objectives LIST] \
-//!     [--store DIR] [--remote-store URL] [--resume] [--require-warm]
+//!     [--store DIR] [--remote-store URL] [--require-warm]
 //! ```
 //!
 //! `all` means the four datasets of the paper's Fig. 1 (any registry dataset
@@ -22,16 +22,17 @@
 //! `pmlp-serve` tier — records stream in from the server and fresh ones
 //! replicate back, so another machine's evaluations count as warm here.
 //! `--require-warm` fails the run if any evaluation had to be computed
-//! fresh. (`--resume` is accepted for symmetry with `campaign`; the sweeps
-//! are stateless, so warm-starting the store is already a resume.)
+//! fresh. The sweeps are stateless, so warm-starting the store is already a
+//! resume; a flag this binary does not read is an error.
 
-use pmlp_bench::{parse_cli, persist_json, render_figure1, render_headline};
+use pmlp_bench::{parse_cli, persist_json, render_figure1, render_headline, FIGURE_FLAGS};
 use pmlp_core::experiment::{headline_summary, Figure1Experiment};
 use pmlp_data::UciDataset;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let options = parse_cli(&args);
+    options.check_flags(FIGURE_FLAGS)?;
     options.validate()?;
     options.check_positionals(3)?;
     let which = options.positional.first().copied().unwrap_or("all");

@@ -8,32 +8,31 @@
 //! ```text
 //! cargo run --release -p pmlp-bench --bin fig2 -- \
 //!     [dataset] [full|quick] [seed] [--quick] [--objectives LIST] \
-//!     [--store DIR] [--remote-store URL] [--resume] [--require-warm]
+//!     [--store DIR] [--remote-store URL] [--require-warm]
 //! ```
 //!
 //! `--quick` anywhere on the command line forces the reduced CI effort.
 //! `--objectives accuracy,area,energy` runs the GA (and reports the fronts)
-//! in that objective space instead of the classic `(accuracy, area)` plane;
-//! checkpoints are bound to the space, so changing it restarts the search.
+//! in that objective space instead of the classic `(accuracy, area)` plane.
 //!
 //! With `--store DIR` every evaluation persists into the crash-safe store
-//! under `DIR` **and** the NSGA-II search checkpoints itself there after
-//! every evaluation batch: an interrupted run re-invoked with `--resume`
-//! picks the search up mid-generation and reproduces the uninterrupted
-//! result exactly (without `--resume`, a stale checkpoint is discarded and
-//! the search recomputes against the warm store). `--remote-store URL` adds
-//! (or replaces the directory with) a shared `pmlp-serve` tier: evaluations
-//! *and the GA checkpoint* replicate to the server, so another machine can
-//! resume the search. `--require-warm` fails the run if any evaluation had
-//! to be computed fresh.
+//! under `DIR`. An interrupted run resumes by running the same command
+//! again: the sweeps and the GA replay from their seed, the store answers
+//! every evaluation the first run persisted, and the artifact is
+//! byte-identical to an uninterrupted run's. `--remote-store URL` adds (or
+//! replaces the directory with) a shared `pmlp-serve` tier: evaluations
+//! replicate to the server, so another machine replays the search the same
+//! way. `--require-warm` fails the run if any evaluation had to be computed
+//! fresh.
 
-use pmlp_bench::{parse_cli, persist_json, render_figure2, render_headline};
+use pmlp_bench::{parse_cli, persist_json, render_figure2, render_headline, FIGURE_FLAGS};
 use pmlp_core::experiment::{headline_combined, Figure2Experiment};
 use pmlp_data::UciDataset;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let options = parse_cli(&args);
+    options.check_flags(FIGURE_FLAGS)?;
     options.validate()?;
     options.check_positionals(3)?;
     let dataset = options
@@ -58,17 +57,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     if let Some(backend) = backend {
         engine = engine.with_backend(backend)?;
     }
-    let result = if let Some(store) = engine.store() {
-        let checkpoint = format!("fig2_{}_nsga2.json", dataset.to_string().to_lowercase());
-        // Without --resume, any existing checkpoint is discarded: the
-        // search recomputes (against the warm store) instead of replaying.
-        if !options.resume {
-            store.remove_doc(&checkpoint)?;
-        }
-        experiment.run_with_checkpoint_doc(&engine, &checkpoint)?
-    } else {
-        experiment.run_with(&engine)?
-    };
+    let result = experiment.run_with(&engine)?;
     println!("{}", render_figure2(&result));
     println!("{}", render_headline(&[headline_combined(&result, 0.05)]));
     let stats = engine.stats();

@@ -1,6 +1,6 @@
 //! Runs the `pmlp-serve` evaluation-cache server: a dependency-free HTTP
 //! key-value tier that lets a fleet of workers share one content-addressed
-//! evaluation cache (records, NSGA-II checkpoints and campaign completion
+//! evaluation cache (records, cached baselines and campaign completion
 //! markers).
 //!
 //! Usage:
@@ -29,14 +29,16 @@
 //!
 //! Point workers at the server with `--remote-store http://host:port` (or
 //! `http://TOKEN@host:port` when auth is on) on the
-//! `fig1`/`fig2`/`table_headline`/`campaign` binaries.
+//! `fig1`/`fig2`/`table_headline`/`campaign` binaries. Any flag other than
+//! the four above is an error here.
 
-use pmlp_bench::parse_cli;
+use pmlp_bench::{parse_cli, SERVE_FLAGS};
 use pmlp_serve::{run, ServeConfig};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let options = parse_cli(&args);
+    options.check_flags(SERVE_FLAGS)?;
     options.validate()?;
     options.check_positionals(1)?;
     let addr = options

@@ -16,12 +16,13 @@
 //! ```
 //!
 //! `--quick` anywhere on the command line forces the reduced CI effort.
-//! `--store DIR`/`--resume` persist and resume both the campaign (per-dataset
-//! completion markers) and the WhiteWine GA (per-batch checkpoints);
-//! `--remote-store URL` shares all of it through a `pmlp-serve` instance;
-//! `--require-warm` fails the run if anything had to be evaluated fresh.
+//! `--store DIR` persists every evaluation; `--resume` restarts the campaign
+//! from its per-dataset completion markers, and the WhiteWine GA replays
+//! from its seed against the warm store. `--remote-store URL` shares all of
+//! it through a `pmlp-serve` instance; `--require-warm` fails the run if
+//! anything had to be evaluated fresh.
 
-use pmlp_bench::{parse_cli, persist_json, render_headline};
+use pmlp_bench::{parse_cli, persist_json, render_headline, CAMPAIGN_FLAGS};
 use pmlp_core::campaign::{Campaign, CampaignConfig};
 use pmlp_core::experiment::{headline_combined, Figure2Experiment};
 use pmlp_core::report::{HeadlineRow, TechniqueSummary};
@@ -31,6 +32,7 @@ use pmlp_data::UciDataset;
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let options = parse_cli(&args);
+    options.check_flags(CAMPAIGN_FLAGS)?;
     options.validate()?;
     options.check_positionals(2)?;
     let effort = options.effort(0)?;
@@ -69,20 +71,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     if let Some(backend) = backend {
         engine = engine.with_backend(backend)?;
     }
-    let combined = if engine.store().is_some() {
-        let checkpoint = "table_headline_nsga2.json";
-        // Without --resume, any existing checkpoint is discarded: the
-        // search recomputes (against the warm store) instead of replaying.
-        if !options.resume {
-            engine
-                .store()
-                .expect("store attached")
-                .remove_doc(checkpoint)?;
-        }
-        fig2.run_with_checkpoint_doc(&engine, checkpoint)?
-    } else {
-        fig2.run_with(&engine)?
-    };
+    let combined = fig2.run_with(&engine)?;
     let combined_row = headline_combined(&combined, 0.05);
     rows.push(combined_row.clone());
 

@@ -32,16 +32,15 @@ pub struct CliOptions<'a> {
     /// Effort override from `--quick`/`-q`/`--full`.
     pub effort: Option<Effort>,
     /// Persistent evaluation-store directory from `--store DIR` (or
-    /// `--store=DIR`): engines warm-start from it and append their misses,
-    /// and searches checkpoint into it.
+    /// `--store=DIR`): engines warm-start from it and append their misses.
     pub store: Option<PathBuf>,
     /// Remote `pmlp-serve` URL from `--remote-store URL` (or
     /// `--remote-store=URL`). Combined with `--store DIR` the directory
     /// becomes a write-through cache of the server; alone, the server is the
     /// only persistence tier.
     pub remote_store: Option<String>,
-    /// `--resume`: reuse completion markers and search checkpoints from the
-    /// store directory instead of recomputing finished work.
+    /// `--resume`: reuse campaign completion markers from the store
+    /// instead of recomputing finished datasets.
     pub resume: bool,
     /// `--require-warm`: exit with an error if the run needed any fresh
     /// evaluation — CI's assertion that a store re-run recomputes nothing.
@@ -67,10 +66,52 @@ pub struct CliOptions<'a> {
     /// `buffered`). Honoured by `--store DIR` compositions and by the
     /// `serve` binary's disk-backed store.
     pub durability: Option<pmlp_core::store::DurabilityPolicy>,
+    /// Every flag given, in order, as written (without an attached value);
+    /// checked by [`CliOptions::check_flags`].
+    pub flags: Vec<&'a str>,
     /// A malformed command line detected during parsing (e.g. `--store`
     /// without a directory); surfaced by [`CliOptions::validate`].
     pub parse_error: Option<String>,
 }
+
+/// The flags `fig1` and `fig2` read.
+pub const FIGURE_FLAGS: &[&str] = &[
+    "--quick",
+    "--full",
+    "--objectives",
+    "--store",
+    "--remote-store",
+    "--remote-timeout-ms",
+    "--durability",
+    "--require-warm",
+];
+
+/// The flags `campaign` and `table_headline` read: the figure flags and
+/// `--resume`.
+pub const CAMPAIGN_FLAGS: &[&str] = &[
+    "--quick",
+    "--full",
+    "--objectives",
+    "--store",
+    "--remote-store",
+    "--remote-timeout-ms",
+    "--durability",
+    "--require-warm",
+    "--resume",
+];
+
+/// The flags `campaign gc` reads.
+pub const CAMPAIGN_GC_FLAGS: &[&str] = &[
+    "--quick",
+    "--full",
+    "--store",
+    "--remote-store",
+    "--remote-timeout-ms",
+    "--durability",
+];
+
+/// The flags `serve` reads.
+pub const SERVE_FLAGS: &[&str] = &["--store", "--token", "--workers", "--durability"];
 
 impl CliOptions<'_> {
     /// Validates the parse and the flag combinations: `--resume`/
@@ -111,6 +152,27 @@ impl CliOptions<'_> {
             None => Ok(()),
             Some(extra) => Err(format!(
                 "unexpected argument '{extra}': this command reads at most {read} positional argument(s)"
+            )),
+        }
+    }
+
+    /// Rejects a flag the command does not read; `read` lists the flags it
+    /// does (`--quick` stands for its alias `-q` too). A flag a command would
+    /// drop is a mistake, not a no-op.
+    ///
+    /// # Errors
+    ///
+    /// Returns a message naming the first flag given that is not in `read`.
+    pub fn check_flags(&self, read: &[&str]) -> Result<(), String> {
+        let unread = self.flags.iter().find(|&&flag| {
+            let name = if flag == "-q" { "--quick" } else { flag };
+            !read.contains(&name)
+        });
+        match unread {
+            None => Ok(()),
+            Some(flag) => Err(format!(
+                "unexpected flag {flag}: this command reads only {}",
+                read.join(", ")
             )),
         }
     }
@@ -178,6 +240,8 @@ impl CliOptions<'_> {
 /// Every value flag takes its value either attached (`--flag=value`) or as
 /// the next argument (`--flag value`); an argument starting with `--` that
 /// names no flag is an error. Parsing stops at the first malformed argument.
+/// Which of the known flags a binary reads is its own check
+/// ([`CliOptions::check_flags`]).
 pub fn parse_cli(args: &[String]) -> CliOptions<'_> {
     let mut options = CliOptions::default();
     let mut rest = args.iter();
@@ -229,8 +293,12 @@ fn parse_arg<'a>(
             options.objectives = Some(space);
         }
         _ if flag.starts_with("--") => return Err(format!("unknown flag {flag}")),
-        _ => options.positional.push(arg),
+        _ => {
+            options.positional.push(arg);
+            return Ok(());
+        }
     }
+    options.flags.push(flag);
     Ok(())
 }
 
@@ -392,6 +460,77 @@ mod tests {
         ] {
             let error = parse_cli(&args).check_positionals(read).unwrap_err();
             assert!(error.contains(&format!("'{extra}'")), "{args:?}: {error}");
+        }
+    }
+
+    #[test]
+    fn each_command_rejects_the_flags_it_does_not_read() {
+        for (command, read, accepted, unread) in [
+            (
+                "fig1",
+                FIGURE_FLAGS,
+                &["seeds", "-q", "--store", "d", "--require-warm"][..],
+                &["--resume"][..],
+            ),
+            (
+                "fig2",
+                FIGURE_FLAGS,
+                &[
+                    "whitewine",
+                    "--objectives",
+                    "accuracy,area",
+                    "--durability=buffered",
+                ],
+                &["--resume"],
+            ),
+            (
+                "table_headline",
+                CAMPAIGN_FLAGS,
+                &[
+                    "--full",
+                    "--store",
+                    "d",
+                    "--resume",
+                    "--remote-timeout-ms=5",
+                ],
+                &["--workers", "2"],
+            ),
+            (
+                "campaign",
+                CAMPAIGN_FLAGS,
+                &["all", "--quick", "--remote-store", "http://h:1", "--resume"],
+                &["--token", "t"],
+            ),
+            (
+                "campaign gc",
+                CAMPAIGN_GC_FLAGS,
+                &["gc", "--quick", "--store", "d", "--durability", "buffered"],
+                &["--objectives=accuracy,area"],
+            ),
+            (
+                "serve",
+                SERVE_FLAGS,
+                &[
+                    "127.0.0.1:0",
+                    "--store",
+                    "d",
+                    "--token",
+                    "t",
+                    "--workers",
+                    "2",
+                ],
+                &["-q"],
+            ),
+        ] {
+            let mut args = argv(accepted);
+            assert_eq!(parse_cli(&args).check_flags(read), Ok(()), "{command}");
+            args.extend(argv(unread));
+            let error = parse_cli(&args).check_flags(read).unwrap_err();
+            let flag = unread[0].split('=').next().unwrap();
+            assert!(
+                error.starts_with(&format!("unexpected flag {flag}: this command reads only")),
+                "{command}: {error}"
+            );
         }
     }
 

@@ -67,8 +67,8 @@ const BASELINE_VERSION: u32 = 1;
 /// Version of the candidate minimization pipeline, mixed into
 /// [`BaselineDesign::fingerprint`]. A pipeline change can move candidate
 /// results while the baseline and every cache key stay the same; bumping
-/// this retires the stored results, GA checkpoints and campaign markers of
-/// the old pipeline. Cached baselines are keyed by [`budget_fingerprint`]
+/// this retires the stored results and campaign markers of the old
+/// pipeline. Cached baselines are keyed by [`budget_fingerprint`]
 /// instead, so they keep loading. Version 2 seeds each pipeline stage from
 /// its own prefix configuration, which moved every multi-stage result.
 const PIPELINE_VERSION: u64 = 2;

@@ -30,7 +30,7 @@ pub enum CoreError {
         /// Forwarded description.
         context: String,
     },
-    /// Error from the persistent evaluation store or a checkpoint file.
+    /// Error from the persistent evaluation store or one of its documents.
     Store {
         /// Description of the I/O or format problem.
         context: String,

@@ -15,7 +15,7 @@ use crate::nsga2::{Nsga2, Nsga2Config, SearchResult};
 use crate::objective::{DesignPoint, ObjectiveSpace};
 use crate::pareto::{area_gain_at_accuracy_loss, pareto_front_in};
 use crate::report::{FigureSeries, HeadlineRow};
-use crate::store::{EvalStore, StoreBackend};
+use crate::store::StoreBackend;
 use crate::sweep::{sweep_all, SweepRanges, Technique};
 use pmlp_data::UciDataset;
 use serde::{Deserialize, Serialize};
@@ -352,40 +352,6 @@ impl Figure2Experiment {
     ///
     /// Propagates evaluation, synthesis and search errors.
     pub fn run_with(&self, engine: &EvalEngine) -> Result<Figure2Result, CoreError> {
-        self.run_impl(engine, None)
-    }
-
-    /// Same as [`Figure2Experiment::run_with`], with the GA checkpointed
-    /// after every evaluation batch as the named document `doc_name` in the
-    /// engine's attached store backend (see
-    /// [`EvalEngine::with_backend`](crate::engine::EvalEngine::with_backend)
-    /// and [`Nsga2::run_resumable_store`]): an interrupted run re-invoked with
-    /// the same arguments resumes the search instead of restarting it, and a
-    /// finished checkpoint replays without evaluations. Against a tiered or
-    /// remote backend the checkpoint replicates to the `pmlp-serve` server,
-    /// so another worker can resume the search.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::InvalidConfig`] when the engine has no store
-    /// attached; otherwise propagates evaluation, synthesis, search and
-    /// checkpoint-write errors.
-    pub fn run_with_checkpoint_doc(
-        &self,
-        engine: &EvalEngine,
-        doc_name: &str,
-    ) -> Result<Figure2Result, CoreError> {
-        let store = engine.store().ok_or_else(|| CoreError::InvalidConfig {
-            context: "run_with_checkpoint_doc needs an engine with an attached store".into(),
-        })?;
-        self.run_impl(engine, Some((store, doc_name)))
-    }
-
-    fn run_impl(
-        &self,
-        engine: &EvalEngine,
-        checkpoint: Option<(&EvalStore, &str)>,
-    ) -> Result<Figure2Result, CoreError> {
         let sweeps = sweep_all(engine, &self.effort.sweep_ranges())?;
         let standalone: Vec<FigureSeries> = sweeps
             .iter()
@@ -400,16 +366,7 @@ impl Figure2Experiment {
         let mut ga_config = self.effort.nsga2_config();
         ga_config.seed ^= self.seed;
         ga_config.objectives = self.objectives.clone();
-        let searcher = Nsga2::new(ga_config);
-        let search = match checkpoint {
-            // The checkpoint identity is tagged with the baseline fingerprint
-            // so a checkpoint written against one baseline (or cost model) is
-            // never replayed against a retrained/changed one.
-            Some((store, name)) => {
-                searcher.run_resumable_store(engine, store, name, engine.fingerprint())?
-            }
-            None => searcher.run(engine)?,
-        };
+        let search = Nsga2::new(ga_config).run(engine)?;
         if self.effort.verify_finalists() {
             verify_front(engine, &search.pareto_front)?;
         }
@@ -423,6 +380,23 @@ impl Figure2Experiment {
             combined,
             search,
         })
+    }
+
+    /// Same as [`Figure2Experiment::run_with`]; `doc_name` is ignored (an
+    /// interrupted run resumes from the evaluation store the engine
+    /// warm-starts from). Nothing in the workspace calls it; it stays only
+    /// because the out-of-workspace `perfbench` package calls it, and goes
+    /// with the next change allowed to touch `perfbench/`.
+    ///
+    /// # Errors
+    ///
+    /// As [`Figure2Experiment::run_with`].
+    pub fn run_with_checkpoint_doc(
+        &self,
+        engine: &EvalEngine,
+        _doc_name: &str,
+    ) -> Result<Figure2Result, CoreError> {
+        self.run_with(engine)
     }
 }
 

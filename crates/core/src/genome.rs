@@ -7,10 +7,9 @@
 
 use pmlp_minimize::{sparsity_millis, MinimizationConfig};
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// Admissible ranges of the three genes, matching the paper's sweeps.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GenomeSpace {
     /// Allowed weight bit-widths (paper: 2–7).
     pub weight_bits: Vec<u8>,
@@ -34,7 +33,7 @@ impl Default for GenomeSpace {
 }
 
 /// One candidate of the GA population.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Genome {
     /// Quantization bit-width (`None` = quantization disabled, keep 8-bit).
     pub weight_bits: Option<u8>,

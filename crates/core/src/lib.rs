@@ -21,7 +21,8 @@
 //! * [`campaign::Campaign`] — the cross-dataset reproduction campaign that
 //!   fans the whole dataset registry out over the worker pool,
 //! * [`store::EvalStore`] — the persistent, crash-safe evaluation store that
-//!   carries cached evaluations (and search checkpoints) across processes,
+//!   carries cached evaluations across processes (and with them, resumable
+//!   searches),
 //! * [`pareto`] / [`report`] — Pareto-front utilities and result tables.
 //!
 //! ## Example

@@ -339,8 +339,8 @@ impl ObjectiveSpace {
         self.objectives.len()
     }
 
-    /// Validates the axis list of a deserialized space (checkpoint/config
-    /// payloads bypass [`ObjectiveSpace::new`]).
+    /// Validates the axis list of a space built without
+    /// [`ObjectiveSpace::new`] (a struct literal or a deserialized payload).
     ///
     /// # Errors
     ///

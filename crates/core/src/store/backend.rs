@@ -5,8 +5,8 @@
 //! [`EvalKey`])` fully identifies an evaluation, and the dataset name is a
 //! human-readable shard label (it selects the record log a fingerprint's
 //! records live in, but carries no scientific meaning — the fingerprint does).
-//! Backends also store small named *documents* (NSGA-II checkpoints, campaign
-//! completion markers), so every artifact a resumable search produces travels
+//! Backends also store small named *documents* (cached baselines, campaign
+//! completion markers), so every artifact a resumable run produces travels
 //! through the same abstraction — and therefore works identically against a
 //! local directory, an in-memory test store, a remote `pmlp-serve` instance
 //! or a tiered composition of the three.
@@ -165,8 +165,8 @@ pub trait StoreBackend: Send + Sync {
         Ok(0)
     }
 
-    /// Reads a named document (checkpoint, completion marker); `None` when it
-    /// does not exist.
+    /// Reads a named document (cached baseline, completion marker); `None`
+    /// when it does not exist.
     ///
     /// # Errors
     ///

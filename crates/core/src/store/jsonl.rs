@@ -4,7 +4,7 @@
 //! One append-only `*.jsonl` file per `(dataset name, baseline fingerprint)`
 //! pair, each led by a sealed-envelope header line; appends are single
 //! flushed whole-line writes; replay is corruption-tolerant and compacts
-//! salvaged records back to disk atomically. Documents (checkpoints,
+//! salvaged records back to disk atomically. Documents (cached baselines,
 //! completion markers) are sibling files committed with
 //! [`write_atomic`](crate::store::write_atomic). See the
 //! [store module documentation](crate::store) for the crash-safety story.
@@ -294,7 +294,7 @@ impl LocalJsonlBackend {
     ///
     /// Every log the pass rewrites or deletes loses its cached append
     /// handle, so a later append reopens the rewritten file, or seals a
-    /// fresh one, instead of writing into an orphaned inode. Checkpoint
+    /// fresh one, instead of writing into an orphaned inode. Other
     /// documents and unrelated files are left untouched.
     ///
     /// # Errors
@@ -772,16 +772,15 @@ mod tests {
             .put_doc("done_balance_0002.json", &marker(0xB))
             .unwrap();
         backend
-            .put_doc("fig2_seeds_nsga2.json", "{\"unrelated\":true}")
+            .put_doc("notes.json", "{\"unrelated\":true}")
             .unwrap();
 
         let report = backend.gc(Some(&[0xA]), &GcPolicy::default()).unwrap();
         assert_eq!(report.files_dropped, 1);
         assert!(backend.get_doc("done_seeds_0001.json").unwrap().is_some());
         assert!(backend.get_doc("done_balance_0002.json").unwrap().is_none());
-        // Checkpoints are never GC'd (their fingerprints are config hashes,
-        // not baseline identities).
-        assert!(backend.get_doc("fig2_seeds_nsga2.json").unwrap().is_some());
+        // A document that is not a marker is never GC'd.
+        assert!(backend.get_doc("notes.json").unwrap().is_some());
         fs::remove_dir_all(&dir).ok();
     }
 

@@ -27,17 +27,16 @@
 //!
 //! [`EvalStore`] binds a backend to one `(dataset name, fingerprint)` pair —
 //! the view an [`EvalEngine`](crate::engine::EvalEngine) warm-starts from and
-//! appends to. Backends also carry named *documents* (NSGA-II checkpoints,
-//! campaign completion markers), so resumable searches work identically
-//! against every tier. [`LocalJsonlBackend::gc`] garbage-collects a store
+//! appends to. Backends also carry named *documents* (cached baselines,
+//! campaign completion markers), so resumable runs work identically against
+//! every tier. [`LocalJsonlBackend::gc`] garbage-collects a store
 //! directory: logs of dead baselines are dropped, duplicate keys merged, and
 //! oversized logs compacted.
 //!
 //! Versioning: a [`STORE_VERSION`] bump makes old files unreadable by design —
 //! they are ignored and rewritten rather than misparsed. The same atomic
-//! commit primitive ([`write_atomic`]) backs every local document: NSGA-II
-//! checkpoints ([`crate::nsga2::Nsga2::run_resumable_store`]) and campaign
-//! completion markers.
+//! commit primitive ([`write_atomic`]) backs every local document: cached
+//! baselines and campaign completion markers.
 //!
 //! # Example
 //!
@@ -130,8 +129,8 @@ pub struct EvalRecord {
     pub artifacts: EvalArtifacts,
 }
 
-/// Incremental FNV-1a hasher behind baseline fingerprints and checkpoint
-/// config identities.
+/// Incremental FNV-1a hasher behind baseline and marker fingerprints and
+/// the remote tier's retry jitter.
 pub(crate) struct FingerprintHasher(u64);
 
 impl FingerprintHasher {
@@ -194,7 +193,7 @@ pub(crate) fn parse_hex(value: &Value) -> Result<u64, json::Error> {
 }
 
 /// Wraps a payload in the standard persistence envelope shared by store
-/// headers, NSGA-II checkpoints and campaign markers: a magic string, a
+/// headers, cached baselines and campaign markers: a magic string, a
 /// format version and a hex identity fingerprint ahead of the payload fields.
 pub(crate) fn seal_envelope(
     magic: &str,
@@ -396,8 +395,7 @@ pub fn open_backend_opts(
 }
 
 /// A backend bound to one `(dataset name, baseline fingerprint)` pair: the
-/// view an engine warm-starts from and appends to, plus the document
-/// namespace its searches checkpoint into.
+/// view an engine warm-starts from and appends to.
 ///
 /// See the [module documentation](self) for the format and crash-safety
 /// guarantees. Appends are internally synchronized; one store is shared by
@@ -520,26 +518,10 @@ impl EvalStore {
         self.backend.as_ref()
     }
 
-    /// Reads a named document (checkpoint, completion marker) from the
-    /// backend; `None` when it does not exist.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::Store`] when the backend fails.
-    pub fn get_doc(&self, name: &str) -> Result<Option<String>, CoreError> {
-        self.backend.get_doc(name)
-    }
-
-    /// Writes (atomically replacing) a named document through the backend.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::Store`] when the backend fails.
-    pub fn put_doc(&self, name: &str, contents: &str) -> Result<(), CoreError> {
-        self.backend.put_doc(name, contents)
-    }
-
     /// Deletes a named document; a missing document is not an error.
+    /// Nothing in the workspace calls it outside tests; it stays only
+    /// because the out-of-workspace `perfbench` package calls it, and goes
+    /// with the next change allowed to touch `perfbench/`.
     ///
     /// # Errors
     ///
@@ -778,10 +760,9 @@ pub(crate) mod tests {
         assert_eq!(store.path(), None, "memory tier has no path");
         assert_eq!(store.warm_start().len(), 1);
         store.append(&record(4, 0.9, 50.0)).unwrap();
-        store.put_doc("m.json", "x").unwrap();
-        assert_eq!(store.get_doc("m.json").unwrap().as_deref(), Some("x"));
+        store.backend().put_doc("m.json", "x").unwrap();
         store.remove_doc("m.json").unwrap();
-        assert_eq!(store.get_doc("m.json").unwrap(), None);
+        assert_eq!(store.backend().get_doc("m.json").unwrap(), None);
     }
 
     #[test]

@@ -7,8 +7,9 @@
 //! * **append** always lands locally first (the durable tier a crashed
 //!   campaign resumes from), then on the remote tier so other workers
 //!   inherit it;
-//! * **documents** (checkpoints, completion markers) read local-first with a
-//!   remote fallback (cached locally on hit) and write through to both.
+//! * **documents** (cached baselines, completion markers) read local-first
+//!   with a remote fallback (cached locally on hit) and write through to
+//!   both.
 //!
 //! # Circuit breaker and replay journal
 //!

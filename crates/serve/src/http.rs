@@ -13,8 +13,9 @@ use std::time::{Duration, Instant};
 /// Largest accepted request head (request line + headers).
 const MAX_HEAD_BYTES: usize = 16 * 1024;
 
-/// Largest accepted request body. Checkpoint documents carry every scored
-/// point of a search, so this is generous rather than tight.
+/// Largest accepted request body. An append carries every fresh record of
+/// an engine batch, artifacts included, so this is generous rather than
+/// tight.
 const MAX_BODY_BYTES: usize = 64 * 1024 * 1024;
 
 /// One parsed request.

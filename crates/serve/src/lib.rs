@@ -2,9 +2,10 @@
 //!
 //! A dependency-free HTTP/1.1 key-value server over
 //! `std::net::TcpListener` that exposes a [`StoreBackend`] to a fleet of
-//! workers: candidate evaluations (and search checkpoints / campaign
+//! workers: candidate evaluations (and cached baselines / campaign
 //! completion markers) computed by one machine become cache hits on every
-//! other machine pointed at the same server via `--remote-store URL`.
+//! other machine pointed at the same server via `--remote-store URL`. A
+//! second machine re-running a GA search replays it from those records.
 //!
 //! The wire format **is** the store's sealed-envelope JSONL (versioned by
 //! [`pmlp_core::store::STORE_VERSION`]): a record scan response is

@@ -6,8 +6,8 @@
 use pmlp_core::engine::EvalKey;
 use pmlp_core::objective::DesignPoint;
 use pmlp_core::store::{
-    EvalArtifacts, EvalRecord, EvalStore, LocalJsonlBackend, MemoryBackend, RemoteBackend,
-    StoreBackend, TieredStore,
+    EvalArtifacts, EvalRecord, LocalJsonlBackend, MemoryBackend, RemoteBackend, StoreBackend,
+    TieredStore,
 };
 use pmlp_minimize::MinimizationConfig;
 use pmlp_serve::{spawn, ServeConfig};
@@ -182,8 +182,7 @@ fn eval_store_checkpoint_documents_replicate_to_the_server() {
         Box::new(MemoryBackend::new()),
         Box::new(RemoteBackend::new(&handle.url()).unwrap()),
     );
-    let store = EvalStore::with_backend(Box::new(tiered), "Seeds", 0x22).unwrap();
-    store
+    tiered
         .put_doc("done_seeds_0000.json", "{\"done\":true}")
         .unwrap();
 

@@ -212,21 +212,6 @@ pub mod rngs {
         z ^ (z >> 31)
     }
 
-    impl StdRng {
-        /// Snapshots the internal xoshiro256** state (shim extension used for
-        /// search checkpointing; the real `rand` crate exposes the same
-        /// capability through serde on its RNG types).
-        pub fn state(&self) -> [u64; 4] {
-            self.s
-        }
-
-        /// Rebuilds an RNG from a [`StdRng::state`] snapshot, continuing the
-        /// stream exactly where the snapshot was taken.
-        pub fn from_state(s: [u64; 4]) -> Self {
-            StdRng { s }
-        }
-    }
-
     impl SeedableRng for StdRng {
         fn seed_from_u64(state: u64) -> Self {
             let mut sm = state;
@@ -297,19 +282,6 @@ mod tests {
     use super::rngs::StdRng;
     use super::seq::SliceRandom;
     use super::{Rng, SeedableRng};
-
-    #[test]
-    fn state_snapshot_resumes_the_stream_exactly() {
-        let mut a = StdRng::seed_from_u64(9);
-        for _ in 0..17 {
-            a.gen_range(0..100usize);
-        }
-        let snapshot = a.state();
-        let mut b = StdRng::from_state(snapshot);
-        for _ in 0..100 {
-            assert_eq!(a.gen_range(0..1000usize), b.gen_range(0..1000usize));
-        }
-    }
 
     #[test]
     fn same_seed_same_stream() {

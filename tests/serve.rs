@@ -1,9 +1,10 @@
 //! Integration tests of the networked evaluation-cache tier: campaign
 //! workers sharing one `pmlp-serve` instance inherit each other's
-//! evaluations, completion markers and GA checkpoints; a killed server
-//! trips the worker's circuit breaker onto its local write-through cache
-//! instead of failing it (see `tests/chaos.rs` for the recovery half:
-//! restarted servers are rejoined and journaled writes replayed).
+//! evaluations and completion markers, and replay each other's GA searches
+//! from them; a killed server trips the worker's circuit breaker onto its
+//! local write-through cache instead of failing it (see `tests/chaos.rs` for
+//! the recovery half: restarted servers are rejoined and journaled writes
+//! replayed).
 
 use printed_mlp::core::baseline_doc_name;
 use printed_mlp::core::campaign::{Campaign, CampaignConfig, CampaignResult, CampaignRunStats};
@@ -189,10 +190,11 @@ fn killed_server_degrades_to_the_local_write_through_cache() {
     std::fs::remove_dir_all(&dir_fresh).ok();
 }
 
-/// GA checkpoints replicate through the server: a second worker's Fig. 2
-/// search short-circuits from the first worker's finished checkpoint.
+/// A GA search replays through the server: a second worker with an empty
+/// local tier re-runs Fig. 2 from its seed, every evaluation streams in from
+/// the server, and the search equals the first worker's.
 #[test]
-fn ga_checkpoints_replicate_across_workers() {
+fn ga_search_replays_from_the_server_on_a_second_worker() {
     let server = spawn(&ServeConfig::default()).unwrap();
     let experiment = Figure2Experiment::new(UciDataset::Seeds, Effort::Quick, 21);
     let dir_a = temp_dir("ga-a");
@@ -204,28 +206,23 @@ fn ga_checkpoints_replicate_across_workers() {
             .unwrap()
     };
 
-    // Worker A runs the search, checkpointing into the tiered store.
+    // Worker A runs the search; its records replicate to the server.
     let engine_a = experiment
         .build_engine()
         .unwrap()
         .with_backend(backend(&dir_a))
         .unwrap();
-    let result_a = experiment
-        .run_with_checkpoint_doc(&engine_a, "fig2_seeds_nsga2.json")
-        .unwrap();
+    let result_a = experiment.run_with(&engine_a).unwrap();
     assert!(engine_a.stats().misses > 0, "worker A computes");
 
-    // Worker B, fresh local tier: the finished checkpoint (and every record)
-    // streams in from the server — the search replays without a single
-    // fresh evaluation.
+    // Worker B, fresh local tier: the same run is answered by the server's
+    // records without a single fresh evaluation.
     let engine_b = experiment
         .build_engine()
         .unwrap()
         .with_backend(backend(&dir_b))
         .unwrap();
-    let result_b = experiment
-        .run_with_checkpoint_doc(&engine_b, "fig2_seeds_nsga2.json")
-        .unwrap();
+    let result_b = experiment.run_with(&engine_b).unwrap();
     assert_eq!(result_b.search, result_a.search);
     assert_eq!(engine_b.stats().misses, 0, "worker B must be fully warm");
 

@@ -382,9 +382,10 @@ fn gc_prunes_a_real_campaign_store() {
 }
 
 /// NSGA-II through a real engine: a search interrupted mid-run (simulated by
-/// an evaluator whose budget runs out) resumes from its checkpoint document
-/// in the engine's own store and reproduces the uninterrupted
-/// `SearchResult` exactly.
+/// an evaluator whose budget runs out) resumes by running again from its
+/// seed over the same store. The fresh engine answers every evaluation the
+/// crashed run persisted, computes only the one it lost, and the result
+/// equals the uninterrupted `SearchResult` exactly.
 #[test]
 fn interrupted_fig2_search_resumes_to_the_identical_result() {
     use printed_mlp::core::engine::EvalEngine;
@@ -424,7 +425,6 @@ fn interrupted_fig2_search_resumes_to_the_identical_result() {
     // Kill the engine one evaluation short of what the search needs: the
     // crash is guaranteed, and it lands as deep into the run as possible.
     let budget = reference.search.all_points.len() - 1;
-    let checkpoint = "fig2_seeds_nsga2.json";
     let dying = DyingEngine {
         inner: experiment
             .build_engine()
@@ -436,28 +436,27 @@ fn interrupted_fig2_search_resumes_to_the_identical_result() {
     let mut ga_config = Effort::Quick.nsga2_config();
     ga_config.seed ^= 21;
     let searcher = printed_mlp::core::Nsga2::new(ga_config);
-    let dying_store = dying.inner.store().expect("store attached");
-    let crash =
-        searcher.run_resumable_store(&dying, dying_store, checkpoint, dying.inner.fingerprint());
-    assert!(crash.is_err(), "the simulated crash must surface");
     assert!(
-        store.join(checkpoint).exists(),
-        "the checkpoint document must survive the crash on disk"
+        searcher.run(&dying).is_err(),
+        "the simulated crash must surface"
     );
+    drop(dying);
 
-    // Fresh process: same store (warm evaluations + the checkpoint).
+    // Fresh process: same store, warm with every evaluation but the lost one.
     let engine = experiment
         .build_engine()
         .unwrap()
         .with_store(&store)
         .unwrap();
-    let engine_store = engine.store().expect("store attached");
-    let resumed = searcher
-        .run_resumable_store(&engine, engine_store, checkpoint, engine.fingerprint())
-        .unwrap();
+    let resumed = searcher.run(&engine).unwrap();
     assert_eq!(
         resumed, reference.search,
         "resumed search must equal the uninterrupted one"
+    );
+    assert_eq!(
+        engine.stats().misses,
+        1,
+        "only the evaluation the crash lost is computed again"
     );
     std::fs::remove_dir_all(&store).ok();
 }
