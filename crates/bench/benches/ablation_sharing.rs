@@ -9,7 +9,6 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use pmlp_core::baseline::BaselineDesign;
 use pmlp_core::bridge::circuit_spec_from_layers;
 use pmlp_core::experiment::Effort;
-use pmlp_hw::constmul::RecodingStrategy;
 use pmlp_hw::{BespokeMlpCircuit, CellLibrary, SharingStrategy};
 use pmlp_minimize::{minimize, MinimizationConfig};
 use std::time::Duration;
@@ -34,34 +33,27 @@ fn bench_ablation_sharing(c: &mut Criterion) {
     let spec = circuit_spec_from_layers(&clustered.integer_layers, 4).expect("spec");
     let library = CellLibrary::egt();
 
-    let unshared = BespokeMlpCircuit::synthesize_with(
-        &spec,
-        &library,
-        SharingStrategy::None,
-        RecodingStrategy::Csd,
-    )
-    .expect("unshared synthesis");
-    let shared = BespokeMlpCircuit::synthesize_with(
-        &spec,
-        &library,
-        SharingStrategy::SharedPerInput,
-        RecodingStrategy::Csd,
-    )
-    .expect("shared synthesis");
+    let unshared = BespokeMlpCircuit::synthesize_with(&spec, &library, SharingStrategy::None)
+        .expect("unshared synthesis")
+        .report()
+        .area;
+    let shared =
+        BespokeMlpCircuit::synthesize_with(&spec, &library, SharingStrategy::SharedPerInput)
+            .expect("shared synthesis")
+            .report()
+            .area;
     println!("=== ablation A1: multiplier sharing on a 3-cluster Seeds classifier ===");
     println!(
         "without sharing: {:.2} mm2 ({} gates)",
-        unshared.area().total_mm2,
-        unshared.area().gate_count
+        unshared.total_mm2, unshared.gate_count
     );
     println!(
         "with sharing:    {:.2} mm2 ({} gates)",
-        shared.area().total_mm2,
-        shared.area().gate_count
+        shared.total_mm2, shared.gate_count
     );
     println!(
         "sharing saves {:.1}% of the clustered circuit's area",
-        100.0 * (1.0 - shared.area().total_mm2 / unshared.area().total_mm2)
+        100.0 * (1.0 - shared.total_mm2 / unshared.total_mm2)
     );
 
     let mut group = c.benchmark_group("ablation_sharing");
@@ -71,28 +63,18 @@ fn bench_ablation_sharing(c: &mut Criterion) {
         .measurement_time(Duration::from_secs(5));
     group.bench_function("synthesize_without_sharing", |b| {
         b.iter(|| {
-            BespokeMlpCircuit::synthesize_with(
-                &spec,
-                &library,
-                SharingStrategy::None,
-                RecodingStrategy::Csd,
-            )
-            .unwrap()
-            .area()
-            .total_mm2
+            BespokeMlpCircuit::synthesize_with(&spec, &library, SharingStrategy::None)
+                .unwrap()
+                .netlist()
+                .gate_count()
         })
     });
     group.bench_function("synthesize_with_sharing", |b| {
         b.iter(|| {
-            BespokeMlpCircuit::synthesize_with(
-                &spec,
-                &library,
-                SharingStrategy::SharedPerInput,
-                RecodingStrategy::Csd,
-            )
-            .unwrap()
-            .area()
-            .total_mm2
+            BespokeMlpCircuit::synthesize_with(&spec, &library, SharingStrategy::SharedPerInput)
+                .unwrap()
+                .netlist()
+                .gate_count()
         })
     });
     group.finish();

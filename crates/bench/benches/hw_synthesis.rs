@@ -3,9 +3,9 @@
 //! analysis.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use pmlp_hw::adder::input_word;
-use pmlp_hw::constmul::{constant_multiplier, RecodingStrategy};
-use pmlp_hw::neuron::{NeuronCircuit, NeuronSpec};
+use pmlp_hw::adder::{input_word, Word};
+use pmlp_hw::constmul::constant_multiplier;
+use pmlp_hw::neuron::build_neuron;
 use pmlp_hw::{
     BespokeMlpCircuit, CellLibrary, CircuitSpec, CsdDigits, HwActivation, LayerSpec, Netlist,
 };
@@ -54,24 +54,22 @@ fn bench_hw_synthesis(c: &mut Criterion) {
             let mut netlist = Netlist::new("mul");
             let x = input_word(&mut netlist, 6);
             for constant in [3_i64, -7, 23, 55, -101] {
-                black_box(constant_multiplier(
-                    &mut netlist,
-                    &x,
-                    constant,
-                    RecodingStrategy::Csd,
-                ));
+                black_box(constant_multiplier(&mut netlist, &x, constant));
             }
             netlist.gate_count()
         })
     });
 
     group.bench_function("neuron_with_11_inputs", |b| {
-        let spec = NeuronSpec::new(vec![5, -3, 7, 0, 2, -6, 1, 4, 0, -2, 3], true);
+        let weights = [5, -3, 7, 0, 2, -6, 1, 4, 0, -2, 3];
         b.iter(|| {
-            NeuronCircuit::synthesize(&spec, 5)
-                .unwrap()
-                .netlist()
-                .gate_count()
+            let mut netlist = Netlist::new("neuron");
+            let inputs: Vec<Word> = weights
+                .iter()
+                .map(|_| input_word(&mut netlist, 5))
+                .collect();
+            black_box(build_neuron(&mut netlist, &inputs, &weights, 0, true, None).unwrap());
+            netlist.gate_count()
         })
     });
 
@@ -79,8 +77,8 @@ fn bench_hw_synthesis(c: &mut Criterion) {
         b.iter(|| {
             BespokeMlpCircuit::synthesize(&spec, &library)
                 .unwrap()
-                .area()
-                .total_mm2
+                .netlist()
+                .gate_count()
         })
     });
 
@@ -108,13 +106,9 @@ fn bench_hw_synthesis(c: &mut Criterion) {
 
     group.bench_function("whitewine_fast_path_estimate", |b| {
         b.iter(|| {
-            let report = pmlp_hw::cost::estimate_circuit(
-                &spec,
-                &library,
-                pmlp_hw::SharingStrategy::None,
-                RecodingStrategy::Csd,
-            )
-            .unwrap();
+            let report =
+                pmlp_hw::cost::estimate_circuit(&spec, &library, pmlp_hw::SharingStrategy::None)
+                    .unwrap();
             black_box((
                 report.area.total_mm2,
                 report.power.total_uw,

@@ -18,7 +18,7 @@
 //! (e.g. `seeds,balance,vertebral`). `--quick` anywhere on the command line
 //! forces the reduced CI effort. `--objectives accuracy,area,energy` selects the objective space the Pareto
 //! fronts and per-dataset hypervolumes are computed in (any comma-separated
-//! subset of `accuracy,area,power,delay,energy`; default `accuracy,area`,
+//! subset of `accuracy,area,delay,energy`; default `accuracy,area`,
 //! byte-identical to the historical two-objective pipeline). The evaluation
 //! store is objective-agnostic, so a store written under one space
 //! warm-starts a campaign under any other with zero fresh evaluations.

@@ -46,7 +46,7 @@ pub struct CliOptions<'a> {
     /// evaluation — CI's assertion that a store re-run recomputes nothing.
     pub require_warm: bool,
     /// Objective space from `--objectives LIST` (or `--objectives=LIST`), a
-    /// comma-separated subset of `accuracy,area,power,delay,energy`. `None`
+    /// comma-separated subset of `accuracy,area,delay,energy`. `None`
     /// keeps the classic `(accuracy, area)` space — and byte-identical
     /// artifacts to the fixed two-objective pipeline.
     pub objectives: Option<pmlp_core::ObjectiveSpace>,
@@ -607,7 +607,7 @@ mod tests {
         );
         assert_eq!(options.positional, vec!["all"]);
 
-        let args: Vec<String> = ["--objectives=accuracy,area,power,delay"]
+        let args: Vec<String> = ["--objectives=accuracy,area,delay,energy"]
             .iter()
             .map(|s| s.to_string())
             .collect();
@@ -618,6 +618,7 @@ mod tests {
             vec!["--objectives"],
             vec!["--objectives", "--resume"],
             vec!["--objectives", "accuracy,sparkle"],
+            vec!["--objectives", "accuracy,power"],
             vec!["--objectives", "accuracy,area,accuracy"],
             vec!["--objectives="],
         ] {

@@ -78,13 +78,8 @@ pub fn synthesize_area(
     sharing: SharingStrategy,
 ) -> Result<SynthesisSummary, CoreError> {
     let spec = circuit_spec_from_layers(layers, input_bits)?;
-    let circuit = BespokeMlpCircuit::synthesize_with(
-        &spec,
-        library,
-        sharing,
-        pmlp_hw::constmul::RecodingStrategy::Csd,
-    )
-    .map_err(CoreError::from)?;
+    let circuit =
+        BespokeMlpCircuit::synthesize_with(&spec, library, sharing).map_err(CoreError::from)?;
     Ok(SynthesisSummary::of(&circuit.report()))
 }
 
@@ -108,13 +103,8 @@ pub fn estimate_area(
     sharing: SharingStrategy,
 ) -> Result<SynthesisSummary, CoreError> {
     let spec = circuit_spec_from_layers(layers, input_bits)?;
-    let report = pmlp_hw::cost::estimate_circuit(
-        &spec,
-        library,
-        sharing,
-        pmlp_hw::constmul::RecodingStrategy::Csd,
-    )
-    .map_err(CoreError::from)?;
+    let report =
+        pmlp_hw::cost::estimate_circuit(&spec, library, sharing).map_err(CoreError::from)?;
     Ok(SynthesisSummary::of(&report))
 }
 

@@ -1,7 +1,7 @@
 //! The hardware-aware genetic algorithm: an NSGA-II loop over
 //! [`Genome`]s whose fitness is the objective vector (by default the
-//! (accuracy, area) pair; any [`ObjectiveSpace`] over accuracy, area, power,
-//! delay and energy-per-inference via [`Nsga2Config::objectives`]) measured
+//! (accuracy, area) pair; any [`ObjectiveSpace`] over accuracy, area, delay
+//! and energy-per-inference via [`Nsga2Config::objectives`]) measured
 //! by retraining the candidate and synthesizing its bespoke circuit.
 //!
 //! All candidate scoring goes through the shared

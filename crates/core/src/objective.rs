@@ -198,9 +198,12 @@ pub enum ObjectiveKind {
     /// the loss `baseline_accuracy − accuracy`.
     AccuracyLoss,
     /// Cell area in mm², minimized.
+    ///
+    /// There is no static-power axis: every cell of the one library draws
+    /// the same power per mm² of area, so power would rank designs exactly
+    /// as area does. [`DesignPoint::power_uw`] is still measured and
+    /// reported, and feeds [`ObjectiveKind::EnergyPerInference`].
     Area,
-    /// Static power in µW, minimized.
-    Power,
     /// Critical-path delay in µs, minimized.
     Delay,
     /// Energy per inference in pJ (`power × delay`), minimized.
@@ -213,7 +216,6 @@ impl ObjectiveKind {
         match self {
             ObjectiveKind::AccuracyLoss => point.accuracy,
             ObjectiveKind::Area => point.area_mm2,
-            ObjectiveKind::Power => point.power_uw,
             ObjectiveKind::Delay => point.delay_us,
             ObjectiveKind::EnergyPerInference => point.energy_pj(),
         }
@@ -229,19 +231,16 @@ impl ObjectiveKind {
         match self {
             ObjectiveKind::AccuracyLoss => "accuracy",
             ObjectiveKind::Area => "area",
-            ObjectiveKind::Power => "power",
             ObjectiveKind::Delay => "delay",
             ObjectiveKind::EnergyPerInference => "energy",
         }
     }
 
-    /// Parses one CLI token (`accuracy`/`loss`, `area`, `power`, `delay`,
-    /// `energy`).
+    /// Parses one CLI token (`accuracy`/`loss`, `area`, `delay`, `energy`).
     pub fn parse(token: &str) -> Option<Self> {
         match token.trim() {
             "accuracy" | "loss" | "accuracy_loss" => Some(ObjectiveKind::AccuracyLoss),
             "area" => Some(ObjectiveKind::Area),
-            "power" => Some(ObjectiveKind::Power),
             "delay" => Some(ObjectiveKind::Delay),
             "energy" | "energy_per_inference" => Some(ObjectiveKind::EnergyPerInference),
             _ => None,
@@ -325,7 +324,7 @@ impl ObjectiveSpace {
             .map(|t| {
                 ObjectiveKind::parse(t).ok_or_else(|| CoreError::InvalidConfig {
                     context: format!(
-                        "unknown objective `{}` (expected accuracy, area, power, delay or energy)",
+                        "unknown objective `{}` (expected accuracy, area, delay or energy)",
                         t.trim()
                     ),
                 })
@@ -716,10 +715,17 @@ mod tests {
         assert!(ObjectiveSpace::parse("").is_err());
         assert!(ObjectiveSpace::parse("accuracy,area,area").is_err());
         assert!(ObjectiveSpace::parse("accuracy,frobnitz").is_err());
-        ObjectiveSpace::parse("loss,power,delay")
+        ObjectiveSpace::parse("loss,delay,energy")
             .unwrap()
             .validate()
             .unwrap();
+        // Power ranks designs exactly as area does, so it is no axis.
+        let err = ObjectiveSpace::parse("accuracy,power").unwrap_err();
+        assert!(
+            err.to_string()
+                .contains("unknown objective `power` (expected accuracy, area, delay or energy)"),
+            "{err}"
+        );
     }
 
     #[test]

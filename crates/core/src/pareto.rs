@@ -214,7 +214,6 @@ fn hypervolume_axis(
     let (value, reference) = match kind {
         ObjectiveKind::AccuracyLoss => (baseline.accuracy - point.accuracy, 1.0),
         ObjectiveKind::Area => (point.area_mm2, baseline.area_mm2),
-        ObjectiveKind::Power => (point.power_uw, baseline.power_uw),
         ObjectiveKind::Delay => (point.delay_us, baseline.delay_us),
         ObjectiveKind::EnergyPerInference => (point.energy_pj(), baseline.energy_pj),
     };
@@ -517,7 +516,7 @@ mod tests {
         let mut base_point = point(0.9, 100.0);
         base_point.power_uw = 1000.0;
         base_point.delay_us = 2.0;
-        for spec in ["accuracy,area", "accuracy,area,energy", "loss,power,delay"] {
+        for spec in ["accuracy,area", "accuracy,area,energy", "loss,delay,energy"] {
             let space = ObjectiveSpace::parse(spec).unwrap();
             let hv = hypervolume(&space, &[base_point.clone()], &baseline_metrics());
             assert!(hv.abs() < 1e-12, "{spec}: {hv}");
@@ -551,7 +550,7 @@ mod tests {
         for spec in [
             "accuracy,area",
             "accuracy,area,energy",
-            "accuracy,area,power,delay",
+            "accuracy,area,delay,energy",
         ] {
             let space = ObjectiveSpace::parse(spec).unwrap();
             let mut nan = point(f64::NAN, 1.0);
@@ -637,7 +636,7 @@ mod proptests {
     }
 
     fn space4() -> ObjectiveSpace {
-        ObjectiveSpace::parse("accuracy,area,power,delay").unwrap()
+        ObjectiveSpace::parse("accuracy,area,delay,energy").unwrap()
     }
 
     proptest! {

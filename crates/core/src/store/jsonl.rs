@@ -290,7 +290,10 @@ impl LocalJsonlBackend {
     ///   dropped, and logs at or above [`GcPolicy::compact_threshold_bytes`]
     ///   are compacted unconditionally,
     /// * `done_*.json` completion markers bound to a dead baseline
-    ///   fingerprint are deleted too.
+    ///   fingerprint are deleted too,
+    /// * `*_nsga2.json` GA checkpoints that earlier versions wrote (envelope
+    ///   magic `pmlp-nsga2-checkpoint`) are deleted whatever `live` says:
+    ///   searches now resume from the records alone, so nothing reads them.
     ///
     /// Every log the pass rewrites or deletes loses its cached append
     /// handle, so a later append reopens the rewritten file, or seals a
@@ -349,6 +352,10 @@ impl LocalJsonlBackend {
                     }
                     _ => {}
                 }
+            } else if file_name.ends_with("_nsga2.json") && is_retired_checkpoint(&path) {
+                fs::remove_file(&path).ok();
+                report.files_dropped += 1;
+                report.bytes_reclaimed += size;
             }
         }
         Ok(report)
@@ -524,6 +531,17 @@ fn record_log_fingerprint(file_name: &str) -> Option<u64> {
 fn marker_fingerprint(path: &Path) -> Option<u64> {
     let parsed = serde::json::parse(&fs::read_to_string(path).ok()?).ok()?;
     super::parse_hex(parsed.get("fingerprint")?).ok()
+}
+
+/// `true` when the document at `path` is a GA checkpoint in the envelope
+/// earlier versions sealed (magic `pmlp-nsga2-checkpoint`).
+fn is_retired_checkpoint(path: &Path) -> bool {
+    fs::read_to_string(path)
+        .ok()
+        .and_then(|text| serde::json::parse(&text).ok())
+        .is_some_and(|doc| {
+            doc.get("magic").and_then(|m| m.as_str()) == Some("pmlp-nsga2-checkpoint")
+        })
 }
 
 #[cfg(test)]
@@ -781,6 +799,42 @@ mod tests {
         assert!(backend.get_doc("done_balance_0002.json").unwrap().is_none());
         // A document that is not a marker is never GC'd.
         assert!(backend.get_doc("notes.json").unwrap().is_some());
+        fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn gc_drops_retired_ga_checkpoints() {
+        let dir = temp_dir("jsonl-gc-checkpoints");
+        let backend = LocalJsonlBackend::open(&dir).unwrap();
+        // The checkpoint is bound to a live fingerprint: it goes anyway,
+        // since nothing reads checkpoints any more.
+        let checkpoint = super::super::seal_envelope("pmlp-nsga2-checkpoint", 2, 0xA, Vec::new())
+            .render_pretty();
+        let marker =
+            super::super::seal_envelope("pmlp-campaign-marker", 1, 0xA, Vec::new()).render_pretty();
+        for name in ["fig2_seeds_nsga2.json", "table_headline_nsga2.json"] {
+            backend.put_doc(name, &checkpoint).unwrap();
+        }
+        backend.put_doc("done_seeds_0001.json", &marker).unwrap();
+        backend
+            .put_doc("notes.json", "{\"unrelated\":true}")
+            .unwrap();
+        backend
+            .put_doc("mine_nsga2.json", "{\"magic\":\"something-else\"}")
+            .unwrap();
+
+        let report = backend.gc(Some(&[0xA]), &GcPolicy::default()).unwrap();
+        assert_eq!(report.files_dropped, 2);
+        assert_eq!(report.bytes_reclaimed, 2 * checkpoint.len() as u64);
+        assert!(backend.get_doc("fig2_seeds_nsga2.json").unwrap().is_none());
+        assert!(backend
+            .get_doc("table_headline_nsga2.json")
+            .unwrap()
+            .is_none());
+        assert!(backend.get_doc("done_seeds_0001.json").unwrap().is_some());
+        assert!(backend.get_doc("notes.json").unwrap().is_some());
+        // A document that only shares the name pattern stays.
+        assert!(backend.get_doc("mine_nsga2.json").unwrap().is_some());
         fs::remove_dir_all(&dir).ok();
     }
 

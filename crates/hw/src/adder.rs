@@ -354,7 +354,7 @@ mod tests {
     #[test]
     fn mux_word_selects_between_words() {
         let mut netlist = Netlist::new("muxw");
-        let sel = netlist.add_input();
+        let sel = netlist.input();
         let a = input_word(&mut netlist, 3);
         let b = input_word(&mut netlist, 3);
         let y = mux_word(&mut netlist, sel, &a, &b);
@@ -376,7 +376,7 @@ mod tests {
         let a = input_word(&mut netlist, 4);
         let b = input_word(&mut netlist, 4);
         let _ = add(&mut netlist, &a, &b);
-        let area = netlist.area(&crate::cell::CellLibrary::egt());
+        let area = netlist.report(&crate::cell::CellLibrary::egt()).area;
         assert!(area.by_kind.contains_key(&CellKind::HalfAdder));
     }
 
@@ -391,7 +391,7 @@ mod tests {
         let a = input_word(&mut ns, 6);
         let b = input_word(&mut ns, 6);
         let _ = sub(&mut ns, &a, &b);
-        assert!(ns.area(&lib).total_mm2 > na.area(&lib).total_mm2);
+        assert!(ns.report(&lib).area.total_mm2 > na.report(&lib).area.total_mm2);
     }
 }
 

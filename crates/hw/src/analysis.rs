@@ -1,14 +1,11 @@
 //! Area, power and timing report structures, and the per-kind cell counts
 //! both the netlist walk and the fast-path cost model build them from.
 
-use crate::cell::{CellKind, CellLibrary};
+use crate::cell::{CellKind, CellLibrary, KIND_COUNT};
 use crate::report::SynthesisReport;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fmt;
-
-/// Number of distinct [`CellKind`]s (the length of [`CellKind::all`]).
-pub(crate) const KIND_COUNT: usize = 12;
 
 /// Per-[`CellKind`] propagation delays of `library`, indexed by discriminant
 /// order.
@@ -26,26 +23,6 @@ impl CellCounts {
         self.0[kind as usize] += 1;
     }
 
-    pub(crate) fn total(&self) -> usize {
-        self.0.iter().sum()
-    }
-
-    /// The area report of these cells under `library`.
-    pub(crate) fn area(&self, library: &CellLibrary) -> AreaReport {
-        let (by_kind, total_mm2) = self.report_map(|kind| library.params(kind).area_mm2);
-        AreaReport {
-            total_mm2,
-            gate_count: self.total(),
-            by_kind,
-        }
-    }
-
-    /// The static-power report of these cells under `library`.
-    pub(crate) fn power(&self, library: &CellLibrary) -> PowerReport {
-        let (by_kind, total_uw) = self.report_map(|kind| library.params(kind).power_uw);
-        PowerReport { total_uw, by_kind }
-    }
-
     /// The synthesis report of design `design_name`: these cells under
     /// `library`, with a longest combinational path of `critical_path_us`.
     pub(crate) fn report(
@@ -54,11 +31,20 @@ impl CellCounts {
         library: &CellLibrary,
         critical_path_us: f64,
     ) -> SynthesisReport {
+        let (area_by_kind, total_mm2) = self.report_map(|kind| library.params(kind).area_mm2);
+        let (power_by_kind, total_uw) = self.report_map(|kind| library.params(kind).power_uw);
         SynthesisReport {
             design_name: design_name.to_string(),
             library_name: library.name().to_string(),
-            area: self.area(library),
-            power: self.power(library),
+            area: AreaReport {
+                total_mm2,
+                gate_count: self.0.iter().sum(),
+                by_kind: area_by_kind,
+            },
+            power: PowerReport {
+                total_uw,
+                by_kind: power_by_kind,
+            },
             timing: TimingReport::from_critical_path(critical_path_us),
         }
     }

@@ -6,14 +6,14 @@
 //! feature sizes in the tens of micrometres, which makes individual gates
 //! measure in fractions of a square millimetre and switch in milliseconds.
 //! Absolute numbers differ from a real signoff flow; the *relative* cost of
-//! gates (a full adder ≈ 4–5 NAND-equivalents, a flip-flop ≈ 6) is what drives
+//! gates (a full adder ≈ 4–5 NAND-equivalents, an XOR ≈ 2.6) is what drives
 //! the area trends reproduced by this crate.
 
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
 use std::fmt;
 
-/// Kinds of standard cells available in the printed technology.
+/// Kinds of standard cells available in the printed technology. Every one
+/// is combinational: a bespoke classifier holds no state.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
 pub enum CellKind {
     /// Inverter.
@@ -38,13 +38,14 @@ pub enum CellKind {
     HalfAdder,
     /// Full adder (sum + carry).
     FullAdder,
-    /// D flip-flop (used only by sequential variants / registers).
-    Dff,
 }
 
+/// Number of distinct [`CellKind`]s: the length of [`CellKind::all`].
+pub(crate) const KIND_COUNT: usize = CellKind::all().len();
+
 impl CellKind {
-    /// All cell kinds, in a stable order.
-    pub fn all() -> [CellKind; 12] {
+    /// All cell kinds, in discriminant order.
+    pub const fn all() -> [CellKind; 11] {
         [
             CellKind::Inverter,
             CellKind::Buffer,
@@ -57,14 +58,13 @@ impl CellKind {
             CellKind::Mux2,
             CellKind::HalfAdder,
             CellKind::FullAdder,
-            CellKind::Dff,
         ]
     }
 
     /// Number of input pins (at most 3).
     pub const fn input_count(self) -> usize {
         match self {
-            CellKind::Inverter | CellKind::Buffer | CellKind::Dff => 1,
+            CellKind::Inverter | CellKind::Buffer => 1,
             CellKind::Nand2
             | CellKind::Nor2
             | CellKind::And2
@@ -99,14 +99,13 @@ impl fmt::Display for CellKind {
             CellKind::Mux2 => "MUX2",
             CellKind::HalfAdder => "HA",
             CellKind::FullAdder => "FA",
-            CellKind::Dff => "DFF",
         };
         f.write_str(name)
     }
 }
 
 /// Physical parameters of one standard cell.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CellParams {
     /// Cell area in mm² (printed cells are huge compared to silicon).
     pub area_mm2: f64,
@@ -116,7 +115,9 @@ pub struct CellParams {
     pub delay_us: f64,
 }
 
-/// A printed-electronics standard-cell library.
+/// The printed-electronics standard-cell library every circuit is costed
+/// on: the open EGT library abstraction ([`CellLibrary::egt`], also the
+/// [`Default`]).
 ///
 /// # Example
 ///
@@ -127,107 +128,53 @@ pub struct CellParams {
 /// let inv = lib.params(CellKind::Inverter);
 /// assert!(fa.area_mm2 > inv.area_mm2);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CellLibrary {
-    name: String,
-    supply_voltage: f64,
-    cells: BTreeMap<CellKind, CellParams>,
+    /// Per-[`CellKind`] parameters, indexed by discriminant order.
+    cells: [CellParams; KIND_COUNT],
 }
 
 impl CellLibrary {
-    /// Builds a library from explicit per-cell parameters.
-    ///
-    /// Missing cells fall back to the NAND2 parameters scaled by a
-    /// NAND-equivalent factor, so partially specified libraries stay usable.
-    pub fn new(
-        name: impl Into<String>,
-        supply_voltage: f64,
-        cells: BTreeMap<CellKind, CellParams>,
-    ) -> Self {
-        CellLibrary {
-            name: name.into(),
-            supply_voltage,
-            cells,
-        }
-    }
-
     /// The open EGT library abstraction (inkjet-printed, ~1 V supply).
     ///
     /// Relative cell sizes follow standard NAND-equivalent gate counts; the
     /// absolute scale (a NAND2 of 0.04 mm², 1.3 µW, 25 µs) is representative of
-    /// published EGT figures.
+    /// published EGT figures. Area and static power both scale with the
+    /// NAND-equivalent count, so every cell draws 32.5 µW per mm².
     pub fn egt() -> Self {
         let nand_area = 0.04; // mm²
         let nand_power = 1.3; // µW
         let nand_delay = 25.0; // µs
-        let mk = |ge: f64, delay_factor: f64| CellParams {
-            area_mm2: nand_area * ge,
-            power_uw: nand_power * ge,
-            delay_us: nand_delay * delay_factor,
-        };
-        let mut cells = BTreeMap::new();
-        cells.insert(CellKind::Inverter, mk(0.6, 0.6));
-        cells.insert(CellKind::Buffer, mk(0.8, 0.9));
-        cells.insert(CellKind::Nand2, mk(1.0, 1.0));
-        cells.insert(CellKind::Nor2, mk(1.0, 1.1));
-        cells.insert(CellKind::And2, mk(1.4, 1.3));
-        cells.insert(CellKind::Or2, mk(1.4, 1.3));
-        cells.insert(CellKind::Xor2, mk(2.6, 1.8));
-        cells.insert(CellKind::Xnor2, mk(2.6, 1.8));
-        cells.insert(CellKind::Mux2, mk(2.2, 1.5));
-        cells.insert(CellKind::HalfAdder, mk(3.2, 2.0));
-        cells.insert(CellKind::FullAdder, mk(4.8, 2.6));
-        cells.insert(CellKind::Dff, mk(6.0, 2.2));
-        CellLibrary::new("EGT", 1.0, cells)
+        let cells = CellKind::all().map(|kind| {
+            // (NAND-equivalent gates, delay relative to a NAND2)
+            let (ge, delay_factor) = match kind {
+                CellKind::Inverter => (0.6, 0.6),
+                CellKind::Buffer => (0.8, 0.9),
+                CellKind::Nand2 => (1.0, 1.0),
+                CellKind::Nor2 => (1.0, 1.1),
+                CellKind::And2 | CellKind::Or2 => (1.4, 1.3),
+                CellKind::Xor2 | CellKind::Xnor2 => (2.6, 1.8),
+                CellKind::Mux2 => (2.2, 1.5),
+                CellKind::HalfAdder => (3.2, 2.0),
+                CellKind::FullAdder => (4.8, 2.6),
+            };
+            CellParams {
+                area_mm2: nand_area * ge,
+                power_uw: nand_power * ge,
+                delay_us: nand_delay * delay_factor,
+            }
+        });
+        CellLibrary { cells }
     }
 
     /// Library name.
     pub fn name(&self) -> &str {
-        &self.name
+        "EGT"
     }
 
-    /// Nominal supply voltage in volts.
-    pub fn supply_voltage(&self) -> f64 {
-        self.supply_voltage
-    }
-
-    /// Parameters of `kind`, falling back to NAND2-derived estimates when the
-    /// library does not define the cell explicitly.
+    /// Parameters of `kind`.
     pub fn params(&self, kind: CellKind) -> CellParams {
-        if let Some(&p) = self.cells.get(&kind) {
-            return p;
-        }
-        // Fallback: scale the NAND2 cell by a typical NAND-equivalent factor.
-        let base = self
-            .cells
-            .get(&CellKind::Nand2)
-            .copied()
-            .unwrap_or(CellParams {
-                area_mm2: 0.04,
-                power_uw: 1.3,
-                delay_us: 25.0,
-            });
-        let ge = match kind {
-            CellKind::Inverter => 0.6,
-            CellKind::Buffer => 0.8,
-            CellKind::Nand2 | CellKind::Nor2 => 1.0,
-            CellKind::And2 | CellKind::Or2 => 1.4,
-            CellKind::Xor2 | CellKind::Xnor2 => 2.6,
-            CellKind::Mux2 => 2.2,
-            CellKind::HalfAdder => 3.2,
-            CellKind::FullAdder => 4.8,
-            CellKind::Dff => 6.0,
-        };
-        CellParams {
-            area_mm2: base.area_mm2 * ge,
-            power_uw: base.power_uw * ge,
-            delay_us: base.delay_us * ge,
-        }
-    }
-
-    /// Iterates over all explicitly defined cells.
-    pub fn iter(&self) -> impl Iterator<Item = (&CellKind, &CellParams)> {
-        self.cells.iter()
+        self.cells[kind as usize]
     }
 }
 
@@ -266,21 +213,22 @@ mod tests {
         assert!(fa.area_mm2 > 3.0 * nand.area_mm2);
     }
 
+    /// Static power is a fixed multiple of area for every cell, so a power
+    /// objective would rank designs exactly as the area objective does. That
+    /// is why the search offers no `power` axis; a library that breaks the
+    /// proportionality should bring it back.
     #[test]
-    fn fallback_params_are_used_for_missing_cells() {
-        let mut cells = BTreeMap::new();
-        cells.insert(
-            CellKind::Nand2,
-            CellParams {
-                area_mm2: 0.1,
-                power_uw: 2.0,
-                delay_us: 10.0,
-            },
-        );
-        let lib = CellLibrary::new("partial", 1.0, cells);
-        let fa = lib.params(CellKind::FullAdder);
-        assert!((fa.area_mm2 - 0.48).abs() < 1e-9);
-        assert!((fa.power_uw - 9.6).abs() < 1e-9);
+    fn power_is_proportional_to_area_in_every_cell() {
+        let lib = CellLibrary::egt();
+        for kind in CellKind::all() {
+            let p = lib.params(kind);
+            let ratio = p.power_uw / p.area_mm2;
+            assert!(
+                (ratio - 32.5).abs() <= 1e-12 * 32.5,
+                "{kind} draws {ratio} uW per mm2, not 32.5: power no longer ranks designs \
+                 as area does, so the dropped `power` objective axis would differ from `area`"
+            );
+        }
     }
 
     #[test]
@@ -291,7 +239,14 @@ mod tests {
 
     #[test]
     fn default_library_is_egt() {
+        assert_eq!(CellLibrary::default(), CellLibrary::egt());
         assert_eq!(CellLibrary::default().name(), "EGT");
-        assert!((CellLibrary::default().supply_voltage() - 1.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn all_lists_each_kind_at_its_discriminant() {
+        for (i, kind) in CellKind::all().into_iter().enumerate() {
+            assert_eq!(kind as usize, i, "{kind}");
+        }
     }
 }

@@ -1,14 +1,13 @@
 //! Whole-network bespoke circuit synthesis.
 //!
 //! A [`CircuitSpec`] describes a quantized MLP as integer weight matrices;
-//! [`BespokeMlpCircuit::synthesize`] turns it into a gate-level netlist using
-//! the EGT cell library, with optional multiplier sharing for clustered
-//! weights and an argmax comparator tree on the output layer.
+//! [`BespokeMlpCircuit::synthesize`] turns it into a gate-level netlist of
+//! CSD shift-add multipliers and adder trees, costed on the EGT cell library,
+//! with optional multiplier sharing for clustered weights and an argmax
+//! comparator tree on the output layer.
 
 use crate::adder::{self, Word};
-use crate::analysis::{AreaReport, PowerReport, TimingReport};
 use crate::cell::CellLibrary;
-use crate::constmul::RecodingStrategy;
 use crate::error::HwError;
 use crate::netlist::{GateSink, Netlist};
 use crate::neuron::{build_neuron, ProductCache};
@@ -150,26 +149,6 @@ impl LayerSpec {
     pub fn input_count(&self) -> usize {
         self.weights[0].len()
     }
-
-    /// Total number of non-zero weights (i.e. unsharded multipliers).
-    pub fn nonzero_weights(&self) -> usize {
-        self.weights.iter().flatten().filter(|&&w| w != 0).count()
-    }
-
-    /// Number of distinct `(input, non-zero weight)` pairs — the multiplier
-    /// count under [`SharingStrategy::SharedPerInput`].
-    pub fn distinct_products(&self) -> usize {
-        use std::collections::BTreeSet;
-        let mut set = BTreeSet::new();
-        for row in &self.weights {
-            for (i, &w) in row.iter().enumerate() {
-                if w != 0 {
-                    set.insert((i, w));
-                }
-            }
-        }
-        set.len()
-    }
 }
 
 /// A full bespoke-MLP description: input precision plus a stack of layers.
@@ -260,17 +239,16 @@ pub struct BespokeMlpCircuit {
 }
 
 impl BespokeMlpCircuit {
-    /// Synthesizes `spec` with the default options (no multiplier sharing,
-    /// CSD recoding).
+    /// Synthesizes `spec` without multiplier sharing.
     ///
     /// # Errors
     ///
     /// Propagates [`HwError`] from validation and construction.
     pub fn synthesize(spec: &CircuitSpec, library: &CellLibrary) -> Result<Self, HwError> {
-        Self::synthesize_with(spec, library, SharingStrategy::None, RecodingStrategy::Csd)
+        Self::synthesize_with(spec, library, SharingStrategy::None)
     }
 
-    /// Synthesizes `spec` with explicit sharing and recoding strategies.
+    /// Synthesizes `spec` with an explicit sharing strategy.
     ///
     /// # Errors
     ///
@@ -279,10 +257,9 @@ impl BespokeMlpCircuit {
         spec: &CircuitSpec,
         library: &CellLibrary,
         sharing: SharingStrategy,
-        recoding: RecodingStrategy,
     ) -> Result<Self, HwError> {
         let mut netlist = Netlist::new(DESIGN_NAME);
-        let (outputs, argmax_index) = build_mlp(&mut netlist, spec, sharing, recoding)?;
+        let (outputs, argmax_index) = build_mlp(&mut netlist, spec, sharing)?;
 
         // Mark primary outputs: the argmax index if present, otherwise the raw
         // output words.
@@ -311,21 +288,6 @@ impl BespokeMlpCircuit {
     /// The synthesized netlist.
     pub fn netlist(&self) -> &Netlist {
         &self.netlist
-    }
-
-    /// Area report under the circuit's library.
-    pub fn area(&self) -> AreaReport {
-        self.netlist.area(&self.library)
-    }
-
-    /// Static-power report under the circuit's library.
-    pub fn power(&self) -> PowerReport {
-        self.netlist.power(&self.library)
-    }
-
-    /// Critical-path timing report under the circuit's library.
-    pub fn timing(&self) -> TimingReport {
-        self.netlist.timing(&self.library)
     }
 
     /// Full synthesis-style report: area, power and timing from one walk
@@ -413,7 +375,6 @@ pub(crate) fn build_mlp<S: GateSink>(
     sink: &mut S,
     spec: &CircuitSpec,
     sharing: SharingStrategy,
-    recoding: RecodingStrategy,
 ) -> Result<MlpWords<S::Pin>, HwError> {
     // Re-validate so hand-constructed specs cannot bypass the checks
     // (without cloning the layer stack).
@@ -439,9 +400,7 @@ pub(crate) fn build_mlp<S: GateSink>(
                 SharingStrategy::SharedPerInput => Some(&mut cache),
                 SharingStrategy::None => None,
             };
-            outputs.push(build_neuron(
-                sink, &current, weights, bias, relu, cache, recoding,
-            )?);
+            outputs.push(build_neuron(sink, &current, weights, bias, relu, cache)?);
         }
         if layer.activation == HwActivation::Argmax {
             if li != layer_count - 1 {
@@ -571,21 +530,14 @@ mod tests {
         let weights = vec![vec![5, -3, 7]; 6];
         let layer = LayerSpec::new(weights, 4, HwActivation::Identity).unwrap();
         let spec = CircuitSpec::new(4, vec![layer]).unwrap();
-        let unshared = BespokeMlpCircuit::synthesize_with(
-            &spec,
-            &lib,
-            SharingStrategy::None,
-            RecodingStrategy::Csd,
-        )
-        .unwrap();
-        let shared = BespokeMlpCircuit::synthesize_with(
-            &spec,
-            &lib,
-            SharingStrategy::SharedPerInput,
-            RecodingStrategy::Csd,
-        )
-        .unwrap();
-        assert!(shared.area().total_mm2 < unshared.area().total_mm2);
+        let area = |sharing| {
+            BespokeMlpCircuit::synthesize_with(&spec, &lib, sharing)
+                .unwrap()
+                .report()
+                .area
+                .total_mm2
+        };
+        assert!(area(SharingStrategy::SharedPerInput) < area(SharingStrategy::None));
     }
 
     #[test]
@@ -593,13 +545,9 @@ mod tests {
         let spec = simple_spec();
         let lib = CellLibrary::egt();
         let unshared = BespokeMlpCircuit::synthesize(&spec, &lib).unwrap();
-        let shared = BespokeMlpCircuit::synthesize_with(
-            &spec,
-            &lib,
-            SharingStrategy::SharedPerInput,
-            RecodingStrategy::Csd,
-        )
-        .unwrap();
+        let shared =
+            BespokeMlpCircuit::synthesize_with(&spec, &lib, SharingStrategy::SharedPerInput)
+                .unwrap();
         for inputs in [[0_u64, 5, 9], [12, 3, 1], [15, 0, 8]] {
             assert_eq!(unshared.evaluate(&inputs), shared.evaluate(&inputs));
         }
@@ -629,7 +577,8 @@ mod tests {
             let spec = CircuitSpec::new(4, vec![layer]).unwrap();
             BespokeMlpCircuit::synthesize(&spec, &lib)
                 .unwrap()
-                .area()
+                .report()
+                .area
                 .total_mm2
         };
         let a3 = build(3);
@@ -657,12 +606,14 @@ mod tests {
         let dense_area =
             BespokeMlpCircuit::synthesize(&CircuitSpec::new(4, vec![dense]).unwrap(), &lib)
                 .unwrap()
-                .area()
+                .report()
+                .area
                 .total_mm2;
         let pruned_area =
             BespokeMlpCircuit::synthesize(&CircuitSpec::new(4, vec![pruned]).unwrap(), &lib)
                 .unwrap()
-                .area()
+                .report()
+                .area
                 .total_mm2;
         assert!(pruned_area < dense_area);
     }
@@ -677,17 +628,5 @@ mod tests {
         let text = report.to_string();
         assert!(text.contains("bespoke_mlp"));
         assert!(text.contains("EGT"));
-    }
-
-    #[test]
-    fn distinct_products_counts_clustered_weights() {
-        let layer = LayerSpec::new(
-            vec![vec![5, 3], vec![5, 3], vec![5, -3]],
-            4,
-            HwActivation::ReLU,
-        )
-        .unwrap();
-        assert_eq!(layer.nonzero_weights(), 6);
-        assert_eq!(layer.distinct_products(), 3); // (0,5), (1,3), (1,-3)
     }
 }

@@ -6,8 +6,9 @@
 //!
 //! * constant `0` — no hardware at all (the connection is pruned),
 //! * `±2^k` — pure wiring (a shift, plus a negation for the minus sign),
-//! * anything else — one shift per non-zero CSD digit combined by an adder
-//!   tree, with subtractors for the negative digits.
+//! * anything else — one shift per non-zero canonical-signed-digit (CSD)
+//!   digit combined by an adder tree, with subtractors for the negative
+//!   digits.
 //!
 //! This is exactly the mechanism that makes quantization (fewer non-zero
 //! digits), pruning (more zero constants) and weight clustering (shared
@@ -17,18 +18,9 @@ use crate::adder::{self, Word};
 use crate::csd::CsdDigits;
 use crate::netlist::GateSink;
 
-/// Strategy for recoding the constant before building the shift-add network.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum RecodingStrategy {
-    /// Canonical signed digit (fewest non-zero digits) — the default.
-    #[default]
-    Csd,
-    /// Plain two's-complement binary digits (for the CSD-vs-binary ablation).
-    Binary,
-}
-
-/// Builds a constant multiplier computing `constant * input` and returns the
-/// product word (signed, wide enough to hold the full product).
+/// Builds a constant multiplier computing `constant * input` from the CSD
+/// recoding of `constant` and returns the product word (signed, wide enough
+/// to hold the full product).
 ///
 /// The `input` word is interpreted as signed two's complement. A zero constant
 /// returns the 1-bit constant-zero word without adding any gates.
@@ -36,7 +28,6 @@ pub fn constant_multiplier<S: GateSink>(
     sink: &mut S,
     input: &[S::Pin],
     constant: i64,
-    strategy: RecodingStrategy,
 ) -> Word<S::Pin> {
     assert!(
         !input.is_empty(),
@@ -46,17 +37,7 @@ pub fn constant_multiplier<S: GateSink>(
         return adder::constant_word::<S>(0, 1);
     }
 
-    let terms: Vec<(u32, i8)> = match strategy {
-        RecodingStrategy::Csd => CsdDigits::from_value(constant).terms(),
-        RecodingStrategy::Binary => {
-            let negative = constant < 0;
-            let magnitude = constant.unsigned_abs();
-            (0..64)
-                .filter(|&i| (magnitude >> i) & 1 == 1)
-                .map(|i| (i as u32, if negative { -1_i8 } else { 1_i8 }))
-                .collect()
-        }
-    };
+    let terms = CsdDigits::from_value(constant).terms();
 
     // Split into positive and negative shift terms.
     let positive: Vec<Word<S::Pin>> = terms
@@ -81,32 +62,6 @@ pub fn constant_multiplier<S: GateSink>(
     }
 }
 
-/// Cost summary of a constant multiplier without building the netlist —
-/// useful for fast area estimation inside search loops.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct MultiplierCost {
-    /// Number of add/sub stages.
-    pub adders: usize,
-    /// Number of non-zero digits of the recoded constant.
-    pub nonzero_digits: usize,
-    /// `true` when the multiplier is pure wiring (zero or power-of-two
-    /// constant).
-    pub is_free: bool,
-}
-
-/// Estimates the cost of multiplying by `constant` without building gates.
-pub fn multiplier_cost(constant: i64, strategy: RecodingStrategy) -> MultiplierCost {
-    let nonzero = match strategy {
-        RecodingStrategy::Csd => CsdDigits::from_value(constant).nonzero_count(),
-        RecodingStrategy::Binary => CsdDigits::binary_nonzero_count(constant),
-    };
-    MultiplierCost {
-        adders: nonzero.saturating_sub(1),
-        nonzero_digits: nonzero,
-        is_free: nonzero <= 1,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -114,10 +69,10 @@ mod tests {
     use crate::cell::CellLibrary;
     use crate::netlist::Netlist;
 
-    fn check_multiplier(constant: i64, width: usize, strategy: RecodingStrategy) {
+    fn check_multiplier(constant: i64, width: usize) {
         let mut netlist = Netlist::new("mul");
         let x = input_word(&mut netlist, width);
-        let product = constant_multiplier(&mut netlist, &x, constant, strategy);
+        let product = constant_multiplier(&mut netlist, &x, constant);
         let lo = -(1_i64 << (width - 1));
         let hi = (1_i64 << (width - 1)) - 1;
         for v in lo..=hi {
@@ -125,7 +80,7 @@ mod tests {
             assert_eq!(
                 word_value(&values, &product),
                 constant * v,
-                "constant {constant} * {v} (width {width}, {strategy:?})"
+                "constant {constant} * {v} (width {width})"
             );
         }
     }
@@ -135,7 +90,7 @@ mod tests {
         let mut netlist = Netlist::new("zero");
         let x = input_word(&mut netlist, 4);
         let before = netlist.gate_count();
-        let product = constant_multiplier(&mut netlist, &x, 0, RecodingStrategy::Csd);
+        let product = constant_multiplier(&mut netlist, &x, 0);
         assert_eq!(netlist.gate_count(), before);
         let values = netlist.simulate(&encode_value(5, 4));
         assert_eq!(word_value(&values, &product), 0);
@@ -146,7 +101,7 @@ mod tests {
         for c in [1_i64, 2, 4, 8] {
             let mut netlist = Netlist::new("pow2");
             let x = input_word(&mut netlist, 4);
-            let _ = constant_multiplier(&mut netlist, &x, c, RecodingStrategy::Csd);
+            let _ = constant_multiplier(&mut netlist, &x, c);
             assert_eq!(
                 netlist.gate_count(),
                 0,
@@ -158,47 +113,15 @@ mod tests {
     #[test]
     fn small_constants_are_functionally_correct_csd() {
         for c in -16_i64..=16 {
-            check_multiplier(c, 5, RecodingStrategy::Csd);
-        }
-    }
-
-    #[test]
-    fn small_constants_are_functionally_correct_binary() {
-        for c in -16_i64..=16 {
-            check_multiplier(c, 5, RecodingStrategy::Binary);
+            check_multiplier(c, 5);
         }
     }
 
     #[test]
     fn larger_constants_are_functionally_correct() {
         for c in [23_i64, -37, 55, 127, -128, 100] {
-            check_multiplier(c, 6, RecodingStrategy::Csd);
+            check_multiplier(c, 6);
         }
-    }
-
-    #[test]
-    fn csd_never_needs_more_adder_stages_than_binary() {
-        for c in 1_i64..=127 {
-            let csd = multiplier_cost(c, RecodingStrategy::Csd);
-            let bin = multiplier_cost(c, RecodingStrategy::Binary);
-            assert!(
-                csd.nonzero_digits <= bin.nonzero_digits,
-                "CSD needs more digits than binary for constant {c}"
-            );
-        }
-    }
-
-    #[test]
-    fn csd_multiplier_is_smaller_when_it_saves_digits() {
-        // 15 = 16 - 1 in CSD (2 digits) but 1111b in binary (4 digits).
-        let lib = CellLibrary::egt();
-        let mut csd_net = Netlist::new("csd");
-        let x = input_word(&mut csd_net, 8);
-        let _ = constant_multiplier(&mut csd_net, &x, 15, RecodingStrategy::Csd);
-        let mut bin_net = Netlist::new("bin");
-        let x = input_word(&mut bin_net, 8);
-        let _ = constant_multiplier(&mut bin_net, &x, 15, RecodingStrategy::Binary);
-        assert!(csd_net.area(&lib).total_mm2 < bin_net.area(&lib).total_mm2);
     }
 
     #[test]
@@ -209,8 +132,8 @@ mod tests {
         for c in [5_i64, 21, 85] {
             let mut netlist = Netlist::new("grow");
             let x = input_word(&mut netlist, 6);
-            let _ = constant_multiplier(&mut netlist, &x, c, RecodingStrategy::Csd);
-            areas.push(netlist.area(&lib).total_mm2);
+            let _ = constant_multiplier(&mut netlist, &x, c);
+            areas.push(netlist.report(&lib).area.total_mm2);
         }
         assert!(areas[0] < areas[1]);
         assert!(areas[1] < areas[2]);
@@ -225,29 +148,13 @@ mod tests {
             let mut total = 0usize;
             let mut count = 0usize;
             for c in -(max + 1)..=max {
-                total += multiplier_cost(c, RecodingStrategy::Csd).adders;
+                total += CsdDigits::from_value(c).adder_count();
                 count += 1;
             }
             total as f64 / count as f64
         };
         assert!(avg_adders(3) < avg_adders(5));
         assert!(avg_adders(5) < avg_adders(7));
-    }
-
-    #[test]
-    fn multiplier_cost_matches_structure() {
-        let c = multiplier_cost(7, RecodingStrategy::Csd); // 8 - 1
-        assert_eq!(c.nonzero_digits, 2);
-        assert_eq!(c.adders, 1);
-        assert!(!c.is_free);
-        let c = multiplier_cost(8, RecodingStrategy::Csd);
-        assert!(c.is_free);
-        let c = multiplier_cost(0, RecodingStrategy::Csd);
-        assert!(c.is_free);
-        assert_eq!(c.adders, 0);
-        // Binary recoding of 7 has 3 ones.
-        let c = multiplier_cost(7, RecodingStrategy::Binary);
-        assert_eq!(c.nonzero_digits, 3);
     }
 }
 
@@ -264,7 +171,7 @@ mod proptests {
         fn multiplier_matches_integer_product(c in -127_i64..127, v in -32_i64..31) {
             let mut netlist = Netlist::new("p");
             let x = input_word(&mut netlist, 6);
-            let product = constant_multiplier(&mut netlist, &x, c, RecodingStrategy::Csd);
+            let product = constant_multiplier(&mut netlist, &x, c);
             let values = netlist.simulate(&encode_value(v, 6));
             prop_assert_eq!(word_value(&values, &product), c * v);
         }

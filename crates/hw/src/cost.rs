@@ -3,8 +3,8 @@
 //!
 //! [`estimate_circuit`] runs the same circuit builder as
 //! [`BespokeMlpCircuit::synthesize_with`](crate::BespokeMlpCircuit::synthesize_with)
-//! (CSD/binary recoding, shift-add multipliers, balanced adder trees, ReLU
-//! masks, the argmax comparator tree and per-input multiplier sharing), but
+//! (CSD shift-add multipliers, balanced adder trees, ReLU masks, the argmax
+//! comparator tree and per-input multiplier sharing), but
 //! hands its gates to a tally instead of a [`Netlist`](crate::Netlist). The
 //! tally's words carry one signal arrival time per bit. For each gate it
 //! counts the cell and applies [`Netlist::report`](crate::Netlist::report)'s
@@ -23,7 +23,6 @@
 //!
 //! ```
 //! use pmlp_hw::{CircuitSpec, LayerSpec, HwActivation, CellLibrary, BespokeMlpCircuit};
-//! use pmlp_hw::constmul::RecodingStrategy;
 //! use pmlp_hw::cost::estimate_circuit;
 //! use pmlp_hw::SharingStrategy;
 //!
@@ -33,17 +32,16 @@
 //!     vec![LayerSpec::new(vec![vec![3, -2], vec![0, 5]], 4, HwActivation::Argmax)?],
 //! )?;
 //! let library = CellLibrary::egt();
-//! let fast = estimate_circuit(&spec, &library, SharingStrategy::None, RecodingStrategy::Csd)?;
+//! let fast = estimate_circuit(&spec, &library, SharingStrategy::None)?;
 //! let full = BespokeMlpCircuit::synthesize(&spec, &library)?;
 //! assert_eq!(fast, full.report());
 //! # Ok(())
 //! # }
 //! ```
 
-use crate::analysis::{cell_delays, CellCounts, KIND_COUNT};
-use crate::cell::{CellKind, CellLibrary};
+use crate::analysis::{cell_delays, CellCounts};
+use crate::cell::{CellKind, CellLibrary, KIND_COUNT};
 use crate::circuit::{build_mlp, CircuitSpec, SharingStrategy, DESIGN_NAME};
-use crate::constmul::RecodingStrategy;
 use crate::error::HwError;
 use crate::netlist::GateSink;
 use crate::report::SynthesisReport;
@@ -112,14 +110,13 @@ pub fn estimate_circuit(
     spec: &CircuitSpec,
     library: &CellLibrary,
     sharing: SharingStrategy,
-    recoding: RecodingStrategy,
 ) -> Result<SynthesisReport, HwError> {
     let mut tally = Tally {
         delays: cell_delays(library),
         counts: CellCounts::default(),
         critical: 0.0,
     };
-    build_mlp(&mut tally, spec, sharing, recoding)?;
+    build_mlp(&mut tally, spec, sharing)?;
     Ok(tally.counts.report(DESIGN_NAME, library, tally.critical))
 }
 
@@ -128,12 +125,15 @@ mod tests {
     use super::*;
     use crate::circuit::{BespokeMlpCircuit, HwActivation, LayerSpec};
 
-    fn assert_equivalent(spec: &CircuitSpec, sharing: SharingStrategy, recoding: RecodingStrategy) {
+    /// Asserts the fast path equals full synthesis under both sharing
+    /// strategies.
+    fn assert_equivalent(spec: &CircuitSpec) {
         let library = CellLibrary::egt();
-        let fast = estimate_circuit(spec, &library, sharing, recoding).expect("fast path");
-        let full =
-            BespokeMlpCircuit::synthesize_with(spec, &library, sharing, recoding).expect("full");
-        assert_eq!(fast, full.report(), "{sharing:?} / {recoding:?}");
+        for sharing in [SharingStrategy::None, SharingStrategy::SharedPerInput] {
+            let fast = estimate_circuit(spec, &library, sharing).expect("fast path");
+            let full = BespokeMlpCircuit::synthesize_with(spec, &library, sharing).expect("full");
+            assert_eq!(fast, full.report(), "{sharing:?}");
+        }
     }
 
     fn simple_spec() -> CircuitSpec {
@@ -155,24 +155,14 @@ mod tests {
 
     #[test]
     fn matches_full_synthesis_on_the_simple_spec() {
-        for sharing in [SharingStrategy::None, SharingStrategy::SharedPerInput] {
-            for recoding in [RecodingStrategy::Csd, RecodingStrategy::Binary] {
-                assert_equivalent(&simple_spec(), sharing, recoding);
-            }
-        }
+        assert_equivalent(&simple_spec());
     }
 
     #[test]
     fn matches_full_synthesis_with_clustered_weights() {
         // Fully clustered weights exercise the product-sharing path.
         let layer = LayerSpec::new(vec![vec![5, -3, 7]; 6], 4, HwActivation::Identity).unwrap();
-        let spec = CircuitSpec::new(4, vec![layer]).unwrap();
-        assert_equivalent(
-            &spec,
-            SharingStrategy::SharedPerInput,
-            RecodingStrategy::Csd,
-        );
-        assert_equivalent(&spec, SharingStrategy::None, RecodingStrategy::Csd);
+        assert_equivalent(&CircuitSpec::new(4, vec![layer]).unwrap());
     }
 
     #[test]
@@ -183,21 +173,21 @@ mod tests {
             vec![LayerSpec::new(vec![vec![0, 0]], 4, HwActivation::Identity).unwrap()],
         )
         .unwrap();
-        assert_equivalent(&zero, SharingStrategy::None, RecodingStrategy::Csd);
+        assert_equivalent(&zero);
         // Single argmax output (no comparator tree is built for n = 1).
         let single = CircuitSpec::new(
             3,
             vec![LayerSpec::new(vec![vec![3, -1]], 4, HwActivation::Argmax).unwrap()],
         )
         .unwrap();
-        assert_equivalent(&single, SharingStrategy::None, RecodingStrategy::Csd);
+        assert_equivalent(&single);
         // Power-of-two and negated power-of-two weights (pure wiring / negate).
         let pow2 = CircuitSpec::new(
             4,
             vec![LayerSpec::new(vec![vec![4, -8, 1, -1]], 5, HwActivation::ReLU).unwrap()],
         )
         .unwrap();
-        assert_equivalent(&pow2, SharingStrategy::None, RecodingStrategy::Csd);
+        assert_equivalent(&pow2);
     }
 
     #[test]
@@ -206,13 +196,7 @@ mod tests {
         let l2 = LayerSpec::new(vec![vec![1, 1]], 4, HwActivation::Identity).unwrap();
         let spec = CircuitSpec::new(4, vec![l1, l2]).unwrap();
         let library = CellLibrary::egt();
-        assert!(estimate_circuit(
-            &spec,
-            &library,
-            SharingStrategy::None,
-            RecodingStrategy::Csd
-        )
-        .is_err());
+        assert!(estimate_circuit(&spec, &library, SharingStrategy::None).is_err());
         assert!(BespokeMlpCircuit::synthesize(&spec, &library).is_err());
     }
 
@@ -235,12 +219,7 @@ mod tests {
             ],
         )
         .unwrap();
-        assert_equivalent(&spec, SharingStrategy::None, RecodingStrategy::Csd);
-        assert_equivalent(
-            &spec,
-            SharingStrategy::SharedPerInput,
-            RecodingStrategy::Csd,
-        );
+        assert_equivalent(&spec);
     }
 }
 
@@ -300,13 +279,9 @@ mod proptests {
         fn fast_path_matches_full_synthesis(spec in arbitrary_spec()) {
             let library = CellLibrary::egt();
             for sharing in [SharingStrategy::None, SharingStrategy::SharedPerInput] {
-                for recoding in [RecodingStrategy::Csd, RecodingStrategy::Binary] {
-                    let fast = estimate_circuit(&spec, &library, sharing, recoding).unwrap();
-                    let full =
-                        BespokeMlpCircuit::synthesize_with(&spec, &library, sharing, recoding)
-                            .unwrap();
-                    prop_assert_eq!(fast, full.report());
-                }
+                let fast = estimate_circuit(&spec, &library, sharing).unwrap();
+                let full = BespokeMlpCircuit::synthesize_with(&spec, &library, sharing).unwrap();
+                prop_assert_eq!(fast, full.report());
             }
         }
     }

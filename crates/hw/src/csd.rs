@@ -126,12 +126,6 @@ impl CsdDigits {
     pub fn adder_count(&self) -> usize {
         self.nonzero_count().saturating_sub(1)
     }
-
-    /// Number of non-zero digits of the plain two's-complement binary
-    /// representation (for the CSD-vs-binary ablation).
-    pub fn binary_nonzero_count(value: i64) -> usize {
-        value.unsigned_abs().count_ones() as usize
-    }
 }
 
 impl fmt::Display for CsdDigits {
@@ -218,7 +212,7 @@ mod tests {
     fn csd_never_needs_more_nonzeros_than_binary() {
         for v in 1_i64..=1024 {
             let csd = CsdDigits::from_value(v).nonzero_count();
-            let bin = CsdDigits::binary_nonzero_count(v);
+            let bin = v.count_ones() as usize;
             assert!(csd <= bin, "CSD worse than binary for {v}: {csd} vs {bin}");
         }
     }

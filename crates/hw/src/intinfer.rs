@@ -25,8 +25,8 @@
 //! one bit and the balanced adder tree grows as needed, so the netlist
 //! computes the exact integer dot product `Σ wᵢ·uᵢ + bias`. ReLU masks the
 //! sum to `max(0, s)` and the argmax comparator tree resolves ties to the
-//! *lowest* index — the same recurrence this module evaluates. Sharing and
-//! recoding change circuit *structure*, never arithmetic. The differential
+//! *lowest* index — the same recurrence this module evaluates. Sharing
+//! changes circuit *structure*, never arithmetic. The differential
 //! battery (`intinfer_vs_netlist` proptests plus the golden-vector corpus)
 //! holds the two implementations together.
 //!

@@ -2,23 +2,28 @@
 //!
 //! This crate replaces the Synopsys Design Compiler + PrimeTime + EGT
 //! cell-library flow used by the paper with an architectural synthesis and
-//! estimation engine for *bespoke* MLP circuits:
+//! estimation engine for *bespoke* MLP circuits. It builds one circuit one
+//! way: purely combinational, with hard-wired weights as canonical-signed-digit
+//! shift-add multipliers feeding adder trees (the architecture of Mubarik et
+//! al., MICRO 2020), costed on one cell library:
 //!
-//! * [`cell`] — an Electrolyte-Gated Transistor (EGT) standard-cell library
+//! * [`cell`] — the Electrolyte-Gated Transistor (EGT) standard-cell library
 //!   with per-cell area, static power and delay,
 //! * [`csd`] — canonical-signed-digit recoding of hard-wired coefficients,
 //! * [`constmul`] — shift-add synthesis of constant-coefficient multipliers,
 //! * [`cost`] — the analytic fast-path cost model: area/power/timing of the
 //!   circuit the builders describe, tallied without building a netlist,
 //! * [`adder`] — ripple-carry adders and balanced adder trees,
-//! * [`netlist`] — a gate-level netlist with area/power/critical-path
-//!   analysis, and the [`GateSink`] trait every circuit builder writes to,
+//! * [`netlist`] — a gate-level netlist, topologically ordered by
+//!   construction, with area/power/critical-path analysis, and the
+//!   [`GateSink`] trait every circuit builder writes to,
 //! * [`neuron`] / [`circuit`] — bespoke neurons and whole-MLP circuits,
 //!   including multiplier sharing for clustered weights,
 //! * [`intinfer`] — a pure-integer inference engine, bit-identical to
 //!   gate-level netlist simulation, for scoring candidate accuracy on the
 //!   exact arithmetic the printed circuit performs,
-//! * [`analysis`] / [`report`] — synthesis-style reports.
+//! * [`analysis`] / [`report`] — synthesis-style reports,
+//! * [`verilog`] — structural Verilog export of a netlist.
 //!
 //! In a bespoke implementation every weight is a hard-wired constant, so the
 //! area of a neuron is dominated by (a) how many weights are non-zero
@@ -43,7 +48,7 @@
 //!     )?],
 //! )?;
 //! let circuit = BespokeMlpCircuit::synthesize(&spec, &CellLibrary::egt())?;
-//! assert!(circuit.area().total_mm2 > 0.0);
+//! assert!(circuit.report().area.total_mm2 > 0.0);
 //! # Ok(())
 //! # }
 //! ```
@@ -73,6 +78,5 @@ pub use csd::CsdDigits;
 pub use error::HwError;
 pub use intinfer::{quantize_rows, IntInferEngine};
 pub use netlist::{Gate, GateSink, Netlist};
-pub use neuron::NeuronCircuit;
 pub use report::SynthesisReport;
-pub use verilog::{to_verilog, VerilogOptions};
+pub use verilog::to_verilog;

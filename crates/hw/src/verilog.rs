@@ -2,35 +2,13 @@
 //!
 //! The paper's flow hands bespoke netlists to Synopsys Design Compiler /
 //! PrimeTime for signoff. This module writes any [`Netlist`] produced by this
-//! crate as a flat structural Verilog module that instantiates the EGT cell
-//! names, so the architecture explored here can be pushed through a real
-//! synthesis/signoff flow when one is available.
+//! crate as a flat structural Verilog module `bespoke_mlp` that instantiates
+//! the EGT cell names, so the architecture explored here can be pushed
+//! through a real synthesis/signoff flow when one is available.
 
 use crate::cell::CellKind;
 use crate::netlist::{Netlist, CONST_ONE, CONST_ZERO};
 use std::fmt::Write as _;
-
-/// Options controlling the emitted Verilog.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct VerilogOptions {
-    /// Name of the emitted module.
-    pub module_name: String,
-    /// Prefix of auto-generated wire names.
-    pub wire_prefix: String,
-    /// Emit `supply0`/`supply1` nets for the constant nets instead of tying
-    /// them to literals at every use site.
-    pub use_supply_nets: bool,
-}
-
-impl Default for VerilogOptions {
-    fn default() -> Self {
-        VerilogOptions {
-            module_name: "bespoke_mlp".to_string(),
-            wire_prefix: "n".to_string(),
-            use_supply_nets: true,
-        }
-    }
-}
 
 /// Cell and port names used for each gate kind (EGT-library style).
 fn cell_ports(
@@ -52,33 +30,33 @@ fn cell_ports(
         CellKind::Mux2 => ("EGT_MUX2", &["S", "A", "B"], &["Y"]),
         CellKind::HalfAdder => ("EGT_HA", &["A", "B"], &["S", "CO"]),
         CellKind::FullAdder => ("EGT_FA", &["A", "B", "CI"], &["S", "CO"]),
-        CellKind::Dff => ("EGT_DFF", &["D"], &["Q"]),
     }
 }
 
-/// Renders `netlist` as a flat structural Verilog module.
+/// Renders `netlist` as a flat structural Verilog module named
+/// `bespoke_mlp`.
 ///
 /// Primary inputs become module input ports `pi_<k>`, primary outputs become
-/// output ports `po_<k>` (driven by assigns from the internal nets), and every
-/// gate becomes one cell instance.
+/// output ports `po_<k>` (driven by assigns from the internal nets), the
+/// constant nets are `supply0 const0` and `supply1 const1`, every other net
+/// is a wire `n<id>`, and every gate becomes one cell instance.
 ///
 /// # Example
 ///
 /// ```
-/// use pmlp_hw::{Netlist, CellKind};
-/// use pmlp_hw::verilog::{to_verilog, VerilogOptions};
+/// use pmlp_hw::{CellKind, GateSink, Netlist};
+/// use pmlp_hw::verilog::to_verilog;
 ///
 /// let mut n = Netlist::new("demo");
-/// let a = n.add_input();
-/// let b = n.add_input();
-/// let y = n.add_net();
-/// n.add_gate(CellKind::And2, &[a, b], &[y]);
+/// let a = n.input();
+/// let b = n.input();
+/// let [y] = n.gate(CellKind::And2, &[a, b]);
 /// n.mark_output(y);
-/// let verilog = to_verilog(&n, &VerilogOptions::default());
+/// let verilog = to_verilog(&n);
 /// assert!(verilog.contains("module bespoke_mlp"));
 /// assert!(verilog.contains("EGT_AND2"));
 /// ```
-pub fn to_verilog(netlist: &Netlist, options: &VerilogOptions) -> String {
+pub fn to_verilog(netlist: &Netlist) -> String {
     let mut out = String::new();
     let net_name = |net: usize| -> String {
         if net == CONST_ZERO {
@@ -86,7 +64,7 @@ pub fn to_verilog(netlist: &Netlist, options: &VerilogOptions) -> String {
         } else if net == CONST_ONE {
             "const1".to_string()
         } else {
-            format!("{}{}", options.wire_prefix, net)
+            format!("n{net}")
         }
     };
 
@@ -109,7 +87,7 @@ pub fn to_verilog(netlist: &Netlist, options: &VerilogOptions) -> String {
     for (k, _) in netlist.primary_outputs().iter().enumerate() {
         ports.push(format!("po_{k}"));
     }
-    let _ = writeln!(out, "module {} (", options.module_name);
+    let _ = writeln!(out, "module bespoke_mlp (");
     let _ = writeln!(out, "  {}", ports.join(",\n  "));
     let _ = writeln!(out, ");");
 
@@ -121,13 +99,8 @@ pub fn to_verilog(netlist: &Netlist, options: &VerilogOptions) -> String {
     }
 
     // Constant nets.
-    if options.use_supply_nets {
-        let _ = writeln!(out, "  supply0 const0;");
-        let _ = writeln!(out, "  supply1 const1;");
-    } else {
-        let _ = writeln!(out, "  wire const0 = 1'b0;");
-        let _ = writeln!(out, "  wire const1 = 1'b1;");
-    }
+    let _ = writeln!(out, "  supply0 const0;");
+    let _ = writeln!(out, "  supply1 const1;");
 
     // Internal wires: every net that is not a constant.
     for net in 2..netlist.net_count() {
@@ -182,22 +155,20 @@ mod tests {
     #[test]
     fn module_structure_is_well_formed() {
         let n = adder_netlist();
-        let v = to_verilog(&n, &VerilogOptions::default());
-        assert_eq!(v.matches("module ").count(), 1);
+        let v = to_verilog(&n);
+        assert_eq!(v.matches("module bespoke_mlp (").count(), 1);
         assert_eq!(v.matches("endmodule").count(), 1);
         assert_eq!(v.matches("  input  ").count(), n.primary_inputs().len());
         assert_eq!(v.matches("  output ").count(), n.primary_outputs().len());
+        assert!(v.contains("  supply0 const0;\n  supply1 const1;\n"));
         // One instance per gate.
-        assert_eq!(
-            v.matches("EGT_").count() - v.matches("EGT_DFF").count(),
-            n.gate_count()
-        );
+        assert_eq!(v.matches("EGT_").count(), n.gate_count());
     }
 
     #[test]
     fn every_internal_net_is_declared_exactly_once() {
         let n = adder_netlist();
-        let v = to_verilog(&n, &VerilogOptions::default());
+        let v = to_verilog(&n);
         for net in 2..n.net_count() {
             let declaration = format!("  wire n{net};\n");
             assert_eq!(
@@ -206,21 +177,6 @@ mod tests {
                 "net {net} not declared exactly once"
             );
         }
-    }
-
-    #[test]
-    fn options_control_module_name_and_constants() {
-        let n = adder_netlist();
-        let opts = VerilogOptions {
-            module_name: "printed_adder".into(),
-            wire_prefix: "w".into(),
-            use_supply_nets: false,
-        };
-        let v = to_verilog(&n, &opts);
-        assert!(v.contains("module printed_adder"));
-        assert!(v.contains("wire const0 = 1'b0;"));
-        assert!(v.contains("wire w2;"));
-        assert!(!v.contains("supply0"));
     }
 
     #[test]
@@ -234,7 +190,7 @@ mod tests {
         )
         .unwrap();
         let circuit = BespokeMlpCircuit::synthesize(&spec, &CellLibrary::egt()).unwrap();
-        let v = to_verilog(circuit.netlist(), &VerilogOptions::default());
+        let v = to_verilog(circuit.netlist());
         let instance_count = v
             .lines()
             .filter(|l| l.trim_start().starts_with("EGT_"))
@@ -252,7 +208,7 @@ mod tests {
     #[test]
     fn empty_netlist_still_produces_a_valid_module() {
         let n = Netlist::new("empty");
-        let v = to_verilog(&n, &VerilogOptions::default());
+        let v = to_verilog(&n);
         assert!(v.contains("module bespoke_mlp"));
         assert!(v.contains("endmodule"));
     }

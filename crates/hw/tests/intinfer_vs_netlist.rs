@@ -1,7 +1,7 @@
 //! Differential equivalence battery: [`IntInferEngine`] vs gate-level
 //! netlist simulation.
 //!
-//! For randomized topologies, bit-widths (2–8 bits), recodings, and sharing
+//! For randomized topologies, bit-widths (2–8 bits) and sharing
 //! configurations, the integer engine's raw outputs and argmax class must be
 //! bit-identical to synthesizing the same [`CircuitSpec`] with
 //! [`BespokeMlpCircuit`] and simulating the netlist gate by gate. The
@@ -10,7 +10,6 @@
 //! single-neuron layers) so they survive any future change to the random
 //! generator.
 
-use pmlp_hw::constmul::RecodingStrategy;
 use pmlp_hw::{
     BespokeMlpCircuit, CellLibrary, CircuitSpec, HwActivation, IntInferEngine, LayerSpec,
     SharingStrategy,
@@ -72,28 +71,25 @@ fn random_rows(seed: u64, input_count: usize, input_bits: u8, n: usize) -> Vec<V
         .collect()
 }
 
-/// Asserts engine ≡ netlist for every sharing × recoding combination on the
-/// given rows.
+/// Asserts engine ≡ netlist under both sharing strategies on the given rows.
 fn assert_equivalent(spec: &CircuitSpec, rows: &[Vec<u16>]) {
     let lib = CellLibrary::egt();
     for sharing in [SharingStrategy::None, SharingStrategy::SharedPerInput] {
         let engine = IntInferEngine::from_spec_with(spec, sharing).unwrap();
-        for recoding in [RecodingStrategy::Csd, RecodingStrategy::Binary] {
-            let circuit = BespokeMlpCircuit::synthesize_with(spec, &lib, sharing, recoding)
-                .expect("synthesis of a validated spec");
-            for row in rows {
-                let wide: Vec<u64> = row.iter().map(|&v| v as u64).collect();
-                assert_eq!(
-                    engine.outputs(row),
-                    circuit.evaluate(&wide),
-                    "raw outputs diverged: sharing {sharing:?} recoding {recoding:?} row {row:?}"
-                );
-                assert_eq!(
-                    engine.classify_row(row),
-                    circuit.classify(&wide),
-                    "argmax diverged: sharing {sharing:?} recoding {recoding:?} row {row:?}"
-                );
-            }
+        let circuit = BespokeMlpCircuit::synthesize_with(spec, &lib, sharing)
+            .expect("synthesis of a validated spec");
+        for row in rows {
+            let wide: Vec<u64> = row.iter().map(|&v| v as u64).collect();
+            assert_eq!(
+                engine.outputs(row),
+                circuit.evaluate(&wide),
+                "raw outputs diverged: sharing {sharing:?} row {row:?}"
+            );
+            assert_eq!(
+                engine.classify_row(row),
+                circuit.classify(&wide),
+                "argmax diverged: sharing {sharing:?} row {row:?}"
+            );
         }
     }
 }

@@ -5,12 +5,10 @@
 //! only, which do not see gate order or net ids. Verilog export depends on
 //! both, so this golden pins the gate count, the net count and a 64-bit
 //! FNV-1a hash of the exported Verilog for a WhiteWine-shaped spec under
-//! both sharing strategies and both recodings. A synthesis change that
-//! renames a net or reorders two gates fails here even when every report
-//! still matches.
+//! both sharing strategies. A synthesis change that renames a net or
+//! reorders two gates fails here even when every report still matches.
 
-use pmlp_hw::constmul::RecodingStrategy;
-use pmlp_hw::verilog::{to_verilog, VerilogOptions};
+use pmlp_hw::verilog::to_verilog;
 use pmlp_hw::{
     BespokeMlpCircuit, CellLibrary, CircuitSpec, HwActivation, LayerSpec, SharingStrategy,
 };
@@ -45,21 +43,18 @@ fn fnv1a64(bytes: &[u8]) -> u64 {
 
 #[test]
 fn netlist_identity_golden() {
-    use RecodingStrategy::{Binary, Csd};
     use SharingStrategy::{None as Unshared, SharedPerInput as Shared};
     let spec = whitewine_like_spec();
     let library = CellLibrary::egt();
     let golden = [
-        (Unshared, Csd, 15376, 26565, 0xd5c2_33c5_cd07_b029),
-        (Unshared, Binary, 15229, 27619, 0xd429_5242_9b24_ec86),
-        (Shared, Csd, 7464, 13925, 0x5463_5782_bcfc_5703),
-        (Shared, Binary, 7169, 13511, 0xe339_0621_838b_c259),
+        (Unshared, 15376, 26565, 0xd5c2_33c5_cd07_b029),
+        (Shared, 7464, 13925, 0x5463_5782_bcfc_5703),
     ];
-    for (sharing, recoding, gates, nets, hash) in golden {
-        let circuit = BespokeMlpCircuit::synthesize_with(&spec, &library, sharing, recoding)
-            .expect("synthesis");
+    for (sharing, gates, nets, hash) in golden {
+        let circuit =
+            BespokeMlpCircuit::synthesize_with(&spec, &library, sharing).expect("synthesis");
         let netlist = circuit.netlist();
-        let verilog = to_verilog(netlist, &VerilogOptions::default());
+        let verilog = to_verilog(netlist);
         let identity = (
             netlist.gate_count(),
             netlist.net_count(),
@@ -68,7 +63,7 @@ fn netlist_identity_golden() {
         assert_eq!(
             identity,
             (gates, nets, hash),
-            "{sharing:?} / {recoding:?}: (gates, nets, Verilog FNV-1a) moved"
+            "{sharing:?}: (gates, nets, Verilog FNV-1a) moved"
         );
     }
 }

@@ -1,10 +1,9 @@
 //! Synthesis-report walkthrough of the bespoke hardware model: build a tiny
 //! hand-specified classifier circuit, inspect its gate-level composition, and
-//! see how constant choice, pruning and multiplier sharing change the report.
+//! see how pruning and multiplier sharing change the report.
 //!
 //! Run with `cargo run --release --example area_report`.
 
-use printed_mlp::hw::constmul::RecodingStrategy;
 use printed_mlp::hw::{
     BespokeMlpCircuit, CellLibrary, CircuitSpec, HwActivation, LayerSpec, SharingStrategy,
 };
@@ -34,31 +33,16 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         println!("classify({inputs:?}) = class {}", circuit.classify(&inputs));
     }
 
+    let area = circuit.report().area.total_mm2;
     println!("\n== with multiplier sharing (clustered-weight architecture) ==");
-    let shared = BespokeMlpCircuit::synthesize_with(
-        &spec,
-        &library,
-        SharingStrategy::SharedPerInput,
-        RecodingStrategy::Csd,
-    )?;
+    let shared =
+        BespokeMlpCircuit::synthesize_with(&spec, &library, SharingStrategy::SharedPerInput)?
+            .report()
+            .area
+            .total_mm2;
     println!(
-        "area {:.2} mm2 vs {:.2} mm2 unshared ({:.1}% saved)",
-        shared.area().total_mm2,
-        circuit.area().total_mm2,
-        100.0 * (1.0 - shared.area().total_mm2 / circuit.area().total_mm2)
-    );
-
-    println!("\n== binary (non-CSD) multipliers, for comparison ==");
-    let binary = BespokeMlpCircuit::synthesize_with(
-        &spec,
-        &library,
-        SharingStrategy::None,
-        RecodingStrategy::Binary,
-    )?;
-    println!(
-        "area {:.2} mm2 with binary recoding vs {:.2} mm2 with CSD",
-        binary.area().total_mm2,
-        circuit.area().total_mm2
+        "area {shared:.2} mm2 vs {area:.2} mm2 unshared ({:.1}% saved)",
+        100.0 * (1.0 - shared / area)
     );
 
     println!("\n== pruned variant (half the connections removed) ==");
@@ -73,12 +57,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         HwActivation::Argmax,
     )?;
     let pruned_spec = CircuitSpec::new(4, vec![pruned_hidden, pruned_output])?;
-    let pruned = BespokeMlpCircuit::synthesize(&pruned_spec, &library)?;
+    let pruned = BespokeMlpCircuit::synthesize(&pruned_spec, &library)?
+        .report()
+        .area
+        .total_mm2;
     println!(
-        "area {:.2} mm2 vs dense {:.2} mm2 ({:.2}x smaller)",
-        pruned.area().total_mm2,
-        circuit.area().total_mm2,
-        circuit.area().total_mm2 / pruned.area().total_mm2
+        "area {pruned:.2} mm2 vs dense {area:.2} mm2 ({:.2}x smaller)",
+        area / pruned
     );
     Ok(())
 }

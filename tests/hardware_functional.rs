@@ -5,7 +5,6 @@
 use printed_mlp::core::baseline::{BaselineConfig, BaselineDesign};
 use printed_mlp::core::bridge::circuit_spec_from_layers;
 use printed_mlp::data::UciDataset;
-use printed_mlp::hw::constmul::RecodingStrategy;
 use printed_mlp::hw::{BespokeMlpCircuit, CellLibrary, SharingStrategy};
 use printed_mlp::minimize::{minimize, MinimizationConfig};
 use printed_mlp::nn::Matrix;
@@ -47,13 +46,9 @@ fn circuit_classification_matches_quantized_software_model() {
 
     // Synthesize the bespoke circuit from the integer layers.
     let spec = circuit_spec_from_layers(&minimized.integer_layers, input_bits).unwrap();
-    let circuit = BespokeMlpCircuit::synthesize_with(
-        &spec,
-        &CellLibrary::egt(),
-        SharingStrategy::None,
-        RecodingStrategy::Csd,
-    )
-    .unwrap();
+    let circuit =
+        BespokeMlpCircuit::synthesize_with(&spec, &CellLibrary::egt(), SharingStrategy::None)
+            .unwrap();
 
     // Compare hardware and software decisions on a batch of test samples.
     let samples = baseline.test.len().min(60);
@@ -98,23 +93,12 @@ fn shared_and_unshared_circuits_agree_on_clustered_models() {
     let spec = circuit_spec_from_layers(&minimized.integer_layers, input_bits).unwrap();
 
     let lib = CellLibrary::egt();
-    let unshared = BespokeMlpCircuit::synthesize_with(
-        &spec,
-        &lib,
-        SharingStrategy::None,
-        RecodingStrategy::Csd,
-    )
-    .unwrap();
-    let shared = BespokeMlpCircuit::synthesize_with(
-        &spec,
-        &lib,
-        SharingStrategy::SharedPerInput,
-        RecodingStrategy::Csd,
-    )
-    .unwrap();
+    let unshared = BespokeMlpCircuit::synthesize_with(&spec, &lib, SharingStrategy::None).unwrap();
+    let shared =
+        BespokeMlpCircuit::synthesize_with(&spec, &lib, SharingStrategy::SharedPerInput).unwrap();
 
     // Multiplier sharing changes the area, never the function.
-    assert!(shared.area().total_mm2 <= unshared.area().total_mm2);
+    assert!(shared.report().area.total_mm2 <= unshared.report().area.total_mm2);
     for s in 0..baseline.test.len().min(30) {
         let (codes, _) = quantize_inputs(baseline.test.features().row(s), input_bits);
         assert_eq!(
@@ -122,45 +106,5 @@ fn shared_and_unshared_circuits_agree_on_clustered_models() {
             shared.classify(&codes),
             "sample {s}"
         );
-    }
-}
-
-#[test]
-fn csd_and_binary_recoding_produce_identical_functions() {
-    let input_bits = 4;
-    let baseline = BaselineDesign::train_with(
-        UciDataset::Seeds,
-        23,
-        &BaselineConfig {
-            epochs: 10,
-            input_bits,
-            ..BaselineConfig::default()
-        },
-    )
-    .unwrap();
-    let config = MinimizationConfig::default()
-        .with_weight_bits(4)
-        .with_fine_tune_epochs(2);
-    let minimized = minimize(&baseline.model, &baseline.train, None, &config, 7).unwrap();
-    let spec = circuit_spec_from_layers(&minimized.integer_layers, input_bits).unwrap();
-
-    let lib = CellLibrary::egt();
-    let csd = BespokeMlpCircuit::synthesize_with(
-        &spec,
-        &lib,
-        SharingStrategy::None,
-        RecodingStrategy::Csd,
-    )
-    .unwrap();
-    let binary = BespokeMlpCircuit::synthesize_with(
-        &spec,
-        &lib,
-        SharingStrategy::None,
-        RecodingStrategy::Binary,
-    )
-    .unwrap();
-    for s in 0..baseline.test.len().min(30) {
-        let (codes, _) = quantize_inputs(baseline.test.features().row(s), input_bits);
-        assert_eq!(csd.evaluate(&codes), binary.evaluate(&codes), "sample {s}");
     }
 }

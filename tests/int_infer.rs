@@ -1,6 +1,7 @@
 //! System-level differential tests of the pure-integer inference engine:
-//! tier agreement across the full dataset registry, netlist equivalence on
-//! real minimized candidates, store round-trips, and a golden-vector corpus.
+//! tier agreement and netlist equivalence across the full dataset registry,
+//! netlist equivalence on real minimized candidates, store round-trips, and a
+//! golden-vector corpus.
 //!
 //! The corpus under `tests/golden/int_infer/` is self-contained: each
 //! `.jsonl` file opens with a header line embedding the full circuit spec
@@ -22,7 +23,6 @@ use printed_mlp::core::objective::{
 };
 use printed_mlp::core::store::{decode_artifacts, encode_artifacts};
 use printed_mlp::data::UciDataset;
-use printed_mlp::hw::constmul::RecodingStrategy;
 use printed_mlp::hw::{
     BespokeMlpCircuit, CellLibrary, CircuitSpec, HwActivation, IntInferEngine, LayerSpec,
     SharingStrategy,
@@ -51,8 +51,36 @@ fn quick_ctx(baseline: &BaselineDesign) -> EvaluationContext<'_> {
     EvaluationContext::new(baseline).with_fine_tune_epochs(Effort::Quick.fine_tune_epochs())
 }
 
+/// Asserts that the integer engine and gate-level simulation of the circuit
+/// synthesized from `spec` agree on raw output sums and argmax for every
+/// row of `rows`; `what` names the case in failure messages.
+fn assert_engine_matches_netlist<'r>(
+    spec: &CircuitSpec,
+    sharing: SharingStrategy,
+    rows: impl Iterator<Item = &'r [u16]>,
+    what: &str,
+) {
+    let engine = IntInferEngine::from_spec_with(spec, sharing).expect("engine builds");
+    let circuit = BespokeMlpCircuit::synthesize_with(spec, &CellLibrary::egt(), sharing)
+        .expect("synthesis succeeds");
+    for row in rows {
+        let wide: Vec<u64> = row.iter().map(|&v| u64::from(v)).collect();
+        assert_eq!(
+            engine.outputs(row),
+            circuit.evaluate(&wide),
+            "sums diverge ({what})"
+        );
+        assert_eq!(
+            engine.classify_row(row),
+            circuit.classify(&wide),
+            "argmax diverges ({what})"
+        );
+    }
+}
+
 // ---------------------------------------------------------------------------
-// Tier differential: Integer == Float on every registry dataset.
+// Tier differential: Integer == Float, and engine == netlist, on every
+// registry dataset.
 // ---------------------------------------------------------------------------
 
 /// Both accuracy tiers score the same minimized model on the same quantized
@@ -60,8 +88,13 @@ fn quick_ctx(baseline: &BaselineDesign) -> EvaluationContext<'_> {
 /// arithmetic of the circuit. The tier belongs to the baseline, so the two
 /// baselines here differ only in it. The argmax decisions (and hence the
 /// reported accuracies) must be identical on every dataset in the registry.
+///
+/// Each dataset's baseline design (`MinimizationConfig::baseline()`) is also
+/// synthesized and simulated gate by gate on its first test rows, so the
+/// engine is held to the netlist on every reference circuit's real shape,
+/// not only on the small random specs of the property suite.
 #[test]
-fn integer_and_float_tiers_report_identical_accuracy_across_the_registry() {
+fn tiers_agree_and_engine_matches_netlist_across_the_registry() {
     let config = MinimizationConfig::default().with_weight_bits(4);
     for &dataset in &UciDataset::all() {
         let float_baseline = tiered_baseline(dataset, 41, AccuracyTier::Float);
@@ -83,6 +116,21 @@ fn integer_and_float_tiers_report_identical_accuracy_across_the_registry() {
         // of the identically-minimized model must agree exactly.
         assert_eq!(float_point.area_mm2, int_point.area_mm2, "{dataset:?}");
         assert_eq!(float_point.gate_count, int_point.gate_count, "{dataset:?}");
+
+        let design = evaluate_config_detailed(
+            &quick_ctx(&int_baseline),
+            &MinimizationConfig::baseline(),
+            0,
+        )
+        .expect("baseline evaluation succeeds");
+        let spec = circuit_spec_from_layers(&design.layers, int_baseline.input_bits)
+            .expect("layers form a valid spec");
+        assert_engine_matches_netlist(
+            &spec,
+            design.sharing,
+            int_baseline.test_rows.chunks(spec.input_count()).take(8),
+            &format!("{dataset:?} baseline"),
+        );
     }
 }
 
@@ -107,30 +155,12 @@ fn engine_matches_netlist_on_real_minimized_candidates() {
             .expect("evaluation succeeds");
         let spec = circuit_spec_from_layers(&design.layers, baseline.input_bits)
             .expect("layers form a valid spec");
-        let engine = IntInferEngine::from_spec_with(&spec, design.sharing).expect("engine builds");
-        for &recoding in &[RecodingStrategy::Csd, RecodingStrategy::Binary] {
-            let circuit = BespokeMlpCircuit::synthesize_with(
-                &spec,
-                &CellLibrary::egt(),
-                design.sharing,
-                recoding,
-            )
-            .expect("synthesis succeeds");
-            let features = engine.input_count();
-            for row in baseline.test_rows.chunks(features).take(16) {
-                let wide: Vec<u64> = row.iter().map(|&v| u64::from(v)).collect();
-                assert_eq!(
-                    engine.outputs(row),
-                    circuit.evaluate(&wide),
-                    "sums diverge ({config:?}, {recoding:?})"
-                );
-                assert_eq!(
-                    engine.classify_row(row),
-                    circuit.classify(&wide),
-                    "argmax diverges ({config:?}, {recoding:?})"
-                );
-            }
-        }
+        assert_engine_matches_netlist(
+            &spec,
+            design.sharing,
+            baseline.test_rows.chunks(spec.input_count()).take(16),
+            &format!("{config:?}"),
+        );
     }
 }
 
@@ -366,13 +396,9 @@ fn regenerate_golden_corpus() {
             .expect("evaluation succeeds");
         let spec = circuit_spec_from_layers(&design.layers, baseline.input_bits)
             .expect("layers form a valid spec");
-        let circuit = BespokeMlpCircuit::synthesize_with(
-            &spec,
-            &CellLibrary::egt(),
-            design.sharing,
-            RecodingStrategy::Csd,
-        )
-        .expect("synthesis succeeds");
+        let circuit =
+            BespokeMlpCircuit::synthesize_with(&spec, &CellLibrary::egt(), design.sharing)
+                .expect("synthesis succeeds");
 
         let features = spec.input_count();
         let mut lines = vec![header_line(case.file, &spec, design.sharing)];
