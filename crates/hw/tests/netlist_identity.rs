@@ -4,7 +4,7 @@
 //! The fast-path equivalence suites compare area, power and timing reports
 //! only, which do not see gate order or net ids. Verilog export depends on
 //! both, so this golden pins the gate count, the net count and a 64-bit
-//! FNV-1a hash of the exported Verilog for a WhiteWine-shaped spec under
+//! FNV-1a hash of the exported Verilog for two WhiteWine-shaped specs under
 //! both sharing strategies. A synthesis change that renames a net or
 //! reorders two gates fails here even when every report still matches.
 
@@ -34,6 +34,43 @@ fn whitewine_like_spec() -> CircuitSpec {
     .expect("spec")
 }
 
+/// The same shape with 8-bit weights and nonzero biases of both signs, so
+/// bias operands enter every adder tree. Every seventh weight is -1, -2 or
+/// -64, which a multiplier builds by negation, and each input meets the same
+/// one of them in several neurons, so per-input sharing has products to
+/// share.
+fn whitewine_like_spec_8bit_biased() -> CircuitSpec {
+    let weight = |n: usize, i: usize| -> i64 {
+        if (n + i).is_multiple_of(7) {
+            [-1, -2, -64][(n + i) / 7 % 3]
+        } else {
+            ((n * 31 + i * 17 + 7) % 255) as i64 - 127
+        }
+    };
+    let bias = |n: usize| -> i64 { ((n * 379 + 5) % 4001) as i64 - 2000 };
+    let hidden: Vec<Vec<i64>> = (0..25)
+        .map(|n| (0..11).map(|i| weight(n, i)).collect())
+        .collect();
+    let output: Vec<Vec<i64>> = (0..5)
+        .map(|n| (0..25).map(|i| weight(n + 100, i)).collect())
+        .collect();
+    CircuitSpec::new(
+        4,
+        vec![
+            LayerSpec::with_biases(hidden, (0..25).map(bias).collect(), 8, HwActivation::ReLU)
+                .expect("hidden layer"),
+            LayerSpec::with_biases(
+                output,
+                (100..105).map(bias).collect(),
+                8,
+                HwActivation::Argmax,
+            )
+            .expect("output layer"),
+        ],
+    )
+    .expect("spec")
+}
+
 /// 64-bit FNV-1a.
 fn fnv1a64(bytes: &[u8]) -> u64 {
     bytes.iter().fold(0xcbf2_9ce4_8422_2325, |hash, &byte| {
@@ -44,15 +81,22 @@ fn fnv1a64(bytes: &[u8]) -> u64 {
 #[test]
 fn netlist_identity_golden() {
     use SharingStrategy::{None as Unshared, SharedPerInput as Shared};
-    let spec = whitewine_like_spec();
-    let library = CellLibrary::egt();
-    let golden = [
-        (Unshared, 15376, 26565, 0xd5c2_33c5_cd07_b029),
-        (Shared, 7464, 13925, 0x5463_5782_bcfc_5703),
+    let specs = [
+        ("5-bit", whitewine_like_spec()),
+        ("8-bit biased", whitewine_like_spec_8bit_biased()),
     ];
-    for (sharing, gates, nets, hash) in golden {
+    let library = CellLibrary::egt();
+    // (index into `specs`, sharing, gates, nets, Verilog FNV-1a)
+    let golden = [
+        (0, Unshared, 15376, 26565, 0xd5c2_33c5_cd07_b029),
+        (0, Shared, 7464, 13925, 0x5463_5782_bcfc_5703),
+        (1, Unshared, 24678, 43099, 0xcc37_8700_8a64_2dbf),
+        (1, Shared, 24522, 42865, 0x2954_7fc1_5a0d_f898),
+    ];
+    for (index, sharing, gates, nets, hash) in golden {
+        let (name, spec) = &specs[index];
         let circuit =
-            BespokeMlpCircuit::synthesize_with(&spec, &library, sharing).expect("synthesis");
+            BespokeMlpCircuit::synthesize_with(spec, &library, sharing).expect("synthesis");
         let netlist = circuit.netlist();
         let verilog = to_verilog(netlist);
         let identity = (
@@ -63,7 +107,7 @@ fn netlist_identity_golden() {
         assert_eq!(
             identity,
             (gates, nets, hash),
-            "{sharing:?}: (gates, nets, Verilog FNV-1a) moved"
+            "{name} {sharing:?}: (gates, nets, Verilog FNV-1a) moved"
         );
     }
 }
