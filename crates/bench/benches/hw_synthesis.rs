@@ -6,6 +6,7 @@ use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use pmlp_hw::adder::{input_word, Word};
 use pmlp_hw::constmul::constant_multiplier;
 use pmlp_hw::neuron::build_neuron;
+use pmlp_hw::SharingStrategy::SharedPerInput;
 use pmlp_hw::{
     BespokeMlpCircuit, CellLibrary, CircuitSpec, CsdDigits, HwActivation, LayerSpec, Netlist,
 };
@@ -31,9 +32,44 @@ fn whitewine_like_spec() -> CircuitSpec {
     .expect("spec")
 }
 
+/// The same shape with 8-bit weights and nonzero biases: every seventh
+/// weight is -1, -2 or -64, so inputs repeat products across neurons.
+fn whitewine_like_spec_8bit_biased() -> CircuitSpec {
+    let weight = |n: usize, i: usize| -> i64 {
+        if (n + i).is_multiple_of(7) {
+            [-1, -2, -64][(n + i) / 7 % 3]
+        } else {
+            ((n * 31 + i * 17 + 7) % 255) as i64 - 127
+        }
+    };
+    let bias = |n: usize| -> i64 { ((n * 379 + 5) % 4001) as i64 - 2000 };
+    let hidden: Vec<Vec<i64>> = (0..25)
+        .map(|n| (0..11).map(|i| weight(n, i)).collect())
+        .collect();
+    let output: Vec<Vec<i64>> = (0..5)
+        .map(|n| (0..25).map(|i| weight(n + 100, i)).collect())
+        .collect();
+    CircuitSpec::new(
+        4,
+        vec![
+            LayerSpec::with_biases(hidden, (0..25).map(bias).collect(), 8, HwActivation::ReLU)
+                .expect("hidden layer"),
+            LayerSpec::with_biases(
+                output,
+                (100..105).map(bias).collect(),
+                8,
+                HwActivation::Argmax,
+            )
+            .expect("output layer"),
+        ],
+    )
+    .expect("spec")
+}
+
 fn bench_hw_synthesis(c: &mut Criterion) {
     let library = CellLibrary::egt();
     let spec = whitewine_like_spec();
+    let spec_8bit = whitewine_like_spec_8bit_biased();
 
     let mut group = c.benchmark_group("hw_synthesis");
     group
@@ -114,6 +150,25 @@ fn bench_hw_synthesis(c: &mut Criterion) {
                 report.power.total_uw,
                 report.timing.critical_path_us,
             ))
+        })
+    });
+
+    // The shared path adds the per-layer product cache, which the unshared
+    // cases above never touch.
+    group.bench_function("whitewine_8bit_shared_full_synthesis", |b| {
+        b.iter(|| {
+            let report = BespokeMlpCircuit::synthesize_with(&spec_8bit, &library, SharedPerInput)
+                .unwrap()
+                .report();
+            black_box(report.area.total_mm2)
+        })
+    });
+
+    group.bench_function("whitewine_8bit_shared_fast_path_estimate", |b| {
+        b.iter(|| {
+            let report =
+                pmlp_hw::cost::estimate_circuit(&spec_8bit, &library, SharedPerInput).unwrap();
+            black_box(report.area.total_mm2)
         })
     });
 

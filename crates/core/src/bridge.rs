@@ -43,7 +43,7 @@ pub fn circuit_spec_from_layers(
             .codes
             .iter()
             .flatten()
-            .map(|c| c.abs())
+            .map(|c| c.unsigned_abs())
             .max()
             .unwrap_or(0);
         let needed_bits = (64 - max_code.leading_zeros() as u8 + 1)

@@ -6,7 +6,9 @@
 //! caller-supplied [`GateSink`] (usually a [`Netlist`](crate::Netlist)) and
 //! return the signals of the result word. Sign extension and shifting are
 //! pure wiring (no gates), matching how a bespoke printed circuit would
-//! route them.
+//! route them. The helpers read their operand words in place, sign-extending
+//! by index, so the only word a builder allocates is its result;
+//! [`adder_tree`] takes its operands by value and sums them in place.
 
 use crate::cell::CellKind;
 use crate::netlist::{GateSink, NetId};
@@ -23,15 +25,14 @@ pub type Word<P = NetId> = Vec<P>;
 /// Panics if `width` is 0 or the value does not fit in `width` signed bits.
 pub fn constant_word<S: GateSink>(value: i64, width: usize) -> Word<S::Pin> {
     assert!(width > 0, "constant word width must be > 0");
-    let min = -(1_i64 << (width - 1));
-    let max = (1_i64 << (width - 1)) - 1;
+    // `value` fits iff every bit from the word's sign bit up copies the sign.
     assert!(
-        (min..=max).contains(&value),
+        width >= 64 || value >> (width - 1) == value >> 63,
         "constant {value} does not fit in {width} signed bits"
     );
     (0..width)
         .map(|i| {
-            if (value >> i) & 1 == 1 {
+            if (value >> i.min(63)) & 1 == 1 {
                 S::ONE
             } else {
                 S::ZERO
@@ -45,23 +46,20 @@ pub fn input_word<S: GateSink>(sink: &mut S, width: usize) -> Word<S::Pin> {
     (0..width).map(|_| sink.input()).collect()
 }
 
-/// Sign-extends (or truncates) `word` to `width` bits. Pure wiring.
-///
-/// # Panics
-///
-/// Panics if `word` is empty.
-pub fn resize<P: Copy>(word: &[P], width: usize) -> Word<P> {
-    assert!(!word.is_empty(), "cannot resize an empty word");
-    let sign = *word.last().expect("non-empty word");
-    (0..width)
-        .map(|i| if i < word.len() { word[i] } else { sign })
-        .collect()
+/// Bit `i` of `word` sign-extended to any width: the word's own bit, or its
+/// sign bit past its end. Pure wiring.
+fn extended_bit<P: Copy>(word: &[P], i: usize) -> P {
+    match word.get(i) {
+        Some(&bit) => bit,
+        None => word[word.len() - 1],
+    }
 }
 
 /// Shifts `word` left by `k` bits (multiplication by `2^k`), widening the
 /// result by `k` bits. Pure wiring.
 pub fn shift_left<S: GateSink>(word: &[S::Pin], k: usize) -> Word<S::Pin> {
-    let mut out = vec![S::ZERO; k];
+    let mut out = Vec::with_capacity(k + word.len());
+    out.resize(k, S::ZERO);
     out.extend_from_slice(word);
     out
 }
@@ -78,8 +76,8 @@ pub fn sub<S: GateSink>(sink: &mut S, a: &[S::Pin], b: &[S::Pin]) -> Word<S::Pin
 
 /// Two's-complement negation of a word (`-a`), one bit wider than the input.
 pub fn negate<S: GateSink>(sink: &mut S, a: &[S::Pin]) -> Word<S::Pin> {
-    let zero = constant_word::<S>(0, a.len());
-    sub(sink, &zero, a)
+    // The one-bit zero sign-extends to a zero as wide as `a`.
+    sub(sink, &[S::ZERO], a)
 }
 
 /// Ripple-carry `a + b`, or `a - b` as `a + !b + 1` when `subtract`.
@@ -94,23 +92,23 @@ fn add_with_carry<S: GateSink>(
         "adder operands must be non-empty"
     );
     let width = a.len().max(b.len()) + 1;
-    let a_ext = resize(a, width);
-    let b_ext = resize(b, width);
     // A subtraction's carry-in is the constant one; a plain addition has
     // none, so its first stage is a half adder.
     let mut carry = S::ONE;
     let mut sum = Vec::with_capacity(width);
     for i in 0..width {
+        let a_bit = extended_bit(a, i);
+        let b_bit = extended_bit(b, i);
         let b_bit = if subtract {
-            let [inv] = sink.gate(CellKind::Inverter, &[b_ext[i]]);
+            let [inv] = sink.gate(CellKind::Inverter, &[b_bit]);
             inv
         } else {
-            b_ext[i]
+            b_bit
         };
         let [s, c] = if i == 0 && !subtract {
-            sink.gate(CellKind::HalfAdder, &[a_ext[i], b_bit])
+            sink.gate(CellKind::HalfAdder, &[a_bit, b_bit])
         } else {
-            sink.gate(CellKind::FullAdder, &[a_ext[i], b_bit, carry])
+            sink.gate(CellKind::FullAdder, &[a_bit, b_bit, carry])
         };
         sum.push(s);
         carry = c;
@@ -121,26 +119,24 @@ fn add_with_carry<S: GateSink>(
 /// Sums an arbitrary number of signed words with a balanced binary adder tree.
 /// Returns a word wide enough to hold the full sum; an empty operand list
 /// yields the 1-bit constant zero.
-pub fn adder_tree<S: GateSink>(sink: &mut S, operands: &[Word<S::Pin>]) -> Word<S::Pin> {
-    match operands.len() {
-        0 => constant_word::<S>(0, 1),
-        1 => operands[0].clone(),
-        _ => {
-            let mut level: Vec<Word<S::Pin>> = operands.to_vec();
-            while level.len() > 1 {
-                let mut next = Vec::with_capacity(level.len().div_ceil(2));
-                for chunk in level.chunks(2) {
-                    if chunk.len() == 2 {
-                        next.push(add(sink, &chunk[0], &chunk[1]));
-                    } else {
-                        next.push(chunk[0].clone());
-                    }
-                }
-                level = next;
-            }
-            level.pop().expect("adder tree leaves a single word")
+///
+/// Each level adds neighbouring pairs in order, and an odd last operand moves
+/// up a level unchanged. The sums overwrite the operands they replace, so a
+/// level allocates only its sum words.
+pub fn adder_tree<S: GateSink>(sink: &mut S, mut operands: Vec<Word<S::Pin>>) -> Word<S::Pin> {
+    while operands.len() > 1 {
+        let len = operands.len();
+        for j in 0..len / 2 {
+            // Slot `j` was read at pair `j / 2 <= j`, so it is free to take
+            // pair `j`'s sum.
+            operands[j] = add(sink, &operands[2 * j], &operands[2 * j + 1]);
         }
+        if len % 2 == 1 {
+            operands.swap(len / 2, len - 1);
+        }
+        operands.truncate(len.div_ceil(2));
     }
+    operands.pop().unwrap_or_else(|| constant_word::<S>(0, 1))
 }
 
 /// Rectified linear unit on a signed word: outputs `a` when `a >= 0` and `0`
@@ -165,7 +161,7 @@ pub fn greater_than<S: GateSink>(sink: &mut S, a: &[S::Pin], b: &[S::Pin]) -> S:
 }
 
 /// Selects between two words with a shared select signal (`sel ? on_true :
-/// on_false`), one mux per bit. Both words are resized to the wider width.
+/// on_false`), one mux per bit. Both words are sign-extended to the wider width.
 pub fn mux_word<S: GateSink>(
     sink: &mut S,
     sel: S::Pin,
@@ -173,11 +169,10 @@ pub fn mux_word<S: GateSink>(
     on_true: &[S::Pin],
 ) -> Word<S::Pin> {
     let width = on_false.len().max(on_true.len());
-    let f = resize(on_false, width);
-    let t = resize(on_true, width);
     (0..width)
         .map(|i| {
-            let [out] = sink.gate(CellKind::Mux2, &[sel, f[i], t[i]]);
+            let pins = [sel, extended_bit(on_false, i), extended_bit(on_true, i)];
+            let [out] = sink.gate(CellKind::Mux2, &pins);
             out
         })
         .collect()
@@ -193,11 +188,8 @@ pub fn word_value(values: &[bool], word: &[NetId]) -> i64 {
         }
     }
     // Sign-extend from the word's MSB.
-    let width = word.len();
-    if width < 64 && (v >> (width - 1)) & 1 == 1 {
-        v -= 1_i64 << width;
-    }
-    v
+    let unused = 64 - word.len();
+    v << unused >> unused
 }
 
 /// Drives a word's nets as primary-input values for simulation (little-endian
@@ -274,10 +266,24 @@ mod tests {
     }
 
     #[test]
+    fn constant_word_spans_the_i64_range_at_width_64() {
+        let netlist = Netlist::new("c64");
+        let values = netlist.simulate(&[]);
+        for v in [i64::MIN, i64::MAX, 1 << 62, -(1 << 62), -1] {
+            let w = constant_word::<Netlist>(v, 64);
+            assert_eq!(word_value(&values, &w), v);
+        }
+        // -2^62 is the narrowest 63-bit value; 2^62 needs 64 bits.
+        let w = constant_word::<Netlist>(-(1 << 62), 63);
+        assert_eq!(word_value(&values, &w), -(1 << 62));
+        assert!(std::panic::catch_unwind(|| constant_word::<Netlist>(1 << 62, 63)).is_err());
+    }
+
+    #[test]
     fn resize_sign_extends() {
         let mut netlist = Netlist::new("rs");
         let a = input_word(&mut netlist, 3);
-        let wide = resize(&a, 6);
+        let wide: Word = (0..6).map(|i| extended_bit(&a, i)).collect();
         assert_eq!(wide.len(), 6);
         assert_eq!(wide[3], a[2]);
         assert_eq!(wide[5], a[2]);
@@ -303,7 +309,7 @@ mod tests {
     fn adder_tree_sums_many_operands() {
         let mut netlist = Netlist::new("tree");
         let words: Vec<Word> = (0..5).map(|_| input_word(&mut netlist, 4)).collect();
-        let sum = adder_tree(&mut netlist, &words);
+        let sum = adder_tree(&mut netlist, words);
         let operands = [3_i64, -8, 7, 0, -1];
         let mut inputs = Vec::new();
         for &v in &operands {
@@ -317,11 +323,11 @@ mod tests {
     fn adder_tree_handles_empty_and_single() {
         let mut netlist = Netlist::new("tree0");
         assert_eq!(
-            adder_tree(&mut netlist, &[]),
+            adder_tree(&mut netlist, vec![]),
             constant_word::<Netlist>(0, 1)
         );
         let w = input_word(&mut netlist, 3);
-        assert_eq!(adder_tree(&mut netlist, std::slice::from_ref(&w)), w);
+        assert_eq!(adder_tree(&mut netlist, vec![w.clone()]), w);
     }
 
     #[test]
@@ -420,7 +426,7 @@ mod proptests {
             let width = 7;
             let mut netlist = Netlist::new("p");
             let words: Vec<Word> = (0..values_in.len()).map(|_| input_word(&mut netlist, width)).collect();
-            let sum = adder_tree(&mut netlist, &words);
+            let sum = adder_tree(&mut netlist, words);
             let mut inputs = Vec::new();
             for &v in &values_in {
                 inputs.extend(encode_value(v, width));

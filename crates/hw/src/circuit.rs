@@ -175,15 +175,17 @@ impl CircuitSpec {
     }
 
     /// Re-checks every invariant [`CircuitSpec::new`] establishes, including
-    /// the per-layer [`LayerSpec::validate`] checks. Synthesis and the
-    /// fast-path cost model both call this, so hand-constructed specs (the
-    /// fields are public) cannot bypass validation — without cloning the
-    /// layer stack.
+    /// the per-layer [`LayerSpec::validate`] checks. Synthesis, the
+    /// fast-path cost model and the integer engine all call this, so
+    /// hand-constructed specs (the fields are public) cannot bypass
+    /// validation — without cloning the layer stack — and all three accept
+    /// the same specs.
     ///
     /// # Errors
     ///
     /// Returns [`HwError::InvalidSpec`] / [`HwError::InvalidBitWidth`] exactly
-    /// as construction would.
+    /// as construction would, including [`HwError::InvalidSpec`] when the
+    /// worst-case accumulator exceeds `i64`.
     pub fn validate(&self) -> Result<(), HwError> {
         if self.input_bits == 0 || self.input_bits > 16 {
             return Err(HwError::InvalidBitWidth {
@@ -210,7 +212,39 @@ impl CircuitSpec {
                 });
             }
         }
+        let bound = self.accumulator_bound();
+        if bound > i64::MAX as u128 {
+            return Err(HwError::InvalidSpec {
+                context: format!("worst-case accumulator {bound} exceeds i64"),
+            });
+        }
         Ok(())
+    }
+
+    /// Worst-case accumulator magnitude over all layers, assuming inputs
+    /// bounded by `2^input_bits − 1`. ReLU and Identity both preserve the
+    /// bound (ReLU can only shrink magnitudes), and every *partial* sum of
+    /// `bias + Σ wᵢ·uᵢ` is bounded by the same sum of magnitudes, so a layer
+    /// whose bound fits a type can be accumulated in that type without
+    /// intermediate overflow.
+    pub(crate) fn accumulator_bound(&self) -> u128 {
+        let mut in_bound: u128 = (1_u128 << self.input_bits) - 1;
+        let mut worst: u128 = in_bound;
+        for layer in &self.layers {
+            let mut layer_bound: u128 = 0;
+            for (row, &bias) in layer.weights.iter().zip(layer.biases.iter()) {
+                // Saturating: a bound past u128 is certainly past i64 and is
+                // rejected, so clamping is safe.
+                let neuron: u128 = row
+                    .iter()
+                    .map(|&w| (w.unsigned_abs() as u128).saturating_mul(in_bound))
+                    .fold(bias.unsigned_abs() as u128, u128::saturating_add);
+                layer_bound = layer_bound.max(neuron);
+            }
+            worst = worst.max(layer_bound);
+            in_bound = layer_bound;
+        }
+        worst
     }
 
     /// Number of primary input features.
@@ -616,6 +650,49 @@ mod tests {
                 .area
                 .total_mm2;
         assert!(pruned_area < dense_area);
+    }
+
+    #[test]
+    fn extreme_biases_are_accepted_or_rejected_by_every_consumer() {
+        use crate::cost::estimate_circuit;
+        use crate::intinfer::IntInferEngine;
+        let library = CellLibrary::egt();
+        // Inputs reach 15, so the first neuron's sum reaches bias ± 45.
+        for (bias, accepted) in [
+            (1_i64 << 62, true),
+            (-(1 << 62), true),
+            (i64::MAX, false),
+            (i64::MIN, false),
+        ] {
+            let layer = LayerSpec::with_biases(
+                vec![vec![1, 2], vec![3, 4]],
+                vec![bias, 0],
+                4,
+                HwActivation::Argmax,
+            )
+            .unwrap();
+            // Built by hand: `CircuitSpec::new` applies the same rule.
+            let spec = CircuitSpec {
+                input_bits: 4,
+                layers: vec![layer],
+            };
+            assert_eq!(spec.validate().is_ok(), accepted, "bias {bias}");
+            for sharing in [SharingStrategy::None, SharingStrategy::SharedPerInput] {
+                let fast = estimate_circuit(&spec, &library, sharing);
+                let full = BespokeMlpCircuit::synthesize_with(&spec, &library, sharing);
+                let engine = IntInferEngine::from_spec_with(&spec, sharing);
+                assert_eq!(fast.is_ok(), accepted, "fast path, bias {bias}");
+                assert_eq!(full.is_ok(), accepted, "synthesis, bias {bias}");
+                assert_eq!(engine.is_ok(), accepted, "integer engine, bias {bias}");
+                if let (Ok(fast), Ok(full), Ok(engine)) = (fast, full, engine) {
+                    assert_eq!(fast, full.report());
+                    for row in [[0_u16, 0], [15, 15], [7, 3]] {
+                        let inputs = row.map(u64::from);
+                        assert_eq!(full.classify(&inputs), engine.classify_row(&row));
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -13,6 +13,11 @@
 //! This is exactly the mechanism that makes quantization (fewer non-zero
 //! digits), pruning (more zero constants) and weight clustering (shared
 //! products) pay off in area.
+//!
+//! The builder walks the CSD terms straight from [`CsdDigits`]' digit masks
+//! and hands the shifted input words to [`adder::adder_tree`] by value, so a
+//! multiplier allocates one word per term, one per adder and one vector per
+//! digit sign.
 
 use crate::adder::{self, Word};
 use crate::csd::CsdDigits;
@@ -37,28 +42,29 @@ pub fn constant_multiplier<S: GateSink>(
         return adder::constant_word::<S>(0, 1);
     }
 
-    let terms = CsdDigits::from_value(constant).terms();
+    // One shifted copy of `input` per CSD digit of each sign; the copies go
+    // to the adder trees by value.
+    let csd = CsdDigits::from_value(constant);
+    let shifted = |sign: i8| -> Vec<Word<S::Pin>> {
+        csd.terms()
+            .filter(|&(_, s)| s == sign)
+            .map(|(shift, _)| adder::shift_left::<S>(input, shift as usize))
+            .collect()
+    };
+    let (positive, negative) = (shifted(1), shifted(-1));
 
-    // Split into positive and negative shift terms.
-    let positive: Vec<Word<S::Pin>> = terms
-        .iter()
-        .filter(|&&(_, sign)| sign > 0)
-        .map(|&(shift, _)| adder::shift_left::<S>(input, shift as usize))
-        .collect();
-    let negative: Vec<Word<S::Pin>> = terms
-        .iter()
-        .filter(|&&(_, sign)| sign < 0)
-        .map(|&(shift, _)| adder::shift_left::<S>(input, shift as usize))
-        .collect();
-
-    let pos_sum = adder::adder_tree(sink, &positive);
-    let neg_sum = adder::adder_tree(sink, &negative);
-
+    // A nonzero constant has at least one digit.
     match (positive.is_empty(), negative.is_empty()) {
-        (true, true) => adder::constant_word::<S>(0, 1),
-        (false, true) => pos_sum,
-        (true, false) => adder::negate(sink, &neg_sum),
-        (false, false) => adder::sub(sink, &pos_sum, &neg_sum),
+        (false, true) => adder::adder_tree(sink, positive),
+        (true, false) => {
+            let neg_sum = adder::adder_tree(sink, negative);
+            adder::negate(sink, &neg_sum)
+        }
+        _ => {
+            let pos_sum = adder::adder_tree(sink, positive);
+            let neg_sum = adder::adder_tree(sink, negative);
+            adder::sub(sink, &pos_sum, &neg_sum)
+        }
     }
 }
 

@@ -5,102 +5,94 @@
 //! for constant-coefficient multipliers because the number of shift-add/sub
 //! stages equals the number of non-zero digits, which CSD minimizes (at most
 //! ⌈(n+1)/2⌉ non-zero digits for an n-bit constant, ~n/3 on average).
+//!
+//! A [`CsdDigits`] is two 64-bit masks, one per digit sign, so recoding and
+//! walking the terms allocate nothing.
 
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// The CSD representation of a signed integer constant.
 ///
-/// Digit `i` (little-endian) carries weight `digit[i] * 2^i`.
+/// Digit `i` (little-endian) carries weight `±2^i`. Every `i64`
+/// fits in 64 digits: a magnitude of at most `2^63` needs no digit above
+/// bit 63.
 ///
 /// # Example
 ///
 /// ```
 /// use pmlp_hw::CsdDigits;
 ///
-/// // 7 = 8 - 1 -> CSD "+00-" i.e. [-1, 0, 0, +1]: two non-zero digits
+/// // 7 = 8 - 1 -> CSD "+00-": two non-zero digits
 /// let csd = CsdDigits::from_value(7);
 /// assert_eq!(csd.nonzero_count(), 2);
+/// assert_eq!(csd.terms().collect::<Vec<_>>(), [(0, -1), (3, 1)]);
 /// assert_eq!(csd.value(), 7);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct CsdDigits {
-    digits: Vec<i8>,
-    value: i64,
+    /// Bit `i` set: digit `i` is `+1`.
+    positive: u64,
+    /// Bit `i` set: digit `i` is `-1`.
+    negative: u64,
 }
 
 impl CsdDigits {
     /// Recodes `value` into canonical signed-digit form.
     pub fn from_value(value: i64) -> Self {
-        if value == 0 {
-            return CsdDigits {
-                digits: Vec::new(),
-                value: 0,
-            };
-        }
-        // Work on the magnitude, then negate the digits for negative values.
-        let negative = value < 0;
-        let mut x = value.unsigned_abs() as u128;
-        let mut digits: Vec<i8> = Vec::new();
+        // Recode the magnitude, then swap the digit signs for negative values.
+        let mut x = value.unsigned_abs();
+        let (mut positive, mut negative) = (0_u64, 0_u64);
+        let mut bit = 0;
         while x != 0 {
             if x & 1 == 1 {
                 // Choose +1 or -1 so that the remaining value becomes even and
                 // the "no two adjacent non-zeros" property holds: pick -1 when
-                // the next two bits are "11" (i.e. x mod 4 == 3).
-                let digit: i8 = if x & 3 == 3 { -1 } else { 1 };
-                digits.push(digit);
-                if digit == 1 {
-                    x -= 1;
-                } else {
+                // the next two bits are "11" (i.e. x mod 4 == 3). `x` is at
+                // most 2^63, so `x + 1` cannot overflow.
+                if x & 3 == 3 {
+                    negative |= 1 << bit;
                     x += 1;
+                } else {
+                    positive |= 1 << bit;
+                    x -= 1;
                 }
-            } else {
-                digits.push(0);
             }
             x >>= 1;
+            bit += 1;
         }
-        if negative {
-            for d in &mut digits {
-                *d = -*d;
-            }
+        if value < 0 {
+            std::mem::swap(&mut positive, &mut negative);
         }
-        // Trim trailing zeros (most-significant side).
-        while digits.last() == Some(&0) {
-            digits.pop();
-        }
-        CsdDigits { digits, value }
-    }
-
-    /// The digits, little-endian (`digits()[i]` weighs `2^i`).
-    pub fn digits(&self) -> &[i8] {
-        &self.digits
+        CsdDigits { positive, negative }
     }
 
     /// The original integer value.
     pub fn value(&self) -> i64 {
-        self.value
+        // Exact modulo 2^64, and the value is an i64.
+        (self.positive as i64).wrapping_sub(self.negative as i64)
     }
 
     /// Number of non-zero digits = number of shift-add/sub terms a bespoke
     /// constant multiplier needs.
     pub fn nonzero_count(&self) -> usize {
-        self.digits.iter().filter(|&&d| d != 0).count()
+        (self.positive | self.negative).count_ones() as usize
     }
 
     /// Number of digits (position of the most significant non-zero digit + 1);
     /// zero for the constant 0.
     pub fn len(&self) -> usize {
-        self.digits.len()
+        (u64::BITS - (self.positive | self.negative).leading_zeros()) as usize
     }
 
     /// `true` when the constant is zero.
     pub fn is_empty(&self) -> bool {
-        self.digits.is_empty()
+        self.len() == 0
     }
 
     /// `true` when the constant is zero (a pruned weight: no multiplier at all).
     pub fn is_zero(&self) -> bool {
-        self.value == 0
+        self.is_empty()
     }
 
     /// `true` when the constant is an exact power of two (possibly negated):
@@ -109,15 +101,18 @@ impl CsdDigits {
         self.nonzero_count() == 1
     }
 
-    /// The shift amounts (bit positions) of all non-zero digits together with
-    /// their signs, i.e. the terms of the shift-add decomposition.
-    pub fn terms(&self) -> Vec<(u32, i8)> {
-        self.digits
-            .iter()
-            .enumerate()
-            .filter(|(_, &d)| d != 0)
-            .map(|(i, &d)| (i as u32, d))
-            .collect()
+    /// The terms of the shift-add decomposition: the shift amount (bit
+    /// position) and sign of every non-zero digit, least significant first.
+    pub fn terms(&self) -> impl Iterator<Item = (u32, i8)> {
+        let (positive, mut rest) = (self.positive, self.positive | self.negative);
+        std::iter::from_fn(move || {
+            (rest != 0).then(|| {
+                let shift = rest.trailing_zeros();
+                rest &= rest - 1;
+                let sign = if positive >> shift & 1 == 1 { 1 } else { -1 };
+                (shift, sign)
+            })
+        })
     }
 
     /// Number of add/sub operations a shift-add multiplier built from this
@@ -128,14 +123,21 @@ impl CsdDigits {
     }
 }
 
+impl CsdDigits {
+    /// Digit `i < 64`: `-1`, `0` or `+1`.
+    fn digit(&self, i: u32) -> i8 {
+        (self.positive >> i & 1) as i8 - (self.negative >> i & 1) as i8
+    }
+}
+
 impl fmt::Display for CsdDigits {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        if self.digits.is_empty() {
+        if self.is_empty() {
             return f.write_str("0");
         }
         // Most-significant digit first.
-        for &d in self.digits.iter().rev() {
-            let c = match d {
+        for i in (0..self.len() as u32).rev() {
+            let c = match self.digit(i) {
                 1 => '+',
                 -1 => '-',
                 _ => '0',
@@ -150,12 +152,16 @@ impl fmt::Display for CsdDigits {
 mod tests {
     use super::*;
 
-    fn reconstruct(csd: &CsdDigits) -> i64 {
-        csd.digits()
-            .iter()
-            .enumerate()
-            .map(|(i, &d)| d as i64 * (1_i64 << i))
+    fn reconstruct(csd: &CsdDigits) -> i128 {
+        csd.terms()
+            .map(|(shift, sign)| i128::from(sign) << shift)
             .sum()
+    }
+
+    /// `true` when no two non-zero digits are adjacent.
+    fn is_canonical(csd: &CsdDigits) -> bool {
+        let shifts: Vec<u32> = csd.terms().map(|(shift, _)| shift).collect();
+        shifts.windows(2).all(|pair| pair[1] > pair[0] + 1)
     }
 
     #[test]
@@ -189,7 +195,7 @@ mod tests {
     fn reconstruction_matches_value_for_small_range() {
         for v in -256_i64..=256 {
             let csd = CsdDigits::from_value(v);
-            assert_eq!(reconstruct(&csd), v, "reconstruction failed for {v}");
+            assert_eq!(reconstruct(&csd), v.into(), "reconstruction failed for {v}");
             assert_eq!(csd.value(), v);
         }
     }
@@ -198,13 +204,10 @@ mod tests {
     fn no_two_adjacent_nonzero_digits() {
         for v in -512_i64..=512 {
             let csd = CsdDigits::from_value(v);
-            for pair in csd.digits().windows(2) {
-                assert!(
-                    pair[0] == 0 || pair[1] == 0,
-                    "adjacent non-zero digits in CSD of {v}: {:?}",
-                    csd.digits()
-                );
-            }
+            assert!(
+                is_canonical(&csd),
+                "adjacent non-zero digits in CSD of {v}: {csd}"
+            );
         }
     }
 
@@ -223,20 +226,34 @@ mod tests {
             let pos = CsdDigits::from_value(v);
             let neg = CsdDigits::from_value(-v);
             assert_eq!(pos.nonzero_count(), neg.nonzero_count());
-            assert_eq!(reconstruct(&neg), -v);
+            assert_eq!(reconstruct(&neg), (-v).into());
         }
     }
 
     #[test]
     fn terms_describe_shift_add_decomposition() {
         let csd = CsdDigits::from_value(7); // 8 - 1
-        let terms = csd.terms();
-        assert_eq!(terms.len(), 2);
-        let total: i64 = terms
-            .iter()
-            .map(|&(shift, sign)| sign as i64 * (1_i64 << shift))
-            .sum();
-        assert_eq!(total, 7);
+        let terms: Vec<(u32, i8)> = csd.terms().collect();
+        assert_eq!(terms, [(0, -1), (3, 1)]);
+        assert_eq!(reconstruct(&csd), 7);
+    }
+
+    #[test]
+    fn extreme_values_fit_in_64_digits() {
+        for v in [
+            i64::MIN,
+            i64::MIN + 1,
+            i64::MAX,
+            i64::MAX - 1,
+            1 << 62,
+            -(1 << 62),
+        ] {
+            let csd = CsdDigits::from_value(v);
+            assert_eq!(csd.value(), v);
+            assert_eq!(reconstruct(&csd), v.into(), "{v}");
+            assert!(is_canonical(&csd), "{v}: {csd}");
+        }
+        assert_eq!(CsdDigits::from_value(i64::MIN).to_string().len(), 64);
     }
 
     #[test]
@@ -257,10 +274,8 @@ mod proptests {
         fn csd_reconstructs_every_value(v in -100_000_i64..100_000) {
             let csd = CsdDigits::from_value(v);
             let rec: i64 = csd
-                .digits()
-                .iter()
-                .enumerate()
-                .map(|(i, &d)| d as i64 * (1_i64 << i))
+                .terms()
+                .map(|(shift, sign)| i64::from(sign) << shift)
                 .sum();
             prop_assert_eq!(rec, v);
         }
@@ -268,9 +283,8 @@ mod proptests {
         #[test]
         fn csd_is_canonical(v in -100_000_i64..100_000) {
             let csd = CsdDigits::from_value(v);
-            for pair in csd.digits().windows(2) {
-                prop_assert!(pair[0] == 0 || pair[1] == 0);
-            }
+            let shifts: Vec<u32> = csd.terms().map(|(shift, _)| shift).collect();
+            prop_assert!(shifts.windows(2).all(|pair| pair[1] > pair[0] + 1));
         }
 
         #[test]

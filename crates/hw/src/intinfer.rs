@@ -306,31 +306,6 @@ fn build_codebook<T: Cell>(weights: &[Vec<i64>]) -> Codebook<T> {
     }
 }
 
-/// Worst-case accumulator magnitude per layer, assuming inputs bounded by
-/// `2^input_bits − 1`. ReLU and Identity both preserve the bound (ReLU can
-/// only shrink magnitudes), and every *partial* sum of `bias + Σ wᵢ·uᵢ` is
-/// bounded by the same sum of magnitudes, so a layer whose bound fits a type
-/// can be accumulated in that type without intermediate overflow.
-fn accumulator_bound(spec: &CircuitSpec) -> u128 {
-    let mut in_bound: u128 = (1_u128 << spec.input_bits) - 1;
-    let mut worst: u128 = in_bound;
-    for layer in &spec.layers {
-        let mut layer_bound: u128 = 0;
-        for (row, &bias) in layer.weights.iter().zip(layer.biases.iter()) {
-            // Saturating: a bound past u128 is certainly past i64 and will
-            // be rejected by the caller, so clamping is safe.
-            let neuron: u128 = row
-                .iter()
-                .map(|&w| (w.unsigned_abs() as u128).saturating_mul(in_bound))
-                .fold(bias.unsigned_abs() as u128, u128::saturating_add);
-            layer_bound = layer_bound.max(neuron);
-        }
-        worst = worst.max(layer_bound);
-        in_bound = layer_bound;
-    }
-    worst
-}
-
 enum Plan {
     Narrow(Network<i32>),
     Wide(Network<i64>),
@@ -358,9 +333,9 @@ impl IntInferEngine {
     ///
     /// # Errors
     ///
-    /// Propagates spec validation errors, plus [`HwError::InvalidSpec`] when
-    /// the worst-case accumulator exceeds `i64` (such a network cannot be
-    /// scored exactly by this engine — nor by `word_value` on the netlist).
+    /// Propagates [`CircuitSpec::validate`]'s errors, which include a
+    /// worst-case accumulator past `i64` (such a network cannot be scored
+    /// exactly by this engine — nor by `word_value` on the netlist).
     pub fn from_spec(spec: &CircuitSpec) -> Result<Self, HwError> {
         Self::from_spec_with(spec, SharingStrategy::None)
     }
@@ -376,13 +351,7 @@ impl IntInferEngine {
     /// Same conditions as [`IntInferEngine::from_spec`].
     pub fn from_spec_with(spec: &CircuitSpec, sharing: SharingStrategy) -> Result<Self, HwError> {
         spec.validate()?;
-        let bound = accumulator_bound(spec);
-        if bound > i64::MAX as u128 {
-            return Err(HwError::InvalidSpec {
-                context: format!("worst-case accumulator {bound} exceeds i64"),
-            });
-        }
-        let plan = if bound <= i32::MAX as u128 {
+        let plan = if spec.accumulator_bound() <= i32::MAX as u128 {
             Plan::Narrow(Network::lower(spec, sharing))
         } else {
             Plan::Wide(Network::lower(spec, sharing))
@@ -794,8 +763,8 @@ mod tests {
         let layers = (0..5)
             .map(|_| LayerSpec::new(vec![vec![max_w]; 1], 24, HwActivation::Identity).unwrap())
             .collect();
-        let spec = CircuitSpec::new(16, layers).unwrap();
-        assert!(IntInferEngine::from_spec(&spec).is_err());
+        let err = CircuitSpec::new(16, layers).unwrap_err();
+        assert!(err.to_string().contains("exceeds i64"), "{err}");
     }
 
     #[test]

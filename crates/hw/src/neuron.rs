@@ -59,7 +59,8 @@ pub fn build_neuron<S: GateSink>(
         });
     }
 
-    let mut operands: Vec<Word<S::Pin>> = Vec::new();
+    let terms = weights.iter().filter(|&&w| w != 0).count() + usize::from(bias != 0);
+    let mut operands: Vec<Word<S::Pin>> = Vec::with_capacity(terms);
     for (i, (&w, input)) in weights.iter().zip(inputs).enumerate() {
         if w == 0 {
             continue;
@@ -78,7 +79,7 @@ pub fn build_neuron<S: GateSink>(
         operands.push(adder::constant_word::<S>(bias, min_signed_width(bias)));
     }
 
-    let sum = adder::adder_tree(sink, &operands);
+    let sum = adder::adder_tree(sink, operands);
     Ok(if relu { adder::relu(sink, &sum) } else { sum })
 }
 

@@ -7,11 +7,58 @@
 //! FNV-1a hash of the exported Verilog for two WhiteWine-shaped specs under
 //! both sharing strategies. A synthesis change that renames a net or
 //! reorders two gates fails here even when every report still matches.
+//!
+//! The same specs set the builders' allocation budget: a counting global
+//! allocator checks that the fast path and full synthesis allocate no more
+//! than a few times per nonzero CSD digit of the weights.
 
+use pmlp_hw::cost::estimate_circuit;
 use pmlp_hw::verilog::to_verilog;
 use pmlp_hw::{
-    BespokeMlpCircuit, CellLibrary, CircuitSpec, HwActivation, LayerSpec, SharingStrategy,
+    BespokeMlpCircuit, CellLibrary, CircuitSpec, CsdDigits, HwActivation, LayerSpec,
+    SharingStrategy,
 };
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+/// The system allocator, counting allocations and reallocations per thread
+/// so that the test harness's other threads do not leak into a count.
+struct CountingAllocator;
+
+thread_local! {
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count_allocation() {
+    // `try_with` fails only while the thread is being torn down.
+    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+}
+
+unsafe impl GlobalAlloc for CountingAllocator {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        count_allocation();
+        System.alloc(layout)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        count_allocation();
+        System.realloc(ptr, layout, new_size)
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: CountingAllocator = CountingAllocator;
+
+/// Allocations `f` makes on this thread.
+fn allocations_in(f: impl FnOnce()) -> u64 {
+    let before = ALLOCATIONS.with(Cell::get);
+    f();
+    ALLOCATIONS.with(Cell::get) - before
+}
 
 /// The `hw_synthesis` bench's WhiteWine-shaped spec (11 inputs, 25 hidden,
 /// 5 outputs) with deterministic pseudo-random 5-bit weights. Kept as its
@@ -109,5 +156,46 @@ fn netlist_identity_golden() {
             (gates, nets, hash),
             "{name} {sharing:?}: (gates, nets, Verilog FNV-1a) moved"
         );
+    }
+}
+
+/// Nonzero CSD digits over every weight of `spec`: the shift-add terms its
+/// unshared multipliers are built from.
+fn csd_digits(spec: &CircuitSpec) -> usize {
+    spec.layers
+        .iter()
+        .flat_map(|layer| layer.weights.iter().flatten())
+        .map(|&w| CsdDigits::from_value(w).nonzero_count())
+        .sum()
+}
+
+#[test]
+fn builders_allocate_a_few_times_per_csd_digit() {
+    // Per digit, not per gate: folding constant inputs would remove gates
+    // but not words. The parent of the copy-free builders allocated 9 to 10
+    // times per digit on these specs.
+    const BUDGET: f64 = 5.0;
+    let library = CellLibrary::egt();
+    for (name, spec) in [
+        ("5-bit", whitewine_like_spec()),
+        ("8-bit biased", whitewine_like_spec_8bit_biased()),
+    ] {
+        let digits = csd_digits(&spec) as f64;
+        for sharing in [SharingStrategy::None, SharingStrategy::SharedPerInput] {
+            let fast = allocations_in(|| {
+                estimate_circuit(&spec, &library, sharing).expect("fast path");
+            });
+            let full = allocations_in(|| {
+                BespokeMlpCircuit::synthesize_with(&spec, &library, sharing).expect("synthesis");
+            });
+            for (path, count) in [("fast path", fast), ("full synthesis", full)] {
+                let per_digit = count as f64 / digits;
+                assert!(
+                    per_digit < BUDGET,
+                    "{name} {sharing:?} {path}: {count} allocations for {digits} CSD digits \
+                     ({per_digit:.2} per digit, budget {BUDGET})"
+                );
+            }
+        }
     }
 }
