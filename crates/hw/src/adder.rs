@@ -181,14 +181,15 @@ pub fn mux_word<S: GateSink>(
 /// Decodes a word from simulated net values into a signed integer
 /// (two's complement). Intended for tests and functional verification.
 pub fn word_value(values: &[bool], word: &[NetId]) -> i64 {
+    // Past bit 63 a word that holds an `i64` only repeats its sign bit.
     let mut v: i64 = 0;
-    for (i, &net) in word.iter().enumerate() {
+    for (i, &net) in word.iter().take(64).enumerate() {
         if values[net] {
             v |= 1_i64 << i;
         }
     }
     // Sign-extend from the word's MSB.
-    let unused = 64 - word.len();
+    let unused = 64 - word.len().min(64);
     v << unused >> unused
 }
 

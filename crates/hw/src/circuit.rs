@@ -165,9 +165,9 @@ impl CircuitSpec {
     ///
     /// # Errors
     ///
-    /// Returns [`HwError::InvalidSpec`] when there are no layers or
-    /// consecutive layer sizes do not chain, and [`HwError::InvalidBitWidth`]
-    /// for an unsupported input precision.
+    /// Returns [`HwError::InvalidSpec`] when there are no layers, consecutive
+    /// layer sizes do not chain or the worst-case accumulator exceeds `i64`,
+    /// and [`HwError::InvalidBitWidth`] for an unsupported input precision.
     pub fn new(input_bits: u8, layers: Vec<LayerSpec>) -> Result<Self, HwError> {
         let spec = CircuitSpec { input_bits, layers };
         spec.validate()?;
@@ -184,8 +184,7 @@ impl CircuitSpec {
     /// # Errors
     ///
     /// Returns [`HwError::InvalidSpec`] / [`HwError::InvalidBitWidth`] exactly
-    /// as construction would, including [`HwError::InvalidSpec`] when the
-    /// worst-case accumulator exceeds `i64`.
+    /// as construction would.
     pub fn validate(&self) -> Result<(), HwError> {
         if self.input_bits == 0 || self.input_bits > 16 {
             return Err(HwError::InvalidBitWidth {
@@ -688,6 +687,7 @@ mod tests {
                     assert_eq!(fast, full.report());
                     for row in [[0_u16, 0], [15, 15], [7, 3]] {
                         let inputs = row.map(u64::from);
+                        assert_eq!(full.evaluate(&inputs), engine.outputs(&row));
                         assert_eq!(full.classify(&inputs), engine.classify_row(&row));
                     }
                 }

@@ -14,9 +14,8 @@ use std::fmt;
 
 /// The CSD representation of a signed integer constant.
 ///
-/// Digit `i` (little-endian) carries weight `±2^i`. Every `i64`
-/// fits in 64 digits: a magnitude of at most `2^63` needs no digit above
-/// bit 63.
+/// Digit `i` (little-endian) carries weight `±2^i`. Every `i64` fits in 64
+/// digits: a magnitude of at most `2^63` needs no digit above bit 63.
 ///
 /// # Example
 ///
@@ -121,9 +120,7 @@ impl CsdDigits {
     pub fn adder_count(&self) -> usize {
         self.nonzero_count().saturating_sub(1)
     }
-}
 
-impl CsdDigits {
     /// Digit `i < 64`: `-1`, `0` or `+1`.
     fn digit(&self, i: u32) -> i8 {
         (self.positive >> i & 1) as i8 - (self.negative >> i & 1) as i8

@@ -59,8 +59,8 @@ pub fn build_neuron<S: GateSink>(
         });
     }
 
-    let terms = weights.iter().filter(|&&w| w != 0).count() + usize::from(bias != 0);
-    let mut operands: Vec<Word<S::Pin>> = Vec::with_capacity(terms);
+    let operand_count = weights.iter().filter(|&&w| w != 0).count() + usize::from(bias != 0);
+    let mut operands: Vec<Word<S::Pin>> = Vec::with_capacity(operand_count);
     for (i, (&w, input)) in weights.iter().zip(inputs).enumerate() {
         if w == 0 {
             continue;
