@@ -1,6 +1,7 @@
 //! Micro-benchmarks of the neural-network substrate: forward pass, one
 //! training epoch and QAT fine-tuning on the Seeds classifier, the matrix
-//! products of a WhiteWine training step, and a WhiteWine QAT fine-tune.
+//! products of a WhiteWine training step, one WhiteWine training epoch and
+//! a WhiteWine QAT fine-tune.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use pmlp_data::{load, UciDataset};
@@ -56,7 +57,8 @@ fn bench_nn_training(c: &mut Criterion) {
 
     // The matrix products of one WhiteWine (11 -> 25 -> 5) training step
     // at batch 32: the hidden layer's forward product, the output layer's
-    // forward and weight-gradient products, and the output layer of the
+    // forward product, its weight-gradient product `xᵀ·δ` (25x32 by 32x5,
+    // reading the 32x25 batch input in place), and the output layer of the
     // per-epoch pass over the 374-row validation split.
     let operand = |rows: usize, cols: usize, seed: usize| {
         Matrix::from_vec(
@@ -68,7 +70,7 @@ fn bench_nn_training(c: &mut Criterion) {
         )
         .expect("operand")
     };
-    for (m, k, n) in [(32, 11, 25), (32, 25, 5), (25, 32, 5), (374, 25, 5)] {
+    for (m, k, n) in [(32, 11, 25), (32, 25, 5), (374, 25, 5)] {
         let a = operand(m, k, 1);
         let b = operand(k, n, 2);
         let mut out = Matrix::zeros(0, 0);
@@ -79,9 +81,20 @@ fn bench_nn_training(c: &mut Criterion) {
             })
         });
     }
+    let (m, k, n) = (25, 32, 5);
+    let input = operand(k, m, 1);
+    let delta = operand(k, n, 2);
+    let mut out = Matrix::zeros(0, 0);
+    group.bench_function(&format!("transpose_matmul_{m}x{k}x{n}"), |bench| {
+        bench.iter(|| {
+            input.transpose_matmul_into(&delta, &mut out).unwrap();
+            black_box(out.as_slice()[0])
+        })
+    });
 
-    // One 10-epoch 4-bit QAT fine-tune of a WhiteWine-shaped model: the
-    // fine-tuning stage every fresh candidate pays for.
+    // One plain training epoch (batch 32) and one 10-epoch 4-bit QAT
+    // fine-tune of a WhiteWine-shaped 11 -> 25 -> 5 model: the training
+    // step every fresh candidate's fine-tuning repeats.
     let whitewine = load(UciDataset::WhiteWine, 42).expect("whitewine dataset");
     let mut rng = StdRng::seed_from_u64(4);
     let whitewine_mlp = MlpBuilder::new(whitewine.feature_count())
@@ -89,6 +102,19 @@ fn bench_nn_training(c: &mut Criterion) {
         .output(whitewine.class_count())
         .build(&mut rng)
         .expect("mlp");
+    group.bench_function("train_one_epoch_whitewine", |b| {
+        b.iter(|| {
+            let mut model = whitewine_mlp.clone();
+            let mut rng = StdRng::seed_from_u64(6);
+            Trainer::new(TrainConfig {
+                epochs: 1,
+                ..TrainConfig::default()
+            })
+            .fit(&mut model, &whitewine, None, &mut rng)
+            .unwrap()
+            .best_accuracy
+        })
+    });
     group.bench_function("qat_ten_epochs_4bit_whitewine", |b| {
         b.iter(|| {
             let mut rng = StdRng::seed_from_u64(5);

@@ -49,8 +49,10 @@ impl Deserialize for DenseLayer {
 }
 
 /// One layer's buffers in the training step. The [`crate::Trainer`] holds
-/// one per layer for a whole fit: the first batch sizes them, and every
-/// later batch overwrites them in place.
+/// one per layer for a whole fit, and its per-epoch accuracy passes write
+/// their forward pass into the same `output`s. Every batch and pass
+/// overwrites them in place, so they allocate only when a pass needs more
+/// rows than any before it.
 #[derive(Debug, Default)]
 pub(crate) struct LayerBuffers {
     /// `act(x W + b)` for the batch (batch x outputs), which the next layer
@@ -63,10 +65,6 @@ pub(crate) struct LayerBuffers {
     pub(crate) grad_weights: Matrix,
     /// The gradient w.r.t. the biases (length = outputs).
     pub(crate) grad_biases: Vec<f32>,
-    /// The layer input, transposed (inputs x batch).
-    input_t: Matrix,
-    /// The weights, transposed (outputs x inputs).
-    weights_t: Matrix,
 }
 
 impl DenseLayer {
@@ -218,8 +216,6 @@ impl DenseLayer {
             delta,
             grad_weights,
             grad_biases,
-            input_t,
-            weights_t,
         } = buffers;
         if delta.shape() != output.shape() {
             return Err(NnError::ShapeMismatch {
@@ -236,14 +232,12 @@ impl DenseLayer {
             *g *= self.activation.derivative(y);
         }
         // dL/dW = x^T dpre ; dL/db = column sums of dpre
-        input.transpose_into(input_t);
-        input_t.matmul_into(delta, grad_weights)?;
+        input.transpose_matmul_into(delta, grad_weights)?;
         grad_biases.resize(delta.cols(), 0.0);
         delta.sum_rows_into(grad_biases);
         // dL/dx = dpre W^T
         if let Some(grad_input) = grad_input {
-            self.weights.transpose_into(weights_t);
-            delta.matmul_into(weights_t, grad_input)?;
+            delta.matmul_transpose_into(&self.weights, grad_input)?;
         }
         Ok(())
     }

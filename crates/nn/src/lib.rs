@@ -13,8 +13,12 @@
 //! randomness flows through caller-provided [`rand::Rng`] instances so that
 //! experiments are reproducible. Every candidate the pipeline scores is
 //! fine-tuned first, so the training step is the one hot path: it allocates
-//! nothing per mini-batch, and its matrix kernel sums in the textbook order,
-//! so trained weights are bit-identical to a naive implementation's.
+//! nothing per mini-batch, the backward pass reads its transposed operands
+//! in place, and its matrix kernel sums in the textbook order, so trained
+//! weights are bit-identical to a naive implementation's. The kernel is
+//! compiled twice from one source, for the target's baseline features and,
+//! on x86-64, for AVX; a run-time check picks the AVX build on CPUs that
+//! have it, and both builds give the same bits.
 //!
 //! ## Example
 //!
@@ -53,6 +57,7 @@ pub mod activation;
 pub mod dataset;
 pub mod error;
 mod init;
+mod kernel;
 pub mod layer;
 pub mod loss;
 pub mod matrix;

@@ -5,6 +5,7 @@
 //! explicit error reporting is preferred over an external BLAS dependency.
 
 use crate::error::NnError;
+use crate::kernel::{self, Build, Left, Right, Stored, Transposed};
 use serde::json::{Error, Value};
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -271,27 +272,6 @@ impl Matrix {
         self.data.chunks(self.cols)
     }
 
-    /// Matrix transpose.
-    pub fn transpose(&self) -> Matrix {
-        let mut out = Matrix::zeros(0, 0);
-        self.transpose_into(&mut out);
-        out
-    }
-
-    /// Transposes into a caller-owned matrix, reusing its allocation — the
-    /// backprop hot path re-transposes the weight matrix every batch, so
-    /// avoiding the per-call allocation matters.
-    pub fn transpose_into(&self, out: &mut Matrix) {
-        out.rows = self.cols;
-        out.cols = self.rows;
-        out.data.clear();
-        out.data.reserve(self.rows * self.cols);
-        for c in 0..self.cols {
-            out.data
-                .extend(self.data.iter().skip(c).step_by(self.cols.max(1)));
-        }
-    }
-
     /// Matrix product `self * other`.
     ///
     /// # Errors
@@ -311,30 +291,79 @@ impl Matrix {
     /// registers. Every element is still the sum of its products in
     /// ascending inner index, started from `+0.0`, so the result is
     /// bit-for-bit that of the textbook triple loop. It runs serially:
-    /// parallelism lives above it, over candidates and datasets.
+    /// parallelism lives above it, over candidates and datasets. On an
+    /// x86-64 CPU with AVX it runs the kernel's AVX build, which gives the
+    /// same bits.
     ///
     /// # Errors
     ///
     /// Returns [`NnError::ShapeMismatch`] when `self.cols() != other.rows()`.
     pub fn matmul_into(&self, other: &Matrix, out: &mut Matrix) -> Result<(), NnError> {
-        if self.cols != other.rows {
-            return Err(NnError::ShapeMismatch {
-                context: "matmul".into(),
-                left: self.shape(),
-                right: other.shape(),
-            });
+        product_into(
+            Build::detected(),
+            self.stored(),
+            other.stored(),
+            out,
+            "matmul",
+        )
+    }
+
+    /// The product `selfᵀ * other` written into a caller-owned matrix,
+    /// reusing its allocation: the same kernel as
+    /// [`Matrix::matmul_into`], reading `self` column by column where it
+    /// lies instead of a transposed copy. The bits are those of
+    /// transposing `self` and then multiplying.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`NnError::ShapeMismatch`] when `self.rows() != other.rows()`.
+    pub fn transpose_matmul_into(&self, other: &Matrix, out: &mut Matrix) -> Result<(), NnError> {
+        product_into(
+            Build::detected(),
+            self.transposed(),
+            other.stored(),
+            out,
+            "transpose_matmul",
+        )
+    }
+
+    /// The product `self * otherᵀ` into a caller-owned matrix, reusing its
+    /// allocation: the kernel packs each 8-wide panel of `otherᵀ` from
+    /// the rows of `other`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`NnError::ShapeMismatch`] when `self.cols() != other.cols()`.
+    pub(crate) fn matmul_transpose_into(
+        &self,
+        other: &Matrix,
+        out: &mut Matrix,
+    ) -> Result<(), NnError> {
+        product_into(
+            Build::detected(),
+            self.stored(),
+            other.transposed(),
+            out,
+            "matmul_transpose",
+        )
+    }
+
+    /// This matrix as a product operand, read as stored.
+    fn stored(&self) -> Stored<'_> {
+        Stored {
+            data: &self.data,
+            rows: self.rows,
+            cols: self.cols,
         }
-        // The kernel writes every element, so a reused buffer keeps its
-        // stale values until then instead of being zeroed first.
-        out.resize(self.rows, other.cols);
-        matmul_rows(
-            &self.data,
-            self.cols,
-            &other.data,
-            other.cols,
-            &mut out.data,
-        );
-        Ok(())
+    }
+
+    /// This matrix as a product operand, read transposed in place.
+    fn transposed(&self) -> Transposed<'_> {
+        Transposed {
+            data: &self.data,
+            rows: self.rows,
+            cols: self.cols,
+        }
     }
 
     /// Gives the matrix the shape `rows x cols`, reusing the allocation. The
@@ -460,156 +489,33 @@ pub(crate) fn argmax(row: &[f32]) -> usize {
         .0
 }
 
-/// Width of a column panel of the right operand: two SSE2 vectors.
-const PANEL: usize = 8;
-
-/// Left-operand rows per register block. Four rows by one panel is eight
-/// vector accumulators, which fit in the sixteen SSE2 registers next to the
-/// panel row and the broadcast left value.
-const BLOCK_ROWS: usize = 4;
-
-/// Inner-index depth of the zero-padded tail panel, which lives on the
-/// stack. Every product of the training step is shallower; a deeper one
-/// packs and sweeps the tail panel in slices of this depth.
-const TAIL_DEPTH: usize = 32;
-
-/// Dense row-major product kernel of [`Matrix::matmul_into`]: writes every
-/// element of the `m x b_cols` product `out`, where `a` holds `m` rows of
-/// `a_cols` elements and `b` holds `a_cols` rows of `b_cols` elements.
+/// The product of operands `a` and `b` into `out`, reusing its allocation,
+/// by the kernel build `build`.
 ///
-/// The right operand is swept in column panels of [`PANEL`] (Goto & van de
-/// Geijn, "Anatomy of High-Performance Matrix Multiplication", ACM TOMS
-/// 2008). A full panel is read where it lies in `b`; only the last,
-/// narrower panel is copied into a zero-padded stack buffer. Against each
-/// panel, [`BLOCK_ROWS`] rows of `a` at a time accumulate a `rows x PANEL`
-/// block in registers over the whole inner index, so every output is
-/// written once, and the 5-wide output layer still runs on full vectors.
+/// # Errors
 ///
-/// Per output element the sum starts at `+0.0` and adds each `a * b` in
-/// ascending inner index, with the multiply and the add rounded separately:
-/// the result is bit-for-bit the textbook triple loop's, for every shape.
-///
-/// Kept out of line, as the row-sweep kernel before it was: inlined into
-/// `matmul_into`, its only caller, that kernel made full-effort baseline
-/// training and GA runs 10-15% slower (release build, 2-core x86-64 VM).
-/// This one has not been measured inlined.
-#[inline(never)]
-fn matmul_rows(a: &[f32], a_cols: usize, b: &[f32], b_cols: usize, out: &mut [f32]) {
-    if b_cols == 0 {
-        return;
+/// Returns [`NnError::ShapeMismatch`], naming `context`, when the operands'
+/// inner dimensions differ.
+fn product_into<'a, A: Left, B: Right<'a>>(
+    build: Build,
+    a: A,
+    b: B,
+    out: &mut Matrix,
+    context: &str,
+) -> Result<(), NnError> {
+    let ((rows, depth), (inner, cols)) = (a.shape(), b.shape());
+    if depth != inner {
+        return Err(NnError::ShapeMismatch {
+            context: context.into(),
+            left: a.shape(),
+            right: b.shape(),
+        });
     }
-    if a_cols == 0 {
-        out.fill(0.0);
-        return;
-    }
-    let full = b_cols - b_cols % PANEL;
-    for j0 in (0..full).step_by(PANEL) {
-        let panel = Panel {
-            data: &b[j0..],
-            stride: b_cols,
-            col: j0,
-            width: PANEL,
-        };
-        panel.multiply(a, a_cols, 0..a_cols, out, b_cols);
-    }
-    if full < b_cols {
-        let width = b_cols - full;
-        // Lanes past `width` stay zero: only the first `width` of each row
-        // are ever written.
-        let mut tail = [0.0_f32; PANEL * TAIL_DEPTH];
-        for k0 in (0..a_cols).step_by(TAIL_DEPTH) {
-            let k1 = (k0 + TAIL_DEPTH).min(a_cols);
-            for (dst, src) in tail
-                .chunks_exact_mut(PANEL)
-                .zip(b[k0 * b_cols..k1 * b_cols].chunks_exact(b_cols))
-            {
-                dst[..width].copy_from_slice(&src[full..]);
-            }
-            let panel = Panel {
-                data: &tail,
-                stride: PANEL,
-                col: full,
-                width,
-            };
-            panel.multiply(a, a_cols, k0..k1, out, b_cols);
-        }
-    }
-}
-
-/// One column panel of the right operand: row `k` of the panel is
-/// `data[k * stride..][..PANEL]`, counted from the first inner index the
-/// panel holds. It feeds output columns `col..col + width`.
-struct Panel<'a> {
-    data: &'a [f32],
-    stride: usize,
-    col: usize,
-    width: usize,
-}
-
-impl Panel<'_> {
-    /// Accumulates `a[.., inner] * panel` into the panel's columns of every
-    /// output row, [`BLOCK_ROWS`] rows at a time. When `inner` does not
-    /// start at 0, each sum resumes from the partial sum already in `out`.
-    #[inline(always)]
-    fn multiply(
-        &self,
-        a: &[f32],
-        a_cols: usize,
-        inner: std::ops::Range<usize>,
-        out: &mut [f32],
-        out_cols: usize,
-    ) {
-        let rows = out.len() / out_cols;
-        let mut i = 0;
-        while i + BLOCK_ROWS <= rows {
-            self.block::<BLOCK_ROWS>(a, a_cols, i, inner.clone(), out, out_cols);
-            i += BLOCK_ROWS;
-        }
-        match rows - i {
-            1 => self.block::<1>(a, a_cols, i, inner, out, out_cols),
-            2 => self.block::<2>(a, a_cols, i, inner, out, out_cols),
-            3 => self.block::<3>(a, a_cols, i, inner, out, out_cols),
-            _ => {}
-        }
-    }
-
-    /// The register block: output rows `i..i + R` against this panel.
-    #[inline(always)]
-    fn block<const R: usize>(
-        &self,
-        a: &[f32],
-        a_cols: usize,
-        i: usize,
-        inner: std::ops::Range<usize>,
-        out: &mut [f32],
-        out_cols: usize,
-    ) {
-        let depth = inner.len();
-        let mut acc = [[0.0_f32; PANEL]; R];
-        if inner.start > 0 {
-            for (r, acc_row) in acc.iter_mut().enumerate() {
-                acc_row[..self.width]
-                    .copy_from_slice(&out[(i + r) * out_cols + self.col..][..self.width]);
-            }
-        }
-        let a_rows: [&[f32]; R] =
-            std::array::from_fn(|r| &a[(i + r) * a_cols + inner.start..][..depth]);
-        for k in 0..depth {
-            let b_row: &[f32; PANEL] = self.data[k * self.stride..][..PANEL]
-                .try_into()
-                .expect("a panel row is PANEL wide");
-            for (acc_row, a_row) in acc.iter_mut().zip(a_rows) {
-                let av = a_row[k];
-                for (o, &bv) in acc_row.iter_mut().zip(b_row) {
-                    *o += av * bv;
-                }
-            }
-        }
-        for (r, acc_row) in acc.iter().enumerate() {
-            out[(i + r) * out_cols + self.col..][..self.width]
-                .copy_from_slice(&acc_row[..self.width]);
-        }
-    }
+    // The kernel writes every element, so a reused buffer keeps its stale
+    // values until then instead of being zeroed first.
+    out.resize(rows, cols);
+    kernel::product(build, a, b, depth, &mut out.data, cols);
+    Ok(())
 }
 
 impl fmt::Display for Matrix {
@@ -666,14 +572,20 @@ mod tests {
         let a = Matrix::zeros(2, 3);
         let b = Matrix::zeros(2, 3);
         assert!(matches!(a.matmul(&b), Err(NnError::ShapeMismatch { .. })));
-    }
-
-    #[test]
-    fn transpose_round_trip() {
-        let a = Matrix::from_rows(&[vec![1.0, 2.0, 3.0], vec![4.0, 5.0, 6.0]]).unwrap();
-        assert_eq!(a.transpose().transpose(), a);
-        assert_eq!(a.transpose().shape(), (3, 2));
-        assert_eq!(a.transpose().get(2, 1), 6.0);
+        let mut out = Matrix::default();
+        let tall = Matrix::zeros(3, 2);
+        assert!(matches!(
+            a.transpose_matmul_into(&tall, &mut out),
+            Err(NnError::ShapeMismatch { .. })
+        ));
+        assert!(matches!(
+            a.matmul_transpose_into(&tall, &mut out),
+            Err(NnError::ShapeMismatch { .. })
+        ));
+        a.transpose_matmul_into(&b, &mut out).unwrap();
+        assert_eq!(out.shape(), (3, 3));
+        a.matmul_transpose_into(&b, &mut out).unwrap();
+        assert_eq!(out.shape(), (2, 2));
     }
 
     #[test]
@@ -795,17 +707,6 @@ mod tests {
     }
 
     #[test]
-    fn transpose_into_matches_transpose() {
-        let a = Matrix::from_rows(&[vec![1.0, 2.0, 3.0], vec![4.0, 5.0, 6.0]]).unwrap();
-        let mut out = Matrix::filled(1, 1, 42.0);
-        a.transpose_into(&mut out);
-        assert_eq!(out, a.transpose());
-        // And again, reusing the now-correctly-sized buffer.
-        a.transpose_into(&mut out);
-        assert_eq!(out, a.transpose());
-    }
-
-    #[test]
     fn column_iter_matches_column() {
         let a = Matrix::from_rows(&[vec![1.0, 2.0], vec![3.0, 4.0], vec![5.0, 6.0]]).unwrap();
         for c in 0..2 {
@@ -863,21 +764,116 @@ mod proptests {
         Matrix::from_vec(rows, cols, data).unwrap()
     }
 
-    /// The textbook triple loop: each sum starts at `+0.0` and adds every
-    /// product, rounded on its own, in ascending inner index.
-    fn naive_product(a: &Matrix, b: &Matrix) -> Vec<u32> {
-        let mut out = Vec::with_capacity(a.rows() * b.cols());
-        for i in 0..a.rows() {
-            for j in 0..b.cols() {
-                let mut sum = 0.0_f32;
-                for k in 0..a.cols() {
-                    let product = a.get(i, k) * b.get(k, j);
-                    sum += product;
-                }
-                out.push(sum.to_bits());
+    /// The products the training step runs.
+    #[derive(Debug, Clone, Copy)]
+    enum Product {
+        /// `a * b`: the forward pass, through [`Matrix::matmul_into`].
+        Plain,
+        /// `aᵀ * b`: the weight gradient `xᵀ·δ`, through
+        /// [`Matrix::transpose_matmul_into`].
+        TransposeLeft,
+        /// `a * bᵀ`: the input gradient `δ·Wᵀ`, through
+        /// [`Matrix::matmul_transpose_into`].
+        TransposeRight,
+    }
+
+    impl Product {
+        /// Random stored operands of a `rows x inner` by `inner x cols`
+        /// product.
+        fn operands(self, rows: usize, inner: usize, cols: usize, seed: u64) -> (Matrix, Matrix) {
+            let ((a_rows, a_cols), (b_rows, b_cols)) = match self {
+                Product::Plain => ((rows, inner), (inner, cols)),
+                Product::TransposeLeft => ((inner, rows), (inner, cols)),
+                Product::TransposeRight => ((rows, inner), (cols, inner)),
+            };
+            (
+                random_matrix(a_rows, a_cols, seed),
+                random_matrix(b_rows, b_cols, !seed),
+            )
+        }
+
+        /// The product through its public entry point, which picks the
+        /// build.
+        fn dispatched(self, a: &Matrix, b: &Matrix, out: &mut Matrix) -> Result<(), NnError> {
+            match self {
+                Product::Plain => a.matmul_into(b, out),
+                Product::TransposeLeft => a.transpose_matmul_into(b, out),
+                Product::TransposeRight => a.matmul_transpose_into(b, out),
             }
         }
-        out
+
+        /// The product by `build`, called directly.
+        fn by(self, build: Build, a: &Matrix, b: &Matrix, out: &mut Matrix) -> Result<(), NnError> {
+            match self {
+                Product::Plain => product_into(build, a.stored(), b.stored(), out, "test"),
+                Product::TransposeLeft => {
+                    product_into(build, a.transposed(), b.stored(), out, "test")
+                }
+                Product::TransposeRight => {
+                    product_into(build, a.stored(), b.transposed(), out, "test")
+                }
+            }
+        }
+
+        /// The textbook triple loop over the operands as the product reads
+        /// them: each sum starts at `+0.0` and adds every product, rounded
+        /// on its own, in ascending inner index.
+        fn naive(self, a: &Matrix, b: &Matrix) -> Matrix {
+            let left = |i, k| match self {
+                Product::TransposeLeft => a.get(k, i),
+                _ => a.get(i, k),
+            };
+            let right = |k, j| match self {
+                Product::TransposeRight => b.get(j, k),
+                _ => b.get(k, j),
+            };
+            let (rows, inner) = match self {
+                Product::TransposeLeft => (a.cols(), a.rows()),
+                _ => a.shape(),
+            };
+            let cols = match self {
+                Product::TransposeRight => b.rows(),
+                _ => b.cols(),
+            };
+            let mut out = Matrix::zeros(rows, cols);
+            for i in 0..rows {
+                for j in 0..cols {
+                    let mut sum = 0.0_f32;
+                    for k in 0..inner {
+                        let product = left(i, k) * right(k, j);
+                        sum += product;
+                    }
+                    out.set(i, j, sum);
+                }
+            }
+            out
+        }
+
+        /// Runs the product of random operands of the given shape through
+        /// the dispatched entry point and through the baseline build
+        /// called directly, each into a copy of `stale`, and asserts that
+        /// both give the naive triple loop's bits.
+        fn assert_bit_identical(
+            self,
+            (rows, inner, cols): (usize, usize, usize),
+            seed: u64,
+            stale: &Matrix,
+        ) {
+            let (a, b) = self.operands(rows, inner, cols, seed);
+            let expected = bits(&self.naive(&a, &b));
+            let mut out = stale.clone();
+            self.dispatched(&a, &b, &mut out).unwrap();
+            assert_eq!(out.shape(), (rows, cols), "{self:?} {rows}x{inner}x{cols}");
+            assert_eq!(bits(&out), expected, "{self:?} {rows}x{inner}x{cols}");
+            let mut out = stale.clone();
+            self.by(Build::BASELINE, &a, &b, &mut out).unwrap();
+            assert_eq!(out.shape(), (rows, cols), "{self:?} {rows}x{inner}x{cols}");
+            assert_eq!(
+                bits(&out),
+                expected,
+                "{self:?} baseline {rows}x{inner}x{cols}"
+            );
+        }
     }
 
     fn bits(m: &Matrix) -> Vec<u32> {
@@ -885,11 +881,6 @@ mod proptests {
     }
 
     proptest! {
-        #[test]
-        fn transpose_is_involution(m in small_matrix(4, 3)) {
-            prop_assert_eq!(m.transpose().transpose(), m);
-        }
-
         #[test]
         fn matmul_identity_left_and_right(m in small_matrix(3, 3)) {
             let i = super::tests::identity(3);
@@ -911,35 +902,94 @@ mod proptests {
             seed in 0u64..u64::MAX,
             stale in 0usize..3,
         ) {
-            let a = random_matrix(rows, inner, seed);
-            let b = random_matrix(inner, cols, !seed);
             // A reused buffer of any earlier shape and contents.
-            let mut out = Matrix::filled(stale * 7, stale * 3, f32::NAN);
-            a.matmul_into(&b, &mut out).unwrap();
-            prop_assert_eq!(out.shape(), (rows, cols));
-            prop_assert_eq!(bits(&out), naive_product(&a, &b));
+            let stale = Matrix::filled(stale * 7, stale * 3, f32::NAN);
+            Product::Plain.assert_bit_identical((rows, inner, cols), seed, &stale);
+        }
+
+        #[test]
+        fn transpose_matmul_into_is_bit_identical_to_the_naive_triple_loop(
+            rows in 0usize..=40,
+            inner in 0usize..=40,
+            cols in 1usize..=40,
+            seed in 0u64..u64::MAX,
+            stale in 0usize..3,
+        ) {
+            let stale = Matrix::filled(stale * 7, stale * 3, f32::NAN);
+            Product::TransposeLeft.assert_bit_identical((rows, inner, cols), seed, &stale);
+        }
+
+        #[test]
+        fn matmul_transpose_into_is_bit_identical_to_the_naive_triple_loop(
+            rows in 0usize..=40,
+            inner in 0usize..=40,
+            cols in 1usize..=40,
+            seed in 0u64..u64::MAX,
+            stale in 0usize..3,
+        ) {
+            let stale = Matrix::filled(stale * 7, stale * 3, f32::NAN);
+            Product::TransposeRight.assert_bit_identical((rows, inner, cols), seed, &stale);
         }
     }
 
     /// Explicit shapes around the kernel's edges: row counts on either side
     /// of a multiple of its 4-row block, column counts on either side of
     /// one to four 8-wide panels, and inner dimensions on either side of
-    /// the tail panel's 32-deep stack buffer.
-    #[test]
-    fn matmul_into_is_bit_identical_on_the_kernel_edges() {
+    /// the packed panel's 32-deep stack buffer.
+    fn assert_bit_identical_on_the_kernel_edges(product: Product) {
+        // A reused buffer holding stale values at every index.
+        let stale = Matrix::filled(33, 33, f32::NAN);
         let mut seed = 0;
         for rows in [0usize, 1, 3, 4, 5, 7, 8, 9, 32, 33] {
             for inner in [0usize, 1, 5, 11, 25, 31, 32, 33, 40] {
                 for cols in (1usize..=9).chain([15, 16, 17, 24, 25, 26, 30, 31, 32, 33]) {
                     seed += 2;
-                    let a = random_matrix(rows, inner, seed);
-                    let b = random_matrix(inner, cols, seed + 1);
-                    // A reused buffer holding stale values at every index.
-                    let mut out = Matrix::filled(33, 33, f32::NAN);
-                    a.matmul_into(&b, &mut out).unwrap();
-                    assert_eq!(bits(&out), naive_product(&a, &b), "{rows}x{inner}x{cols}");
+                    product.assert_bit_identical((rows, inner, cols), seed, &stale);
                 }
             }
+        }
+    }
+
+    #[test]
+    fn matmul_into_is_bit_identical_on_the_kernel_edges() {
+        assert_bit_identical_on_the_kernel_edges(Product::Plain);
+    }
+
+    #[test]
+    fn transposed_products_are_bit_identical_on_the_kernel_edges() {
+        assert_bit_identical_on_the_kernel_edges(Product::TransposeLeft);
+        assert_bit_identical_on_the_kernel_edges(Product::TransposeRight);
+    }
+
+    /// Every product of a training step at batch 32 of the 11 -> 25 -> 5
+    /// (WhiteWine) and 16 -> 30 -> 10 models, and the forward products of
+    /// the 374-row validation pass, give the same bits from the build this
+    /// CPU runs (AVX where it has it) as from the baseline build.
+    #[test]
+    fn the_two_builds_agree_on_the_training_shapes() {
+        let mut shapes = Vec::new();
+        for [inputs, hidden, outputs] in [[11, 25, 5], [16, 30, 10]] {
+            for (fan_in, fan_out) in [(inputs, hidden), (hidden, outputs)] {
+                shapes.push((Product::Plain, (32, fan_in, fan_out)));
+                shapes.push((Product::Plain, (374, fan_in, fan_out)));
+                shapes.push((Product::TransposeLeft, (fan_in, 32, fan_out)));
+            }
+            shapes.push((Product::TransposeRight, (32, outputs, hidden)));
+        }
+        for (seed, (product, (rows, inner, cols))) in (0u64..).zip(shapes) {
+            let (a, b) = product.operands(rows, inner, cols, seed);
+            let mut detected = Matrix::default();
+            product
+                .by(Build::detected(), &a, &b, &mut detected)
+                .unwrap();
+            let mut baseline = Matrix::default();
+            product.by(Build::BASELINE, &a, &b, &mut baseline).unwrap();
+            assert_eq!(detected.shape(), (rows, cols));
+            assert_eq!(
+                bits(&detected),
+                bits(&baseline),
+                "{product:?} {rows}x{inner}x{cols}"
+            );
         }
     }
 }

@@ -174,9 +174,11 @@ mod tests {
         let layer =
             DenseLayer::from_parameters(Matrix::zeros(2, 2), vec![0.0; 2], Activation::Identity)
                 .unwrap();
-        let mut buffers = LayerBuffers::default();
-        buffers.grad_weights = Matrix::filled(2, 2, value);
-        buffers.grad_biases = vec![value; 2];
+        let buffers = LayerBuffers {
+            grad_weights: Matrix::filled(2, 2, value),
+            grad_biases: vec![value; 2],
+            ..LayerBuffers::default()
+        };
         (Mlp::from_layers(vec![layer]).unwrap(), vec![buffers])
     }
 

@@ -179,6 +179,15 @@ impl Trainer {
                 right: (1, mlp.input_size()),
             });
         }
+        if let Some(val) = validation {
+            if val.feature_count() != mlp.input_size() {
+                return Err(NnError::ShapeMismatch {
+                    context: "validation features vs model input".into(),
+                    left: (val.len(), val.feature_count()),
+                    right: (1, mlp.input_size()),
+                });
+            }
+        }
         if train.class_count() > mlp.output_size() {
             return Err(NnError::InvalidConfig {
                 context: format!(
@@ -399,6 +408,31 @@ mod tests {
             .unwrap();
         let trainer = Trainer::default();
         assert!(trainer.fit(&mut mlp, &data, None, &mut rng).is_err());
+    }
+
+    #[test]
+    fn rejects_validation_width_mismatch() {
+        // A validation set of the wrong width would score 0.0 every epoch,
+        // and best-model tracking would silently keep the last epoch.
+        let mut rng = StdRng::seed_from_u64(1);
+        let data = blobs(20, 1);
+        let wide = Dataset::from_rows(vec![vec![0.0, 1.0, 2.0]; 4], vec![0, 1, 0, 1], 2).unwrap();
+        let mut mlp = MlpBuilder::new(2)
+            .hidden(4)
+            .output(2)
+            .build(&mut rng)
+            .unwrap();
+        let before = mlp.clone();
+        let trainer = Trainer::new(TrainConfig {
+            epochs: 3,
+            ..TrainConfig::default()
+        });
+        let result = trainer.fit(&mut mlp, &data, Some(&wide), &mut rng);
+        assert!(
+            matches!(result, Err(NnError::ShapeMismatch { .. })),
+            "{result:?}"
+        );
+        assert_eq!(mlp, before);
     }
 
     #[test]
