@@ -1,12 +1,14 @@
 //! Micro-benchmarks of the neural-network substrate: forward pass, one
 //! training epoch and QAT fine-tuning on the Seeds classifier, the matrix
-//! products of a WhiteWine training step, one WhiteWine training epoch and
-//! a WhiteWine QAT fine-tune.
+//! products of a WhiteWine training step and Pendigits' hidden forward
+//! product, one WhiteWine training epoch, and a WhiteWine QAT and cluster
+//! fine-tune.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use pmlp_data::{load, UciDataset};
+use pmlp_minimize::cluster::cluster_and_fine_tune;
 use pmlp_minimize::qat::quantization_aware_train;
-use pmlp_minimize::QatConfig;
+use pmlp_minimize::{ClusteringConfig, QatConfig};
 use pmlp_nn::{Matrix, MlpBuilder, TrainConfig, Trainer};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -59,7 +61,9 @@ fn bench_nn_training(c: &mut Criterion) {
     // at batch 32: the hidden layer's forward product, the output layer's
     // forward product, its weight-gradient product `xᵀ·δ` (25x32 by 32x5,
     // reading the 32x25 batch input in place), and the output layer of the
-    // per-epoch pass over the 374-row validation split.
+    // per-epoch pass over the 374-row validation split; and Pendigits'
+    // (16 -> 30 -> 10) hidden forward product, two 16-wide panels in the
+    // AVX-512F build.
     let operand = |rows: usize, cols: usize, seed: usize| {
         Matrix::from_vec(
             rows,
@@ -70,7 +74,7 @@ fn bench_nn_training(c: &mut Criterion) {
         )
         .expect("operand")
     };
-    for (m, k, n) in [(32, 11, 25), (32, 25, 5), (374, 25, 5)] {
+    for (m, k, n) in [(32, 11, 25), (32, 25, 5), (374, 25, 5), (32, 16, 30)] {
         let a = operand(m, k, 1);
         let b = operand(k, n, 2);
         let mut out = Matrix::zeros(0, 0);
@@ -92,9 +96,10 @@ fn bench_nn_training(c: &mut Criterion) {
         })
     });
 
-    // One plain training epoch (batch 32) and one 10-epoch 4-bit QAT
-    // fine-tune of a WhiteWine-shaped 11 -> 25 -> 5 model: the training
-    // step every fresh candidate's fine-tuning repeats.
+    // One plain training epoch (batch 32), one 10-epoch 4-bit QAT
+    // fine-tune and one 10-epoch 3-cluster fine-tune of a WhiteWine-shaped
+    // 11 -> 25 -> 5 model: the training step every fresh candidate's
+    // fine-tuning repeats, with each per-step constraint.
     let whitewine = load(UciDataset::WhiteWine, 42).expect("whitewine dataset");
     let mut rng = StdRng::seed_from_u64(4);
     let whitewine_mlp = MlpBuilder::new(whitewine.feature_count())
@@ -123,6 +128,27 @@ fn bench_nn_training(c: &mut Criterion) {
                 &whitewine,
                 None,
                 &QatConfig::new(4, 10),
+                &mut rng,
+            )
+            .unwrap()
+            .1
+            .best_accuracy
+        })
+    });
+
+    group.bench_function("cluster_ten_epochs_3_clusters_whitewine", |b| {
+        b.iter(|| {
+            let mut model = whitewine_mlp.clone();
+            let mut rng = StdRng::seed_from_u64(7);
+            cluster_and_fine_tune(
+                &mut model,
+                &whitewine,
+                None,
+                &ClusteringConfig::new(3),
+                &TrainConfig {
+                    epochs: 10,
+                    ..TrainConfig::default()
+                },
                 &mut rng,
             )
             .unwrap()

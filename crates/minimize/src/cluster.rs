@@ -62,22 +62,69 @@ impl ClusteringConfig {
     }
 }
 
-/// The cluster structure of a clustered MLP: for every layer and every input
-/// position, which cluster each outgoing weight belongs to.
+/// The cluster structure of a clustered MLP: for every layer, the groups
+/// of weights that share one value, one group per input position and
+/// cluster.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ClusterAssignment {
-    /// `assignments[layer][input][output]` = cluster index of that weight.
-    assignments: Vec<Vec<Vec<usize>>>,
-    /// `centroids[layer][input][cluster]` = shared weight value.
-    centroids: Vec<Vec<Vec<f32>>>,
+    layers: Vec<LayerGroups>,
+}
+
+/// The groups of one layer's weight matrix.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+struct LayerGroups {
+    /// `(inputs, outputs)` of the weight matrix.
+    shape: (usize, usize),
+    /// Row-major weight indices, group after group, each group in
+    /// ascending output order.
+    members: Vec<usize>,
+    /// Each group's member count, in the order of `members`. A cluster
+    /// without weights has no group.
+    counts: Vec<usize>,
+    /// Each group's centroid, the value its weights share.
+    centroids: Vec<f32>,
+}
+
+impl LayerGroups {
+    /// The groups of an `inputs x outputs` weight matrix whose input row
+    /// `i` has cluster centroids `rows[i].0` and puts output `o` in cluster
+    /// `rows[i].1[o]`.
+    fn new(shape: (usize, usize), rows: &[(Vec<f32>, Vec<usize>)]) -> LayerGroups {
+        let (inputs, outputs) = shape;
+        let mut groups = LayerGroups {
+            shape,
+            members: Vec::with_capacity(inputs * outputs),
+            counts: Vec::new(),
+            centroids: Vec::new(),
+        };
+        for (i, (centroids, assign)) in rows.iter().enumerate() {
+            for (c, &centroid) in centroids.iter().enumerate() {
+                let start = groups.members.len();
+                groups.members.extend(
+                    (0..outputs)
+                        .filter(|&o| assign[o] == c)
+                        .map(|o| i * outputs + o),
+                );
+                if groups.members.len() > start {
+                    groups.counts.push(groups.members.len() - start);
+                    groups.centroids.push(centroid);
+                }
+            }
+        }
+        groups
+    }
+}
+
+/// `members` cut into consecutive groups of `counts` members.
+fn split<'a>(mut members: &'a [usize], counts: &'a [usize]) -> impl Iterator<Item = &'a [usize]> {
+    counts.iter().map(move |&count| {
+        let (group, rest) = members.split_at(count);
+        members = rest;
+        group
+    })
 }
 
 impl ClusterAssignment {
-    /// The centroid values of one layer/input position.
-    pub fn centroids(&self, layer: usize, input: usize) -> &[f32] {
-        &self.centroids[layer][input]
-    }
-
     /// Snaps every weight of `mlp` to its cluster centroid.
     ///
     /// # Errors
@@ -86,22 +133,12 @@ impl ClusterAssignment {
     /// match the model shape.
     pub fn apply(&self, mlp: &mut Mlp) -> Result<(), MinimizeError> {
         self.check_shape(mlp)?;
-        for (layer, (assign, centroids)) in mlp
-            .layers_mut()
-            .iter_mut()
-            .zip(self.assignments.iter().zip(&self.centroids))
-        {
-            // A layer without outputs has no weights, hence no rows to visit.
-            let outputs = layer.outputs().max(1);
-            for ((row, assign), centroids) in layer
-                .weights_mut()
-                .as_mut_slice()
-                .chunks_exact_mut(outputs)
-                .zip(assign)
-                .zip(centroids)
+        for (layer, groups) in mlp.layers_mut().iter_mut().zip(&self.layers) {
+            let weights = layer.weights_mut().as_mut_slice();
+            for (group, &centroid) in split(&groups.members, &groups.counts).zip(&groups.centroids)
             {
-                for (w, &c) in row.iter_mut().zip(assign) {
-                    *w = centroids[c];
+                for &m in group {
+                    weights[m] = centroid;
                 }
             }
         }
@@ -116,92 +153,59 @@ impl ClusterAssignment {
     ///
     /// Returns [`MinimizeError::InvalidConfig`] on shape mismatch.
     pub fn refit_and_apply(&mut self, mlp: &mut Mlp) -> Result<(), MinimizeError> {
-        self.refit_and_apply_with(mlp, &mut RefitScratch::default())
+        self.check_shape(mlp)?;
+        self.refit(mlp);
+        Ok(())
     }
 
-    /// [`ClusterAssignment::refit_and_apply`] with the per-cluster sums in
-    /// caller-owned buffers: fine-tuning refits after every batch and
-    /// allocates nothing for it. Each input row is refit and snapped in one
-    /// visit; a centroid depends only on its own row, and each cluster's
-    /// `f64` sum adds its weights in ascending output order.
-    fn refit_and_apply_with(
-        &mut self,
-        mlp: &mut Mlp,
-        scratch: &mut RefitScratch,
-    ) -> Result<(), MinimizeError> {
-        self.check_shape(mlp)?;
-        let RefitScratch { sums, counts } = scratch;
-        for (layer, (assign, centroids)) in mlp
-            .layers_mut()
-            .iter_mut()
-            .zip(self.assignments.iter().zip(&mut self.centroids))
-        {
-            // A layer without outputs has no weights, hence no rows to visit.
-            let outputs = layer.outputs().max(1);
-            for ((row, assign), centroids) in layer
-                .weights_mut()
-                .as_mut_slice()
-                .chunks_exact_mut(outputs)
-                .zip(assign)
-                .zip(centroids)
-            {
-                sums.clear();
-                sums.resize(centroids.len(), 0.0);
-                counts.clear();
-                counts.resize(centroids.len(), 0);
-                for (&w, &c) in row.iter().zip(assign) {
-                    sums[c] += w as f64;
-                    counts[c] += 1;
-                }
-                for ((centroid, &sum), &count) in centroids.iter_mut().zip(&*sums).zip(&*counts) {
-                    if count > 0 {
-                        *centroid = (sum / count as f64) as f32;
-                    }
-                }
-                for (w, &c) in row.iter_mut().zip(assign) {
-                    *w = centroids[c];
+    /// [`ClusterAssignment::refit_and_apply`] on a model of the checked
+    /// shape: the fine-tuning constraint after every batch. Each group's
+    /// `f64` sum starts at `0.0` and adds its weights in ascending output
+    /// order.
+    fn refit(&mut self, mlp: &mut Mlp) {
+        for (layer, groups) in mlp.layers_mut().iter_mut().zip(&mut self.layers) {
+            let weights = layer.weights_mut().as_mut_slice();
+            let LayerGroups {
+                members,
+                counts,
+                centroids,
+                ..
+            } = groups;
+            for (group, centroid) in split(members, counts).zip(centroids) {
+                let sum = group
+                    .iter()
+                    .fold(0.0_f64, |sum, &m| sum + weights[m] as f64);
+                *centroid = (sum / group.len() as f64) as f32;
+                for &m in group {
+                    weights[m] = *centroid;
                 }
             }
         }
-        Ok(())
     }
 
     /// Checks that the assignment covers `mlp` weight for weight.
     fn check_shape(&self, mlp: &Mlp) -> Result<(), MinimizeError> {
-        if mlp.layers().len() != self.assignments.len() {
+        if mlp.layers().len() != self.layers.len() {
             return Err(MinimizeError::InvalidConfig {
                 context: format!(
                     "assignment covers {} layers but the model has {}",
-                    self.assignments.len(),
+                    self.layers.len(),
                     mlp.layers().len()
                 ),
             });
         }
-        for (layer, (assign, centroids)) in mlp
+        if mlp
             .layers()
             .iter()
-            .zip(self.assignments.iter().zip(&self.centroids))
+            .zip(&self.layers)
+            .any(|(layer, groups)| layer.weights().shape() != groups.shape)
         {
-            let (inputs, outputs) = layer.weights().shape();
-            if assign.len() != inputs
-                || centroids.len() != inputs
-                || assign.iter().any(|row| row.len() != outputs)
-            {
-                return Err(MinimizeError::InvalidConfig {
-                    context: "cluster assignment shape does not match model layer".into(),
-                });
-            }
+            return Err(MinimizeError::InvalidConfig {
+                context: "cluster assignment shape does not match model layer".into(),
+            });
         }
         Ok(())
     }
-}
-
-/// The per-cluster `f64` sums and weight counts of one input row, reused
-/// across rows and refits.
-#[derive(Debug, Default)]
-struct RefitScratch {
-    sums: Vec<f64>,
-    counts: Vec<usize>,
 }
 
 /// One-dimensional k-means on a slice of values. Returns `(centroids,
@@ -268,25 +272,24 @@ pub fn cluster_weights(
     config: &ClusteringConfig,
 ) -> Result<ClusterAssignment, MinimizeError> {
     config.validate()?;
-    let mut assignments = Vec::with_capacity(mlp.layers().len());
-    let mut centroids = Vec::with_capacity(mlp.layers().len());
-    for layer in mlp.layers() {
-        let (inputs, outputs) = layer.weights().shape();
-        let mut layer_assign = Vec::with_capacity(inputs);
-        let mut layer_centroids = Vec::with_capacity(inputs);
-        for i in 0..inputs {
-            let row: Vec<f32> = (0..outputs).map(|o| layer.weights().get(i, o)).collect();
-            let (cents, assign) = kmeans_1d(&row, config.clusters_per_input, config.max_iterations);
-            layer_assign.push(assign);
-            layer_centroids.push(cents);
-        }
-        assignments.push(layer_assign);
-        centroids.push(layer_centroids);
-    }
-    let assignment = ClusterAssignment {
-        assignments,
-        centroids,
-    };
+    let layers = mlp
+        .layers()
+        .iter()
+        .map(|layer| {
+            let weights = layer.weights();
+            let rows: Vec<_> = (0..weights.rows())
+                .map(|i| {
+                    kmeans_1d(
+                        weights.row(i),
+                        config.clusters_per_input,
+                        config.max_iterations,
+                    )
+                })
+                .collect();
+            LayerGroups::new(weights.shape(), &rows)
+        })
+        .collect();
+    let assignment = ClusterAssignment { layers };
     assignment.apply(mlp)?;
     Ok(assignment)
 }
@@ -306,18 +309,15 @@ pub fn cluster_and_fine_tune<R: Rng + ?Sized>(
     training: &TrainConfig,
     rng: &mut R,
 ) -> Result<(ClusterAssignment, TrainReport), MinimizeError> {
-    let assignment = cluster_weights(mlp, config)?;
+    let mut assignment = cluster_weights(mlp, config)?;
     let trainer = Trainer::new(training.clone());
-    let mut shared = assignment.clone();
-    let mut scratch = RefitScratch::default();
-    let mut constraint = move |m: &mut Mlp| {
-        let _ = shared.refit_and_apply_with(m, &mut scratch);
-    };
+    // `cluster_weights` grouped this model's weights, and training keeps
+    // its shape, so no step checks the shape again.
+    let mut constraint = |m: &mut Mlp| assignment.refit(m);
     let report = trainer.fit_constrained(mlp, train, validation, &mut constraint, rng)?;
-    // Produce the final assignment (centroids refit on the trained weights).
-    let mut final_assignment = assignment;
-    final_assignment.refit_and_apply(mlp)?;
-    Ok((final_assignment, report))
+    // The final centroids, refit on the trained weights.
+    assignment.refit(mlp);
+    Ok((assignment, report))
 }
 
 #[cfg(test)]
@@ -498,7 +498,51 @@ mod tests {
 #[cfg(test)]
 mod proptests {
     use super::*;
+    use pmlp_nn::MlpBuilder;
     use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
+
+    /// The per-row refit that grouped refitting replaced, kept as the
+    /// reference: per input row, each cluster's `f64` sum over the row in
+    /// ascending output order, the mean for every cluster with weights,
+    /// then every weight of the row snapped to its centroid.
+    fn per_row_refit(weights: &mut [f32], outputs: usize, rows: &mut [(Vec<f32>, Vec<usize>)]) {
+        for (row, (centroids, assign)) in weights.chunks_exact_mut(outputs).zip(rows) {
+            let mut sums = vec![0.0_f64; centroids.len()];
+            let mut counts = vec![0usize; centroids.len()];
+            for (&w, &c) in row.iter().zip(assign.iter()) {
+                sums[c] += w as f64;
+                counts[c] += 1;
+            }
+            for ((centroid, &sum), &count) in centroids.iter_mut().zip(&sums).zip(&counts) {
+                if count > 0 {
+                    *centroid = (sum / count as f64) as f32;
+                }
+            }
+            for (w, &c) in row.iter_mut().zip(assign.iter()) {
+                *w = centroids[c];
+            }
+        }
+    }
+
+    /// A weight of random sign and magnitude between 2^-60 and 2^60; a
+    /// tenth are zeros, a tenth repeat the last value and a fifth negate
+    /// it. A group summing `a, -a, b` gives `b` in ascending order but
+    /// `0.0` in descending order when `b` is too small to change `a`, so a
+    /// refit that sums in another order shows in the weights.
+    fn weight(rng: &mut StdRng, last: f32) -> f32 {
+        match rng.gen_range(0..10) {
+            0 => 0.0,
+            1 => last,
+            2 | 3 => -last,
+            _ => rng.gen_range(-1.0f32..1.0) * 2.0f32.powi(rng.gen_range(-60..=60)),
+        }
+    }
+
+    fn bits(weights: &[f32]) -> Vec<u32> {
+        weights.iter().map(|w| w.to_bits()).collect()
+    }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(48))]
@@ -524,6 +568,81 @@ mod proptests {
                 for &c in &centroids {
                     prop_assert!(assigned_dist <= (v - c).abs() + 1e-5);
                 }
+            }
+        }
+
+        #[test]
+        fn refit_equals_the_per_row_reference_bit_for_bit(
+            inputs in 1usize..=12,
+            hidden in 1usize..=30,
+            outputs in 1usize..=10,
+            clusters in 1usize..=8,
+            seed in 0u64..u64::MAX,
+        ) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut mlp = MlpBuilder::new(inputs)
+                .hidden(hidden)
+                .output(outputs)
+                .build(&mut rng)
+                .unwrap();
+            // Random clusters per input row: with more clusters than a
+            // row's outputs some stay empty, and one-member clusters are
+            // common.
+            let mut reference: Vec<Vec<(Vec<f32>, Vec<usize>)>> = mlp
+                .layers()
+                .iter()
+                .map(|layer| {
+                    let (rows, cols) = layer.weights().shape();
+                    (0..rows)
+                        .map(|_| {
+                            let k = rng.gen_range(1..=clusters);
+                            let centroids = (0..k).map(|_| weight(&mut rng, 0.5)).collect();
+                            let assign = (0..cols).map(|_| rng.gen_range(0..k)).collect();
+                            (centroids, assign)
+                        })
+                        .collect()
+                })
+                .collect();
+            let mut assignment = ClusterAssignment {
+                layers: mlp
+                    .layers()
+                    .iter()
+                    .zip(&reference)
+                    .map(|(layer, rows)| LayerGroups::new(layer.weights().shape(), rows))
+                    .collect(),
+            };
+            // Three rounds of new weights and a refit, as fine-tuning runs
+            // them after every batch.
+            for _ in 0..3 {
+                for layer in mlp.layers_mut() {
+                    let mut last = 0.0;
+                    for w in layer.weights_mut().as_mut_slice() {
+                        *w = weight(&mut rng, last);
+                        last = *w;
+                    }
+                }
+                let mut expected: Vec<Vec<f32>> =
+                    mlp.layers().iter().map(|l| l.weights().as_slice().to_vec()).collect();
+                for ((weights, rows), layer) in expected.iter_mut().zip(&mut reference).zip(mlp.layers()) {
+                    per_row_refit(weights, layer.outputs(), rows);
+                }
+                assignment.refit_and_apply(&mut mlp).unwrap();
+                for (layer, weights) in mlp.layers().iter().zip(&expected) {
+                    prop_assert_eq!(bits(layer.weights().as_slice()), bits(weights));
+                }
+            }
+            // `apply` snaps every weight to the centroid the last refit
+            // stored for its cluster.
+            for layer in mlp.layers_mut() {
+                layer.weights_mut().map_inplace(|w| w * 3.0 + 1.0);
+            }
+            assignment.apply(&mut mlp).unwrap();
+            for (layer, rows) in mlp.layers().iter().zip(&reference) {
+                let expected: Vec<f32> = rows
+                    .iter()
+                    .flat_map(|(centroids, assign)| assign.iter().map(|&c| centroids[c]))
+                    .collect();
+                prop_assert_eq!(bits(layer.weights().as_slice()), bits(&expected));
             }
         }
     }

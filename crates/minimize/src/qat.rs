@@ -85,10 +85,7 @@ pub fn quantization_aware_train<R: Rng + ?Sized>(
             if scale <= 0.0 {
                 continue;
             }
-            layer.weights_mut().map_inplace(|w| {
-                let code = round_half_away_from_zero(w / scale).clamp(-max_code, max_code);
-                code * scale
-            });
+            snap_to_grid(layer.weights_mut().as_mut_slice(), scale, max_code);
         }
     };
     let report = trainer.fit_constrained(&mut model, train, validation, &mut constraint, rng)?;
@@ -98,21 +95,38 @@ pub fn quantization_aware_train<R: Rng + ?Sized>(
     Ok((quantized, report))
 }
 
+/// Snaps every weight onto the quantization grid of step `scale`: the
+/// nearest code, clamped to `[-max_code, max_code]`, times `scale`. The
+/// result is `(w / scale).round().clamp(-max_code, max_code) * scale` bit
+/// for bit. The QAT constraint runs this over every weight after every
+/// batch, and the loop compiles to vector instructions in every build: it
+/// has no call and no saturating conversion.
+fn snap_to_grid(weights: &mut [f32], scale: f32, max_code: f32) {
+    for w in weights {
+        *w = round_half_away_from_zero(*w / scale).clamp(-max_code, max_code) * scale;
+    }
+}
+
 /// `x.round()`: the nearest integer, halfway cases away from zero, equal
 /// to [`f32::round`] bit for bit on every input but a signaling NaN, which
 /// no arithmetic produces (this returns it as it is; `roundf` quiets it).
 ///
-/// The QAT constraint snaps every weight after every batch. On the x86-64
-/// baseline target, which has no SSE4.1 `roundss`, `f32::round` is a call
-/// into the C library's `roundf` per weight; this is a truncating
-/// conversion, a compare and two selects, all inline.
+/// On the x86-64 baseline target, which has no SSE4.1 `roundss`,
+/// `f32::round` is a call into the C library's `roundf` per weight; this is
+/// a truncating conversion, a compare and two selects, all inline.
+#[inline(always)]
 fn round_half_away_from_zero(x: f32) -> f32 {
     // From 2^23 up every float is an integer, as are the infinities; NaN
     // rounds to itself. Below it the conversion truncates exactly, and
     // the fraction `magnitude - truncated` is exact too.
     const FIRST_INTEGRAL: f32 = 8_388_608.0;
     let magnitude = x.abs();
-    let truncated = (magnitude as i32) as f32;
+    // `as` would saturate, which keeps the conversion scalar; the clamped
+    // operand needs no saturation.
+    // SAFETY: `magnitude.min(FIRST_INTEGRAL)` is finite and lies in
+    // [0, 2^23], where `i32` holds its truncation: `f32::min` returns 2^23
+    // for a NaN `magnitude`, and that input takes the `x` branch below.
+    let truncated = unsafe { magnitude.min(FIRST_INTEGRAL).to_int_unchecked::<i32>() } as f32;
     let rounded = if magnitude - truncated >= 0.5 {
         truncated + 1.0
     } else {
@@ -267,5 +281,72 @@ mod tests {
         let (mlp, train, _) = trained_seeds_mlp(&mut rng);
         let config = QatConfig::new(1, 2);
         assert!(quantization_aware_train(&mlp, &train, None, &config, &mut rng).is_err());
+    }
+}
+
+#[cfg(test)]
+mod proptests {
+    use super::*;
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    proptest! {
+        #[test]
+        fn grid_snap_equals_the_textbook_snap_bit_for_bit(
+            weight_bits in 2u8..=8,
+            scale_exponent in -140i32..=100,
+            seed in 0u64..u64::MAX,
+        ) {
+            let max_code = QuantizationConfig {
+                weight_bits,
+                ..QuantizationConfig::default()
+            }
+            .max_code() as f32;
+            let mut rng = StdRng::seed_from_u64(seed);
+            // Subnormal scales included: two factors, as `powi` of a large
+            // negative exponent overflows in its reciprocal.
+            let half = scale_exponent / 2;
+            let scale = rng.gen_range(1.0f32..2.0)
+                * 2.0f32.powi(half)
+                * 2.0f32.powi(scale_exponent - half);
+            prop_assert!(scale > 0.0);
+            // Every half code out to twice `±max_code`, the specials and
+            // subnormals, uniform bit patterns (every binade, NaNs
+            // included) and the range training meets.
+            let reach = 4 * max_code as i32 + 4;
+            let mut weights: Vec<f32> =
+                (-reach..=reach).map(|half| half as f32 * 0.5 * scale).collect();
+            weights.extend([
+                max_code * scale,
+                -max_code * scale,
+                f32::NAN,
+                -f32::NAN,
+                f32::INFINITY,
+                f32::NEG_INFINITY,
+                0.0,
+                -0.0,
+                f32::from_bits(1),
+                -f32::from_bits(0x007f_ffff),
+                f32::MAX,
+                f32::MIN,
+            ]);
+            weights.extend((0..500).map(|_| f32::from_bits(rng.gen())));
+            weights.extend((0..500).map(|_| rng.gen_range(-2.0f32..2.0) * max_code * scale));
+            let mut snapped = weights.clone();
+            snap_to_grid(&mut snapped, scale, max_code);
+            for (&w, got) in weights.iter().zip(&snapped) {
+                let expected = (w / scale).round().clamp(-max_code, max_code) * scale;
+                prop_assert_eq!(
+                    got.to_bits(),
+                    expected.to_bits(),
+                    "{:e} ({:#010x}) at scale {:e}, max code {}",
+                    w,
+                    w.to_bits(),
+                    scale,
+                    max_code
+                );
+            }
+        }
     }
 }

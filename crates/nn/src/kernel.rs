@@ -1,27 +1,35 @@
 //! The register-block kernel behind every matrix product of the training
-//! step, and its two builds.
+//! step, and its three builds.
 //!
 //! The kernel computes `A · B` where each operand is a row-major matrix
 //! read either as stored ([`Stored`]) or transposed ([`Transposed`]), so
 //! the backward pass's `xᵀ·δ` and `δ·Wᵀ` need no transposed copy.
 //!
-//! The kernel body is compiled twice from one source: a baseline build for
-//! the target's default features (SSE2 on x86-64), and on x86-64 an AVX
-//! build, where one 8-wide panel row is one vector register instead of two.
-//! [`Build::detected`] picks between them at run time. FMA stays off in
-//! both: a fused multiply-add rounds once, where the textbook loop rounds
-//! the product and the sum separately, so the two builds and the naive
-//! triple loop agree bit for bit.
+//! The kernel body is compiled three times from one source: a baseline
+//! build for the target's default features (SSE2 on x86-64), and on x86-64
+//! an AVX build, where one 8-wide panel row is one vector register instead
+//! of two, and an AVX-512F build, whose panels are 16 wide, one register
+//! each. [`Build::detected`] picks the widest build the running CPU has.
+//! No build fuses a multiply and an add: Rust never contracts `a * b + c`
+//! into an FMA, even where a build's features include one (`avx512f`
+//! implies `fma`). A fused multiply-add would round once, where the
+//! textbook loop rounds the product and the sum separately; so every build
+//! and the naive triple loop agree bit for bit.
 
 use std::ops::Range;
 
-/// Width of a column panel of the right operand: one AVX vector, two SSE2
-/// vectors.
-const PANEL: usize = 8;
+/// Width of a column panel of the right operand in the baseline and AVX
+/// builds: one AVX vector, two SSE2 vectors. The AVX-512F build runs its
+/// last panel at this width too when at most this many columns remain.
+const NARROW: usize = 8;
 
-/// Left-operand rows per register block. Four rows by one panel is eight
-/// SSE2 vector accumulators (four AVX ones), which fit in the sixteen
-/// vector registers next to the panel row and the broadcast left value.
+/// Width of a column panel in the AVX-512F build: one 512-bit vector.
+const WIDE: usize = 16;
+
+/// Left-operand rows per register block. Four rows by one 8-wide panel is
+/// eight SSE2 vector accumulators (four AVX ones, as four rows by a 16-wide
+/// panel are in the AVX-512F build), which fit in the sixteen vector
+/// registers next to the panel row and the broadcast left value.
 const BLOCK_ROWS: usize = 4;
 
 /// Inner-index depth of a packed panel, which lives on the stack. No
@@ -118,34 +126,46 @@ impl Left for Transposed<'_> {
     }
 }
 
-/// How the kernel reads its right operand: in column panels of [`PANEL`].
+/// How the kernel reads its right operand: in column panels `P` wide.
 pub(crate) trait Right<'a>: Operand {
-    /// The full panel of operand columns `col..col + PANEL` where it lies,
+    /// The full panel of operand columns `col..col + P` where it lies,
     /// when the layout keeps each panel row contiguous.
-    fn in_place(self, col: usize) -> Option<Panel<'a>>;
+    fn in_place<const P: usize>(self, col: usize) -> Option<Panel<'a, P>>;
 
-    /// Copies operand rows `inner` of columns `col..col + width` into
-    /// `buf`, one [`PANEL`]-wide row per inner index, and zeroes the lanes
-    /// past `width`.
-    fn pack(self, col: usize, width: usize, inner: Range<usize>, buf: &mut [f32]);
+    /// Copies operand rows `inner` of columns `col..col + width` into the
+    /// first `inner.len()` rows of `buf`, one row per inner index, and
+    /// zeroes the lanes past `width`.
+    fn pack<const P: usize>(
+        self,
+        col: usize,
+        width: usize,
+        inner: Range<usize>,
+        buf: &mut [[f32; P]],
+    );
 }
 
 impl<'a> Right<'a> for Stored<'a> {
     #[inline(always)]
-    fn in_place(self, col: usize) -> Option<Panel<'a>> {
+    fn in_place<const P: usize>(self, col: usize) -> Option<Panel<'a, P>> {
         Some(Panel {
             data: &self.data[col..],
             stride: self.cols,
             col,
-            width: PANEL,
+            width: P,
         })
     }
 
     #[inline(always)]
-    fn pack(self, col: usize, width: usize, inner: Range<usize>, buf: &mut [f32]) {
+    fn pack<const P: usize>(
+        self,
+        col: usize,
+        width: usize,
+        inner: Range<usize>,
+        buf: &mut [[f32; P]],
+    ) {
         let rows =
             self.data[inner.start * self.cols..inner.end * self.cols].chunks_exact(self.cols);
-        for (dst, src) in buf.chunks_exact_mut(PANEL).zip(rows) {
+        for (dst, src) in buf.iter_mut().zip(rows) {
             let src = &src[col..col + width];
             for (lane, d) in dst.iter_mut().enumerate() {
                 *d = src.get(lane).copied().unwrap_or(0.0);
@@ -157,16 +177,22 @@ impl<'a> Right<'a> for Stored<'a> {
 impl<'a> Right<'a> for Transposed<'a> {
     /// Operand column `j` is stored row `j`, so no panel row is contiguous.
     #[inline(always)]
-    fn in_place(self, _col: usize) -> Option<Panel<'a>> {
+    fn in_place<const P: usize>(self, _col: usize) -> Option<Panel<'a, P>> {
         None
     }
 
     /// Gathers operand element `(k, col + lane)` from stored element
     /// `(col + lane, k)`.
     #[inline(always)]
-    fn pack(self, col: usize, width: usize, inner: Range<usize>, buf: &mut [f32]) {
+    fn pack<const P: usize>(
+        self,
+        col: usize,
+        width: usize,
+        inner: Range<usize>,
+        buf: &mut [[f32; P]],
+    ) {
         let rows = &self.data[col * self.cols..(col + width) * self.cols];
-        for (k, dst) in inner.zip(buf.chunks_exact_mut(PANEL)) {
+        for (k, dst) in inner.zip(buf.iter_mut()) {
             for (lane, d) in dst.iter_mut().enumerate() {
                 *d = if lane < width {
                     rows[lane * self.cols + k]
@@ -178,25 +204,56 @@ impl<'a> Right<'a> for Transposed<'a> {
     }
 }
 
-/// Which compiled copy of the kernel runs. Only [`Build::detected`] picks
-/// the AVX build, and only on a CPU that has AVX.
-#[derive(Clone, Copy)]
+/// The instruction sets the kernel has a build for.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum Isa {
+    /// The target's default features, which every CPU of the target has.
+    Baseline,
+    /// x86-64 AVX: 8-wide panels, one vector register per panel row.
+    Avx,
+    /// x86-64 AVX-512F: 16-wide panels, one vector register per panel row.
+    Avx512f,
+}
+
+#[cfg(test)]
+impl Isa {
+    /// Every instruction set the kernel has a build for, narrowest first.
+    pub(crate) const ALL: [Isa; 3] = [Isa::Baseline, Isa::Avx, Isa::Avx512f];
+}
+
+/// Which compiled copy of the kernel runs. A build other than the baseline
+/// is made only by [`Build::new`], after the running CPU has shown it has
+/// the build's features.
+#[derive(Clone, Copy, Debug)]
 pub(crate) struct Build {
-    avx: bool,
+    isa: Isa,
 }
 
 impl Build {
     /// The build for the target's default features, which every CPU of the
     /// target runs.
-    pub(crate) const BASELINE: Build = Build { avx: false };
+    pub(crate) const BASELINE: Build = Build { isa: Isa::Baseline };
 
-    /// The AVX build when the running CPU has AVX, the baseline otherwise.
+    /// The build for `isa`, when the running CPU has its features.
+    pub(crate) fn new(isa: Isa) -> Option<Build> {
+        let present = match isa {
+            Isa::Baseline => true,
+            #[cfg(target_arch = "x86_64")]
+            Isa::Avx => std::arch::is_x86_feature_detected!("avx"),
+            #[cfg(target_arch = "x86_64")]
+            Isa::Avx512f => std::arch::is_x86_feature_detected!("avx512f"),
+            #[cfg(not(target_arch = "x86_64"))]
+            Isa::Avx | Isa::Avx512f => false,
+        };
+        present.then_some(Build { isa })
+    }
+
+    /// The widest build the running CPU has: AVX-512F, then AVX, then the
+    /// baseline.
     pub(crate) fn detected() -> Build {
-        #[cfg(target_arch = "x86_64")]
-        if std::arch::is_x86_feature_detected!("avx") {
-            return Build { avx: true };
-        }
-        Build::BASELINE
+        Build::new(Isa::Avx512f)
+            .or_else(|| Build::new(Isa::Avx))
+            .unwrap_or(Build::BASELINE)
     }
 }
 
@@ -215,23 +272,25 @@ pub(crate) fn product<'a, A: Left, B: Right<'a>>(
     out: &mut [f32],
     out_cols: usize,
 ) {
-    #[cfg(target_arch = "x86_64")]
-    if build.avx {
-        // SAFETY: `avx` is set only by `Build::detected`, and only when
-        // the running CPU has AVX, the one feature `product_avx` enables.
-        unsafe { product_avx(a, b, depth, out, out_cols) };
-        return;
+    match build.isa {
+        // SAFETY: a `Build` with this instruction set is made only by
+        // `Build::new`, after `is_x86_feature_detected!("avx512f")` found
+        // the feature `product_avx512` enables on the running CPU.
+        #[cfg(target_arch = "x86_64")]
+        Isa::Avx512f => unsafe { product_avx512(a, b, depth, out, out_cols) },
+        // SAFETY: as above, with `is_x86_feature_detected!("avx")` and
+        // `product_avx`.
+        #[cfg(target_arch = "x86_64")]
+        Isa::Avx => unsafe { product_avx(a, b, depth, out, out_cols) },
+        _ => product_baseline(a, b, depth, out, out_cols),
     }
-    #[cfg(not(target_arch = "x86_64"))]
-    let _ = build; // the baseline is the only build
-    product_baseline(a, b, depth, out, out_cols);
 }
 
 /// The kernel body for the target's default features. Kept out of line,
-/// like the AVX copy, which cannot be inlined into callers without AVX:
-/// inlined into [`product`], it made a two-epoch fit of an 11 -> 25 -> 5
-/// model slightly slower (3.19-3.21 ms against 3.17-3.18 ms, best of 60,
-/// baseline build forced, release build on a 2-core x86-64 VM).
+/// like the other copies, which cannot be inlined into callers without
+/// their features: inlined into [`product`], it made a two-epoch fit of an
+/// 11 -> 25 -> 5 model slightly slower (3.19-3.21 ms against 3.17-3.18 ms,
+/// best of 60, baseline build forced, release build on a 2-core x86-64 VM).
 #[inline(never)]
 fn product_baseline<'a, A: Left, B: Right<'a>>(
     a: A,
@@ -240,7 +299,7 @@ fn product_baseline<'a, A: Left, B: Right<'a>>(
     out: &mut [f32],
     out_cols: usize,
 ) {
-    product_body(a, b, depth, out, out_cols);
+    product_body::<NARROW, A, B>(a, b, depth, out, out_cols);
 }
 
 /// The kernel body compiled with AVX, so each 8-wide panel row of the
@@ -255,25 +314,40 @@ fn product_avx<'a, A: Left, B: Right<'a>>(
     out: &mut [f32],
     out_cols: usize,
 ) {
-    product_body(a, b, depth, out, out_cols);
+    product_body::<NARROW, A, B>(a, b, depth, out, out_cols);
 }
 
-/// The product kernel: the right operand is swept in column panels of
-/// [`PANEL`] (Goto & van de Geijn, "Anatomy of High-Performance Matrix
-/// Multiplication", ACM TOMS 2008). A full panel that lies contiguously in
-/// `b` is read in place; any other panel (the narrower last one, or every
-/// panel of a transposed right operand) is packed into a zero-padded stack
-/// buffer. Against each panel, [`BLOCK_ROWS`] rows of `a` at a time
-/// accumulate a `rows x PANEL` block in registers over the whole inner
-/// index, so every output is written once, and the 5-wide output layer
-/// still runs on full vectors.
+/// The kernel body compiled with AVX-512F at a panel width of 16, so each
+/// panel row of the register block is one 512-bit vector.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+#[inline(never)]
+fn product_avx512<'a, A: Left, B: Right<'a>>(
+    a: A,
+    b: B,
+    depth: usize,
+    out: &mut [f32],
+    out_cols: usize,
+) {
+    product_body::<WIDE, A, B>(a, b, depth, out, out_cols);
+}
+
+/// The product kernel: the right operand is swept in column panels of `P`
+/// (Goto & van de Geijn, "Anatomy of High-Performance Matrix
+/// Multiplication", ACM TOMS 2008). A last panel of at most [`NARROW`]
+/// columns runs [`NARROW`] wide, also when `P` is wider: in a 16-wide
+/// panel, every multiply and add of a 5-wide output layer would spend
+/// more than half its lanes on padding. Against each panel, [`BLOCK_ROWS`]
+/// rows of `a` at a time accumulate a `rows x P` block in registers over
+/// the whole inner index, so every output is written once, and the 5-wide
+/// output layer still runs on full vectors.
 ///
 /// Per output element the sum starts at `+0.0` and adds each `a * b` in
 /// ascending inner index, with the multiply and the add rounded separately:
 /// the result is bit-for-bit the textbook triple loop's, for every shape
-/// and in both builds.
+/// and in every build.
 #[inline(always)]
-fn product_body<'a, A: Left, B: Right<'a>>(
+fn product_body<'a, const P: usize, A: Left, B: Right<'a>>(
     a: A,
     b: B,
     depth: usize,
@@ -287,39 +361,61 @@ fn product_body<'a, A: Left, B: Right<'a>>(
         out.fill(0.0);
         return;
     }
-    let mut packed = [0.0_f32; PANEL * PACKED_DEPTH];
-    for col in (0..out_cols).step_by(PANEL) {
-        let width = PANEL.min(out_cols - col);
-        match b.in_place(col).filter(|_| width == PANEL) {
-            Some(panel) => panel.multiply(a, 0..depth, out, out_cols),
-            None => {
-                for k0 in (0..depth).step_by(PACKED_DEPTH) {
-                    let inner = k0..(k0 + PACKED_DEPTH).min(depth);
-                    b.pack(col, width, inner.clone(), &mut packed);
-                    let panel = Panel {
-                        data: &packed,
-                        stride: PANEL,
-                        col,
-                        width,
-                    };
-                    panel.multiply(a, inner, out, out_cols);
-                }
-            }
+    for col in (0..out_cols).step_by(P) {
+        let width = P.min(out_cols - col);
+        if width <= NARROW {
+            sweep::<NARROW, A, B>(a, b, col, width, depth, out, out_cols);
+        } else {
+            sweep::<P, A, B>(a, b, col, width, depth, out, out_cols);
         }
     }
 }
 
+/// Multiplies `a` by the panel of `b`'s columns `col..col + width` into
+/// those columns of `out`. A full panel that lies contiguously in `b` is
+/// read in place; any other panel (a narrower last one, or every panel of
+/// a transposed right operand) is packed into a zero-padded stack buffer,
+/// declared here so that a product whose panels all lie in place fills
+/// none.
+#[inline(always)]
+fn sweep<'a, const P: usize, A: Left, B: Right<'a>>(
+    a: A,
+    b: B,
+    col: usize,
+    width: usize,
+    depth: usize,
+    out: &mut [f32],
+    out_cols: usize,
+) {
+    if let Some(panel) = b.in_place::<P>(col).filter(|_| width == P) {
+        panel.multiply(a, 0..depth, out, out_cols);
+        return;
+    }
+    let mut packed = [[0.0_f32; P]; PACKED_DEPTH];
+    for k0 in (0..depth).step_by(PACKED_DEPTH) {
+        let inner = k0..(k0 + PACKED_DEPTH).min(depth);
+        b.pack(col, width, inner.clone(), &mut packed);
+        let panel = Panel::<P> {
+            data: packed.as_flattened(),
+            stride: P,
+            col,
+            width,
+        };
+        panel.multiply(a, inner, out, out_cols);
+    }
+}
+
 /// One column panel of the right operand: row `k` of the panel is
-/// `data[k * stride..][..PANEL]`, counted from the first inner index the
-/// panel holds. It feeds output columns `col..col + width`.
-pub(crate) struct Panel<'a> {
+/// `data[k * stride..][..P]`, counted from the first inner index the panel
+/// holds. It feeds output columns `col..col + width`.
+pub(crate) struct Panel<'a, const P: usize> {
     data: &'a [f32],
     stride: usize,
     col: usize,
     width: usize,
 }
 
-impl Panel<'_> {
+impl<const P: usize> Panel<'_, P> {
     /// Accumulates `a[.., inner] * panel` into the panel's columns of every
     /// output row, [`BLOCK_ROWS`] rows at a time. When `inner` does not
     /// start at 0, each sum resumes from the partial sum already in `out`.
@@ -349,7 +445,7 @@ impl Panel<'_> {
         out: &mut [f32],
         out_cols: usize,
     ) {
-        let mut acc = [[0.0_f32; PANEL]; R];
+        let mut acc = [[0.0_f32; P]; R];
         if inner.start > 0 {
             for (r, acc_row) in acc.iter_mut().enumerate() {
                 acc_row[..self.width]
@@ -357,9 +453,9 @@ impl Panel<'_> {
             }
         }
         for (k, a_values) in a.columns::<R>(i, inner).enumerate() {
-            let b_row: &[f32; PANEL] = self.data[k * self.stride..][..PANEL]
+            let b_row: &[f32; P] = self.data[k * self.stride..][..P]
                 .try_into()
-                .expect("a panel row is PANEL wide");
+                .expect("a panel row is P wide");
             for (acc_row, &av) in acc.iter_mut().zip(&a_values) {
                 for (o, &bv) in acc_row.iter_mut().zip(b_row) {
                     *o += av * bv;
@@ -371,16 +467,25 @@ impl Panel<'_> {
             // One arm per width: a copy of constant length compiles to a
             // few moves. One of variable length calls `memcpy` for every
             // row of a narrow panel, and storing lane by lane kept the
-            // compiler from vectorizing the block at all.
+            // compiler from vectorizing the block at all. An 8-wide panel
+            // is never wider than 8 columns and a 16-wide one never
+            // narrower than 9, so each build reaches half of the arms.
             match self.width {
-                1 => store::<1>(sums, acc_row),
-                2 => store::<2>(sums, acc_row),
-                3 => store::<3>(sums, acc_row),
-                4 => store::<4>(sums, acc_row),
-                5 => store::<5>(sums, acc_row),
-                6 => store::<6>(sums, acc_row),
-                7 => store::<7>(sums, acc_row),
-                _ => store::<PANEL>(sums, acc_row),
+                1 => store::<1, P>(sums, acc_row),
+                2 => store::<2, P>(sums, acc_row),
+                3 => store::<3, P>(sums, acc_row),
+                4 => store::<4, P>(sums, acc_row),
+                5 => store::<5, P>(sums, acc_row),
+                6 => store::<6, P>(sums, acc_row),
+                7 => store::<7, P>(sums, acc_row),
+                9 => store::<9, P>(sums, acc_row),
+                10 => store::<10, P>(sums, acc_row),
+                11 => store::<11, P>(sums, acc_row),
+                12 => store::<12, P>(sums, acc_row),
+                13 => store::<13, P>(sums, acc_row),
+                14 => store::<14, P>(sums, acc_row),
+                15 => store::<15, P>(sums, acc_row),
+                _ => store::<P, P>(sums, acc_row),
             }
         }
     }
@@ -388,6 +493,6 @@ impl Panel<'_> {
 
 /// Writes the first `N` sums of a block row to `out`.
 #[inline(always)]
-fn store<const N: usize>(out: &mut [f32], sums: &[f32; PANEL]) {
+fn store<const N: usize, const P: usize>(out: &mut [f32], sums: &[f32; P]) {
     out[..N].copy_from_slice(&sums[..N]);
 }

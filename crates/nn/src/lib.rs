@@ -16,9 +16,10 @@
 //! nothing per mini-batch, the backward pass reads its transposed operands
 //! in place, and its matrix kernel sums in the textbook order, so trained
 //! weights are bit-identical to a naive implementation's. The kernel is
-//! compiled twice from one source, for the target's baseline features and,
-//! on x86-64, for AVX; a run-time check picks the AVX build on CPUs that
-//! have it, and both builds give the same bits.
+//! compiled three times from one source: for the target's baseline
+//! features and, on x86-64, for AVX with the same 8-wide column panels and
+//! for AVX-512F with 16-wide ones. Run-time checks pick the widest build
+//! the CPU has, and every build gives the same bits.
 //!
 //! ## Example
 //!

@@ -79,16 +79,20 @@ impl Matrix {
         Matrix {
             rows,
             cols,
-            data: vec![0.0; rows.checked_mul(cols).expect("matrix size overflow")],
+            data: vec![0.0; element_count(rows, cols)],
         }
     }
 
     /// Creates a matrix of `rows x cols` filled with `value`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `rows * cols` overflows `usize`.
     pub fn filled(rows: usize, cols: usize, value: f32) -> Self {
         Matrix {
             rows,
             cols,
-            data: vec![value; rows * cols],
+            data: vec![value; element_count(rows, cols)],
         }
     }
 
@@ -369,10 +373,14 @@ impl Matrix {
     /// Gives the matrix the shape `rows x cols`, reusing the allocation. The
     /// elements keep whatever values the buffer held; callers overwrite
     /// every one of them.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `rows * cols` overflows `usize`.
     pub(crate) fn resize(&mut self, rows: usize, cols: usize) {
+        self.data.resize(element_count(rows, cols), 0.0);
         self.rows = rows;
         self.cols = cols;
-        self.data.resize(rows * cols, 0.0);
     }
 
     /// Applies `f` to every element in place.
@@ -472,6 +480,15 @@ impl Matrix {
     pub fn argmax_rows(&self) -> Vec<usize> {
         self.iter_rows().map(argmax).collect()
     }
+}
+
+/// The element count `rows * cols` of a matrix.
+///
+/// # Panics
+///
+/// Panics with "matrix size overflow" if the product overflows `usize`.
+fn element_count(rows: usize, cols: usize) -> usize {
+    rows.checked_mul(cols).expect("matrix size overflow")
 }
 
 /// Index of the maximum of `row`, ties resolved to the lowest index; `0` for
@@ -586,6 +603,19 @@ mod tests {
         assert_eq!(out.shape(), (3, 3));
         a.matmul_transpose_into(&b, &mut out).unwrap();
         assert_eq!(out.shape(), (2, 2));
+    }
+
+    #[test]
+    #[should_panic(expected = "matrix size overflow")]
+    fn filled_rejects_an_overflowing_size() {
+        // `rows * cols` wraps to 0 in `usize`; that is not an empty matrix.
+        let _ = Matrix::filled(1 << 32, 1 << 32, 1.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "matrix size overflow")]
+    fn resize_rejects_an_overflowing_size() {
+        Matrix::default().resize(1 << 32, 1 << 32);
     }
 
     #[test]
@@ -850,9 +880,9 @@ mod proptests {
         }
 
         /// Runs the product of random operands of the given shape through
-        /// the dispatched entry point and through the baseline build
-        /// called directly, each into a copy of `stale`, and asserts that
-        /// both give the naive triple loop's bits.
+        /// the dispatched entry point and through every build this CPU
+        /// has, called directly, each into a copy of `stale`, and asserts
+        /// that all give the naive triple loop's bits.
         fn assert_bit_identical(
             self,
             (rows, inner, cols): (usize, usize, usize),
@@ -865,15 +895,43 @@ mod proptests {
             self.dispatched(&a, &b, &mut out).unwrap();
             assert_eq!(out.shape(), (rows, cols), "{self:?} {rows}x{inner}x{cols}");
             assert_eq!(bits(&out), expected, "{self:?} {rows}x{inner}x{cols}");
-            let mut out = stale.clone();
-            self.by(Build::BASELINE, &a, &b, &mut out).unwrap();
-            assert_eq!(out.shape(), (rows, cols), "{self:?} {rows}x{inner}x{cols}");
-            assert_eq!(
-                bits(&out),
-                expected,
-                "{self:?} baseline {rows}x{inner}x{cols}"
-            );
+            for &build in builds() {
+                let mut out = stale.clone();
+                self.by(build, &a, &b, &mut out).unwrap();
+                assert_eq!(out.shape(), (rows, cols), "{self:?} {rows}x{inner}x{cols}");
+                assert_eq!(
+                    bits(&out),
+                    expected,
+                    "{self:?} {build:?} {rows}x{inner}x{cols}"
+                );
+            }
         }
+    }
+
+    /// Every build of the kernel that this CPU runs, each made by
+    /// [`Build::new`] after its own feature check. A build the CPU lacks
+    /// is left out with a note on standard error, written past the test
+    /// harness's capture so that a passing run shows it too: an untested
+    /// build never counts as a pass.
+    fn builds() -> &'static [Build] {
+        static BUILDS: std::sync::OnceLock<Vec<Build>> = std::sync::OnceLock::new();
+        BUILDS.get_or_init(|| {
+            use std::io::Write;
+            crate::kernel::Isa::ALL
+                .into_iter()
+                .filter_map(|isa| {
+                    let build = Build::new(isa);
+                    if build.is_none() {
+                        let _ = writeln!(
+                            std::io::stderr(),
+                            "note: skipped the {isa:?} build of the matrix kernel: \
+                             this CPU lacks its features"
+                        );
+                    }
+                    build
+                })
+                .collect()
+        })
     }
 
     fn bits(m: &Matrix) -> Vec<u32> {
@@ -884,20 +942,23 @@ mod proptests {
         #[test]
         fn matmul_identity_left_and_right(m in small_matrix(3, 3)) {
             let i = super::tests::identity(3);
-            let left = i.matmul(&m).unwrap();
-            let right = m.matmul(&i).unwrap();
-            for (a, b) in left.as_slice().iter().zip(m.as_slice()) {
-                prop_assert!((a - b).abs() < 1e-5);
-            }
-            for (a, b) in right.as_slice().iter().zip(m.as_slice()) {
-                prop_assert!((a - b).abs() < 1e-5);
+            for (a, b) in [(&i, &m), (&m, &i)] {
+                for (x, y) in a.matmul(b).unwrap().as_slice().iter().zip(m.as_slice()) {
+                    prop_assert!((x - y).abs() < 1e-5);
+                }
+                let expected = bits(&Product::Plain.naive(a, b));
+                for &build in builds() {
+                    let mut out = Matrix::default();
+                    Product::Plain.by(build, a, b, &mut out).unwrap();
+                    prop_assert_eq!(bits(&out), expected.clone(), "{:?}", build);
+                }
             }
         }
 
         #[test]
         fn matmul_into_is_bit_identical_to_the_naive_triple_loop(
             rows in 0usize..=40,
-            inner in 0usize..=40,
+            inner in 0usize..=70,
             cols in 1usize..=40,
             seed in 0u64..u64::MAX,
             stale in 0usize..3,
@@ -910,7 +971,7 @@ mod proptests {
         #[test]
         fn transpose_matmul_into_is_bit_identical_to_the_naive_triple_loop(
             rows in 0usize..=40,
-            inner in 0usize..=40,
+            inner in 0usize..=70,
             cols in 1usize..=40,
             seed in 0u64..u64::MAX,
             stale in 0usize..3,
@@ -922,7 +983,7 @@ mod proptests {
         #[test]
         fn matmul_transpose_into_is_bit_identical_to_the_naive_triple_loop(
             rows in 0usize..=40,
-            inner in 0usize..=40,
+            inner in 0usize..=70,
             cols in 1usize..=40,
             seed in 0u64..u64::MAX,
             stale in 0usize..3,
@@ -933,16 +994,18 @@ mod proptests {
     }
 
     /// Explicit shapes around the kernel's edges: row counts on either side
-    /// of a multiple of its 4-row block, column counts on either side of
-    /// one to four 8-wide panels, and inner dimensions on either side of
-    /// the packed panel's 32-deep stack buffer.
+    /// of a multiple of its 4-row block; column counts of one or two
+    /// panels 8 or 16 wide and every remainder after them (widths 1-17 and
+    /// 24-33, read in place and packed); and inner dimensions on either
+    /// side of one and two fills of the packed panel's 32-deep stack
+    /// buffer.
     fn assert_bit_identical_on_the_kernel_edges(product: Product) {
         // A reused buffer holding stale values at every index.
         let stale = Matrix::filled(33, 33, f32::NAN);
         let mut seed = 0;
         for rows in [0usize, 1, 3, 4, 5, 7, 8, 9, 32, 33] {
-            for inner in [0usize, 1, 5, 11, 25, 31, 32, 33, 40] {
-                for cols in (1usize..=9).chain([15, 16, 17, 24, 25, 26, 30, 31, 32, 33]) {
+            for inner in [0usize, 1, 5, 11, 25, 31, 32, 33, 40, 64, 65] {
+                for cols in (1usize..=17).chain(24..=33) {
                     seed += 2;
                     product.assert_bit_identical((rows, inner, cols), seed, &stale);
                 }
@@ -962,34 +1025,35 @@ mod proptests {
     }
 
     /// Every product of a training step at batch 32 of the 11 -> 25 -> 5
-    /// (WhiteWine) and 16 -> 30 -> 10 models, and the forward products of
-    /// the 374-row validation pass, give the same bits from the build this
-    /// CPU runs (AVX where it has it) as from the baseline build.
+    /// (WhiteWine) and 16 -> 30 -> 10 (Pendigits) models, and the forward
+    /// products of a 374-row and a 500-row validation pass, give the same
+    /// bits from every build this CPU runs as from the baseline build.
     #[test]
     fn the_two_builds_agree_on_the_training_shapes() {
         let mut shapes = Vec::new();
         for [inputs, hidden, outputs] in [[11, 25, 5], [16, 30, 10]] {
             for (fan_in, fan_out) in [(inputs, hidden), (hidden, outputs)] {
-                shapes.push((Product::Plain, (32, fan_in, fan_out)));
-                shapes.push((Product::Plain, (374, fan_in, fan_out)));
+                for rows in [32, 374, 500] {
+                    shapes.push((Product::Plain, (rows, fan_in, fan_out)));
+                }
                 shapes.push((Product::TransposeLeft, (fan_in, 32, fan_out)));
             }
             shapes.push((Product::TransposeRight, (32, outputs, hidden)));
         }
         for (seed, (product, (rows, inner, cols))) in (0u64..).zip(shapes) {
             let (a, b) = product.operands(rows, inner, cols, seed);
-            let mut detected = Matrix::default();
-            product
-                .by(Build::detected(), &a, &b, &mut detected)
-                .unwrap();
             let mut baseline = Matrix::default();
             product.by(Build::BASELINE, &a, &b, &mut baseline).unwrap();
-            assert_eq!(detected.shape(), (rows, cols));
-            assert_eq!(
-                bits(&detected),
-                bits(&baseline),
-                "{product:?} {rows}x{inner}x{cols}"
-            );
+            for &build in builds() {
+                let mut out = Matrix::default();
+                product.by(build, &a, &b, &mut out).unwrap();
+                assert_eq!(out.shape(), (rows, cols));
+                assert_eq!(
+                    bits(&out),
+                    bits(&baseline),
+                    "{product:?} {build:?} {rows}x{inner}x{cols}"
+                );
+            }
         }
     }
 }
